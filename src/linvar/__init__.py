@@ -11,6 +11,7 @@ from .classification import (
 )
 from .derivatives import (
     IterationTrace,
+    StabilizationError,
     WeakIndependenceProfile,
     derivative,
     iterate,
@@ -50,12 +51,14 @@ from .rewriting import (
 )
 from .saturation import (
     BudgetTooSmallError,
+    CertificateError,
     Entailed,
     FlatFactBase,
     NotEntailed,
     NotEntailedWithModel,
     default_budget,
     entails_flat,
+    goal_budget,
     is_inconsistent,
     saturate,
 )

@@ -122,15 +122,37 @@ def _no_verdict(prop: str, stage: Theory, stages_used: int,
 
 def _trace_verdict(prop: str, trace: IterationTrace,
                    model_range: tuple[int, int]) -> Verdict:
-    if trace.stop_reason == "inconsistent":
-        assert isinstance(trace.certificate, Entailed)
+    if isinstance(trace.certificate, Entailed):
         return Verdict(prop, True, len(trace.stages) - 1, "derivation",
                        derivation=trace.certificate.derivation)
     return _no_verdict(prop, trace.final, len(trace.stages) - 1, model_range)
 
 
-def classify(theory: Theory, budget: Optional[int] = None,
-             model_range: tuple[int, int] = (2, 3),
+def _report(theory: Theory, validation: ValidationReport,
+            d_trace: IterationTrace, o_trace: IterationTrace,
+            model_range: tuple[int, int]) -> ClassificationReport:
+    """The three verdicts, read off both iteration traces of the theory."""
+    nci = _trace_verdict("nci", d_trace, model_range)
+    if nci.answer and nci.stages_used <= 1:
+        # the derivative, or already the input, is inconsistent
+        cm = Verdict("cm", True, nci.stages_used, "derivation",
+                     derivation=nci.derivation)
+    else:
+        # a consistent stage 0 always has its derivative recorded as stage 1
+        cm = _no_verdict("cm", d_trace.stages[1], 1, model_range)
+    nperm = _trace_verdict("nperm", o_trace, model_range)
+    return ClassificationReport(theory.name, validation, cm, nci, nperm,
+                                traces=(d_trace, o_trace))
+
+
+def _validated(theory: Theory) -> ValidationReport:
+    report = validate(theory)
+    if not report.ok:
+        raise NotLinearIdempotentError(report)
+    return report
+
+
+def classify(theory: Theory, model_range: tuple[int, int] = (2, 3),
              sufficient_only: bool = False) -> ClassificationReport:
     """Decide all three properties; certificates attached per verdict.
 
@@ -138,35 +160,15 @@ def classify(theory: Theory, budget: Optional[int] = None,
     idempotent non-linear input and reports only the sound direction
     (derivative inconsistency implies CM), leaving the rest unknown.
     """
-    report = validate(theory, budget)
+    report = validate(theory)
     if not report.ok:
         if sufficient_only:
             return _classify_sufficient_only(theory, report)
         raise NotLinearIdempotentError(report)
-
-    d_trace = derivatives.iterate(theory, "derivative", budget)
-    o_trace = derivatives.iterate(theory, "order_derivative", budget)
-
-    if d_trace.stop_reason == "inconsistent" and len(d_trace.stages) == 2:
-        assert isinstance(d_trace.certificate, Entailed)
-        cm = Verdict("cm", True, 1, "derivation",
-                     derivation=d_trace.certificate.derivation)
-    elif d_trace.stop_reason == "inconsistent" and len(d_trace.stages) == 1:
-        # The input itself is already inconsistent.
-        assert isinstance(d_trace.certificate, Entailed)
-        cm = Verdict("cm", True, 0, "derivation",
-                     derivation=d_trace.certificate.derivation)
-    else:
-        first = derivatives.derivative(theory, budget)
-        cm = _no_verdict("cm", first, 1, model_range)
-
-    nci = _trace_verdict("nci", d_trace, model_range)
-    nperm = _trace_verdict("nperm", o_trace, model_range)
-
-    assert not (cm.answer and not nci.answer), \
-        "an inconsistent derivative must stop the iteration at stage one"
-    return ClassificationReport(theory.name, report, cm, nci, nperm,
-                                traces=(d_trace, o_trace))
+    return _report(theory, report,
+                   derivatives.iterate(theory, "derivative"),
+                   derivatives.iterate(theory, "order_derivative"),
+                   model_range)
 
 
 def _bfs_idempotent(theory: Theory, report: ValidationReport,
@@ -268,8 +270,8 @@ class JoinDecompositionReport:
         }
 
 
-def _extended_stage(trace: IterationTrace, theory: Theory, n: int,
-                    operator: derivatives.Operator, budget: Optional[int]) -> Theory:
+def _extended_stage(trace: IterationTrace, n: int,
+                    operator: derivatives.Operator) -> Theory:
     """Stage n of the iteration, recomputed past the recorded trace if needed."""
     try:
         return trace.stage(n)
@@ -278,36 +280,41 @@ def _extended_stage(trace: IterationTrace, theory: Theory, n: int,
         op = derivatives.derivative if operator == "derivative" \
             else derivatives.order_derivative
         for _ in range(n - (len(trace.stages) - 1)):
-            cur = op(cur, budget)
+            cur = op(cur)
         return cur
 
 
-def check_join_decomposition(left: Theory, right: Theory,
-                             budget: Optional[int] = None
+def check_join_decomposition(left: Theory, right: Theory
                              ) -> JoinDecompositionReport:
     """Stage-by-stage distribution of both operators over the join, plus the
-    prime-filter comparison for all three properties."""
+    prime-filter comparison for all three properties.
+
+    Each theory is iterated once per operator; the same traces feed both
+    the stagewise comparison and the three classifications.
+    """
     from .theories import join_disjoint, theory_equal
 
     joined = join_disjoint(left, right)
+    theories = (joined, left, right)
+    validations = [_validated(t) for t in theories]
+    traces = {operator: [derivatives.iterate(t, operator) for t in theories]
+              for operator in ("derivative", "order_derivative")}
     ops = []
-    for operator in ("derivative", "order_derivative"):
-        join_trace = derivatives.iterate(joined, operator, budget)
-        left_trace = derivatives.iterate(left, operator, budget)
-        right_trace = derivatives.iterate(right, operator, budget)
+    for operator, (join_trace, left_trace, right_trace) in traces.items():
         flags = []
         for n in range(len(join_trace.stages)):
-            a = _extended_stage(left_trace, left, n, operator, budget)
-            b = _extended_stage(right_trace, right, n, operator, budget)
+            a = _extended_stage(left_trace, n, operator)
+            b = _extended_stage(right_trace, n, operator)
             combined = join_disjoint(a, b)
             flags.append(theory_equal(join_trace.stages[n], combined))
         ops.append(OperatorDecomposition(operator, len(flags), tuple(flags)))
 
-    reports = [classify(t, budget) for t in (joined, left, right)]
+    reports = [_report(t, v, d, o, (2, 3)) for t, v, d, o in
+               zip(theories, validations, traces["derivative"],
+                   traces["order_derivative"])]
     props = []
     for prop in ("cm", "nci", "nperm"):
-        j, a, b = (r.answer(prop) for r in reports)
-        assert j is not None and a is not None and b is not None
+        j, a, b = (bool(r.answer(prop)) for r in reports)
         props.append((prop, j, a, b))
     return JoinDecompositionReport(left.name, right.name, joined.name,
                                    tuple(ops), tuple(props))

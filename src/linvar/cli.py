@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from typing import Optional
@@ -44,14 +43,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     "derivatives, with machine-checkable certificates.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, budget: bool = True) -> None:
+    def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--json", metavar="PATH", help="write the full report as JSON")
-        p.add_argument("--threads", type=int, default=0,
-                       help="worker threads (results do not depend on this)")
-        if budget:
-            p.add_argument("--budget", type=int, default=None,
-                           help="saturation variable budget "
-                                "(default 2*max_arity+2; env LINVAR_BUDGET)")
 
     p = sub.add_parser("validate", help="check linearity and idempotency")
     p.add_argument("theory")
@@ -110,16 +103,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("derivation")
     p.add_argument("--allow-reflexivity", action="store_true",
                    help="accept v = v steps")
-    add_common(p, budget=False)
+    add_common(p)
     return parser
-
-
-def _resolve_budget(args: argparse.Namespace) -> Optional[int]:
-    budget = getattr(args, "budget", None)
-    if budget is not None:
-        return budget
-    env = os.environ.get("LINVAR_BUDGET")
-    return int(env) if env else None
 
 
 def _bounds(args: argparse.Namespace) -> SearchBounds:
@@ -133,7 +118,7 @@ def _bounds(args: argparse.Namespace) -> SearchBounds:
 
 def _cmd_validate(args) -> tuple[int, dict]:
     theory = load_theory(args.theory)
-    report = validate(theory, _resolve_budget(args))
+    report = validate(theory)
     payload = {
         "theory": theory.name,
         "is_linear": report.is_linear,
@@ -151,10 +136,9 @@ def _cmd_validate(args) -> tuple[int, dict]:
 
 def _cmd_derive(args) -> tuple[int, dict]:
     theory = load_theory(args.theory)
-    budget = _resolve_budget(args)
     operator = "order_derivative" if args.order else "derivative"
     if args.iterate:
-        trace = derivatives.iterate(theory, operator, budget)
+        trace = derivatives.iterate(theory, operator)
         payload = {
             "operator": operator,
             "stop": trace.stop_reason,
@@ -168,8 +152,8 @@ def _cmd_derive(args) -> tuple[int, dict]:
             print(render_theory(stage))
         print(f"stopped: {trace.stop_reason} at stage {len(trace.stages) - 1}")
         return EXIT_OK, payload
-    out = (derivatives.order_derivative(theory, budget) if args.order
-           else derivatives.derivative(theory, budget))
+    out = (derivatives.order_derivative(theory) if args.order
+           else derivatives.derivative(theory))
     print(render_theory(out), end="")
     return EXIT_OK, {"operator": operator, "result": theory_to_json(out)}
 
@@ -177,7 +161,7 @@ def _cmd_derive(args) -> tuple[int, dict]:
 def _cmd_classify(args) -> tuple[int, dict]:
     theory = load_theory(args.theory)
     report = classification.classify(
-        theory, _resolve_budget(args), model_range=(args.min, args.max),
+        theory, model_range=(args.min, args.max),
         sufficient_only=args.sufficient_only)
     names = {"cm": "CM", "nci": "NCI", "nperm": "n-permutable"}
     answers = {True: "yes", False: "no", None: "unknown"}
@@ -205,11 +189,10 @@ def _cmd_entail(args) -> tuple[int, dict]:
     theory = load_theory(args.theory)
     arities = {s.name: s.arity for s in theory.symbols}
     goal = parse_identity(args.identity, arities)
-    budget = _resolve_budget(args)
     from .theories import is_linear_identity
 
     if is_linear_identity(goal):
-        base = saturation.saturate(theory, budget)
+        base = saturation.saturate(theory, saturation.goal_budget(theory, goal))
         verdict = saturation.entails_flat(base, goal)
         if isinstance(verdict, Entailed):
             print(f"entailed ({len(verdict.derivation.steps)} steps)")
@@ -266,8 +249,7 @@ def _cmd_join(args) -> tuple[int, dict]:
     print(render_theory(joined), end="")
     payload: dict = {"join": theory_to_json(joined)}
     if args.check_decomposition:
-        report = classification.check_join_decomposition(
-            left, right, _resolve_budget(args))
+        report = classification.check_join_decomposition(left, right)
         payload["decomposition"] = report.to_json()
         for op in report.operators:
             status = "holds" if op.holds else "FAILS"
@@ -331,14 +313,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         code, payload = _COMMANDS[args.command](args)
     except (ParseError, UnknownSymbolError, SignatureMismatchError,
-            BudgetTooSmallError, classification.NotLinearIdempotentError,
+            BudgetTooSmallError, saturation.CertificateError,
+            derivatives.StabilizationError,
+            classification.NotLinearIdempotentError,
             projection.ProjectionError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     if getattr(args, "json", None):
         bounds: dict = {}
-        if hasattr(args, "budget"):
-            bounds["budget"] = _resolve_budget(args) or "default"
         for name in ("min", "max", "max_terms", "max_depth", "max_term_size"):
             if getattr(args, name, None) is not None:
                 bounds[name.replace("_", "-")] = getattr(args, name)

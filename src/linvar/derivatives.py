@@ -24,6 +24,14 @@ Operator = Literal["derivative", "order_derivative"]
 
 _X = Variable("x")
 
+# Trigger data grow monotonically inside finite sets, so a well-formed
+# iteration stops long before this many stages.
+_MAX_STAGES = 10_000
+
+
+class StabilizationError(Exception):
+    """An iteration ran past the stage cap without stopping."""
+
 
 @lru_cache(maxsize=None)
 def _canonical_tuples(arity: int) -> tuple[tuple[int, ...], ...]:
@@ -65,12 +73,12 @@ class WeakIndependenceProfile:
         return tuple(sorted(i for name, i in self.pairs if name == symbol_name))
 
 
-def weak_independence_profile(theory: Theory, budget: Optional[int] = None,
+def weak_independence_profile(theory: Theory,
                               base: Optional[FlatFactBase] = None
                               ) -> WeakIndependenceProfile:
     """Which (symbol, place) pairs have a derivable fact x = F(w), w_i != x."""
     if base is None:
-        base = saturation.saturate(theory, budget)
+        base = saturation.saturate(theory)
     pairs = []
     witnesses = []
     for s in theory.symbols:
@@ -106,17 +114,16 @@ def _derivative_from_profile(theory: Theory, profile: WeakIndependenceProfile) -
                        list(theory.identities) + new, renames=theory.renames)
 
 
-def derivative(theory: Theory, budget: Optional[int] = None) -> Theory:
+def derivative(theory: Theory) -> Theory:
     """The theory plus an independence identity for every weak independence."""
-    return _derivative_from_profile(theory, weak_independence_profile(theory, budget))
+    return _derivative_from_profile(theory, weak_independence_profile(theory))
 
 
-def order_fact_set(theory: Theory, budget: Optional[int] = None,
-                   base: Optional[FlatFactBase] = None
+def order_fact_set(theory: Theory, base: Optional[FlatFactBase] = None
                    ) -> frozenset[tuple[str, tuple[int, ...]]]:
     """All derivable canonical facts x = F(w), as (symbol, tuple) keys."""
     if base is None:
-        base = saturation.saturate(theory, budget)
+        base = saturation.saturate(theory)
     out = set()
     for s in theory.symbols:
         if s.arity == 0:
@@ -142,9 +149,9 @@ def _order_derivative_from_facts(theory: Theory,
                        list(theory.identities) + new, renames=theory.renames)
 
 
-def order_derivative(theory: Theory, budget: Optional[int] = None) -> Theory:
+def order_derivative(theory: Theory) -> Theory:
     """The theory plus all x-mixtures of every derivable fact x = F(w)."""
-    return _order_derivative_from_facts(theory, order_fact_set(theory, budget))
+    return _order_derivative_from_facts(theory, order_fact_set(theory))
 
 
 @dataclass(frozen=True)
@@ -172,21 +179,20 @@ class IterationTrace:
             f"stage {len(self.stages) - 1}")
 
 
-def iterate(theory: Theory, operator: Operator,
-            budget: Optional[int] = None) -> IterationTrace:
+def iterate(theory: Theory, operator: Operator) -> IterationTrace:
     """Apply the operator until the stage is inconsistent or triggers stabilize.
 
     Stage n+1 is a function of stage n's trigger data (profile or fact set),
-    so equal consecutive data means every later stage repeats.
+    so equal consecutive data means every later stage repeats.  Every stage
+    keeps the signature, so all of them share the default context size.
     """
-    if budget is None:
-        budget = saturation.default_budget(theory)
     stages = [theory]
     data: list[frozenset] = []
-    base = saturation.saturate(theory, budget)
+    base = saturation.saturate(theory)
+    budget = base.budget
     while True:
         cur = stages[-1]
-        verdict = saturation.is_inconsistent(cur, budget, with_countermodel=False)
+        verdict = saturation.is_inconsistent(cur, with_countermodel=False)
         if isinstance(verdict, Entailed):
             return IterationTrace(operator, budget, tuple(stages), tuple(data),
                                   "inconsistent", verdict)
@@ -206,4 +212,7 @@ def iterate(theory: Theory, operator: Operator,
             nxt = _order_derivative_from_facts(cur, stage_key)
         base = saturation.saturate_extending(base, nxt)
         stages.append(nxt)
-        assert len(stages) < 10_000, "iteration failed to stabilize"
+        if len(stages) >= _MAX_STAGES:
+            raise StabilizationError(
+                f"{operator} iteration of {theory.name} did not stabilize "
+                f"within {_MAX_STAGES} stages")

@@ -8,10 +8,16 @@ embeddings land in one class.  The atom universe is finite, so saturation
 terminates, and the instance set is closed under composing substitutions,
 which makes the resulting partition stable under every context endomap.
 
-The variable context defaults to 2*max_arity + 2 variables.  How many
-distinct variables a flattened derivation may need at once has no sharp
-known bound, so the budget is a parameter and the test suite gates the
-engine against the search and finite-model oracles.
+The context size follows from a retraction argument.  Take a chain of
+instance steps over a context C whose endpoint atoms use only the
+variables V, a subset of C, and map every atom along tau: C -> V, the
+identity on V.  Each instance step maps to an instance step (compose its
+substitution with tau) or to no step at all, so the image is a chain over V
+with the same endpoints and no more steps.  A query over k variables
+therefore gets the same answer, and a shortest chain of the same length, in
+every context of at least k variables.  The engine's own queries are facts
+x = F(w) and x = y, so the default context has max_arity + 1 variables (at
+least two); a larger linear goal gets a context of its own variable count.
 """
 from __future__ import annotations
 
@@ -44,8 +50,18 @@ class BudgetTooSmallError(Exception):
     """A query needs more distinct variables than the saturation context has."""
 
 
+class CertificateError(Exception):
+    """An extracted derivation is missing or fails the independent verifier."""
+
+
 def default_budget(theory: Theory) -> int:
-    return max(2, 2 * theory.max_arity() + 2)
+    """Variables of the largest query the engine makes: x = F(w)."""
+    return max(2, theory.max_arity() + 1)
+
+
+def goal_budget(theory: Theory, goal: Identity) -> int:
+    """The default context, widened to hold every variable of the goal."""
+    return max(default_budget(theory), len(identity_variables(goal)))
 
 
 @dataclass(frozen=True)
@@ -352,7 +368,7 @@ class FlatFactBase:
                     return ids, edges
                 queue.append(tid)
         # Classes are closed under exactly these edges, so this is unreachable.
-        raise AssertionError("atoms share a class but no chain was found")
+        raise CertificateError("atoms share a class but no chain was found")
 
 
 @dataclass(frozen=True)
@@ -437,8 +453,19 @@ def _chain_derivation(base: FlatFactBase, ids: list[int],
         steps.append(make_step(eq, forward, (), subst))
     d = Derivation(base.theory.name, tuple(terms), tuple(steps))
     check = verify_derivation(base.theory, d)
-    assert check, f"extracted derivation failed verification: {check.reason}"
+    if not check:
+        raise CertificateError(
+            f"extracted derivation failed verification: {check.reason}")
     return d
+
+
+def _chain(base: FlatFactBase, a: int, b: int
+           ) -> tuple[list[int], list[tuple[int, bool, dict[Variable, int]]]]:
+    chain = base.shortest_chain(a, b)
+    if chain is None:
+        raise CertificateError(
+            f"no chain between {base.atom_term(a)} and {base.atom_term(b)}")
+    return chain
 
 
 def _collapse_instance_derivation(base: FlatFactBase, goal: Identity) -> Derivation:
@@ -458,13 +485,14 @@ def _collapse_instance_derivation(base: FlatFactBase, goal: Identity) -> Derivat
         v = next(fresh)
         rename[i] = v
         taken.add(v.name)
-    chain = base.shortest_chain(0, 1)
-    assert chain is not None
-    collapse = _chain_derivation(base, chain[0], chain[1], rename)
+    ids, edges = _chain(base, 0, 1)
+    collapse = _chain_derivation(base, ids, edges, rename)
     instance = substitute_derivation(
         collapse, {rename[0]: goal.lhs, rename[1]: goal.rhs})
     check = verify_derivation(base.theory, instance)
-    assert check, f"collapse instance failed verification: {check.reason}"
+    if not check:
+        raise CertificateError(
+            f"collapse instance failed verification: {check.reason}")
     return instance
 
 
@@ -479,10 +507,9 @@ def entails_flat(base: FlatFactBase, goal: Identity,
     """
     a, b, embedding = base._embed(goal)
     if base.same_class(a, b):
-        chain = base.shortest_chain(a, b)
-        assert chain is not None
+        ids, edges = _chain(base, a, b)
         rename = _output_renaming(base, embedding)
-        return Entailed(_chain_derivation(base, chain[0], chain[1], rename))
+        return Entailed(_chain_derivation(base, ids, edges, rename))
     if base.variables_merged():
         return Entailed(_collapse_instance_derivation(base, goal))
     if with_countermodel:
@@ -494,8 +521,7 @@ def entails_flat(base: FlatFactBase, goal: Identity,
     return NotEntailed()
 
 
-def is_inconsistent(theory: Theory, budget: Optional[int] = None,
-                    with_countermodel: bool = True,
+def is_inconsistent(theory: Theory, with_countermodel: bool = True,
                     model_range: tuple[int, int] = (2, 3)) -> EntailmentVerdict:
     """Decide whether the theory proves two distinct variables equal.
 
@@ -504,26 +530,21 @@ def is_inconsistent(theory: Theory, budget: Optional[int] = None,
     variable-to-variable class check are consulted, so theories containing
     bare two-variable identities are still caught.
     """
-    base = saturate(theory, budget)
+    base = saturate(theory)
     x, y = Variable("x"), Variable("y")
-    direct = base.variables_merged()
-    merged_query = False
-    qid = None
-    for s in theory.symbols:
-        if s.arity >= 1:
-            index = 0
-            for _ in range(s.arity):
-                index = index * base.budget + 1
-            qid = base._offsets[s.name] + index
-            merged_query = base.same_class(0, qid)
-            break
-    if direct or merged_query:
+    target = 1 if base.variables_merged() else None
+    first = next((s for s in theory.symbols if s.arity >= 1), None)
+    if target is None and first is not None:
+        index = 0
+        for _ in range(first.arity):
+            index = index * base.budget + 1
+        qid = base._offsets[first.name] + index
+        if base.same_class(0, qid):
+            target = qid
+    if target is not None:
         rename = _output_renaming(base, {x: 0, y: 1})
-        target = 1 if direct else qid
-        assert target is not None
-        chain = base.shortest_chain(0, target)
-        assert chain is not None
-        return Entailed(_chain_derivation(base, chain[0], chain[1], rename))
+        ids, edges = _chain(base, 0, target)
+        return Entailed(_chain_derivation(base, ids, edges, rename))
     if with_countermodel:
         found = models.refute_entailment(theory, Identity(x, y), *model_range)
         if found is not None:

@@ -156,7 +156,7 @@ def idempotency_identity(symbol: OperationSymbol) -> Identity:
     return Identity(x, Application(symbol, (x,) * symbol.arity))
 
 
-def validate(theory: Theory, budget: Optional[int] = None) -> ValidationReport:
+def validate(theory: Theory) -> ValidationReport:
     """Check linearity and the idempotency of every symbol.
 
     Idempotency is an entailment question, so a symbol whose idempotency
@@ -182,7 +182,7 @@ def validate(theory: Theory, budget: Optional[int] = None) -> ValidationReport:
         if base is None:
             from . import saturation
 
-            base = saturation.saturate(theory, budget)
+            base = saturation.saturate(theory)
         goal = idempotency_identity(s)
         if base.entails(goal):
             statuses.append((s.name, "derivable"))

@@ -94,12 +94,11 @@ class TestEntailCommand:
         payload = json.loads(out.split("\n", 1)[1])
         assert payload["terms"] == ["p(x,y,y)", "x"]
 
-    def test_budget_flag(self, maltsev_file, capsys):
-        assert main(["entail", maltsev_file, "x = p(x,y,y)", "--budget", "5"]) == 0
-
-    def test_budget_env(self, maltsev_file, monkeypatch):
-        monkeypatch.setenv("LINVAR_BUDGET", "6")
-        assert main(["entail", maltsev_file, "x = p(x,y,y)"]) == 0
+    def test_context_sized_to_the_goal(self, maltsev_file, capsys):
+        # six goal variables, more than the default context of four
+        assert main(["entail", maltsev_file, "p(x,y,z) = p(u,v,w)"]) == 0
+        out = capsys.readouterr().out
+        assert "not entailed" in out and "countermodel size 2" in out
 
     def test_deep_goal_unknown_exits_2(self, maltsev_file, capsys):
         code = main(["entail", maltsev_file, "p(p(x,y,y),y,y) = p(y,y,y)",

@@ -1,4 +1,8 @@
+import pytest
+
+from linvar import derivatives
 from linvar.derivatives import (
+    StabilizationError,
     derivative,
     iterate,
     order_derivative,
@@ -129,6 +133,11 @@ class TestIterate:
     def test_hagemann_mitschke_reaches_inconsistency(self):
         trace = iterate(hagemann_mitschke(3), "order_derivative")
         assert trace.stop_reason == "inconsistent"
+
+    def test_stage_cap_raises(self, semilattice, monkeypatch):
+        monkeypatch.setattr(derivatives, "_MAX_STAGES", 2)
+        with pytest.raises(StabilizationError):
+            iterate(semilattice, "derivative")
 
 
 class TestJoinDistribution:

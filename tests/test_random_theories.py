@@ -5,6 +5,8 @@ arbitrary inputs, including deliberately inconsistent ones, by holding the
 saturation, search, and model engines to each other.
 """
 
+import itertools
+
 from hypothesis import given, settings, strategies as st
 
 from linvar.derivatives import (
@@ -13,12 +15,13 @@ from linvar.derivatives import (
     derivative,
     iterate,
     order_derivative,
+    order_fact_set,
     weak_independence_profile,
 )
 from linvar.models import refute_entailment, satisfies
 from linvar.rewriting import Proved, SearchBounds, bfs_prove, verify_derivation
-from linvar.saturation import Entailed, saturate
-from linvar.terms import Application, OperationSymbol, Variable
+from linvar.saturation import Entailed, default_budget, saturate
+from linvar.terms import Application, OperationSymbol, Variable, canonical_variable
 from linvar.theories import Identity, Theory, make_theory, validate
 
 F2 = OperationSymbol("f", 2)
@@ -96,6 +99,14 @@ def test_cross_oracle_on_random_theories(theory):
                 assert not isinstance(bfs_prove(theory, goal, bounds), Proved), str(goal)
 
 
+def _fact_atom(base, symbol, digits):
+    return base.atom_id(Application(symbol, tuple(canonical_variable(d) for d in digits)))
+
+
+def _chain_length(base, a, b):
+    return len(base.shortest_chain(a, b)[1])
+
+
 @settings(max_examples=30, deadline=None)
 @given(small_theories())
 def test_budget_enlargement_is_monotone(theory):
@@ -105,6 +116,35 @@ def test_budget_enlargement_is_monotone(theory):
         for w in _canonical_tuples(s.arity):
             if small.fact_entailed(s.name, w):
                 assert large.fact_entailed(s.name, w)
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_theories())
+def test_default_budget_answers_like_a_larger_one(theory):
+    """Retraction lemma: a query over k variables gets the same answer and a
+    shortest chain of the same length in every context of at least k
+    variables, so widening the default context changes nothing."""
+    b = default_budget(theory)
+    small, large = saturate(theory, b), saturate(theory, b + 2)
+    assert order_fact_set(theory, base=small) == order_fact_set(theory, base=large)
+    assert weak_independence_profile(theory, base=small).pairs == \
+        weak_independence_profile(theory, base=large).pairs
+    assert small.variables_merged() == large.variables_merged()
+
+    k = theory.max_arity() + 1
+    atoms = [small.atom_term(i) for i in range(small.size)
+             if all(d < k for d in small._atom_digits(i)[1])]
+    for s_, t in itertools.combinations(atoms, 2):
+        assert small.same_class(small.atom_id(s_), small.atom_id(t)) == \
+            large.same_class(large.atom_id(s_), large.atom_id(t)), (s_, t)
+
+    for s in theory.symbols:
+        for w in _canonical_tuples(s.arity):
+            a, c = _fact_atom(small, s, w), _fact_atom(large, s, w)
+            if small.same_class(0, a):
+                assert _chain_length(small, 0, a) == _chain_length(large, 0, c)
+    if small.variables_merged():
+        assert _chain_length(small, 0, 1) == _chain_length(large, 0, 1)
 
 
 @settings(max_examples=25, deadline=None)

@@ -5,9 +5,11 @@ import pytest
 from linvar.derivatives import derivative, order_derivative
 from linvar.dsl import parse_identity
 from linvar.presets import maltsev, semilattice
-from linvar.rewriting import verify_derivation
+from linvar import saturation
+from linvar.rewriting import VerifyResult, verify_derivation
 from linvar.saturation import (
     BudgetTooSmallError,
+    CertificateError,
     Entailed,
     FlatFactBase,
     NotEntailed,
@@ -52,8 +54,9 @@ class TestSaturate:
             FlatFactBase(make_theory("deep", [f], [parse_identity("f(f(x)) = x")]), 4)
 
     def test_default_budget(self, maltsev, semilattice):
-        assert default_budget(maltsev) == 8
-        assert default_budget(semilattice) == 6
+        # max_arity + 1 variables: the widest query is a fact x = F(w)
+        assert default_budget(maltsev) == 4
+        assert default_budget(semilattice) == 3
         assert default_budget(make_theory("empty", [], [])) == 2
 
     def test_merge_trace_spans_classes(self, maltsev):
@@ -120,14 +123,14 @@ class TestEntailsFlat:
                     assert all(is_flat(t) for t in d.terms)
 
     def test_budget_monotone(self, maltsev):
+        # every context from the default size up gives the same answers
         goals = ["x = p(x,y,y)", "x = p(y,x,x)", "p(x,x,x) = x", "x = y",
                  "p(x,x,y) = p(y,x,x)"]
         for goal_text in goals:
             goal = parse_identity(goal_text)
-            small = saturate(maltsev, 5).entails(goal)
-            for budget in (6, 8, 10):
-                bigger = saturate(maltsev, budget).entails(goal)
-                assert not (small and not bigger)
+            answers = {saturate(maltsev, budget).entails(goal)
+                       for budget in range(4, 11)}
+            assert len(answers) == 1, goal_text
 
     def test_budget_too_small_for_goal(self, maltsev):
         base = FlatFactBase(maltsev, 2)
@@ -203,3 +206,16 @@ class TestIsInconsistent:
                         [parse_identity("x = y"), parse_identity("f(x,x) = x")])
         verdict = is_inconsistent(t)
         assert isinstance(verdict, Entailed)
+
+
+class TestCertificateChecks:
+    def test_failed_verification_raises(self, maltsev, monkeypatch):
+        monkeypatch.setattr(saturation, "verify_derivation",
+                            lambda *args, **kwargs: VerifyResult(False, 0, "forced"))
+        with pytest.raises(CertificateError, match="forced"):
+            entails_flat(saturate(maltsev), parse_identity("x = p(x,y,y)"))
+        with pytest.raises(CertificateError, match="forced"):
+            is_inconsistent(derivative(maltsev))
+        # a collapsed theory certifies any goal through the x = y chain
+        with pytest.raises(CertificateError, match="forced"):
+            entails_flat(saturate(derivative(maltsev)), parse_identity("x = p(y,z,z)"))
