@@ -39,6 +39,7 @@ from .projection import (
     z_substituted_derivation,
 )
 from .rewriting import (
+    CertificateError,
     Derivation,
     DerivationStep,
     Proved,
@@ -51,7 +52,6 @@ from .rewriting import (
 )
 from .saturation import (
     BudgetTooSmallError,
-    CertificateError,
     Entailed,
     FlatFactBase,
     NotEntailed,

@@ -18,7 +18,6 @@ from typing import Literal, Optional
 from . import derivatives, models, rewriting
 from .derivatives import IterationTrace, WeakIndependenceProfile
 from .rewriting import Derivation, SearchBounds, bfs_prove
-from .saturation import Entailed
 from .terms import Variable
 from .theories import (
     Identity,
@@ -120,9 +119,19 @@ def _no_verdict(prop: str, stage: Theory, stages_used: int,
     return Verdict(prop, False, stages_used, "model", model=algebra)
 
 
-def _trace_verdict(prop: str, trace: IterationTrace,
+def _answers(d_trace: IterationTrace, o_trace: IterationTrace
+             ) -> tuple[bool, bool, bool]:
+    """(cm, nci, nperm) read off the stop reasons, without certificates."""
+    nci = d_trace.stop_reason == "inconsistent"
+    # the derivative, or already the input, is inconsistent
+    cm = nci and len(d_trace.stages) <= 2
+    nperm = o_trace.stop_reason == "inconsistent"
+    return cm, nci, nperm
+
+
+def _trace_verdict(prop: str, trace: IterationTrace, answer: bool,
                    model_range: tuple[int, int]) -> Verdict:
-    if isinstance(trace.certificate, Entailed):
+    if answer:
         return Verdict(prop, True, len(trace.stages) - 1, "derivation",
                        derivation=trace.certificate.derivation)
     return _no_verdict(prop, trace.final, len(trace.stages) - 1, model_range)
@@ -131,16 +140,16 @@ def _trace_verdict(prop: str, trace: IterationTrace,
 def _report(theory: Theory, validation: ValidationReport,
             d_trace: IterationTrace, o_trace: IterationTrace,
             model_range: tuple[int, int]) -> ClassificationReport:
-    """The three verdicts, read off both iteration traces of the theory."""
-    nci = _trace_verdict("nci", d_trace, model_range)
-    if nci.answer and nci.stages_used <= 1:
-        # the derivative, or already the input, is inconsistent
+    """The three verdicts of `_answers`, each with its certificate."""
+    cm_yes, nci_yes, nperm_yes = _answers(d_trace, o_trace)
+    nci = _trace_verdict("nci", d_trace, nci_yes, model_range)
+    if cm_yes:
         cm = Verdict("cm", True, nci.stages_used, "derivation",
                      derivation=nci.derivation)
     else:
         # a consistent stage 0 always has its derivative recorded as stage 1
         cm = _no_verdict("cm", d_trace.stages[1], 1, model_range)
-    nperm = _trace_verdict("nperm", o_trace, model_range)
+    nperm = _trace_verdict("nperm", o_trace, nperm_yes, model_range)
     return ClassificationReport(theory.name, validation, cm, nci, nperm,
                                 traces=(d_trace, o_trace))
 
@@ -290,13 +299,15 @@ def check_join_decomposition(left: Theory, right: Theory
     prime-filter comparison for all three properties.
 
     Each theory is iterated once per operator; the same traces feed both
-    the stagewise comparison and the three classifications.
+    the stagewise comparison and the three answers, which need no
+    certificate, so none is built.
     """
     from .theories import join_disjoint, theory_equal
 
     joined = join_disjoint(left, right)
     theories = (joined, left, right)
-    validations = [_validated(t) for t in theories]
+    for t in theories:
+        _validated(t)
     traces = {operator: [derivatives.iterate(t, operator) for t in theories]
               for operator in ("derivative", "order_derivative")}
     ops = []
@@ -309,12 +320,10 @@ def check_join_decomposition(left: Theory, right: Theory
             flags.append(theory_equal(join_trace.stages[n], combined))
         ops.append(OperatorDecomposition(operator, len(flags), tuple(flags)))
 
-    reports = [_report(t, v, d, o, (2, 3)) for t, v, d, o in
-               zip(theories, validations, traces["derivative"],
-                   traces["order_derivative"])]
-    props = []
-    for prop in ("cm", "nci", "nperm"):
-        j, a, b = (bool(r.answer(prop)) for r in reports)
-        props.append((prop, j, a, b))
+    answers = [_answers(d, o) for d, o in
+               zip(traces["derivative"], traces["order_derivative"])]
+    # transpose per-theory (cm, nci, nperm) into per-property (join, left, right)
+    props = tuple((prop, j, a, b) for prop, (j, a, b) in
+                  zip(("cm", "nci", "nperm"), zip(*answers)))
     return JoinDecompositionReport(left.name, right.name, joined.name,
-                                   tuple(ops), tuple(props))
+                                   tuple(ops), props)

@@ -313,7 +313,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         code, payload = _COMMANDS[args.command](args)
     except (ParseError, UnknownSymbolError, SignatureMismatchError,
-            BudgetTooSmallError, saturation.CertificateError,
+            BudgetTooSmallError, rewriting.CertificateError,
             derivatives.StabilizationError,
             classification.NotLinearIdempotentError,
             projection.ProjectionError, FileNotFoundError, ValueError) as exc:

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Literal, Optional
 
 from . import saturation
-from .saturation import Entailed, EntailmentVerdict, FlatFactBase
+from .saturation import EntailmentVerdict, FlatFactBase
 from .terms import Application, OperationSymbol, Variable
 from .theories import Identity, Theory, make_theory
 
@@ -162,11 +162,21 @@ class IterationTrace:
     # per stage, the trigger data the fixpoint test compares
     stage_data: tuple[frozenset, ...]
     stop_reason: Literal["inconsistent", "fixpoint"]
-    certificate: Optional[EntailmentVerdict]
 
     @property
     def final(self) -> Theory:
         return self.stages[-1]
+
+    @cached_property
+    def certificate(self) -> Optional[EntailmentVerdict]:
+        """The inconsistency derivation of the final stage, built on first read.
+
+        None after a fixpoint stop.  The final stage's saturated base is
+        memoized, so this only extracts and verifies the chain.
+        """
+        if self.stop_reason == "fixpoint":
+            return None
+        return saturation.is_inconsistent(self.final, with_countermodel=False)
 
     def stage(self, n: int) -> Theory:
         """Stage n, extending past a fixpoint stop by repetition."""
@@ -185,6 +195,8 @@ def iterate(theory: Theory, operator: Operator) -> IterationTrace:
     Stage n+1 is a function of stage n's trigger data (profile or fact set),
     so equal consecutive data means every later stage repeats.  Every stage
     keeps the signature, so all of them share the default context size.
+    The stop test is a class lookup; the certificate is built only when the
+    trace's `certificate` is read.
     """
     stages = [theory]
     data: list[frozenset] = []
@@ -192,10 +204,9 @@ def iterate(theory: Theory, operator: Operator) -> IterationTrace:
     budget = base.budget
     while True:
         cur = stages[-1]
-        verdict = saturation.is_inconsistent(cur, with_countermodel=False)
-        if isinstance(verdict, Entailed):
+        if saturation.inconsistency_target(base) is not None:
             return IterationTrace(operator, budget, tuple(stages), tuple(data),
-                                  "inconsistent", verdict)
+                                  "inconsistent")
         if operator == "derivative":
             profile = weak_independence_profile(cur, base=base)
             stage_key: frozenset = profile.pairs
@@ -204,7 +215,7 @@ def iterate(theory: Theory, operator: Operator) -> IterationTrace:
         if data and stage_key == data[-1]:
             data.append(stage_key)
             return IterationTrace(operator, budget, tuple(stages), tuple(data),
-                                  "fixpoint", None)
+                                  "fixpoint")
         data.append(stage_key)
         if operator == "derivative":
             nxt = _derivative_from_profile(cur, profile)

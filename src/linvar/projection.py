@@ -547,8 +547,10 @@ def project_to_component(left: Theory, right: Theory, d: Derivation
         raise ProjectionError(
             f"projected derivation failed verification at step "
             f"{check.step_index}: {check.reason}")
-    assert all(is_flat(t) for t in out.terms)
-    assert out.terms[0] == t0 and out.terms[-1] == tn
+    if not all(is_flat(t) for t in out.terms):
+        raise ProjectionError("projected derivation is not flat")
+    if out.terms[0] != t0 or out.terms[-1] != tn:
+        raise ProjectionError("projected derivation does not keep the goal's endpoints")
     return ProjectionResult(out, owner_index, owner, tuple(chain))
 
 
@@ -573,7 +575,8 @@ def _conflict_derivation(joined: Theory, chain_terms: list[Term],
                 seen.add(nxt)
                 parents[nxt] = (cur, e, along)
                 queue.append(nxt)
-    assert b in seen, "collided slots must be connected by recorded unions"
+    if b not in seen:
+        raise ProjectionError("collided slots are not connected by recorded unions")
     path: list[tuple[tuple[int, int], _UnionEdge, bool]] = []
     node = b
     while node != a:
@@ -599,5 +602,7 @@ def _conflict_derivation(joined: Theory, chain_terms: list[Term],
             assert slot_term(nxt) == terms[-1]
     d = Derivation(joined.name, tuple(terms), tuple(steps))
     check = verify_derivation(joined, d)
-    assert check, f"conflict certificate failed verification: {check.reason}"
+    if not check:
+        raise ProjectionError(
+            f"conflict certificate failed verification: {check.reason}")
     return d

@@ -31,6 +31,10 @@ from .terms import (
 from .theories import Identity, Theory, UnknownSymbolError, canonicalize_identity
 
 
+class CertificateError(Exception):
+    """A derivation built as a certificate is missing or fails the verifier."""
+
+
 @dataclass(frozen=True)
 class DerivationStep:
     equation: Identity
@@ -228,7 +232,9 @@ def bfs_prove(theory: Theory, goal: Identity,
             cur = prev
         d = Derivation(theory.name, tuple(terms), tuple(steps))
         check = verify_derivation(theory, d)
-        assert check, f"search produced an invalid derivation: {check.reason}"
+        if not check:
+            raise CertificateError(
+                f"search produced an invalid derivation: {check.reason}")
         return d
 
     for _ in range(bounds.max_depth):

@@ -18,6 +18,13 @@ therefore gets the same answer, and a shortest chain of the same length, in
 every context of at least k variables.  The engine's own queries are facts
 x = F(w) and x = y, so the default context has max_arity + 1 variables (at
 least two); a larger linear goal gets a context of its own variable count.
+
+The same lemma bounds certificate extraction.  A shortest chain between two
+atoms exists among the atoms over their own variables, so the chain search
+assigns free variables only from the endpoints' variables: two of them for
+an inconsistency chain x ~ F(y,...,y), whatever the context size.
+Inconsistency is decided by a class test alone; `is_inconsistent` builds
+the chain, and iteration traces call it only when their certificate is read.
 """
 from __future__ import annotations
 
@@ -27,7 +34,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from . import models
-from .rewriting import Derivation, make_step, verify_derivation
+from .rewriting import CertificateError, Derivation, make_step, verify_derivation
 from .terms import (
     Application,
     Term,
@@ -50,10 +57,6 @@ class BudgetTooSmallError(Exception):
     """A query needs more distinct variables than the saturation context has."""
 
 
-class CertificateError(Exception):
-    """An extracted derivation is missing or fails the independent verifier."""
-
-
 def default_budget(theory: Theory) -> int:
     """Variables of the largest query the engine makes: x = F(w)."""
     return max(2, theory.max_arity() + 1)
@@ -62,16 +65,6 @@ def default_budget(theory: Theory) -> int:
 def goal_budget(theory: Theory, goal: Identity) -> int:
     """The default context, widened to hold every variable of the goal."""
     return max(default_budget(theory), len(identity_variables(goal)))
-
-
-@dataclass(frozen=True)
-class MergeRecord:
-    """One union step: which identity instance merged two classes."""
-
-    left: int
-    right: int
-    identity_index: int
-    assignment: tuple[int, ...]
 
 
 class FlatFactBase:
@@ -98,7 +91,6 @@ class FlatFactBase:
             total += budget ** s.arity
         self.size = total
         self._parent = list(range(total))
-        self.merges: list[MergeRecord] = []
         self._applied = 0
         self._apply_identities(0)
 
@@ -111,13 +103,10 @@ class FlatFactBase:
             x = parent[x]
         return x
 
-    def _union(self, a: int, b: int, identity_index: int,
-               assignment: tuple[int, ...]) -> None:
+    def _union(self, a: int, b: int) -> None:
         ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        self._parent[rb] = ra
-        self.merges.append(MergeRecord(a, b, identity_index, assignment))
+        if ra != rb:
+            self._parent[rb] = ra
 
     def same_class(self, a: int, b: int) -> bool:
         return self.find(a) == self.find(b)
@@ -149,19 +138,11 @@ class FlatFactBase:
         return offset + index
 
     def atom_term(self, i: int) -> Term:
-        if i < self.budget:
+        name, digits = self._atom_digits(i)
+        if name is None:
             return self.context[i]
-        for s in reversed(self.theory.symbols):
-            offset = self._offsets[s.name]
-            if i >= offset:
-                digits = []
-                rem = i - offset
-                for _ in range(s.arity):
-                    digits.append(rem % self.budget)
-                    rem //= self.budget
-                digits.reverse()
-                return Application(s, tuple(self.context[d] for d in digits))
-        raise IndexError(i)
+        return Application(self.theory.symbol_named(name),
+                           tuple(self.context[d] for d in digits))
 
     def _atom_digits(self, i: int) -> tuple[Optional[str], tuple[int, ...]]:
         """(symbol name or None for a variable, context indices used)."""
@@ -214,7 +195,7 @@ class FlatFactBase:
                     for vi, c in rcoef:
                         c2 += assignment[vi] * c
                 if a != c2:
-                    self._union(a, c2, idx, assignment)
+                    self._union(a, c2)
         self._applied = len(self.theory.identities)
 
     def extend(self, theory: Theory) -> "FlatFactBase":
@@ -235,7 +216,6 @@ class FlatFactBase:
         out._offsets = self._offsets
         out.size = self.size
         out._parent = list(self._parent)
-        out.merges = list(self.merges)
         out._applied = n
         out._apply_identities(n)
         return out
@@ -290,17 +270,18 @@ class FlatFactBase:
 
     # -- derivation extraction ----------------------------------------------
 
-    def _neighbors(self, aid: int) -> Iterator[tuple[int, int, bool, dict[Variable, int]]]:
+    def _neighbors(self, aid: int, allowed: list[int]
+                   ) -> Iterator[tuple[int, int, bool, dict[Variable, int]]]:
         """Atoms one identity instance away, in a fixed deterministic order.
 
-        Free variables of the produced side are instantiated preferring
-        context variables absent from the source atom, so extracted chains
-        introduce fresh variables the way a written-out proof would.
+        Free variables of the produced side range over the context indices
+        `allowed` (a chain search passes its endpoints' variables, so every
+        atom it reaches stays over them).  Those absent from the source atom
+        come first, so extracted chains introduce fresh variables the way a
+        written-out proof would.
         """
         kind, digits = self._atom_digits(aid)
-        used = sorted(set(digits))
-        unused = [i for i in range(self.budget) if i not in set(used)]
-        order = unused + used
+        order = [i for i in allowed if i not in digits] + sorted(set(digits))
         for idx, e in enumerate(self.theory.identities):
             for src, dst, forward in ((e.lhs, e.rhs, True), (e.rhs, e.lhs, False)):
                 sigma0 = self._match_side(src, kind, digits)
@@ -324,7 +305,8 @@ class FlatFactBase:
             return None
         sigma: dict[Variable, int] = {}
         for child, d in zip(side.children, digits):
-            assert isinstance(child, Variable)
+            if not isinstance(child, Variable):
+                raise ValueError(f"{side} is not flat")
             if sigma.setdefault(child, d) != d:
                 return None
         return sigma
@@ -339,17 +321,23 @@ class FlatFactBase:
 
     def shortest_chain(self, a: int, b: int
                        ) -> Optional[tuple[list[int], list[tuple[int, bool, dict[Variable, int]]]]]:
-        """Shortest path between two atoms through identity-instance edges."""
+        """Shortest path between two atoms through identity-instance edges.
+
+        The search stays among the atoms over the endpoints' variables; by
+        the retraction lemma a shortest chain of the whole context has an
+        image there that is no longer.
+        """
         if not self.same_class(a, b):
             return None
         if a == b:
             return [a], []
+        allowed = sorted(set(self._atom_digits(a)[1]) | set(self._atom_digits(b)[1]))
         parents: dict[int, tuple[int, tuple[int, bool, dict[Variable, int]]]] = {}
         seen = {a}
         queue = deque([a])
         while queue:
             cur = queue.popleft()
-            for tid, idx, forward, sigma in self._neighbors(cur):
+            for tid, idx, forward, sigma in self._neighbors(cur, allowed):
                 if tid in seen:
                     continue
                 seen.add(tid)
@@ -367,7 +355,8 @@ class FlatFactBase:
                     edges.reverse()
                     return ids, edges
                 queue.append(tid)
-        # Classes are closed under exactly these edges, so this is unreachable.
+        # Atoms of one class are joined by a chain over their own variables
+        # (the retraction lemma), so this is unreachable.
         raise CertificateError("atoms share a class but no chain was found")
 
 
@@ -521,6 +510,25 @@ def entails_flat(base: FlatFactBase, goal: Identity,
     return NotEntailed()
 
 
+def inconsistency_target(base: FlatFactBase) -> Optional[int]:
+    """An atom whose class shows the theory inconsistent, or None.
+
+    That is the context variable v1 once the variables merged, else
+    F(v1,...,v1) for the first symbol F of positive arity when it lies in
+    the class of v0.  No chain is built: this is the whole decision.
+    """
+    if base.variables_merged():
+        return 1
+    first = next((s for s in base.theory.symbols if s.arity >= 1), None)
+    if first is None:
+        return None
+    index = 0
+    for _ in range(first.arity):
+        index = index * base.budget + 1
+    qid = base._offsets[first.name] + index
+    return qid if base.same_class(0, qid) else None
+
+
 def is_inconsistent(theory: Theory, with_countermodel: bool = True,
                     model_range: tuple[int, int] = (2, 3)) -> EntailmentVerdict:
     """Decide whether the theory proves two distinct variables equal.
@@ -532,15 +540,7 @@ def is_inconsistent(theory: Theory, with_countermodel: bool = True,
     """
     base = saturate(theory)
     x, y = Variable("x"), Variable("y")
-    target = 1 if base.variables_merged() else None
-    first = next((s for s in theory.symbols if s.arity >= 1), None)
-    if target is None and first is not None:
-        index = 0
-        for _ in range(first.arity):
-            index = index * base.budget + 1
-        qid = base._offsets[first.name] + index
-        if base.same_class(0, qid):
-            target = qid
+    target = inconsistency_target(base)
     if target is not None:
         rename = _output_renaming(base, {x: 0, y: 1})
         ids, edges = _chain(base, 0, target)

@@ -1,5 +1,6 @@
 import pytest
 
+from linvar import models
 from linvar.classification import (
     NotLinearIdempotentError,
     check_join_decomposition,
@@ -9,6 +10,7 @@ from linvar.dsl import parse_identity
 from linvar.models import satisfies
 from linvar.presets import hagemann_mitschke, maltsev, majority, semilattice
 from linvar.rewriting import Proved, bfs_prove, verify_derivation
+from linvar.saturation import FlatFactBase
 from linvar.terms import OperationSymbol
 from linvar.theories import make_theory
 
@@ -148,3 +150,15 @@ class TestJoinDecomposition:
         report = check_join_decomposition(maltsev, empty)
         assert report.decomposition_holds
         assert report.prime_filter_holds
+
+
+def test_join_answers_need_no_certificates(maltsev, majority, monkeypatch):
+    expected = check_join_decomposition(maltsev, majority).to_json()
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a join must not build certificates")
+
+    monkeypatch.setattr(FlatFactBase, "shortest_chain", forbidden)
+    monkeypatch.setattr(models, "find_model", forbidden)
+    assert check_join_decomposition(maltsev, majority).to_json() == expected
+

@@ -11,6 +11,7 @@ from linvar.derivatives import (
 )
 from linvar.dsl import parse_identity
 from linvar.models import refute_entailment
+from linvar.rewriting import verify_derivation
 from linvar.presets import hagemann_mitschke, maltsev, semilattice
 from linvar.saturation import Entailed
 from linvar.terms import OperationSymbol
@@ -133,6 +134,13 @@ class TestIterate:
     def test_hagemann_mitschke_reaches_inconsistency(self):
         trace = iterate(hagemann_mitschke(3), "order_derivative")
         assert trace.stop_reason == "inconsistent"
+
+    def test_certificate_built_once_on_read(self, maltsev, semilattice):
+        trace = iterate(maltsev, "derivative")
+        cert = trace.certificate
+        assert trace.certificate is cert
+        assert verify_derivation(trace.final, cert.derivation)
+        assert iterate(semilattice, "derivative").certificate is None
 
     def test_stage_cap_raises(self, semilattice, monkeypatch):
         monkeypatch.setattr(derivatives, "_MAX_STAGES", 2)

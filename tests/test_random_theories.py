@@ -6,6 +6,7 @@ saturation, search, and model engines to each other.
 """
 
 import itertools
+from collections import deque
 
 from hypothesis import given, settings, strategies as st
 
@@ -21,8 +22,14 @@ from linvar.derivatives import (
 from linvar.models import refute_entailment, satisfies
 from linvar.rewriting import Proved, SearchBounds, bfs_prove, verify_derivation
 from linvar.saturation import Entailed, default_budget, saturate
-from linvar.terms import Application, OperationSymbol, Variable, canonical_variable
-from linvar.theories import Identity, Theory, make_theory, validate
+from linvar.terms import (
+    Application,
+    OperationSymbol,
+    Variable,
+    apply_substitution,
+    canonical_variable,
+)
+from linvar.theories import Identity, Theory, identity_variables, make_theory, validate
 
 F2 = OperationSymbol("f", 2)
 G1 = OperationSymbol("g", 1)
@@ -145,6 +152,70 @@ def test_default_budget_answers_like_a_larger_one(theory):
                 assert _chain_length(small, 0, a) == _chain_length(large, 0, c)
     if small.variables_merged():
         assert _chain_length(small, 0, 1) == _chain_length(large, 0, 1)
+
+
+T3 = OperationSymbol("t", 3)
+VARS4 = VARS + [Variable("u")]
+
+
+@st.composite
+def ternary_theories(draw) -> Theory:
+    """Idempotent theories of one ternary symbol plus up to three random
+    flat identities over four variables."""
+    var = st.sampled_from(VARS4)
+    term = st.one_of(var, st.builds(lambda *args: Application(T3, args), var, var, var))
+    x = VARS[0]
+    extra = draw(st.lists(st.builds(Identity, term, term), max_size=3))
+    return make_theory("ternary", [T3], [Identity(Application(T3, (x, x, x)), x)] + extra)
+
+
+def _whole_context_distances(base, source):
+    """Breadth-first distances from one atom over every identity instance
+    of the whole context, built independently of the engine's chain search."""
+    adjacency = {}
+    for e in base.theory.identities:
+        vs = identity_variables(e)
+        for values in itertools.product(base.context, repeat=len(vs)):
+            sigma = dict(zip(vs, values))
+            a = base.atom_id(apply_substitution(e.lhs, sigma))
+            b = base.atom_id(apply_substitution(e.rhs, sigma))
+            adjacency.setdefault(a, set()).add(b)
+            adjacency.setdefault(b, set()).add(a)
+    distance = {source: 0}
+    queue = deque([source])
+    while queue:
+        cur = queue.popleft()
+        for nxt in adjacency.get(cur, ()):
+            if nxt not in distance:
+                distance[nxt] = distance[cur] + 1
+                queue.append(nxt)
+    return distance
+
+
+@settings(max_examples=20, deadline=None)
+@given(ternary_theories())
+def test_chain_search_over_endpoint_variables_stays_shortest(theory):
+    """Retraction lemma for certificates: searching only the atoms over the
+    endpoints' variables finds chains as short as the whole context's."""
+    base = saturate(theory)
+    distance = _whole_context_distances(base, 0)
+    # each fact over the lowest variables and over the highest, so that the
+    # endpoint variables are not always the ones a search would try first
+    top = base.budget
+    targets = []
+    for w in _canonical_tuples(3):
+        targets.append(_fact_atom(base, T3, w))
+        targets.append(_fact_atom(base, T3, tuple(0 if d == 0 else top - d for d in w)))
+    if base.variables_merged():
+        targets += [1, top - 1]
+    for target in targets:
+        if not base.same_class(0, target):
+            continue
+        ids, edges = base.shortest_chain(0, target)
+        assert len(edges) == distance[target], base.atom_term(target)
+        endpoint_vars = {0} | set(base._atom_digits(target)[1])
+        for i in ids:
+            assert set(base._atom_digits(i)[1]) <= endpoint_vars, base.atom_term(i)
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,13 +1,16 @@
 import pytest
 
+from linvar import rewriting
 from linvar.derivatives import derivative
 from linvar.dsl import parse_identity, parse_term
 from linvar.presets import maltsev, semilattice
 from linvar.rewriting import (
+    CertificateError,
     Derivation,
     Proved,
     SearchBounds,
     Unknown,
+    VerifyResult,
     bfs_prove,
     derivation_from_json,
     derivation_to_json,
@@ -148,3 +151,11 @@ class TestDerivationJson:
         step = data["steps"][0]
         assert set(step) == {"eq", "dir", "pos", "subst"}
         assert step["dir"] in ("fwd", "rev")
+
+
+def test_search_result_failing_verification_raises(maltsev, monkeypatch):
+    # the check must survive python -O, so it is a raise, not an assert
+    monkeypatch.setattr(rewriting, "verify_derivation",
+                        lambda *args, **kwargs: VerifyResult(False, 0, "forced"))
+    with pytest.raises(CertificateError, match="forced"):
+        bfs_prove(maltsev, parse_identity("x = p(x,y,y)"))

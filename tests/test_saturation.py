@@ -59,25 +59,17 @@ class TestSaturate:
         assert default_budget(semilattice) == 3
         assert default_budget(make_theory("empty", [], [])) == 2
 
-    def test_merge_trace_spans_classes(self, maltsev):
-        # every merged pair must be connected through recorded merge edges
+    def test_every_class_member_has_a_verifying_chain(self, maltsev):
+        # classes are exactly the components of the instance graph
         base = saturate(derivative(maltsev))
-        neighbours = {}
-        for record in base.merges:
-            neighbours.setdefault(record.left, set()).add(record.right)
-            neighbours.setdefault(record.right, set()).add(record.left)
-        for root, members in base.classes().items():
-            if len(members) == 1:
-                continue
-            seen = {members[0]}
-            stack = [members[0]]
-            while stack:
-                cur = stack.pop()
-                for nxt in neighbours.get(cur, ()):
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        stack.append(nxt)
-            assert set(members) <= seen
+        rename = saturation._output_renaming(base, {})
+        for members in base.classes().values():
+            for member in members:
+                chain = base.shortest_chain(members[0], member)
+                assert chain is not None, base.atom_term(member)
+                ids, edges = chain
+                assert ids[0] == members[0] and ids[-1] == member
+                saturation._chain_derivation(base, ids, edges, rename)
 
     def test_extension_matches_fresh_build(self, maltsev):
         base = saturate(maltsev, 6)
