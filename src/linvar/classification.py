@@ -12,7 +12,7 @@ model of the stabilized stage when one exists in range.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Literal, Optional
 
 from . import derivatives, models, rewriting
@@ -146,6 +146,9 @@ def _report(theory: Theory, validation: ValidationReport,
     if cm_yes:
         cm = Verdict("cm", True, nci.stages_used, "derivation",
                      derivation=nci.derivation)
+    elif d_trace.stages[1] is d_trace.final:
+        # a fixpoint at stage 1: the NCI no-verdict is about the same stage
+        cm = replace(nci, property_name="cm")
     else:
         # a consistent stage 0 always has its derivative recorded as stage 1
         cm = _no_verdict("cm", d_trace.stages[1], 1, model_range)

@@ -11,7 +11,7 @@ iteration always stabilizes or turns inconsistent.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Literal, Optional
 
@@ -157,26 +157,31 @@ def order_derivative(theory: Theory) -> Theory:
 @dataclass(frozen=True)
 class IterationTrace:
     operator: Operator
-    budget: int
     stages: tuple[Theory, ...]
     # per stage, the trigger data the fixpoint test compares
     stage_data: tuple[frozenset, ...]
     stop_reason: Literal["inconsistent", "fixpoint"]
+    # the saturated base of the final stage, which the certificate reads
+    final_base: FlatFactBase = field(compare=False, repr=False)
 
     @property
     def final(self) -> Theory:
         return self.stages[-1]
 
+    @property
+    def budget(self) -> int:
+        return self.final_base.budget
+
     @cached_property
     def certificate(self) -> Optional[EntailmentVerdict]:
         """The inconsistency derivation of the final stage, built on first read.
 
-        None after a fixpoint stop.  The final stage's saturated base is
-        memoized, so this only extracts and verifies the chain.
+        None after a fixpoint stop.  The trace keeps the final stage's
+        saturated base, so this only extracts and verifies the chain.
         """
         if self.stop_reason == "fixpoint":
             return None
-        return saturation.is_inconsistent(self.final, with_countermodel=False)
+        return saturation.is_inconsistent(self.final_base, with_countermodel=False)
 
     def stage(self, n: int) -> Theory:
         """Stage n, extending past a fixpoint stop by repetition."""
@@ -201,12 +206,11 @@ def iterate(theory: Theory, operator: Operator) -> IterationTrace:
     stages = [theory]
     data: list[frozenset] = []
     base = saturation.saturate(theory)
-    budget = base.budget
     while True:
         cur = stages[-1]
         if saturation.inconsistency_target(base) is not None:
-            return IterationTrace(operator, budget, tuple(stages), tuple(data),
-                                  "inconsistent")
+            return IterationTrace(operator, tuple(stages), tuple(data),
+                                  "inconsistent", base)
         if operator == "derivative":
             profile = weak_independence_profile(cur, base=base)
             stage_key: frozenset = profile.pairs
@@ -214,14 +218,14 @@ def iterate(theory: Theory, operator: Operator) -> IterationTrace:
             stage_key = order_fact_set(cur, base=base)
         if data and stage_key == data[-1]:
             data.append(stage_key)
-            return IterationTrace(operator, budget, tuple(stages), tuple(data),
-                                  "fixpoint")
+            return IterationTrace(operator, tuple(stages), tuple(data),
+                                  "fixpoint", base)
         data.append(stage_key)
         if operator == "derivative":
             nxt = _derivative_from_profile(cur, profile)
         else:
             nxt = _order_derivative_from_facts(cur, stage_key)
-        base = saturation.saturate_extending(base, nxt)
+        base = base.extend(nxt)
         stages.append(nxt)
         if len(stages) >= _MAX_STAGES:
             raise StabilizationError(

@@ -22,6 +22,12 @@ _IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 _VARIABLE = re.compile(r"[a-z][A-Za-z0-9_]*\Z")
 _OP_DECL = re.compile(r"([A-Za-z][A-Za-z0-9_]*)\s*/\s*(\d+)\Z")
 
+# Deepest nesting of applications a parsed term may have.  Rendering,
+# substitution, matching and proof search recurse once or twice per level,
+# so a term at this depth still passes all of them under Python's default
+# recursion limit; a deeper one is a ParseError instead of a RecursionError.
+MAX_TERM_DEPTH = 200
+
 
 class ParseError(Exception):
     def __init__(self, message: str, line: Optional[int] = None, col: Optional[int] = None):
@@ -45,6 +51,7 @@ class _TermParser:
         self.pos = 0
         self.arities = arities
         self.line = line
+        self.depth = 0
 
     def error(self, message: str, at: Optional[int] = None) -> ParseError:
         col = (self.pos if at is None else at) + 1
@@ -72,6 +79,9 @@ class _TermParser:
         self.pos = m.end()
         self.skip_ws()
         if self.pos < len(self.text) and self.text[self.pos] == "(":
+            self.depth += 1
+            if self.depth > MAX_TERM_DEPTH:
+                raise self.error(f"term nested deeper than {MAX_TERM_DEPTH} levels")
             self.pos += 1
             children = [self.parse_term()]
             self.skip_ws()
@@ -82,6 +92,7 @@ class _TermParser:
             if self.pos >= len(self.text) or self.text[self.pos] != ")":
                 raise self.error("expected ',' or ')'")
             self.pos += 1
+            self.depth -= 1
             if self.arities is not None:
                 if name not in self.arities:
                     raise self.error(f"unknown symbol {name!r}", at=start)

@@ -28,10 +28,11 @@ the chain, and iteration traces call it only when their certificate is read.
 """
 from __future__ import annotations
 
+import copy
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from . import models
 from .rewriting import CertificateError, Derivation, make_step, verify_derivation
@@ -67,12 +68,23 @@ def goal_budget(theory: Theory, goal: Identity) -> int:
     return max(default_budget(theory), len(identity_variables(goal)))
 
 
+def _parts(side: Term) -> tuple[Optional[str], tuple[Term, ...]]:
+    """(symbol name or None for a variable, arguments) of a flat side,
+    the shape `FlatFactBase.encode` takes with each argument as an index."""
+    if isinstance(side, Variable):
+        return None, (side,)
+    return side.symbol.name, side.children
+
+
 class FlatFactBase:
     """Partition of the flat atoms over a bounded variable context.
 
-    Atoms are interned as integers: ids 0..budget-1 are the context
-    variables, and each symbol owns a block of consecutive ids, one per
-    argument tuple in row-major order.
+    Atoms are interned as integers, and `encode`/`_atom_digits` are the only
+    code that knows the layout: ids 0..budget-1 are the context variables,
+    and each symbol of arity n owns a block of budget**n consecutive ids, one
+    per argument tuple of context indices in row-major order.  An id is
+    therefore affine in the digits, which saturation uses to enumerate the
+    instances of an identity by strides instead of encoding each one.
     """
 
     def __init__(self, theory: Theory, budget: int):
@@ -91,7 +103,6 @@ class FlatFactBase:
             total += budget ** s.arity
         self.size = total
         self._parent = list(range(total))
-        self._applied = 0
         self._apply_identities(0)
 
     # -- union-find ---------------------------------------------------------
@@ -119,30 +130,15 @@ class FlatFactBase:
 
     # -- atom interning -----------------------------------------------------
 
-    def atom_id(self, t: Term) -> int:
-        if isinstance(t, Variable):
-            try:
-                index = self.context.index(t)
-            except ValueError:
-                raise KeyError(f"{t} is not a context variable") from None
-            return index
-        offset = self._offsets.get(t.symbol.name)
-        sym = self.theory.symbol_named(t.symbol.name)
-        if offset is None or sym != t.symbol:
-            raise UnknownSymbolError(f"{t.symbol} is not in {self.theory.name}")
-        index = 0
-        for c in t.children:
-            if not isinstance(c, Variable):
-                raise ValueError(f"{t} is not flat")
-            index = index * self.budget + self.context.index(c)
-        return offset + index
-
-    def atom_term(self, i: int) -> Term:
-        name, digits = self._atom_digits(i)
+    def encode(self, name: Optional[str], digits: Sequence[int]) -> int:
+        """Id of the variable context[digits[0]] (name None) or of the atom
+        name(context[d] for d in digits)."""
         if name is None:
-            return self.context[i]
-        return Application(self.theory.symbol_named(name),
-                           tuple(self.context[d] for d in digits))
+            return digits[0]
+        index = 0
+        for d in digits:
+            index = index * self.budget + d
+        return self._offsets[name] + index
 
     def _atom_digits(self, i: int) -> tuple[Optional[str], tuple[int, ...]]:
         """(symbol name or None for a variable, context indices used)."""
@@ -160,43 +156,67 @@ class FlatFactBase:
                 return s.name, tuple(digits)
         raise IndexError(i)
 
+    def _context_index(self, v: Variable) -> int:
+        try:
+            return self.context.index(v)
+        except ValueError:
+            raise KeyError(f"{v} is not a context variable") from None
+
+    def _theory_parts(self, side: Term) -> tuple[Optional[str], tuple[Term, ...]]:
+        if isinstance(side, Application) and \
+                self.theory.symbol_named(side.symbol.name) != side.symbol:
+            raise UnknownSymbolError(f"{side.symbol} is not in {self.theory.name}")
+        return _parts(side)
+
+    def atom_id(self, t: Term) -> int:
+        name, args = self._theory_parts(t)
+        if not is_flat(t):
+            raise ValueError(f"{t} is not flat")
+        return self.encode(name, [self._context_index(v) for v in args])
+
+    def atom_term(self, i: int) -> Term:
+        return self._named_atom(i, self.context)
+
+    def _named_atom(self, i: int,
+                    names: Sequence[Variable] | dict[int, Variable]) -> Term:
+        """Atom i with each context index d written as names[d]."""
+        name, digits = self._atom_digits(i)
+        args = tuple(names[d] for d in digits)
+        if name is None:
+            return args[0]
+        return Application(self.theory.symbol_named(name), args)
+
     # -- saturation ---------------------------------------------------------
 
-    def _side_plan(self, side: Term, var_index: dict[Variable, int]):
-        if isinstance(side, Variable):
-            return (var_index[side], None, None)
-        offset = self._offsets[side.symbol.name]
-        coeffs = []
-        c = 1
-        for child in reversed(side.children):
-            coeffs.append((var_index[child], c))
-            c *= self.budget
-        return (None, offset, tuple(coeffs))
+    def _instance_ids(self, side: Term, vs: tuple[Variable, ...]
+                      ) -> Iterator[list[int]]:
+        """Ids of the side under every assignment of vs to context indices,
+        in `itertools.product` order, one list per value of vs[0].
+
+        An id is affine in the digits, so each variable adds a stride per
+        unit of its value, and each list is the first one shifted by the
+        stride of vs[0]; no list outgrows budget**(len(vs) - 1) ids.
+        """
+        name, args = _parts(side)
+        zero = self.encode(name, [0] * len(args))
+        # an identity without variables has one instance: one list, [zero]
+        lead, *rest = [self.encode(name, [int(a == v) for a in args]) - zero
+                       for v in vs] or [0]
+        ids = [zero]
+        for stride in rest:
+            ids = [i + k * stride for i in ids for k in range(self.budget)]
+        for k in range(self.budget if vs else 1):
+            yield [i + k * lead for i in ids]
 
     def _apply_identities(self, start: int) -> None:
-        b = self.budget
-        for idx in range(start, len(self.theory.identities)):
-            e = self.theory.identities[idx]
+        union = self._union
+        for e in self.theory.identities[start:]:
             vs = identity_variables(e)
-            var_index = {v: i for i, v in enumerate(vs)}
-            lvar, loff, lcoef = self._side_plan(e.lhs, var_index)
-            rvar, roff, rcoef = self._side_plan(e.rhs, var_index)
-            for assignment in itertools.product(range(b), repeat=len(vs)):
-                if lvar is not None:
-                    a = assignment[lvar]
-                else:
-                    a = loff
-                    for vi, c in lcoef:
-                        a += assignment[vi] * c
-                if rvar is not None:
-                    c2 = assignment[rvar]
-                else:
-                    c2 = roff
-                    for vi, c in rcoef:
-                        c2 += assignment[vi] * c
-                if a != c2:
-                    self._union(a, c2)
-        self._applied = len(self.theory.identities)
+            for lhs, rhs in zip(self._instance_ids(e.lhs, vs),
+                                self._instance_ids(e.rhs, vs)):
+                for a, c in zip(lhs, rhs):
+                    if a != c:
+                        union(a, c)
 
     def extend(self, theory: Theory) -> "FlatFactBase":
         """Saturation for a theory extending this one by extra identities.
@@ -209,14 +229,9 @@ class FlatFactBase:
         n = len(self.theory.identities)
         if theory.identities[:n] != self.theory.identities:
             raise ValueError("extension must keep the existing identities as a prefix")
-        out = object.__new__(FlatFactBase)
+        out = copy.copy(self)
         out.theory = theory
-        out.budget = self.budget
-        out.context = self.context
-        out._offsets = self._offsets
-        out.size = self.size
         out._parent = list(self._parent)
-        out._applied = n
         out._apply_identities(n)
         return out
 
@@ -234,16 +249,8 @@ class FlatFactBase:
         embedding = {v: i for i, v in enumerate(goal_vars)}
 
         def encode(side: Term) -> int:
-            if isinstance(side, Variable):
-                return embedding[side]
-            sym = self.theory.symbol_named(side.symbol.name)
-            if sym != side.symbol:
-                raise UnknownSymbolError(
-                    f"{side.symbol} is not in {self.theory.name}")
-            index = 0
-            for c in side.children:
-                index = index * self.budget + embedding[c]
-            return self._offsets[side.symbol.name] + index
+            name, args = self._theory_parts(side)
+            return self.encode(name, [embedding[v] for v in args])
 
         return encode(goal.lhs), encode(goal.rhs), embedding
 
@@ -259,10 +266,7 @@ class FlatFactBase:
 
     def fact_entailed(self, symbol_name: str, digits: tuple[int, ...]) -> bool:
         """Does the class of v0 contain symbol(context[digits])?"""
-        index = 0
-        for d in digits:
-            index = index * self.budget + d
-        return self.same_class(0, self._offsets[symbol_name] + index) \
+        return self.same_class(0, self.encode(symbol_name, digits)) \
             or self.variables_merged()
 
     def variables_merged(self) -> bool:
@@ -270,9 +274,24 @@ class FlatFactBase:
 
     # -- derivation extraction ----------------------------------------------
 
-    def _neighbors(self, aid: int, allowed: list[int]
+    def _rules(self) -> list[tuple[int, bool, tuple, tuple, list[Variable]]]:
+        """Both orientations of every identity: (identity index, forward,
+        source side, produced side, produced side's variables), with each
+        side split by `_parts`."""
+        rules = []
+        for idx, e in enumerate(self.theory.identities):
+            for src, dst, forward in ((e.lhs, e.rhs, True), (e.rhs, e.lhs, False)):
+                if not is_flat(src):
+                    raise ValueError(f"{src} is not flat")
+                name, args = _parts(dst)
+                rules.append((idx, forward, _parts(src), (name, args),
+                              list(dict.fromkeys(args))))
+        return rules
+
+    def _neighbors(self, aid: int, allowed: list[int], rules: list[tuple]
                    ) -> Iterator[tuple[int, int, bool, dict[Variable, int]]]:
-        """Atoms one identity instance away, in a fixed deterministic order.
+        """Atoms one instance of a rule from `_rules` away, in a fixed
+        deterministic order.
 
         Free variables of the produced side range over the context indices
         `allowed` (a chain search passes its endpoints' variables, so every
@@ -282,42 +301,21 @@ class FlatFactBase:
         """
         kind, digits = self._atom_digits(aid)
         order = [i for i in allowed if i not in digits] + sorted(set(digits))
-        for idx, e in enumerate(self.theory.identities):
-            for src, dst, forward in ((e.lhs, e.rhs, True), (e.rhs, e.lhs, False)):
-                sigma0 = self._match_side(src, kind, digits)
-                if sigma0 is None:
-                    continue
-                free = [v for v in term_variables(dst) if v not in sigma0]
-                for values in itertools.product(order, repeat=len(free)):
-                    sigma = dict(sigma0)
-                    sigma.update(zip(free, values))
-                    tid = self._encode_side(dst, sigma)
-                    if tid != aid:
-                        yield tid, idx, forward, sigma
-
-    def _match_side(self, side: Term, kind: Optional[str],
-                    digits: tuple[int, ...]) -> Optional[dict[Variable, int]]:
-        if isinstance(side, Variable):
-            if kind is not None:
-                return None
-            return {side: digits[0]}
-        if kind != side.symbol.name:
-            return None
-        sigma: dict[Variable, int] = {}
-        for child, d in zip(side.children, digits):
-            if not isinstance(child, Variable):
-                raise ValueError(f"{side} is not flat")
-            if sigma.setdefault(child, d) != d:
-                return None
-        return sigma
-
-    def _encode_side(self, side: Term, sigma: dict[Variable, int]) -> int:
-        if isinstance(side, Variable):
-            return sigma[side]
-        index = 0
-        for c in side.children:
-            index = index * self.budget + sigma[c]
-        return self._offsets[side.symbol.name] + index
+        for idx, forward, (src_name, src_args), (name, args), dst_vars in rules:
+            if src_name != kind:
+                continue
+            # bind the source side's variables to the atom's digits; a
+            # repeated variable must meet equal digits
+            sigma0: dict[Variable, int] = {}
+            if any(sigma0.setdefault(v, d) != d for v, d in zip(src_args, digits)):
+                continue
+            free = [v for v in dst_vars if v not in sigma0]
+            for values in itertools.product(order, repeat=len(free)):
+                sigma = dict(sigma0)
+                sigma.update(zip(free, values))
+                tid = self.encode(name, [sigma[v] for v in args])
+                if tid != aid:
+                    yield tid, idx, forward, sigma
 
     def shortest_chain(self, a: int, b: int
                        ) -> Optional[tuple[list[int], list[tuple[int, bool, dict[Variable, int]]]]]:
@@ -332,12 +330,13 @@ class FlatFactBase:
         if a == b:
             return [a], []
         allowed = sorted(set(self._atom_digits(a)[1]) | set(self._atom_digits(b)[1]))
+        rules = self._rules()
         parents: dict[int, tuple[int, tuple[int, bool, dict[Variable, int]]]] = {}
         seen = {a}
         queue = deque([a])
         while queue:
             cur = queue.popleft()
-            for tid, idx, forward, sigma in self._neighbors(cur, allowed):
+            for tid, idx, forward, sigma in self._neighbors(cur, allowed, rules):
                 if tid in seen:
                     continue
                 seen.add(tid)
@@ -383,23 +382,20 @@ _CACHE: dict[tuple[Theory, int], FlatFactBase] = {}
 
 
 def saturate(theory: Theory, budget: Optional[int] = None) -> FlatFactBase:
-    """Saturated fact base for the theory, memoized per (theory, budget)."""
+    """Saturated fact base for the theory, memoized per (theory, budget).
+
+    The memo is what lets separate calls on one theory share a base:
+    `classify` validates its input (which saturates it) and then iterates
+    from that same base, and a caller deciding many goals over one theory
+    builds its base once instead of once per goal.  Later iteration stages
+    are built by `FlatFactBase.extend` and live in their trace, not here.
+    """
     if budget is None:
         budget = default_budget(theory)
     key = (theory, budget)
     base = _CACHE.get(key)
     if base is None:
         base = FlatFactBase(theory, budget)
-        _CACHE[key] = base
-    return base
-
-
-def saturate_extending(prev: FlatFactBase, theory: Theory) -> FlatFactBase:
-    """Like saturate, but reuses a previous stage's partition."""
-    key = (theory, prev.budget)
-    base = _CACHE.get(key)
-    if base is None:
-        base = prev.extend(theory)
         _CACHE[key] = base
     return base
 
@@ -427,14 +423,7 @@ def _output_renaming(base: FlatFactBase, embedding: dict[Variable, int]
 def _chain_derivation(base: FlatFactBase, ids: list[int],
                       edges: list[tuple[int, bool, dict[Variable, int]]],
                       rename: dict[int, Variable]) -> Derivation:
-    terms = []
-    for i in ids:
-        t = base.atom_term(i)
-        if isinstance(t, Variable):
-            terms.append(rename[base.context.index(t)])
-        else:
-            terms.append(Application(
-                t.symbol, tuple(rename[base.context.index(c)] for c in t.children)))
+    terms = [base._named_atom(i, rename) for i in ids]
     steps = []
     for idx, forward, sigma in edges:
         eq = base.theory.identities[idx]
@@ -522,23 +511,19 @@ def inconsistency_target(base: FlatFactBase) -> Optional[int]:
     first = next((s for s in base.theory.symbols if s.arity >= 1), None)
     if first is None:
         return None
-    index = 0
-    for _ in range(first.arity):
-        index = index * base.budget + 1
-    qid = base._offsets[first.name] + index
+    qid = base.encode(first.name, (1,) * first.arity)
     return qid if base.same_class(0, qid) else None
 
 
-def is_inconsistent(theory: Theory, with_countermodel: bool = True,
+def is_inconsistent(base: FlatFactBase, with_countermodel: bool = True,
                     model_range: tuple[int, int] = (2, 3)) -> EntailmentVerdict:
-    """Decide whether the theory proves two distinct variables equal.
+    """Decide whether the base's theory proves two distinct variables equal.
 
     For an idempotent theory this is equivalent to the flat query
     x = F(y,...,y) for any symbol F; both that query and the direct
     variable-to-variable class check are consulted, so theories containing
     bare two-variable identities are still caught.
     """
-    base = saturate(theory)
     x, y = Variable("x"), Variable("y")
     target = inconsistency_target(base)
     if target is not None:
@@ -546,7 +531,7 @@ def is_inconsistent(theory: Theory, with_countermodel: bool = True,
         ids, edges = _chain(base, 0, target)
         return Entailed(_chain_derivation(base, ids, edges, rename))
     if with_countermodel:
-        found = models.refute_entailment(theory, Identity(x, y), *model_range)
+        found = models.refute_entailment(base.theory, Identity(x, y), *model_range)
         if found is not None:
             algebra, rho = found
             witness = tuple(sorted((v.name, k) for v, k in rho.items()))

@@ -311,9 +311,9 @@ def _valid_derivation_corpus():
 
 
 def iterate_theory_inconsistency(theory):
-    from linvar.saturation import is_inconsistent
+    from linvar.saturation import is_inconsistent, saturate
 
-    verdict = is_inconsistent(theory, with_countermodel=False)
+    verdict = is_inconsistent(saturate(theory), with_countermodel=False)
     assert isinstance(verdict, Entailed)
     return verdict
 

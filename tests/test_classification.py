@@ -162,3 +162,34 @@ def test_join_answers_need_no_certificates(maltsev, majority, monkeypatch):
     monkeypatch.setattr(models, "find_model", forbidden)
     assert check_join_decomposition(maltsev, majority).to_json() == expected
 
+
+
+def test_fixpoint_at_stage_one_searches_its_model_once(semilattice, monkeypatch):
+    # the derivative trace stops at stage 1, so the CM and NCI no-verdicts
+    # are about the same theory and share one model search
+    searched = []
+    find_model = models.find_model
+
+    def spy(theory, *args, **kwargs):
+        searched.append(theory.name)
+        return find_model(theory, *args, **kwargs)
+
+    monkeypatch.setattr(models, "find_model", spy)
+    report = classify(semilattice)
+    assert searched.count("semilattice'") == 1
+    model = {"size": 2, "tables": {"m": [0, 0, 0, 1]}}
+    assert report.to_json() == {
+        "theory": "semilattice",
+        "mode": "exact",
+        "verdicts": {
+            prop: {"property": prop, "answer": "no", "stages_used": 1,
+                   "certificate": "model", "model": model}
+            for prop in ("cm", "nci", "nperm")
+        },
+        "traces": [
+            {"operator": "derivative", "budget": 3, "stop": "fixpoint",
+             "stages": ["semilattice", "semilattice'"], "stage_sizes": [2, 2]},
+            {"operator": "order_derivative", "budget": 3, "stop": "fixpoint",
+             "stages": ["semilattice", "semilattice+"], "stage_sizes": [2, 2]},
+        ],
+    }

@@ -106,6 +106,20 @@ class TestEntailCommand:
         assert code == 2
         assert "unknown" in capsys.readouterr().out
 
+    def test_overdeep_goal_exits_1_without_traceback(self, maltsev_file, capsys):
+        deep = "p(" * 3000 + "x" + ",y,z)" * 3000
+        assert main(["entail", maltsev_file, f"{deep} = x"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "nested deeper" in err
+        assert "Traceback" not in err
+
+    def test_goal_at_nesting_bound_is_searched(self, maltsev_file, capsys):
+        from linvar.dsl import MAX_TERM_DEPTH
+
+        deep = "p(" * MAX_TERM_DEPTH + "x" + ",y,z)" * MAX_TERM_DEPTH
+        assert main(["entail", maltsev_file, f"{deep} = x", "--max-terms", "2"]) == 2
+        assert "unknown" in capsys.readouterr().out
+
 
 class TestModelsCommand:
     def test_find_model(self, semilattice_file, capsys):
@@ -154,9 +168,9 @@ class TestProjectAndCheckDerivation:
     def test_check_derivation_valid_and_corrupted(self, maltsev_file, tmp_path, capsys):
         from linvar.rewriting import derivation_to_json
         from linvar.derivatives import derivative
-        from linvar.saturation import is_inconsistent
+        from linvar.saturation import is_inconsistent, saturate
 
-        verdict = is_inconsistent(derivative(maltsev()))
+        verdict = is_inconsistent(saturate(derivative(maltsev())))
         data = derivation_to_json(verdict.derivation)
         good = tmp_path / "good.json"
         good.write_text(json.dumps(data))

@@ -169,18 +169,25 @@ def ternary_theories(draw) -> Theory:
     return make_theory("ternary", [T3], [Identity(Application(T3, (x, x, x)), x)] + extra)
 
 
-def _whole_context_distances(base, source):
-    """Breadth-first distances from one atom over every identity instance
-    of the whole context, built independently of the engine's chain search."""
-    adjacency = {}
+def _instance_pairs(base):
+    """Atom pairs of every identity instance over the whole context, each
+    side substituted as a term and interned with `atom_id`, independently
+    of the engine's stride enumeration and chain search."""
     for e in base.theory.identities:
         vs = identity_variables(e)
         for values in itertools.product(base.context, repeat=len(vs)):
             sigma = dict(zip(vs, values))
-            a = base.atom_id(apply_substitution(e.lhs, sigma))
-            b = base.atom_id(apply_substitution(e.rhs, sigma))
-            adjacency.setdefault(a, set()).add(b)
-            adjacency.setdefault(b, set()).add(a)
+            yield (base.atom_id(apply_substitution(e.lhs, sigma)),
+                   base.atom_id(apply_substitution(e.rhs, sigma)))
+
+
+def _whole_context_distances(base, source):
+    """Breadth-first distances from one atom over every identity instance
+    of the whole context."""
+    adjacency = {}
+    for a, b in _instance_pairs(base):
+        adjacency.setdefault(a, set()).add(b)
+        adjacency.setdefault(b, set()).add(a)
     distance = {source: 0}
     queue = deque([source])
     while queue:
@@ -216,6 +223,37 @@ def test_chain_search_over_endpoint_variables_stays_shortest(theory):
         endpoint_vars = {0} | set(base._atom_digits(target)[1])
         for i in ids:
             assert set(base._atom_digits(i)[1]) <= endpoint_vars, base.atom_term(i)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.one_of(small_theories(), ternary_theories()))
+def test_atom_codec_round_trips(theory):
+    base = saturate(theory)
+    for i in range(base.size):
+        name, digits = base._atom_digits(i)
+        assert base.encode(name, digits) == i
+        assert base.atom_id(base.atom_term(i)) == i
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.one_of(small_theories(), ternary_theories()))
+def test_saturation_matches_an_independent_union_find(theory):
+    """The stride enumeration merges exactly the instance pairs, both when
+    building a base and when extending one along an iteration."""
+    for base in (saturate(theory), iterate(theory, "derivative").final_base):
+        parent = list(range(base.size))
+
+        def find(x):
+            while parent[x] != x:
+                x = parent[x]
+            return x
+
+        for a, b in _instance_pairs(base):
+            parent[find(a)] = find(b)
+        expected = {}
+        for i in range(base.size):
+            expected.setdefault(find(i), []).append(i)
+        assert sorted(base.classes().values()) == sorted(expected.values())
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,4 +1,8 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -52,6 +56,14 @@ class TestSaturate:
         f = OperationSymbol("f", 1)
         with pytest.raises(ValueError):
             FlatFactBase(make_theory("deep", [f], [parse_identity("f(f(x)) = x")]), 4)
+
+    def test_atom_id_rejects_non_context_variables(self, maltsev):
+        from linvar.dsl import parse_term
+
+        base = saturate(maltsev)
+        for term in ("w", "p(v0,w,v1)"):
+            with pytest.raises(KeyError, match="not a context variable"):
+                base.atom_id(parse_term(term))
 
     def test_default_budget(self, maltsev, semilattice):
         # max_arity + 1 variables: the widest query is a fact x = F(w)
@@ -156,13 +168,7 @@ class TestSubstitutionStability:
 
         def apply_map(aid, sigma):
             kind, digits = base._atom_digits(aid)
-            mapped = tuple(sigma[d] for d in digits)
-            if kind is None:
-                return mapped[0]
-            index = 0
-            for d in mapped:
-                index = index * base.budget + d
-            return base._offsets[kind] + index
+            return base.encode(kind, [sigma[d] for d in digits])
 
         for members in classes:
             a = members[0]
@@ -173,7 +179,7 @@ class TestSubstitutionStability:
 
 class TestIsInconsistent:
     def test_derivative_of_maltsev(self, maltsev):
-        verdict = is_inconsistent(derivative(maltsev))
+        verdict = is_inconsistent(saturate(derivative(maltsev)))
         assert isinstance(verdict, Entailed)
         d = verdict.derivation
         assert verify_derivation(derivative(maltsev), d)
@@ -181,22 +187,22 @@ class TestIsInconsistent:
         assert d.terms[0] != d.terms[-1]
 
     def test_order_derivative_of_maltsev(self, maltsev):
-        verdict = is_inconsistent(order_derivative(maltsev))
+        verdict = is_inconsistent(saturate(order_derivative(maltsev)))
         assert isinstance(verdict, Entailed)
 
     def test_semilattice_consistent_with_model(self, semilattice):
-        verdict = is_inconsistent(semilattice)
+        verdict = is_inconsistent(saturate(semilattice))
         assert isinstance(verdict, NotEntailedWithModel)
         assert verdict.algebra.size == 2
 
     def test_empty_signature(self):
-        verdict = is_inconsistent(make_theory("empty", [], []))
+        verdict = is_inconsistent(saturate(make_theory("empty", [], [])))
         assert isinstance(verdict, (NotEntailed, NotEntailedWithModel))
 
     def test_two_variable_identity_is_caught(self):
         t = make_theory("collapse", [OperationSymbol("f", 2)],
                         [parse_identity("x = y"), parse_identity("f(x,x) = x")])
-        verdict = is_inconsistent(t)
+        verdict = is_inconsistent(saturate(t))
         assert isinstance(verdict, Entailed)
 
 
@@ -207,7 +213,30 @@ class TestCertificateChecks:
         with pytest.raises(CertificateError, match="forced"):
             entails_flat(saturate(maltsev), parse_identity("x = p(x,y,y)"))
         with pytest.raises(CertificateError, match="forced"):
-            is_inconsistent(derivative(maltsev))
+            is_inconsistent(saturate(derivative(maltsev)))
         # a collapsed theory certifies any goal through the x = y chain
         with pytest.raises(CertificateError, match="forced"):
             entails_flat(saturate(derivative(maltsev)), parse_identity("x = p(y,z,z)"))
+
+    def test_certificate_check_does_not_rely_on_assert(self):
+        # python -O strips asserts; the verification of an inconsistency
+        # certificate must still stop a derivation that fails to replay
+        script = "\n".join([
+            "import sys",
+            "from linvar import saturation",
+            "from linvar.derivatives import derivative",
+            "from linvar.presets import maltsev",
+            "from linvar.rewriting import VerifyResult",
+            "saturation.verify_derivation = "
+            "lambda *args, **kwargs: VerifyResult(False, 0, 'forced')",
+            "try:",
+            "    saturation.is_inconsistent(saturation.saturate(derivative(maltsev())))",
+            "except saturation.CertificateError:",
+            "    print('raised', sys.flags.optimize)",
+        ])
+        src = Path(__file__).resolve().parents[1] / "src"
+        result = subprocess.run([sys.executable, "-O", "-c", script],
+                                env=dict(os.environ, PYTHONPATH=str(src)),
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["raised", "1"]

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings, strategies as st
 
 from linvar.dsl import parse_identity, parse_term, parse_theory, render_theory
 from linvar.presets import day, hagemann_mitschke, jonsson, maltsev, semilattice
@@ -213,6 +213,46 @@ axiom p(y,y,x) = x
         with pytest.raises(ParseError) as excinfo:
             parse_term("p(x,$)")
         assert excinfo.value.col == 5
+
+    def test_nesting_bound_reports_position(self):
+        from linvar.dsl import MAX_TERM_DEPTH, ParseError
+
+        deep = "p(" * (MAX_TERM_DEPTH + 1) + "x" + ",x,x)" * (MAX_TERM_DEPTH + 1)
+        with pytest.raises(ParseError) as excinfo:
+            parse_theory(f"theory bad\nop p/3\naxiom {deep} = x\n")
+        assert excinfo.value.line == 3
+        # the opening parenthesis one level past the bound
+        assert excinfo.value.col == 2 * MAX_TERM_DEPTH + 2
+        assert "nested deeper" in str(excinfo.value)
+
+    def test_term_at_nesting_bound_passes_later_passes(self):
+        # rendering, substitution, matching and proof search all recurse per
+        # level; at the bound they must fit Python's default recursion limit
+        from linvar.dsl import MAX_TERM_DEPTH
+        from linvar.rewriting import SearchBounds, Unknown, bfs_prove
+        from linvar.terms import match_term, render_term, term_depth
+
+        text = "p(" * MAX_TERM_DEPTH + "x" + ",y,z)" * MAX_TERM_DEPTH
+        goal = parse_identity(f"{text} = x", {"p": 3})
+        assert term_depth(goal.lhs) == MAX_TERM_DEPTH
+        assert parse_term(render_term(goal.lhs)) == goal.lhs
+        swapped = apply_substitution(goal.lhs, {Variable("x"): Variable("y")})
+        assert match_term(goal.lhs, swapped) is not None
+        outcome = bfs_prove(maltsev(), goal, SearchBounds(max_terms=2))
+        assert isinstance(outcome, Unknown)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(
+        st.text(alphabet="pfxyz(),= \t#$", max_size=40),
+        st.integers(0, 600).map(lambda d: "f(" * d + "x" + ")" * d + " = x")))
+    def test_parse_identity_raises_only_parse_error(self, text):
+        from linvar.dsl import ParseError
+
+        try:
+            result = parse_identity(text)
+        except ParseError:
+            return
+        assert isinstance(result, Identity)
 
     def test_json_mirror_round_trip(self, corpus):
         from linvar.dsl import theory_from_json, theory_to_json
