@@ -82,6 +82,7 @@ from .theories import (
     UnknownSymbolError,
     ValidationReport,
     canonicalize_identity,
+    extend_theory,
     join_disjoint,
     make_theory,
     theory_equal,

@@ -110,11 +110,19 @@ class ClassificationReport:
 
 def _no_verdict(prop: str, stage: Theory, stages_used: int,
                 model_range: tuple[int, int]) -> Verdict:
-    found = models.find_model(stage, *model_range)
+    """A no-verdict with the first model of the stage in the size range.
+
+    A one-element algebra satisfies x = y, so it certifies nothing and is
+    not searched.  A consistent linear stage has a model of every size of
+    at least two (the classes of a saturation over that many variables),
+    so the certificate is "none" only when the range holds no such size.
+    """
+    found = models.find_model(stage, max(2, model_range[0]), model_range[1])
     if found is None:
         return Verdict(prop, False, stages_used, "none",
-                       note=f"saturation fixpoint consistent; no model of size "
-                            f"{model_range[0]}..{model_range[1]} found")
+                       note=f"saturation fixpoint consistent; no model of at "
+                            f"least two elements in the size range "
+                            f"{model_range[0]}..{model_range[1]}")
     algebra, _ = found
     return Verdict(prop, False, stages_used, "model", model=algebra)
 
@@ -188,8 +196,7 @@ def _bfs_idempotent(theory: Theory, report: ValidationReport,
     for name, status in report.idempotency:
         if status != "not-established":
             continue
-        symbol = theory.symbol_named(name)
-        assert symbol is not None
+        symbol = derivatives._symbol(theory, name)
         outcome = bfs_prove(theory, idempotency_identity(symbol), bounds)
         if not isinstance(outcome, rewriting.Proved):
             return False

@@ -17,8 +17,8 @@ from typing import Literal, Optional
 
 from . import saturation
 from .saturation import EntailmentVerdict, FlatFactBase
-from .terms import Application, OperationSymbol, Variable
-from .theories import Identity, Theory, make_theory
+from .terms import Application, OperationSymbol, Variable, canonical_variable
+from .theories import Identity, Theory, UnknownSymbolError, extend_theory
 
 Operator = Literal["derivative", "order_derivative"]
 
@@ -35,32 +35,39 @@ class StabilizationError(Exception):
 
 @lru_cache(maxsize=None)
 def _canonical_tuples(arity: int) -> tuple[tuple[int, ...], ...]:
-    """Argument tuples over {x, y1..yn} up to renaming of the y's.
+    """Argument tuples over {x, y1..yn} up to renaming of the y's, in
+    lexicographic order.
 
     Entry 0 stands for x; nonzero entries are renamed to 1, 2, ... by first
-    occurrence, which picks one representative per renaming class.
+    occurrence, which picks one representative per renaming class: the
+    restricted-growth strings, where each entry is at most one more than
+    the largest entry before it.
     """
-    seen: set[tuple[int, ...]] = set()
     out: list[tuple[int, ...]] = []
-    for w in itertools.product(range(arity + 1), repeat=arity):
-        renaming: dict[int, int] = {}
-        norm = []
-        for entry in w:
-            if entry == 0:
-                norm.append(0)
-            else:
-                renaming.setdefault(entry, len(renaming) + 1)
-                norm.append(renaming[entry])
-        key = tuple(norm)
-        if key not in seen:
-            seen.add(key)
-            out.append(key)
+
+    def grow(prefix: tuple[int, ...], top: int) -> None:
+        if len(prefix) == arity:
+            out.append(prefix)
+            return
+        for d in range(top + 2):
+            grow(prefix + (d,), max(top, d))
+
+    grow((), 0)
     return tuple(out)
 
 
 def _fact_identity(symbol: OperationSymbol, digits: tuple[int, ...]) -> Identity:
     args = tuple(_X if d == 0 else Variable(f"y{d}") for d in digits)
     return Identity(_X, Application(symbol, args))
+
+
+def _canonical_fact(symbol: OperationSymbol, digits: tuple[int, ...]) -> Identity:
+    """`_fact_identity` in canonical form: x is v0 and the other entries
+    are renumbered by first occurrence."""
+    renaming = {0: 0}
+    args = tuple(canonical_variable(renaming.setdefault(d, len(renaming)))
+                 for d in digits)
+    return Identity(canonical_variable(0), Application(symbol, args))
 
 
 @dataclass(frozen=True)
@@ -76,15 +83,22 @@ class WeakIndependenceProfile:
 def weak_independence_profile(theory: Theory,
                               base: Optional[FlatFactBase] = None
                               ) -> WeakIndependenceProfile:
-    """Which (symbol, place) pairs have a derivable fact x = F(w), w_i != x."""
+    """Which (symbol, place) pairs have a derivable fact x = F(w), w_i != x.
+
+    Sending every y_j to one y is a substitution instance, so a place has
+    such a fact exactly when it has one with w over {x, y}; and that
+    substitution lowers or keeps every entry, so the lexicographically first
+    witness is already such a tuple.  The queries use two variables, so any
+    base of at least two variables decides them.
+    """
     if base is None:
-        base = saturation.saturate(theory)
+        base = saturation.saturate(theory, 2)
     pairs = []
     witnesses = []
     for s in theory.symbols:
         if s.arity == 0:
             continue
-        entailed = [w for w in _canonical_tuples(s.arity)
+        entailed = [w for w in itertools.product((0, 1), repeat=s.arity)
                     if base.fact_entailed(s.name, w)]
         for i in range(1, s.arity + 1):
             for w in entailed:
@@ -95,23 +109,26 @@ def weak_independence_profile(theory: Theory,
     return WeakIndependenceProfile(frozenset(pairs), tuple(witnesses))
 
 
+def _symbol(theory: Theory, name: str) -> OperationSymbol:
+    symbol = theory.symbol_named(name)
+    if symbol is None:
+        raise UnknownSymbolError(f"{name!r} is not a symbol of {theory.name}")
+    return symbol
+
+
 def _independence_identity(symbol: OperationSymbol, place: int) -> Identity:
-    left = tuple(Variable(f"z{j}") for j in range(1, symbol.arity + 1))
-    right = list(left)
-    u, u2 = Variable("u"), Variable("u_")
-    left = left[:place - 1] + (u,) + left[place:]
-    right[place - 1] = u2
-    return Identity(Application(symbol, left), Application(symbol, tuple(right)))
+    """F(z1,...,u,...,zn) = F(z1,...,u',...,zn), written in canonical form."""
+    left = tuple(canonical_variable(j) for j in range(symbol.arity))
+    right = left[:place - 1] + (canonical_variable(symbol.arity),) + left[place:]
+    return Identity(Application(symbol, left), Application(symbol, right))
 
 
 def _derivative_from_profile(theory: Theory, profile: WeakIndependenceProfile) -> Theory:
     new = []
     for name, place in sorted(profile.pairs):
-        symbol = theory.symbol_named(name)
-        assert symbol is not None
+        symbol = _symbol(theory, name)
         new.append(_independence_identity(symbol, place))
-    return make_theory(theory.name + "'", theory.symbols,
-                       list(theory.identities) + new, renames=theory.renames)
+    return extend_theory(theory, theory.name + "'", new)
 
 
 def derivative(theory: Theory) -> Theory:
@@ -139,14 +156,12 @@ def _order_derivative_from_facts(theory: Theory,
                                  ) -> Theory:
     new = []
     for name, w in sorted(facts):
-        symbol = theory.symbol_named(name)
-        assert symbol is not None
+        symbol = _symbol(theory, name)
         # every mixture replacing entries of w by x
         choices = [(0,) if d == 0 else (0, d) for d in w]
         for mixture in itertools.product(*choices):
-            new.append(_fact_identity(symbol, mixture))
-    return make_theory(theory.name + "+", theory.symbols,
-                       list(theory.identities) + new, renames=theory.renames)
+            new.append(_canonical_fact(symbol, mixture))
+    return extend_theory(theory, theory.name + "+", new)
 
 
 def order_derivative(theory: Theory) -> Theory:
@@ -199,13 +214,17 @@ def iterate(theory: Theory, operator: Operator) -> IterationTrace:
 
     Stage n+1 is a function of stage n's trigger data (profile or fact set),
     so equal consecutive data means every later stage repeats.  Every stage
-    keeps the signature, so all of them share the default context size.
-    The stop test is a class lookup; the certificate is built only when the
-    trace's `certificate` is read.
+    keeps the signature, so one context size serves the whole iteration:
+    two variables for the derivative, whose profile and inconsistency
+    queries use only x and y, and the default max_arity + 1 for the order
+    derivative, whose fact sets range over all of them.  The stop test is a
+    class lookup; the certificate is built only when the trace's
+    `certificate` is read.
     """
     stages = [theory]
     data: list[frozenset] = []
-    base = saturation.saturate(theory)
+    budget = 2 if operator == "derivative" else saturation.default_budget(theory)
+    base = saturation.saturate(theory, budget)
     while True:
         cur = stages[-1]
         if saturation.inconsistency_target(base) is not None:

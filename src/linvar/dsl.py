@@ -34,13 +34,12 @@ class ParseError(Exception):
         self.message = message
         self.line = line
         self.col = col
-        where = ""
+        where = []
         if line is not None:
-            where = f"line {line}"
-            if col is not None:
-                where += f", column {col}"
-            where += ": "
-        super().__init__(where + message)
+            where.append(f"line {line}")
+        if col is not None:
+            where.append(f"column {col}")
+        super().__init__(f"{', '.join(where)}: {message}" if where else message)
 
 
 class _TermParser:

@@ -15,9 +15,13 @@ identity on V.  Each instance step maps to an instance step (compose its
 substitution with tau) or to no step at all, so the image is a chain over V
 with the same endpoints and no more steps.  A query over k variables
 therefore gets the same answer, and a shortest chain of the same length, in
-every context of at least k variables.  The engine's own queries are facts
-x = F(w) and x = y, so the default context has max_arity + 1 variables (at
-least two); a larger linear goal gets a context of its own variable count.
+every context of at least k variables.  The order derivative's queries are
+facts x = F(w) over all of F's places, so the default context has
+max_arity + 1 variables (at least two); a larger linear goal gets a context
+of its own variable count.  The derivative's queries (x = y, x = F(y,...,y)
+and weak-independence facts with w over {x, y}) use two variables, so its
+iteration runs in a context of two.  The lemma bounds the query's variables,
+not the identities', so identities with more variables are fine there.
 
 The same lemma bounds certificate extraction.  A shortest chain between two
 atoms exists among the atoms over their own variables, so the chain search
@@ -59,7 +63,8 @@ class BudgetTooSmallError(Exception):
 
 
 def default_budget(theory: Theory) -> int:
-    """Variables of the largest query the engine makes: x = F(w)."""
+    """Variables of the largest query the engine makes: the order
+    derivative's x = F(w).  The derivative's queries need only two."""
     return max(2, theory.max_arity() + 1)
 
 

@@ -151,8 +151,13 @@ def variable_occurrences(t: Term) -> Iterator[tuple[Position, Variable]]:
 def term_variables(t: Term) -> tuple[Variable, ...]:
     """Distinct variables of t in order of first occurrence (preorder)."""
     seen: dict[Variable, None] = {}
-    for _, v in variable_occurrences(t):
-        seen.setdefault(v)
+    stack = [t]
+    while stack:
+        cur = stack.pop()
+        if isinstance(cur, Variable):
+            seen.setdefault(cur)
+        else:
+            stack.extend(reversed(cur.children))
     return tuple(seen)
 
 

@@ -8,7 +8,7 @@ original axioms ahead of derived identities in search orders.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional
 
 from .terms import (
@@ -16,7 +16,7 @@ from .terms import (
     OperationSymbol,
     Term,
     Variable,
-    canonical_rename,
+    canonical_variable,
     is_flat,
     rename_jointly,
     render_term,
@@ -59,29 +59,31 @@ def is_linear_identity(e: Identity) -> bool:
     return is_flat(e.lhs) and is_flat(e.rhs)
 
 
+def _renamed_key(t: Term, names: dict[Variable, str]) -> tuple:
+    """`term_key` of t with its variables renamed v0, v1, ... by first
+    occurrence, continuing the renaming in `names`, without building the
+    renamed term."""
+    if isinstance(t, Variable):
+        return (0, names.setdefault(t, canonical_variable(len(names)).name))
+    return (1, t.symbol.name, t.symbol.arity,
+            tuple(_renamed_key(c, names) for c in t.children))
+
+
 def canonicalize_identity(e: Identity) -> Identity:
     """Orient by term order, then rename variables jointly.
 
     Two identities canonicalize to the same value exactly when they are equal
     up to symmetry and injective variable renaming.  Idempotent.
     """
-    kl = term_key(canonical_rename(e.lhs))
-    kr = term_key(canonical_rename(e.rhs))
-    if kl < kr:
-        ordered = [(e.lhs, e.rhs)]
-    elif kr < kl:
-        ordered = [(e.rhs, e.lhs)]
-    else:
+    kl, kr = _renamed_key(e.lhs, {}), _renamed_key(e.rhs, {})
+    if kl == kr:
         # The sides are renamings of each other; pick the smaller joint form.
-        ordered = [(e.lhs, e.rhs), (e.rhs, e.lhs)]
-    best = None
-    for left, right in ordered:
-        (l2, r2), _ = rename_jointly([left, right])
-        key = (term_key(l2), term_key(r2))
-        if best is None or key < best[0]:
-            best = (key, Identity(l2, r2))
-    assert best is not None
-    return best[1]
+        forward: dict[Variable, str] = {}
+        backward: dict[Variable, str] = {}
+        kl = (_renamed_key(e.lhs, forward), _renamed_key(e.rhs, forward))
+        kr = (_renamed_key(e.rhs, backward), _renamed_key(e.lhs, backward))
+    pair = (e.lhs, e.rhs) if kl <= kr else (e.rhs, e.lhs)
+    return Identity(*rename_jointly(pair)[0])
 
 
 @dataclass(frozen=True)
@@ -113,25 +115,40 @@ class Theory:
         return self.name
 
 
+def extend_theory(theory: Theory, name: str,
+                  identities: Iterable[Identity]) -> Theory:
+    """The theory, renamed, plus more identities over its signature.
+
+    The theory's own identities are already canonical, so only the new ones
+    are canonicalized, and one equal to an identity already present is
+    canonical too and is skipped; duplicates are dropped and the order is
+    kept.
+    """
+    by_name = {s.name: s for s in theory.symbols}
+    canon = dict.fromkeys(theory.identities)
+    for e in identities:
+        if e in canon:
+            continue
+        for s in identity_symbols(e):
+            if by_name.get(s.name) != s:
+                raise UnknownSymbolError(
+                    f"identity {e} uses {s} outside the signature of {name!r}")
+        canon.setdefault(canonicalize_identity(e))
+    return Theory(name, theory.symbols, tuple(canon), theory.renames)
+
+
 def make_theory(name: str,
                 symbols: Iterable[OperationSymbol],
                 identities: Iterable[Identity],
                 renames: tuple[tuple[str, str], ...] = ()) -> Theory:
     """Canonicalize, deduplicate and order-check the parts of a theory."""
     syms = tuple(sorted(set(symbols), key=lambda s: (s.name, s.arity)))
-    by_name: dict[str, OperationSymbol] = {}
+    seen: set[str] = set()
     for s in syms:
-        if s.name in by_name:
+        if s.name in seen:
             raise ValueError(f"duplicate symbol name {s.name!r} in signature")
-        by_name[s.name] = s
-    canon: dict[Identity, None] = {}
-    for e in identities:
-        for s in identity_symbols(e):
-            if by_name.get(s.name) != s:
-                raise UnknownSymbolError(
-                    f"identity {e} uses {s} outside the signature of {name!r}")
-        canon.setdefault(canonicalize_identity(e))
-    return Theory(name, syms, tuple(canon), renames)
+        seen.add(s.name)
+    return extend_theory(Theory(name, syms, (), renames), name, identities)
 
 
 @dataclass(frozen=True)
@@ -202,7 +219,9 @@ def join_disjoint(a: Theory, b: Theory) -> Theory:
     """Union of two theories over a disjoint signature.
 
     Symbols of `b` clashing with names from `a` are renamed with a numeric
-    suffix; the rename map is recorded on the result.
+    suffix; the rename map is recorded on the result.  Both identity lists
+    are canonical already, and `term_key` orders by symbol name, so only a
+    rename makes `b`'s identities need canonicalizing again.
     """
     taken = {s.name for s in a.symbols}
     mapping: dict[str, OperationSymbol] = {}
@@ -221,16 +240,18 @@ def join_disjoint(a: Theory, b: Theory) -> Theory:
         else:
             new_symbols.append(s)
             taken.add(s.name)
+    name = f"join({a.name},{b.name})"
+    signature = make_theory(name, new_symbols, (), renames=tuple(renames))
+    if not mapping:
+        # symbol-free identities, such as x = y, may occur in both
+        return replace(signature,
+                       identities=tuple(dict.fromkeys(a.identities + b.identities)))
     b_identities = [
         Identity(_rename_symbols(e.lhs, mapping), _rename_symbols(e.rhs, mapping))
         for e in b.identities
     ]
-    return make_theory(
-        f"join({a.name},{b.name})",
-        new_symbols,
-        list(a.identities) + b_identities,
-        renames=tuple(renames),
-    )
+    return extend_theory(replace(signature, identities=a.identities), name,
+                         b_identities)
 
 
 def embedded_components(a: Theory, b: Theory) -> tuple[Theory, Theory, Theory]:

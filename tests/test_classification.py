@@ -3,16 +3,17 @@ import pytest
 from linvar import models
 from linvar.classification import (
     NotLinearIdempotentError,
+    _bfs_idempotent,
     check_join_decomposition,
     classify,
 )
 from linvar.dsl import parse_identity
 from linvar.models import satisfies
 from linvar.presets import hagemann_mitschke, maltsev, majority, semilattice
-from linvar.rewriting import Proved, bfs_prove, verify_derivation
+from linvar.rewriting import Proved, SearchBounds, bfs_prove, verify_derivation
 from linvar.saturation import FlatFactBase
 from linvar.terms import OperationSymbol
-from linvar.theories import make_theory
+from linvar.theories import UnknownSymbolError, ValidationReport, make_theory
 
 
 class TestClassify:
@@ -187,9 +188,29 @@ def test_fixpoint_at_stage_one_searches_its_model_once(semilattice, monkeypatch)
             for prop in ("cm", "nci", "nperm")
         },
         "traces": [
-            {"operator": "derivative", "budget": 3, "stop": "fixpoint",
+            {"operator": "derivative", "budget": 2, "stop": "fixpoint",
              "stages": ["semilattice", "semilattice'"], "stage_sizes": [2, 2]},
             {"operator": "order_derivative", "budget": 3, "stop": "fixpoint",
              "stages": ["semilattice", "semilattice+"], "stage_sizes": [2, 2]},
         ],
     }
+
+
+def test_no_verdict_without_a_model_in_range_says_why(semilattice):
+    # A consistent stage has models of every size from two up, so only a
+    # range without such a size leaves a no-verdict without a model; a
+    # one-element algebra satisfies x = y and is not taken as one.
+    report = classify(semilattice, model_range=(1, 1))
+    for verdict in report.verdicts:
+        assert verdict.answer is False
+        assert verdict.certificate_kind == "none" and verdict.model is None
+        assert verdict.note == ("saturation fixpoint consistent; no model of at "
+                                "least two elements in the size range 1..1")
+    assert classify(semilattice, model_range=(1, 2)).cm.model.size == 2
+
+
+def test_unknown_symbol_in_idempotency_search_raises(maltsev):
+    # a raised error, so that python -O keeps the check
+    report = ValidationReport("maltsev", True, (), (("q", "not-established"),))
+    with pytest.raises(UnknownSymbolError):
+        _bfs_idempotent(maltsev, report, SearchBounds(max_terms=10))

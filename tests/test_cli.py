@@ -113,6 +113,15 @@ class TestEntailCommand:
         assert err.startswith("error:") and "nested deeper" in err
         assert "Traceback" not in err
 
+    def test_goal_parse_error_reports_its_column(self, maltsev_file, capsys):
+        # a goal has no line number, so the column is the only position
+        deep = "p(" * 3000 + "x" + ",y,z)" * 3000
+        assert main(["entail", maltsev_file, f"{deep} = x"]) == 1
+        assert "error: column 402: term nested deeper than 200 levels" in \
+            capsys.readouterr().err
+        assert main(["entail", maltsev_file, "x = p(x,y"]) == 1
+        assert "error: column 6: expected ',' or ')'" in capsys.readouterr().err
+
     def test_goal_at_nesting_bound_is_searched(self, maltsev_file, capsys):
         from linvar.dsl import MAX_TERM_DEPTH
 

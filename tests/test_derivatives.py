@@ -1,8 +1,17 @@
+import itertools
+
 import pytest
 
 from linvar import derivatives
 from linvar.derivatives import (
     StabilizationError,
+    WeakIndependenceProfile,
+    _canonical_fact,
+    _canonical_tuples,
+    _derivative_from_profile,
+    _fact_identity,
+    _independence_identity,
+    _order_derivative_from_facts,
     derivative,
     iterate,
     order_derivative,
@@ -16,6 +25,7 @@ from linvar.presets import hagemann_mitschke, maltsev, semilattice
 from linvar.saturation import Entailed
 from linvar.terms import OperationSymbol
 from linvar.theories import (
+    UnknownSymbolError,
     canonicalize_identity,
     join_disjoint,
     make_theory,
@@ -166,3 +176,37 @@ class TestJoinDistribution:
         joint = order_fact_set(joined)
         separate = order_fact_set(maltsev) | order_fact_set(semilattice)
         assert joint == separate
+
+
+def _canonical_tuples_by_brute_force(arity):
+    """Every tuple over {0..arity}, renamed by first occurrence of its
+    nonzero entries, kept at its first appearance."""
+    seen = {}
+    for w in itertools.product(range(arity + 1), repeat=arity):
+        renaming = {0: 0}
+        seen.setdefault(tuple(renaming.setdefault(d, len(renaming)) for d in w))
+    return tuple(seen)
+
+
+class TestStageBuilders:
+    @pytest.mark.parametrize("arity", range(1, 8))
+    def test_canonical_tuples_match_brute_force(self, arity):
+        assert _canonical_tuples(arity) == _canonical_tuples_by_brute_force(arity)
+
+    @pytest.mark.parametrize("arity", range(1, 5))
+    def test_new_identities_are_written_in_canonical_form(self, arity):
+        symbol = OperationSymbol("f", arity)
+        for place in range(1, arity + 1):
+            e = _independence_identity(symbol, place)
+            assert canonicalize_identity(e) == e
+        for w in itertools.product(range(arity + 1), repeat=arity):
+            assert _canonical_fact(symbol, w) == \
+                canonicalize_identity(_fact_identity(symbol, w)), w
+
+    def test_unknown_symbols_raise_without_asserts(self, maltsev):
+        # raised errors, so that python -O keeps the check
+        with pytest.raises(UnknownSymbolError):
+            _derivative_from_profile(
+                maltsev, WeakIndependenceProfile(frozenset({("q", 1)}), ()))
+        with pytest.raises(UnknownSymbolError):
+            _order_derivative_from_facts(maltsev, frozenset({("q", (0, 1))}))

@@ -8,8 +8,10 @@ saturation, search, and model engines to each other.
 import itertools
 from collections import deque
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from linvar import saturation
 from linvar.derivatives import (
     _canonical_tuples,
     _fact_identity,
@@ -29,7 +31,16 @@ from linvar.terms import (
     apply_substitution,
     canonical_variable,
 )
-from linvar.theories import Identity, Theory, identity_variables, make_theory, validate
+from linvar.theories import (
+    Identity,
+    Theory,
+    _rename_symbols,
+    extend_theory,
+    identity_variables,
+    join_disjoint,
+    make_theory,
+    validate,
+)
 
 F2 = OperationSymbol("f", 2)
 G1 = OperationSymbol("g", 1)
@@ -156,16 +167,17 @@ def test_default_budget_answers_like_a_larger_one(theory):
 
 T3 = OperationSymbol("t", 3)
 VARS4 = VARS + [Variable("u")]
+ternary_terms = st.one_of(
+    st.sampled_from(VARS4),
+    st.builds(lambda *args: Application(T3, args), *[st.sampled_from(VARS4)] * 3))
 
 
 @st.composite
 def ternary_theories(draw) -> Theory:
     """Idempotent theories of one ternary symbol plus up to three random
     flat identities over four variables."""
-    var = st.sampled_from(VARS4)
-    term = st.one_of(var, st.builds(lambda *args: Application(T3, args), var, var, var))
     x = VARS[0]
-    extra = draw(st.lists(st.builds(Identity, term, term), max_size=3))
+    extra = draw(st.lists(st.builds(Identity, ternary_terms, ternary_terms), max_size=3))
     return make_theory("ternary", [T3], [Identity(Application(T3, (x, x, x)), x)] + extra)
 
 
@@ -296,3 +308,130 @@ def test_join_theorems_on_random_pairs(left, right):
     report = check_join_decomposition(left, right)
     assert report.decomposition_holds, report.to_json()
     assert report.prime_filter_holds, report.to_json()
+
+
+def _profile_over_all_tuples(theory, base):
+    """The weak-independence profile as first defined: witnesses are the
+    lexicographically first entailed canonical tuple over all of {x, y1..yn}."""
+    pairs, witnesses = set(), []
+    for s in theory.symbols:
+        entailed = [w for w in _canonical_tuples(s.arity) if base.fact_entailed(s.name, w)]
+        for i in range(1, s.arity + 1):
+            w = next((w for w in entailed if w[i - 1] != 0), None)
+            if w is not None:
+                pairs.add((s.name, i))
+                witnesses.append((s.name, i, _fact_identity(s, w)))
+    return pairs, witnesses
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(small_theories(), ternary_theories()))
+def test_derivative_trace_in_two_variables_equals_default_context(theory):
+    """The derivative's queries use two variables, so by the retraction lemma
+    its trace from a two-variable base equals the trace from the default
+    context: stages, trigger data, profile witnesses and certificate."""
+    two = iterate(theory, "derivative")
+    saturate_default = saturation.saturate
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(saturation, "saturate", lambda t, budget=None: saturate_default(t))
+        wide = iterate(theory, "derivative")
+    assert (two.budget, wide.budget) == (2, default_budget(theory))
+    # operator, stages, stage_data and stop reason
+    assert two == wide
+    for stage in two.stages:
+        profile = weak_independence_profile(stage)
+        assert (profile.pairs, list(profile.witnesses)) == \
+            _profile_over_all_tuples(stage, saturate(stage))
+    if two.certificate is None:
+        assert wide.certificate is None
+    else:
+        assert two.certificate.derivation == wide.certificate.derivation
+
+
+def _independence_by_names(symbol, place):
+    """F(z1,...,u,...,zn) = F(z1,...,u_,...,zn) over readable names."""
+    zs = [Variable(f"z{j}") for j in range(1, symbol.arity + 1)]
+    left, right = list(zs), list(zs)
+    left[place - 1], right[place - 1] = Variable("u"), Variable("u_")
+    return Identity(Application(symbol, tuple(left)), Application(symbol, tuple(right)))
+
+
+def _stages_by_make_theory(theory, operator):
+    """Each next stage rebuilt by `make_theory` from every identity, old and
+    new, with the new ones written over readable names."""
+    if operator == "derivative":
+        new = [_independence_by_names(theory.symbol_named(name), place)
+               for name, place in sorted(weak_independence_profile(theory).pairs)]
+        suffix = "'"
+    else:
+        new = [_fact_identity(theory.symbol_named(name), mixture)
+               for name, w in sorted(order_fact_set(theory))
+               for mixture in itertools.product(*[(0,) if d == 0 else (0, d) for d in w])]
+        suffix = "+"
+    return make_theory(theory.name + suffix, theory.symbols,
+                       list(theory.identities) + new, renames=theory.renames)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(small_theories(), ternary_theories()))
+def test_stages_equal_a_full_canonicalization(theory):
+    """Canonicalizing only the new identities of a stage gives the same
+    identities, in the same order, as canonicalizing all of them."""
+    for operator in ("derivative", "order_derivative"):
+        trace = iterate(theory, operator)
+        for before, after in zip(trace.stages, trace.stages[1:]):
+            expected = _stages_by_make_theory(before, operator)
+            assert after == expected
+            assert after.identities == expected.identities
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(st.tuples(small_theories(), st.just(flat_terms)),
+                 st.tuples(ternary_theories(), st.just(ternary_terms))),
+       st.data())
+def test_extend_theory_equals_make_theory(theory_and_terms, data):
+    """Extending canonicalizes only the new identities and equals building
+    the theory again from all of them; the new ones may repeat old ones."""
+    theory, terms = theory_and_terms
+    new = data.draw(st.lists(st.one_of(st.builds(Identity, terms, terms),
+                                       st.sampled_from(theory.identities)),
+                             max_size=5))
+    expected = make_theory("extended", theory.symbols, list(theory.identities) + new,
+                           renames=theory.renames)
+    got = extend_theory(theory, "extended", new)
+    assert got == expected and got.identities == expected.identities
+
+
+def _join_by_make_theory(a, b, joined):
+    """The join's identities rebuilt by `make_theory` from both theories'
+    identities, with b's symbols renamed as the join recorded."""
+    mapping = {old: joined.symbol_named(new) for old, new in joined.renames}
+    renamed = [Identity(_rename_symbols(e.lhs, mapping), _rename_symbols(e.rhs, mapping))
+               for e in b.identities]
+    return make_theory(joined.name, joined.symbols, list(a.identities) + renamed,
+                       renames=joined.renames)
+
+
+X, Y = VARS[0], VARS[1]
+# f clashes and becomes f_2, which sorts after f0 where f sorted before it,
+# so a rename can turn an identity of the clashing theory around
+F0 = OperationSymbol("f0", 1)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_theories_over("left", F2, G1, max_extra=2),
+       _theories_over("right", H2, K1, max_extra=2),
+       _theories_over("clash", F2, F0, max_extra=3),
+       st.booleans())
+def test_join_disjoint_equals_make_theory(left, right, clash, collapse):
+    """With and without symbol renames, the join keeps both identity lists
+    and canonicalizes only what a rename changed; `collapse` adds x = y to
+    every theory, an identity without symbols that both sides then share."""
+    if collapse:
+        left, right, clash = (extend_theory(t, t.name, [Identity(X, Y)])
+                              for t in (left, right, clash))
+    for b in (right, clash):
+        joined = join_disjoint(left, b)
+        assert bool(joined.renames) == (b is clash)
+        expected = _join_by_make_theory(left, b, joined)
+        assert joined == expected and joined.identities == expected.identities

@@ -3,7 +3,15 @@ from hypothesis import given, settings, strategies as st
 
 from linvar.dsl import parse_identity, parse_term, parse_theory, render_theory
 from linvar.presets import day, hagemann_mitschke, jonsson, maltsev, semilattice
-from linvar.terms import Application, OperationSymbol, Variable, apply_substitution
+from linvar.terms import (
+    Application,
+    OperationSymbol,
+    Variable,
+    apply_substitution,
+    canonical_rename,
+    rename_jointly,
+    term_key,
+)
 from linvar.theories import (
     Identity,
     SignatureMismatchError,
@@ -22,6 +30,18 @@ def ident(text):
     return parse_identity(text)
 
 
+def _canonicalize_by_renamed_terms(e):
+    """Reference canonicalization that builds every renamed term: orient by
+    the sides renamed apart, and on a tie take the smaller joint renaming."""
+    kl, kr = term_key(canonical_rename(e.lhs)), term_key(canonical_rename(e.rhs))
+    if kl != kr:
+        pairs = [(e.lhs, e.rhs) if kl < kr else (e.rhs, e.lhs)]
+    else:
+        pairs = [(e.lhs, e.rhs), (e.rhs, e.lhs)]
+    renamed = [Identity(*rename_jointly(pair)[0]) for pair in pairs]
+    return min(renamed, key=lambda r: (term_key(r.lhs), term_key(r.rhs)))
+
+
 class TestCanonicalizeIdentity:
     def test_variable_side_first(self):
         assert canonicalize_identity(ident("x = p(x,y,y)")) == ident("v0 = p(v0,v1,v1)")
@@ -31,6 +51,21 @@ class TestCanonicalizeIdentity:
 
     def test_orientation_by_term_order(self):
         assert canonicalize_identity(ident("m(x,y) = m(y,x)")) == ident("m(v0,v1) = m(v1,v0)")
+
+    @given(terms(), terms())
+    def test_matches_renaming_the_terms(self, a, b):
+        e = Identity(a, b)
+        assert canonicalize_identity(e) == _canonicalize_by_renamed_terms(e)
+
+    def test_matches_renaming_the_terms_past_ten_variables(self):
+        # v10 sorts before v2 as a name, so wide identities order by names
+        # the way renamed terms do
+        f = OperationSymbol("f", 12)
+        ys = [Variable(f"y{i}") for i in range(12)]
+        for shift in range(12):
+            e = Identity(Application(f, tuple(ys)),
+                         Application(f, tuple(ys[shift:] + ys[:shift])))
+            assert canonicalize_identity(e) == _canonicalize_by_renamed_terms(e)
 
     @given(terms(), terms())
     def test_idempotent(self, a, b):
