@@ -32,10 +32,9 @@ from .projection import (
     DerivationOccurrence,
     InconsistencyDetectedError,
     ProjectionResult,
-    SuccessorGraph,
-    build_successor_graph,
     mark_T,
     project_to_component,
+    successors,
     z_substituted_derivation,
 )
 from .rewriting import (

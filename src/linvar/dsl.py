@@ -43,11 +43,16 @@ class ParseError(Exception):
 
 
 class _TermParser:
-    """Recursive-descent parser for the shared term syntax."""
+    """Recursive-descent parser for the shared term syntax.
 
-    def __init__(self, text: str, arities: Optional[Mapping[str, int]], line: Optional[int]):
+    It parses `text` from index `start` to its end; error columns count
+    from the start of `text`.
+    """
+
+    def __init__(self, text: str, arities: Optional[Mapping[str, int]], line: Optional[int],
+                 start: int = 0):
         self.text = text
-        self.pos = 0
+        self.pos = start
         self.arities = arities
         self.line = line
         self.depth = 0
@@ -113,12 +118,14 @@ def parse_term(text: str, arities: Optional[Mapping[str, int]] = None,
 
 
 def parse_identity(text: str, arities: Optional[Mapping[str, int]] = None,
-                   line: Optional[int] = None) -> Identity:
-    if text.count("=") != 1:
+                   line: Optional[int] = None, start: int = 0) -> Identity:
+    """The identity written in `text` from index `start` on; error columns
+    count from the start of `text`."""
+    if text.count("=", start) != 1:
         raise ParseError("an identity needs exactly one '='", line)
-    left, right = text.split("=")
-    return Identity(parse_term(left.strip(), arities, line),
-                    parse_term(right.strip(), arities, line))
+    eq = text.index("=", start)
+    return Identity(_TermParser(text[:eq], arities, line, start).parse(),
+                    _TermParser(text, arities, line, eq + 1).parse())
 
 
 def parse_theory(text: str) -> Theory:
@@ -127,7 +134,8 @@ def parse_theory(text: str) -> Theory:
     arities: dict[str, int] = {}
     identities: list[Identity] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        body = raw.split("#", 1)[0]
+        line = body.strip()
         if not line:
             continue
         keyword, _, rest = line.partition(" ")
@@ -150,7 +158,8 @@ def parse_theory(text: str) -> Theory:
         elif keyword == "axiom":
             if name is None:
                 raise ParseError("'axiom' before 'theory' declaration", lineno)
-            identities.append(parse_identity(rest, arities, lineno))
+            start = body.index(keyword) + len(keyword)
+            identities.append(parse_identity(body, arities, lineno, start))
         else:
             raise ParseError(f"unknown declaration {keyword!r}", lineno)
     if name is None:

@@ -7,6 +7,10 @@ chain from the first term to an occurrence of the goal variable, identifies
 chain children that are forced equal, and replays the chain's root steps on
 variable representatives of those classes.  Output validity is certified by
 the derivation verifier rather than assumed.
+
+The successor relation is never built whole: `successors` computes the
+out-edges of one occurrence from the two steps beside its term, and the
+searches call it only for the occurrences they expand.
 """
 from __future__ import annotations
 
@@ -23,7 +27,6 @@ from .terms import (
     fresh_variables,
     is_flat,
     match_term,
-    positions,
     render_term,
     replace_at,
     subterm_at,
@@ -107,6 +110,13 @@ def _variable_positions(side: Term, v: Variable) -> list[Position]:
     return out
 
 
+def _variable_children(side: Term) -> tuple[Variable, ...]:
+    """The argument variables of an equation side that is a flat application."""
+    if not (isinstance(side, Application) and is_flat(side)):
+        raise ProjectionError(f"equation side {render_term(side)} is not a flat application")
+    return side.children  # type: ignore[return-value]
+
+
 def _edges_for(d: Derivation, ostep: _OrientedStep, pos: Position
                ) -> Iterator[SuccessorEdge]:
     """Successor edges leaving occurrence (ostep.from_index, pos)."""
@@ -131,11 +141,8 @@ def _edges_for(d: Derivation, ostep: _OrientedStep, pos: Position
         w = src
         p_pos = s_pos
     else:
-        if not is_flat(src):
-            raise ProjectionError(f"equation side {render_term(src)} is not flat")
         child_index = pos[len(s_pos)]
-        w = src.children[child_index - 1]  # type: ignore[assignment]
-        assert isinstance(w, Variable)
+        w = _variable_children(src)[child_index - 1]
         p_pos = s_pos + (child_index,)
     rel = pos[len(p_pos):]
     for q in _variable_positions(src, w):
@@ -146,30 +153,19 @@ def _edges_for(d: Derivation, ostep: _OrientedStep, pos: Position
                             3, ostep.step, ostep.direction)
 
 
-@dataclass
-class SuccessorGraph:
-    derivation: Derivation
-    edges: tuple[SuccessorEdge, ...]
-    adjacency: dict[DerivationOccurrence, tuple[SuccessorEdge, ...]]
+def successors(d: Derivation, occ: DerivationOccurrence) -> tuple[SuccessorEdge, ...]:
+    """The successor edges leaving one occurrence.
 
-
-def build_successor_graph(d: Derivation) -> SuccessorGraph:
-    """All successor edges, for both reading directions of every step."""
+    They come from the step after its term read forward and the step before
+    it read backward, ordered forward edges first, then by case and target.
+    """
     edges: list[SuccessorEdge] = []
-    for m in range(1, len(d.steps) + 1):
-        for direction in (1, -1):
-            ostep = _oriented(d, m, direction)
-            for pos in positions(d.terms[ostep.from_index]):
-                edges.extend(_edges_for(d, ostep, pos))
-    adjacency: dict[DerivationOccurrence, list[SuccessorEdge]] = {}
-    for e in edges:
-        adjacency.setdefault(e.source, []).append(e)
-    ordered = {
-        src: tuple(sorted(lst, key=lambda e: (-e.direction, e.case,
+    if occ.index < len(d.steps):
+        edges.extend(_edges_for(d, _oriented(d, occ.index + 1, 1), occ.position))
+    if occ.index > 0:
+        edges.extend(_edges_for(d, _oriented(d, occ.index, -1), occ.position))
+    return tuple(sorted(edges, key=lambda e: (-e.direction, e.case,
                                               e.target.index, e.target.position)))
-        for src, lst in adjacency.items()
-    }
-    return SuccessorGraph(d, tuple(edges), ordered)
 
 
 def occurrence_term(d: Derivation, occ: DerivationOccurrence) -> Term:
@@ -178,13 +174,12 @@ def occurrence_term(d: Derivation, occ: DerivationOccurrence) -> Term:
 
 def mark_T(d: Derivation) -> frozenset[DerivationOccurrence]:
     """All occurrences reachable from the root of the first term."""
-    graph = build_successor_graph(d)
     start = DerivationOccurrence(0, ())
     seen = {start}
     queue = deque([start])
     while queue:
         cur = queue.popleft()
-        for e in graph.adjacency.get(cur, ()):
+        for e in successors(d, cur):
             if e.target not in seen:
                 seen.add(e.target)
                 queue.append(e.target)
@@ -309,8 +304,7 @@ class ProjectionResult:
     chain: tuple[DerivationOccurrence, ...]
 
 
-def _chain_search(d: Derivation, graph: SuccessorGraph, owner_sig: frozenset,
-                  goal: Variable
+def _chain_search(d: Derivation, owner_sig: frozenset, goal: Variable
                   ) -> Optional[tuple[list[DerivationOccurrence],
                                       list[SuccessorEdge]]]:
     """Shortest successor chain supporting a flat replay.
@@ -345,7 +339,7 @@ def _chain_search(d: Derivation, graph: SuccessorGraph, owner_sig: frozenset,
 
     while queue:
         cur = queue.popleft()
-        for e in graph.adjacency.get(cur, ()):
+        for e in successors(d, cur):
             occ = e.target
             if occ in seen:
                 continue
@@ -403,9 +397,16 @@ def project_to_component(left: Theory, right: Theory, d: Derivation
         raise NotAProjectionInstanceError(f"{t0.symbol} belongs to neither component")
     owner_index = 1 if in_left else 2
     owner = left_emb if in_left else right_emb
+    # The edge rule needs flat equation sides.  Check every step up front,
+    # not only those the chain search reaches, so that a derivation is
+    # accepted or rejected as a whole.
+    for step in d.steps:
+        eq = step.equation
+        for side in ((eq.lhs, eq.rhs) if step.forward else (eq.rhs, eq.lhs)):
+            if not is_flat(side):
+                raise ProjectionError(f"equation side {render_term(side)} is not flat")
 
-    graph = build_successor_graph(d)
-    found = _chain_search(d, graph, frozenset(owner.symbols), tn)
+    found = _chain_search(d, frozenset(owner.symbols), tn)
     if found is None:
         raise ProjectionError(
             "no successor chain reaches the goal variable through "
@@ -414,21 +415,21 @@ def project_to_component(left: Theory, right: Theory, d: Derivation
     k = len(chain)  # application occurrences; edges[-1] is the collapsing hop
 
     classes = _ClassAssignment()
-    chain_terms = [occurrence_term(d, occ) for occ in chain]
+    # the chain search keeps application occurrences only
+    chain_terms: list[Application] = [occurrence_term(d, occ) for occ in chain]  # type: ignore[misc]
     for i in range(k):
-        t = chain_terms[i]
-        assert isinstance(t, Application)
-        for j in range(1, len(t.children) + 1):
+        for j in range(1, len(chain_terms[i].children) + 1):
             classes.find((i, j))
     for i, edge in enumerate(edges[:-1]):
         here, there = chain_terms[i], chain_terms[i + 1]
         if edge.case in (1, 3):
-            assert here == there
-            assert isinstance(here, Application)
+            if here != there:
+                raise ProjectionError(
+                    f"case {edge.case} edge at step {edge.step} changes "
+                    f"{render_term(here)} into {render_term(there)}")
             for j in range(1, len(here.children) + 1):
                 classes.union(_UnionEdge((i, j), (i + 1, j), "equal"))
         elif edge.case == 2:
-            assert isinstance(here, Application) and isinstance(there, Application)
             ostep = _oriented(d, edge.step, edge.direction)
             rel = ostep.position[len(chain[i].position):]
             affected = rel[0]
@@ -444,14 +445,10 @@ def project_to_component(left: Theory, right: Theory, d: Derivation
                     classes.union(_UnionEdge((i, j), (i + 1, j), "equal"))
         else:  # case 4 between two retained applications
             ostep = _case4_sides(d, edge)
-            src, dst = ostep.src_side, ostep.dst_side
-            assert isinstance(src, Application) and isinstance(dst, Application)
             by_var: dict[Variable, list[tuple[int, int]]] = {}
-            for j, v in enumerate(src.children, start=1):
-                assert isinstance(v, Variable)
+            for j, v in enumerate(_variable_children(ostep.src_side), start=1):
                 by_var.setdefault(v, []).append((i, j))
-            for j, v in enumerate(dst.children, start=1):
-                assert isinstance(v, Variable)
+            for j, v in enumerate(_variable_children(ostep.dst_side), start=1):
                 by_var.setdefault(v, []).append((i + 1, j))
             for slots in by_var.values():
                 for a, b in zip(slots, slots[1:]):
@@ -459,14 +456,16 @@ def project_to_component(left: Theory, right: Theory, d: Derivation
 
     # the collapsing hop relates the last application's children to each other
     terminal = edges[-1]
-    assert terminal.case == 4
+    if terminal.case != 4:
+        raise ProjectionError(f"the chain ends on a case {terminal.case} edge, not a root step")
     terminal_step = _case4_sides(d, terminal)
-    terminal_src = terminal_step.src_side
-    assert isinstance(terminal_src, Application)
-    assert isinstance(terminal_step.dst_side, Variable)
+    collapse_var = terminal_step.dst_side
+    if not isinstance(collapse_var, Variable):
+        raise ProjectionError(
+            f"the chain's last root step lands on {render_term(collapse_var)}, "
+            "not a variable")
     terminal_slots: dict[Variable, list[tuple[int, int]]] = {}
-    for j, v in enumerate(terminal_src.children, start=1):
-        assert isinstance(v, Variable)
+    for j, v in enumerate(_variable_children(terminal_step.src_side), start=1):
         terminal_slots.setdefault(v, []).append((k - 1, j))
     for slots in terminal_slots.values():
         for a, b in zip(slots, slots[1:]):
@@ -478,34 +477,31 @@ def project_to_component(left: Theory, right: Theory, d: Derivation
     var_slot: dict[tuple[int, int], tuple[int, int]] = {}
     for slot in sorted(classes.parent):
         i, j = slot
-        term = chain_terms[i].children[j - 1]  # type: ignore[union-attr]
+        term = chain_terms[i].children[j - 1]
         if isinstance(term, Variable):
             root = classes.find(slot)
             prev = var_slot.get(root)
-            if prev is not None and chain_terms[prev[0]].children[prev[1] - 1] != term:  # type: ignore[union-attr]
+            if prev is not None and chain_terms[prev[0]].children[prev[1] - 1] != term:
                 raise InconsistencyDetectedError(
                     _conflict_derivation(joined, chain_terms, classes, prev, slot))
             var_slot.setdefault(root, slot)
             resolved[root] = term
-    fresh = fresh_variables(_derivation_variable_names(d))
+    fresh: Optional[Iterator[Variable]] = None
     for slot in sorted(classes.parent):
         root = classes.find(slot)
         if root not in resolved:
+            if fresh is None:
+                fresh = fresh_variables(_derivation_variable_names(d))
             resolved[root] = next(fresh)
 
     def image(slot: tuple[int, int]) -> Variable:
         return resolved[classes.find(slot)]
 
-    flat_terms: list[Term] = []
-    for i in range(k):
-        t = chain_terms[i]
-        assert isinstance(t, Application)
-        flat_terms.append(Application(
-            t.symbol, tuple(image((i, j)) for j in range(1, len(t.children) + 1))))
+    flat_terms: list[Term] = [
+        Application(t.symbol, tuple(image((i, j)) for j in range(1, len(t.children) + 1)))
+        for i, t in enumerate(chain_terms)]
 
     # where does the collapsing hop land, flatly?
-    collapse_var = terminal_step.dst_side
-    assert isinstance(collapse_var, Variable)
     if collapse_var in terminal_slots:
         landing: Term = image(terminal_slots[collapse_var][0])
     else:
@@ -521,18 +517,18 @@ def project_to_component(left: Theory, right: Theory, d: Derivation
     out_steps: list[DerivationStep] = []
     for i, edge in enumerate(edges):
         if edge.case != 4:
-            assert flat_terms[i] == flat_terms[i + 1], "non-root step must flatten away"
+            if flat_terms[i] != flat_terms[i + 1]:
+                raise ProjectionError(
+                    f"non-root step {edge.step} does not flatten away: "
+                    f"{render_term(flat_terms[i])} becomes {render_term(flat_terms[i + 1])}")
             continue
         ostep = _case4_sides(d, edge)
-        src, dst = ostep.src_side, ostep.dst_side
-        assert isinstance(src, Application)
+        dst = ostep.dst_side
         sigma: dict[Variable, Term] = {}
-        for j, v in enumerate(src.children, start=1):
-            assert isinstance(v, Variable)
+        for j, v in enumerate(_variable_children(ostep.src_side), start=1):
             sigma.setdefault(v, image((i, j)))
         if isinstance(dst, Application):
-            for j, v in enumerate(dst.children, start=1):
-                assert isinstance(v, Variable)
+            for j, v in enumerate(_variable_children(dst), start=1):
                 sigma.setdefault(v, image((i + 1, j)))
         else:
             sigma.setdefault(dst, tn)
@@ -554,7 +550,7 @@ def project_to_component(left: Theory, right: Theory, d: Derivation
     return ProjectionResult(out, owner_index, owner, tuple(chain))
 
 
-def _conflict_derivation(joined: Theory, chain_terms: list[Term],
+def _conflict_derivation(joined: Theory, chain_terms: list[Application],
                          classes: _ClassAssignment, a: tuple[int, int],
                          b: tuple[int, int]) -> Derivation:
     """Stitch recorded union reasons into a derivation between two child
@@ -586,20 +582,19 @@ def _conflict_derivation(joined: Theory, chain_terms: list[Term],
     path.reverse()
 
     def slot_term(slot: tuple[int, int]) -> Term:
-        t = chain_terms[slot[0]]
-        assert isinstance(t, Application)
-        return t.children[slot[1] - 1]
+        return chain_terms[slot[0]].children[slot[1] - 1]
 
     terms: list[Term] = [slot_term(a)]
     steps: list[DerivationStep] = []
     for nxt, e, along in path:
         if e.kind == "rewrite":
             fwd = e.forward if along else not e.forward
-            assert e.equation is not None
-            steps.append(DerivationStep(e.equation, fwd, e.rel_position, e.subst))
+            steps.append(DerivationStep(e.equation, fwd, e.rel_position, e.subst))  # type: ignore[arg-type]
             terms.append(slot_term(nxt))
-        else:
-            assert slot_term(nxt) == terms[-1]
+        elif slot_term(nxt) != terms[-1]:
+            raise ProjectionError(
+                f"slot {nxt} holds {render_term(slot_term(nxt))} but was united "
+                f"as equal to {render_term(terms[-1])}")
     d = Derivation(joined.name, tuple(terms), tuple(steps))
     check = verify_derivation(joined, d)
     if not check:

@@ -87,7 +87,8 @@ def verify_derivation(theory: Theory, d: Derivation,
     for i, step in enumerate(d.steps):
         eq = step.equation
         if not (allow_reflexivity and _is_reflexivity(eq)):
-            if canonicalize_identity(eq) not in canon:
+            # an identity in the canonical set is its own canonical form
+            if eq not in canon and canonicalize_identity(eq) not in canon:
                 return VerifyResult(False, i, f"equation {eq} is not in {theory.name}")
         src, dst = (eq.lhs, eq.rhs) if step.forward else (eq.rhs, eq.lhs)
         sigma = step.mapping

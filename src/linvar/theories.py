@@ -255,17 +255,23 @@ def join_disjoint(a: Theory, b: Theory) -> Theory:
 
 
 def embedded_components(a: Theory, b: Theory) -> tuple[Theory, Theory, Theory]:
-    """The two component theories as they appear inside join_disjoint(a, b)."""
+    """The two component theories as they appear inside join_disjoint(a, b).
+
+    As in `join_disjoint`, `b`'s identities are canonical already and need
+    canonicalizing again only after a rename.
+    """
     joined = join_disjoint(a, b)
     mapping = {old: joined.symbol_named(new) for old, new in joined.renames}
     mapping = {k: v for k, v in mapping.items() if v is not None}
     b_symbols = [mapping.get(s.name, s) for s in b.symbols]
+    signature = make_theory(b.name, b_symbols, ())
+    if not mapping:
+        return a, replace(signature, identities=b.identities), joined
     b_identities = [
         Identity(_rename_symbols(e.lhs, mapping), _rename_symbols(e.rhs, mapping))
         for e in b.identities
     ]
-    b_embedded = make_theory(b.name, b_symbols, b_identities)
-    return a, b_embedded, joined
+    return a, extend_theory(signature, b.name, b_identities), joined
 
 
 def theory_equal(a: Theory, b: Theory) -> bool:

@@ -119,8 +119,18 @@ class TestEntailCommand:
         assert main(["entail", maltsev_file, f"{deep} = x"]) == 1
         assert "error: column 402: term nested deeper than 200 levels" in \
             capsys.readouterr().err
+        # columns count from the start of the goal, not of its right side
         assert main(["entail", maltsev_file, "x = p(x,y"]) == 1
-        assert "error: column 6: expected ',' or ')'" in capsys.readouterr().err
+        assert "error: column 10: expected ',' or ')'" in capsys.readouterr().err
+        assert main(["entail", maltsev_file, " p(x,$,y) = x"]) == 1
+        assert "error: column 6: expected an identifier, got '$'" in capsys.readouterr().err
+
+    def test_axiom_parse_error_counts_from_the_line_start(self, tmp_path, capsys):
+        path = tmp_path / "bad.thy"
+        path.write_text("theory bad\nop p/3\n  axiom x = p(x,y   # unclosed\n")
+        assert main(["entail", str(path), "x = x"]) == 1
+        # the term ends where the comment starts, at column 21
+        assert "error: line 3, column 21: expected ',' or ')'" in capsys.readouterr().err
 
     def test_goal_at_nesting_bound_is_searched(self, maltsev_file, capsys):
         from linvar.dsl import MAX_TERM_DEPTH

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from linvar.dsl import parse_identity, parse_term
@@ -6,14 +11,17 @@ from linvar.projection import (
     DerivationOccurrence,
     InconsistencyDetectedError,
     NotAProjectionInstanceError,
-    build_successor_graph,
+    ProjectionError,
+    _edges_for,
+    _oriented,
     mark_T,
     occurrence_term,
     project_to_component,
+    successors,
     z_substituted_derivation,
 )
 from linvar.rewriting import Derivation, Proved, bfs_prove, make_step, verify_derivation
-from linvar.terms import OperationSymbol, Variable, is_flat
+from linvar.terms import OperationSymbol, Variable, is_flat, positions
 from linvar.theories import join_disjoint, make_theory
 
 
@@ -21,9 +29,30 @@ def occ(index, *pos):
     return DerivationOccurrence(index, tuple(pos))
 
 
-def edge_targets(graph, source, case=None):
+def all_occurrences(d):
+    return [DerivationOccurrence(i, pos) for i, t in enumerate(d.terms) for pos in positions(t)]
+
+
+def eager_adjacency(d):
+    """Reference: every successor edge of the derivation, built up front for
+    both reading directions of every step, grouped by source and sorted."""
+    edges = []
+    for m in range(1, len(d.steps) + 1):
+        for direction in (1, -1):
+            ostep = _oriented(d, m, direction)
+            for pos in positions(d.terms[ostep.from_index]):
+                edges.extend(_edges_for(d, ostep, pos))
+    adjacency = {}
+    for e in edges:
+        adjacency.setdefault(e.source, []).append(e)
+    return {src: tuple(sorted(lst, key=lambda e: (-e.direction, e.case,
+                                                  e.target.index, e.target.position)))
+            for src, lst in adjacency.items()}
+
+
+def edge_targets(d, source, case=None):
     return {(e.target, e.case) if case is None else e.target
-            for e in graph.adjacency.get(source, ())
+            for e in successors(d, source)
             if case is None or e.case == case}
 
 
@@ -36,6 +65,8 @@ def unary_collapse():
 
 
 class TestSuccessorGraph:
+    """The successor edges, computed per occurrence by `successors`."""
+
     def test_case1_untouched_sibling(self, unary_collapse):
         t = unary_collapse
         eq = t.identities[0]
@@ -43,8 +74,7 @@ class TestSuccessorGraph:
                        (parse_term("r(g(x,x),f(y))"), parse_term("r(g(x,x),y)")),
                        (make_step(eq, False, (2,), {Variable("v0"): Variable("y")}),))
         assert verify_derivation(t, d)
-        graph = build_successor_graph(d)
-        assert (occ(1, 1), 1) in edge_targets(graph, occ(0, 1))
+        assert (occ(1, 1), 1) in edge_targets(d, occ(0, 1))
 
     def test_case2_rewrite_inside(self, unary_collapse):
         t = unary_collapse
@@ -53,8 +83,7 @@ class TestSuccessorGraph:
                        (parse_term("f(g(x,f(y)))"), parse_term("f(g(x,y))")),
                        (make_step(eq, False, (1, 2), {Variable("v0"): Variable("y")}),))
         assert verify_derivation(t, d)
-        graph = build_successor_graph(d)
-        assert (occ(1, 1), 2) in edge_targets(graph, occ(0, 1))
+        assert (occ(1, 1), 2) in edge_targets(d, occ(0, 1))
 
     def test_case3_fanout_skips_fresh_variable_image(self):
         h = OperationSymbol("h", 3)
@@ -68,8 +97,7 @@ class TestSuccessorGraph:
                         parse_term("f(h(g(x,y),g(x,y),g(x,y)))")),
                        (make_step(eq, True, (1,), {v0: gxy, v1: gxy}),))
         assert verify_derivation(t, d)
-        graph = build_successor_graph(d)
-        targets = edge_targets(graph, occ(0, 1), case=3)
+        targets = edge_targets(d, occ(0, 1), case=3)
         assert occ(0, 1) in targets          # self-transport
         assert occ(1, 1, 1) in targets
         assert occ(1, 1, 2) in targets
@@ -86,30 +114,42 @@ class TestSuccessorGraph:
                         parse_term("h(k(x,y),k(x,y))")),
                        (make_step(eq, True, (), {Variable("v0"): hxy, Variable("v1"): hxy}),))
         assert verify_derivation(t, d)
-        graph = build_successor_graph(d)
-        assert (occ(1,), 4) in edge_targets(graph, occ(0,))
+        assert (occ(1,), 4) in edge_targets(d, occ(0,))
 
     def test_edges_exist_in_both_directions(self, unary_collapse):
         t = unary_collapse
         eq = t.identities[0]
         d = Derivation(t.name, (parse_term("f(x)"), parse_term("x")),
                        (make_step(eq, True, (), {Variable("v0"): Variable("x")}),))
-        graph = build_successor_graph(d)
-        directions = {e.direction for e in graph.edges}
+        directions = {e.direction for o in all_occurrences(d) for e in successors(d, o)}
         assert directions == {1, -1}
 
     def test_edge_soundness(self, maltsev, semilattice):
         # every edge preserves the underlying term or rewrites it provably
         joined = join_disjoint(maltsev, semilattice)
         d = _spec_example_derivation(maltsev, semilattice)
-        graph = build_successor_graph(d)
-        for e in list(graph.edges)[:200]:
+        edges = [e for o in all_occurrences(d) for e in successors(d, o)]
+        for e in edges[:200]:
             a = occurrence_term(d, e.source)
             b = occurrence_term(d, e.target)
             if a == b:
                 continue
             outcome = bfs_prove(joined, parse_identity(f"{a} = {b}"))
             assert isinstance(outcome, Proved), (str(a), str(b))
+
+    def test_successors_equal_the_eager_adjacency(self, maltsev, semilattice):
+        """Per occurrence, the same edges in the same order as building the
+        whole graph, on the spec example and on generated join derivations."""
+        from test_acceptance import _projection_corpus
+
+        derivations = [_spec_example_derivation(maltsev, semilattice)]
+        derivations += [d for _, _, d, _ in _projection_corpus()]
+        for d in derivations:
+            eager = eager_adjacency(d)
+            occurrences = all_occurrences(d)
+            assert set(eager) <= set(occurrences)
+            for o in occurrences:
+                assert successors(d, o) == eager.get(o, ()), (o, [str(t) for t in d.terms])
 
 
 def _spec_example_derivation(mal, sem):
@@ -310,3 +350,69 @@ class TestProjectToComponent:
         cert = excinfo.value.derivation
         assert verify_derivation(joined, cert)
         assert {str(cert.terms[0]), str(cert.terms[-1])} == {"x", "y"}
+
+    def test_class_without_a_variable_gets_a_fresh_name(self, semilattice):
+        # the root step f(x) -> p(x,w,w) instantiates its right-only w with
+        # m(y,y), so the class of p's last two slots holds no variable
+        f, p = OperationSymbol("f", 1), OperationSymbol("p", 3)
+        spread = make_theory("spread", [f, p], [parse_identity("f(v) = p(v,w,w)"),
+                                                parse_identity("v = p(v,w,w)")])
+        ids = {str(e): e for e in spread.identities}
+        x, myy = Variable("x"), parse_term("m(y,y)")
+        v0, v1 = Variable("v0"), Variable("v1")
+        joined = join_disjoint(spread, semilattice)
+        d = Derivation(joined.name,
+                       (parse_term("f(x)"), parse_term("p(x,m(y,y),m(y,y))"), x),
+                       (make_step(ids["f(v0) = p(v0,v1,v1)"], True, (), {v0: x, v1: myy}),
+                        make_step(ids["v0 = p(v0,v1,v1)"], False, (), {v0: x, v1: myy})))
+        assert verify_derivation(joined, d)
+        out = project_to_component(spread, semilattice, d).derivation
+        assert [str(t) for t in out.terms] == ["f(x)", "p(x,v2,v2)", "x"]
+        assert verify_derivation(spread, out, allow_reflexivity=True)
+
+    def test_non_flat_step_is_rejected(self, semilattice):
+        with pytest.raises(ProjectionError, match=r"equation side g\(g\(v0\)\) is not flat"):
+            project_to_component(*_nested_root_step_example(semilattice))
+
+    def test_chain_checks_do_not_rely_on_assert(self):
+        # python -O strips asserts; a chain whose case 1 edge joins two
+        # different terms must still raise instead of being flattened
+        script = "\n".join([
+            "import dataclasses, sys",
+            "sys.path.insert(0, sys.argv[1])",
+            "from linvar import projection",
+            "from linvar.presets import maltsev, semilattice",
+            "from test_projection import _spec_example_derivation",
+            "search = projection._chain_search",
+            "def tampered(*args):",
+            "    chain, edges = search(*args)",
+            "    return chain, [dataclasses.replace(edges[0], case=1)] + edges[1:]",
+            "projection._chain_search = tampered",
+            "mal, sem = maltsev(), semilattice()",
+            "try:",
+            "    projection.project_to_component(mal, sem, _spec_example_derivation(mal, sem))",
+            "except projection.ProjectionError as exc:",
+            "    print('raised', sys.flags.optimize, 'changes' in str(exc))",
+        ])
+        here = Path(__file__).resolve().parent
+        result = subprocess.run([sys.executable, "-O", "-c", script, str(here)],
+                                env=dict(os.environ, PYTHONPATH=str(here.parent / "src")),
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["raised", "1", "True"]
+
+
+def _nested_root_step_example(semilattice):
+    """A join derivation f(x) -> g(g(x)) -> g(x) -> x whose first step uses
+    the non-flat identity f(v) = g(g(v))."""
+    f, g = OperationSymbol("f", 1), OperationSymbol("g", 1)
+    nested = make_theory("nested", [f, g], [parse_identity("f(v) = g(g(v))"),
+                                            parse_identity("g(v) = v")])
+    ids = {str(e): e for e in nested.identities}
+    x, v0 = Variable("x"), Variable("v0")
+    d = Derivation(join_disjoint(nested, semilattice).name,
+                   (parse_term("f(x)"), parse_term("g(g(x))"), parse_term("g(x)"), x),
+                   (make_step(ids["f(v0) = g(g(v0))"], True, (), {v0: x}),
+                    make_step(ids["v0 = g(v0)"], False, (1,), {v0: x}),
+                    make_step(ids["v0 = g(v0)"], False, (), {v0: x})))
+    return nested, semilattice, d

@@ -35,6 +35,7 @@ from linvar.theories import (
     Identity,
     Theory,
     _rename_symbols,
+    embedded_components,
     extend_theory,
     identity_variables,
     join_disjoint,
@@ -426,7 +427,8 @@ F0 = OperationSymbol("f0", 1)
 def test_join_disjoint_equals_make_theory(left, right, clash, collapse):
     """With and without symbol renames, the join keeps both identity lists
     and canonicalizes only what a rename changed; `collapse` adds x = y to
-    every theory, an identity without symbols that both sides then share."""
+    every theory, an identity without symbols that both sides then share.
+    The same holds for `b` as `embedded_components` embeds it in the join."""
     if collapse:
         left, right, clash = (extend_theory(t, t.name, [Identity(X, Y)])
                               for t in (left, right, clash))
@@ -435,3 +437,11 @@ def test_join_disjoint_equals_make_theory(left, right, clash, collapse):
         assert bool(joined.renames) == (b is clash)
         expected = _join_by_make_theory(left, b, joined)
         assert joined == expected and joined.identities == expected.identities
+        a_emb, b_emb, joined_again = embedded_components(left, b)
+        assert a_emb == left and joined_again == joined
+        mapping = {old: joined.symbol_named(new) for old, new in joined.renames}
+        expected_b = make_theory(
+            b.name, [mapping.get(s.name, s) for s in b.symbols],
+            [Identity(_rename_symbols(e.lhs, mapping), _rename_symbols(e.rhs, mapping))
+             for e in b.identities])
+        assert b_emb == expected_b and b_emb.identities == expected_b.identities

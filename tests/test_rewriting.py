@@ -75,6 +75,22 @@ class TestVerifyDerivation:
         assert not verify_derivation(maltsev, d)
         assert verify_derivation(maltsev, d, allow_reflexivity=True)
 
+    def test_equation_checked_up_to_renaming_and_sides(self, maltsev):
+        # a renamed, side-swapped copy of an axiom is not literally in the
+        # canonical set but still verifies; a non-axiom of the same shape fails
+        x, y = Variable("x"), Variable("y")
+        a, b = Variable("a"), Variable("b")
+        renamed = parse_identity("a = p(b,b,a)")
+        assert renamed not in maltsev.identity_set()
+        d = Derivation(maltsev.name, (parse_term("p(y,y,x)"), x),
+                       (make_step(renamed, False, (), {a: x, b: y}),))
+        assert verify_derivation(maltsev, d)
+        foreign = parse_identity("a = p(a,b,a)")
+        bad = Derivation(maltsev.name, (parse_term("p(x,y,x)"), x),
+                         (make_step(foreign, False, (), {a: x, b: y}),))
+        result = verify_derivation(maltsev, bad)
+        assert not result and result.step_index == 0 and "not in" in result.reason
+
     def test_shape_mismatch(self, maltsev):
         d = Derivation(maltsev.name, (), ())
         assert not verify_derivation(maltsev, d)

@@ -256,9 +256,21 @@ axiom p(y,y,x) = x
         with pytest.raises(ParseError) as excinfo:
             parse_theory(f"theory bad\nop p/3\naxiom {deep} = x\n")
         assert excinfo.value.line == 3
-        # the opening parenthesis one level past the bound
-        assert excinfo.value.col == 2 * MAX_TERM_DEPTH + 2
+        # the opening parenthesis one level past the bound, counted from the
+        # start of the line
+        assert excinfo.value.col == len("axiom ") + 2 * MAX_TERM_DEPTH + 2
         assert "nested deeper" in str(excinfo.value)
+
+    def test_identity_error_columns_count_from_its_start(self):
+        from linvar.dsl import ParseError
+
+        for text, col in [("x = p(x,y", 10), ("  p(x,$) = x", 7), ("x =  p(x) y", 11)]:
+            with pytest.raises(ParseError) as excinfo:
+                parse_identity(text)
+            assert excinfo.value.col == col, text
+        with pytest.raises(ParseError) as excinfo:
+            parse_theory("theory bad\nop p/3\n\taxiom  x = p(x,$,y)\n")
+        assert (excinfo.value.line, excinfo.value.col) == (3, 17)
 
     def test_term_at_nesting_bound_passes_later_passes(self):
         # rendering, substitution, matching and proof search all recurse per
