@@ -316,7 +316,8 @@ def main(argv: Optional[list[str]] = None) -> int:
             BudgetTooSmallError, rewriting.CertificateError,
             derivatives.StabilizationError,
             classification.NotLinearIdempotentError,
-            projection.ProjectionError, FileNotFoundError, ValueError) as exc:
+            models.IncompleteModelError, projection.ProjectionError,
+            FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     if getattr(args, "json", None):

@@ -31,6 +31,10 @@ class MissingAssignmentError(Exception):
     pass
 
 
+class IncompleteModelError(Exception):
+    """A model search returned an algebra with an undecided table cell."""
+
+
 @dataclass(frozen=True)
 class FiniteAlgebra:
     size: int
@@ -124,12 +128,11 @@ class _TableSearch:
         self.instances = self._ground_instances()
         self.constraint_instances = self._constraint_instances(constraint)
         if fix_diagonals:
-            for name in _explicitly_idempotent(theory):
-                sym = theory.symbol_named(name)
-                assert sym is not None
-                for a in range(size):
-                    index = self._index((a,) * sym.arity)
-                    self.tables[name][index] = a
+            idempotent = _explicitly_idempotent(theory)
+            for sym in self.symbols:
+                if sym.name in idempotent:
+                    for a in range(size):
+                        self.tables[sym.name][self._index((a,) * sym.arity)] = a
 
     def _index(self, args: tuple[int, ...]) -> int:
         index = 0
@@ -239,7 +242,6 @@ class _TableSearch:
 
     def _constraint_status(self) -> tuple[Optional[Assignment], bool]:
         """(first assignment definitely separating the sides, any undecided)."""
-        assert self.constraint_instances is not None
         undecided = False
         for lhs, rhs, rho in self.constraint_instances:
             lv = self._eval(lhs)
@@ -253,7 +255,9 @@ class _TableSearch:
     def _freeze(self) -> FiniteAlgebra:
         tables = {}
         for name, tab in self.tables.items():
-            assert all(v is not None for v in tab)
+            if None in tab:
+                raise IncompleteModelError(
+                    f"table of {name} has an undecided cell at index {tab.index(None)}")
             tables[name] = tuple(tab)
         return FiniteAlgebra(self.size, self.symbols, tables)  # type: ignore[arg-type]
 

@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional
+from typing import Iterator, Mapping, NamedTuple, Optional
 
 from .dsl import parse_identity, parse_term, render_identity
 from .terms import (
+    Application,
     InvalidPositionError,
     Position,
     Term,
@@ -20,13 +21,13 @@ from .terms import (
     apply_substitution,
     fresh_variables,
     match_term,
-    positions,
     render_term,
     replace_at,
     subterm_at,
     term_size,
     term_symbols,
     term_variables,
+    variable_occurrences,
 )
 from .theories import Identity, Theory, UnknownSymbolError, canonicalize_identity
 
@@ -135,27 +136,85 @@ class Unknown:
 ProofSearchOutcome = Proved | Unknown
 
 
-def _expansions(theory: Theory, t: Term, candidates: tuple[Variable, ...],
-                max_size: int) -> Iterator[tuple[Term, DerivationStep]]:
-    """Successors of t: every identity, both orientations, every position.
+class _SearchRule(NamedTuple):
+    """One orientation of an identity, split once for proof search."""
 
-    Variables appearing only on the produced side range over the fixed
-    candidate pool, which keeps branching finite.
-    """
+    equation: Identity
+    forward: bool
+    source: Term
+    produced: Term
+    # produced-side variables absent from the source, in first-occurrence order
+    free: tuple[Variable, ...]
+    # the produced side's instance has `size` nodes, plus n times the size
+    # of the matched subterm at each (source path, n) in `weights`
+    size: int
+    weights: tuple[tuple[Position, int], ...]
+
+
+def _search_rules(theory: Theory) -> list[_SearchRule]:
+    """Both orientations of every identity, in the order search tries them."""
+    rules = []
     for eq in theory.identities:
         for forward in (True, False):
             src, dst = (eq.lhs, eq.rhs) if forward else (eq.rhs, eq.lhs)
-            free = [v for v in term_variables(dst) if v not in term_variables(src)]
-            for pos in positions(t):
-                base = match_term(src, subterm_at(t, pos))
-                if base is None:
-                    continue
-                for values in itertools.product(candidates, repeat=len(free)):
-                    sigma = dict(base)
-                    sigma.update(zip(free, values))
-                    produced = replace_at(t, pos, apply_substitution(dst, sigma))
-                    if term_size(produced) <= max_size:
-                        yield produced, make_step(eq, forward, pos, sigma)
+            paths: dict[Variable, Position] = {}
+            for p, v in variable_occurrences(src):
+                paths.setdefault(v, p)
+            uses: dict[Variable, int] = {}
+            for _, v in variable_occurrences(dst):
+                uses[v] = uses.get(v, 0) + 1
+            weights = tuple((paths[v], n) for v, n in uses.items() if v in paths)
+            rules.append(_SearchRule(
+                eq, forward, src, dst,
+                tuple(v for v in uses if v not in paths),
+                term_size(dst) - sum(n for _, n in weights), weights))
+    return rules
+
+
+def _subterms(t: Term) -> list[tuple[Position, Term, int]]:
+    """(position, subterm, size) of every node of t, in preorder."""
+    out: list = []
+
+    def walk(s: Term, pos: Position) -> int:
+        slot = len(out)
+        out.append(None)
+        size = 1
+        if isinstance(s, Application):
+            for i, c in enumerate(s.children, start=1):
+                size += walk(c, pos + (i,))
+        out[slot] = (pos, s, size)
+        return size
+
+    walk(t, ())
+    return out
+
+
+def _expansions(rules: list[_SearchRule], t: Term,
+                candidates: tuple[Variable, ...], max_size: int
+                ) -> Iterator[tuple[Term, DerivationStep]]:
+    """Successors of t: every rule of `_search_rules`, every position.
+
+    Variables appearing only on the produced side range over the fixed
+    candidate pool, which keeps branching finite.  The candidates are
+    variables, so a successor's size depends only on the match and is
+    checked before the successor is built.
+    """
+    nodes = _subterms(t)
+    size_at = {pos: size for pos, _, size in nodes}
+    total = nodes[0][2]
+    for rule in rules:
+        for pos, sub, size in nodes:
+            base = match_term(rule.source, sub)
+            if base is None:
+                continue
+            image = rule.size + sum(n * size_at[pos + path] for path, n in rule.weights)
+            if total - size + image > max_size:
+                continue
+            for values in itertools.product(candidates, repeat=len(rule.free)):
+                sigma = dict(base)
+                sigma.update(zip(rule.free, values))
+                produced = replace_at(t, pos, apply_substitution(rule.produced, sigma))
+                yield produced, make_step(rule.equation, rule.forward, pos, sigma)
 
 
 def _flip(step: DerivationStep) -> DerivationStep:
@@ -202,6 +261,7 @@ def bfs_prove(theory: Theory, goal: Identity,
         {goal.lhs: None}, {goal.rhs: None}]
     frontiers: list[list[Term]] = [[goal.lhs], [goal.rhs]]
     expanded = 0
+    rules = _search_rules(theory)
 
     def stats(reason: str) -> SearchStats:
         return SearchStats(expanded, len(sides[0]), len(sides[1]), reason)
@@ -246,7 +306,7 @@ def bfs_prove(theory: Theory, goal: Identity,
             new: dict[Term, tuple[Term, DerivationStep]] = {}
             for t in frontiers[side]:
                 expanded += 1
-                for produced, step in _expansions(theory, t, candidates,
+                for produced, step in _expansions(rules, t, candidates,
                                                   bounds.max_term_size):
                     if produced in sides[side] or produced in new:
                         continue

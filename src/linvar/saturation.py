@@ -36,7 +36,7 @@ import copy
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from . import models
 from .rewriting import CertificateError, Derivation, make_step, verify_derivation
@@ -81,6 +81,29 @@ def _parts(side: Term) -> tuple[Optional[str], tuple[Term, ...]]:
     return side.symbol.name, side.children
 
 
+class _ChainRule(NamedTuple):
+    """One orientation of an identity, compiled for the chain search over
+    `FlatFactBase`'s affine id layout: an instance of the produced side has
+    id `zero` plus, for each of its variables, the variable's context index
+    times its stride."""
+
+    idx: int                  # the identity's index in the theory
+    forward: bool
+    src_args: tuple[Variable, ...]        # the source side's argument slots
+    repeats: tuple[tuple[int, int], ...]  # slots one source variable fills twice
+    zero: int                 # the produced side with every variable at index 0
+    bound: tuple[tuple[int, int], ...]    # (source slot, stride) per bound variable
+    free: tuple[Variable, ...]            # the produced side's other variables
+    free_strides: tuple[int, ...]
+
+    def substitution(self, digits: Sequence[int], values: Sequence[int]
+                     ) -> dict[Variable, int]:
+        """The instance's variables, bound to context indices."""
+        sigma = dict(zip(self.src_args, digits))
+        sigma.update(zip(self.free, values))
+        return sigma
+
+
 class FlatFactBase:
     """Partition of the flat atoms over a bounded variable context.
 
@@ -108,6 +131,7 @@ class FlatFactBase:
             total += budget ** s.arity
         self.size = total
         self._parent = list(range(total))
+        self._rule_table: Optional[dict[Optional[str], list[_ChainRule]]] = None
         self._apply_identities(0)
 
     # -- union-find ---------------------------------------------------------
@@ -237,6 +261,7 @@ class FlatFactBase:
         out = copy.copy(self)
         out.theory = theory
         out._parent = list(self._parent)
+        out._rule_table = None
         out._apply_identities(n)
         return out
 
@@ -279,48 +304,66 @@ class FlatFactBase:
 
     # -- derivation extraction ----------------------------------------------
 
-    def _rules(self) -> list[tuple[int, bool, tuple, tuple, list[Variable]]]:
-        """Both orientations of every identity: (identity index, forward,
-        source side, produced side, produced side's variables), with each
-        side split by `_parts`."""
-        rules = []
-        for idx, e in enumerate(self.theory.identities):
-            for src, dst, forward in ((e.lhs, e.rhs, True), (e.rhs, e.lhs, False)):
-                if not is_flat(src):
-                    raise ValueError(f"{src} is not flat")
-                name, args = _parts(dst)
-                rules.append((idx, forward, _parts(src), (name, args),
-                              list(dict.fromkeys(args))))
-        return rules
+    def _rules(self) -> dict[Optional[str], list[_ChainRule]]:
+        """Both orientations of every identity, compiled once per base and
+        grouped by the source side's symbol (None for a variable)."""
+        if self._rule_table is None:
+            table: dict[Optional[str], list[_ChainRule]] = {}
+            for idx, e in enumerate(self.theory.identities):
+                for src, dst, forward in ((e.lhs, e.rhs, True), (e.rhs, e.lhs, False)):
+                    if not is_flat(src):
+                        raise ValueError(f"{src} is not flat")
+                    src_name, src_args = _parts(src)
+                    slot: dict[Term, int] = {}
+                    repeats = []
+                    for i, v in enumerate(src_args):
+                        if v in slot:
+                            repeats.append((slot[v], i))
+                        else:
+                            slot[v] = i
+                    name, args = _parts(dst)
+                    zero = self.encode(name, [0] * len(args))
+                    strides = {v: self.encode(name, [int(a == v) for a in args]) - zero
+                               for v in args}
+                    free = [v for v in strides if v not in slot]
+                    table.setdefault(src_name, []).append(_ChainRule(
+                        idx, forward, src_args, tuple(repeats), zero,
+                        tuple((slot[v], k) for v, k in strides.items() if v in slot),
+                        tuple(free), tuple(strides[v] for v in free)))
+            self._rule_table = table
+        return self._rule_table
 
-    def _neighbors(self, aid: int, allowed: list[int], rules: list[tuple]
-                   ) -> Iterator[tuple[int, int, bool, dict[Variable, int]]]:
+    def _neighbors(self, aid: int, allowed: list[int],
+                   rules: dict[Optional[str], list[_ChainRule]]
+                   ) -> Iterator[tuple[int, _ChainRule, tuple[int, ...], tuple[int, ...]]]:
         """Atoms one instance of a rule from `_rules` away, in a fixed
-        deterministic order.
+        deterministic order, as (atom, rule, this atom's digits, values of
+        the rule's free variables); `_ChainRule.substitution` turns the last
+        three into the instance's substitution.
 
         Free variables of the produced side range over the context indices
         `allowed` (a chain search passes its endpoints' variables, so every
         atom it reaches stays over them).  Those absent from the source atom
         come first, so extracted chains introduce fresh variables the way a
-        written-out proof would.
+        written-out proof would.  Ids are affine in the digits, so each
+        neighbour's id is the rule's id at zero plus its variables' strides.
         """
         kind, digits = self._atom_digits(aid)
         order = [i for i in allowed if i not in digits] + sorted(set(digits))
-        for idx, forward, (src_name, src_args), (name, args), dst_vars in rules:
-            if src_name != kind:
+        for rule in rules.get(kind, ()):
+            # a repeated source variable must meet equal digits
+            if rule.repeats and any(digits[i] != digits[j] for i, j in rule.repeats):
                 continue
-            # bind the source side's variables to the atom's digits; a
-            # repeated variable must meet equal digits
-            sigma0: dict[Variable, int] = {}
-            if any(sigma0.setdefault(v, d) != d for v, d in zip(src_args, digits)):
-                continue
-            free = [v for v in dst_vars if v not in sigma0]
-            for values in itertools.product(order, repeat=len(free)):
-                sigma = dict(sigma0)
-                sigma.update(zip(free, values))
-                tid = self.encode(name, [sigma[v] for v in args])
+            base = rule.zero
+            for i, stride in rule.bound:
+                base += stride * digits[i]
+            ids = [base]
+            # the last free variable varies fastest, as in itertools.product
+            for stride in rule.free_strides:
+                ids = [i + k * stride for i in ids for k in order]
+            for tid, values in zip(ids, itertools.product(order, repeat=len(rule.free))):
                 if tid != aid:
-                    yield tid, idx, forward, sigma
+                    yield tid, rule, digits, values
 
     def shortest_chain(self, a: int, b: int
                        ) -> Optional[tuple[list[int], list[tuple[int, bool, dict[Variable, int]]]]]:
@@ -341,11 +384,12 @@ class FlatFactBase:
         queue = deque([a])
         while queue:
             cur = queue.popleft()
-            for tid, idx, forward, sigma in self._neighbors(cur, allowed, rules):
+            for tid, rule, digits, values in self._neighbors(cur, allowed, rules):
                 if tid in seen:
                     continue
                 seen.add(tid)
-                parents[tid] = (cur, (idx, forward, sigma))
+                parents[tid] = (cur, (rule.idx, rule.forward,
+                                      rule.substitution(digits, values)))
                 if tid == b:
                     ids = [b]
                     edges = []

@@ -45,6 +45,24 @@ class Application:
                 f"got {len(self.children)} arguments"
             )
 
+    # set on an instance by its first __hash__; not a dataclass field
+    _hash = None
+
+    def __hash__(self) -> int:
+        """The hash the dataclass would compute, kept in the instance
+        after the first call: hashing a term then costs one level, not
+        its whole tree.  The fields are immutable, so it never goes stale."""
+        h = self._hash
+        if h is None:
+            h = hash((self.symbol, self.children))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __reduce__(self):
+        # a kept hash is only valid under this process's string hash seed,
+        # so copies and pickles rebuild the term from its fields
+        return Application, (self.symbol, self.children)
+
     def __str__(self) -> str:
         return render_term(self)
 

@@ -152,6 +152,16 @@ class TestModelsCommand:
         out = capsys.readouterr().out
         assert '"size": 2' in out and "assignment" in out
 
+    def test_incomplete_model_exits_1(self, semilattice_file, capsys, monkeypatch):
+        from linvar import models
+
+        # a search that stops before deciding every cell must not print a model
+        monkeypatch.setattr(models._TableSearch, "_first_undecided", lambda self: None)
+        assert main(["models", semilattice_file, "--min", "2", "--max", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: table of m has an undecided cell")
+
 
 class TestJoinCommand:
     def test_join_prints_theory(self, maltsev_file, semilattice_file, capsys):

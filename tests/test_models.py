@@ -1,4 +1,8 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from linvar.dsl import parse_identity, parse_term
 from linvar.models import (
@@ -153,3 +157,24 @@ class TestRefuteEntailment:
         assert data == {"size": 2, "tables": {"p": [0, 1, 1, 0, 1, 0, 0, 1]}}
         again = algebra_from_json(data, (P3,))
         assert again == XOR
+
+
+def test_model_completeness_does_not_rely_on_assert():
+    # python -O strips asserts; a search that leaves a table cell undecided
+    # must still raise instead of returning that table as a model
+    script = "\n".join([
+        "import sys",
+        "from linvar import models",
+        "from linvar.presets import semilattice",
+        "models._TableSearch._first_undecided = lambda self: None",
+        "try:",
+        "    models.find_model(semilattice(), 2, 2)",
+        "except models.IncompleteModelError:",
+        "    print('raised', sys.flags.optimize)",
+    ])
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run([sys.executable, "-O", "-c", script],
+                            env=dict(os.environ, PYTHONPATH=str(src)),
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["raised", "1"]

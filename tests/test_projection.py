@@ -279,7 +279,8 @@ class TestProjectToComponent:
 
         from linvar import presets
         from linvar.derivatives import _fact_identity, order_fact_set
-        from linvar.rewriting import Proved, SearchBounds, _expansions, bfs_prove
+        from linvar.rewriting import (Proved, SearchBounds, _expansions,
+                                      _search_rules, bfs_prove)
         from linvar.theories import Identity, embedded_components
 
         rng = random.Random(987)
@@ -289,6 +290,7 @@ class TestProjectToComponent:
         for _ in range(60):
             a, b = rng.choice(corpus), rng.choice(corpus)
             a_emb, b_emb, joined = embedded_components(a, b)
+            rules = _search_rules(joined)
             owner = rng.choice([a_emb, b_emb])
             facts = sorted(order_fact_set(owner))
             name, w = rng.choice(facts)
@@ -298,7 +300,7 @@ class TestProjectToComponent:
                 + (Variable("u0"),)
             cur, terms, steps = start, [start], []
             for _ in range(rng.randint(0, 4)):
-                options = [o for o in _expansions(joined, cur, pool, 12)
+                options = [o for o in _expansions(rules, cur, pool, 12)
                            if not isinstance(o[0], Variable)]
                 if not options:
                     break

@@ -22,7 +22,15 @@ from linvar.derivatives import (
     weak_independence_profile,
 )
 from linvar.models import refute_entailment, satisfies
-from linvar.rewriting import Proved, SearchBounds, bfs_prove, verify_derivation
+from linvar.rewriting import (
+    Proved,
+    SearchBounds,
+    _expansions,
+    _search_rules,
+    bfs_prove,
+    make_step,
+    verify_derivation,
+)
 from linvar.saturation import Entailed, default_budget, saturate
 from linvar.terms import (
     Application,
@@ -30,6 +38,12 @@ from linvar.terms import (
     Variable,
     apply_substitution,
     canonical_variable,
+    match_term,
+    positions,
+    replace_at,
+    subterm_at,
+    term_size,
+    term_variables,
 )
 from linvar.theories import (
     Identity,
@@ -236,6 +250,104 @@ def test_chain_search_over_endpoint_variables_stays_shortest(theory):
         endpoint_vars = {0} | set(base._atom_digits(target)[1])
         for i in ids:
             assert set(base._atom_digits(i)[1]) <= endpoint_vars, base.atom_term(i)
+
+
+def _reference_chain(base, a, b):
+    """`FlatFactBase.shortest_chain` as it was before rules were compiled to
+    strides: each neighbour's substitution is built as a dict and encoded,
+    in the same breadth-first order."""
+    rules = []
+    for idx, e in enumerate(base.theory.identities):
+        for src, dst, forward in ((e.lhs, e.rhs, True), (e.rhs, e.lhs, False)):
+            name, args = saturation._parts(dst)
+            rules.append((idx, forward, saturation._parts(src), (name, args),
+                          list(dict.fromkeys(args))))
+
+    def neighbors(aid, allowed):
+        kind, digits = base._atom_digits(aid)
+        order = [i for i in allowed if i not in digits] + sorted(set(digits))
+        for idx, forward, (src_name, src_args), (name, args), dst_vars in rules:
+            if src_name != kind:
+                continue
+            sigma0 = {}
+            if any(sigma0.setdefault(v, d) != d for v, d in zip(src_args, digits)):
+                continue
+            free = [v for v in dst_vars if v not in sigma0]
+            for values in itertools.product(order, repeat=len(free)):
+                sigma = dict(sigma0)
+                sigma.update(zip(free, values))
+                tid = base.encode(name, [sigma[v] for v in args])
+                if tid != aid:
+                    yield tid, idx, forward, sigma
+
+    if a == b:
+        return [a], []
+    allowed = sorted(set(base._atom_digits(a)[1]) | set(base._atom_digits(b)[1]))
+    parents = {}
+    queue = deque([a])
+    while queue:
+        cur = queue.popleft()
+        for tid, idx, forward, sigma in neighbors(cur, allowed):
+            if tid == a or tid in parents:
+                continue
+            parents[tid] = (cur, (idx, forward, sigma))
+            if tid == b:
+                ids, edges = [b], []
+                while ids[-1] != a:
+                    prev, edge = parents[ids[-1]]
+                    ids.append(prev)
+                    edges.append(edge)
+                return ids[::-1], edges[::-1]
+            queue.append(tid)
+    raise AssertionError("no chain inside a class")
+
+
+def _assert_chains_match_reference(base, pairs):
+    for a, b in pairs:
+        if base.same_class(a, b):
+            chain = base.shortest_chain(a, b)
+            expected = _reference_chain(base, a, b)
+            # dict equality ignores the binding order, so compare items too
+            assert [list(sigma.items()) for _, _, sigma in chain[1]] == \
+                [list(sigma.items()) for _, _, sigma in expected[1]]
+            assert chain == expected, (base.atom_term(a), base.atom_term(b))
+
+
+def _fact_pairs(base):
+    """(v0, F(w)) for every symbol F and canonical tuple w, and (v0, v1):
+    the atom pairs `entails_flat` and `is_inconsistent` search."""
+    pairs = [(0, 1)]
+    for s in base.theory.symbols:
+        pairs += [(0, _fact_atom(base, s, w)) for w in _canonical_tuples(s.arity)
+                  if max(w, default=0) < base.budget]
+    return pairs
+
+
+@settings(max_examples=25, deadline=None)
+@given(ternary_theories())
+def test_compiled_chain_search_equals_the_reference(theory):
+    """Stride-compiled neighbours give the same chains, substitutions
+    included, as building and encoding each neighbour's substitution, from
+    every class's first atom to each of its other atoms."""
+    def check(base):
+        first = {}
+        pairs = [(first.setdefault(base.find(i), i), i) for i in range(base.size)]
+        _assert_chains_match_reference(base, pairs + _fact_pairs(base))
+
+    base = saturation.FlatFactBase(theory, default_budget(theory))
+    check(base)
+    # extended after the base compiled its rules, which must not carry over
+    # to the extension's longer identity list
+    check(base.extend(derivative(theory)))
+    check(iterate(theory, "derivative").final_base)
+
+
+def test_compiled_chain_search_equals_the_reference_on_preset_stages(corpus):
+    for theory in corpus:
+        for operator in ("derivative", "order_derivative"):
+            for stage in iterate(theory, operator).stages:
+                base = saturate(stage)
+                _assert_chains_match_reference(base, _fact_pairs(base))
 
 
 @settings(max_examples=20, deadline=None)
@@ -445,3 +557,66 @@ def test_join_disjoint_equals_make_theory(left, right, clash, collapse):
             [Identity(_rename_symbols(e.lhs, mapping), _rename_symbols(e.rhs, mapping))
              for e in b.identities])
         assert b_emb == expected_b and b_emb.identities == expected_b.identities
+
+
+def _reference_expansions(theory, t, candidates, max_size):
+    """`rewriting._expansions` as it was before candidates were sized
+    ahead of building: build every one-step rewrite, then filter by size."""
+    for eq in theory.identities:
+        for forward in (True, False):
+            src, dst = (eq.lhs, eq.rhs) if forward else (eq.rhs, eq.lhs)
+            free = [v for v in term_variables(dst) if v not in term_variables(src)]
+            for pos in positions(t):
+                base = match_term(src, subterm_at(t, pos))
+                if base is None:
+                    continue
+                for values in itertools.product(candidates, repeat=len(free)):
+                    sigma = dict(base)
+                    sigma.update(zip(free, values))
+                    produced = replace_at(t, pos, apply_substitution(dst, sigma))
+                    if term_size(produced) <= max_size:
+                        yield produced, make_step(eq, forward, pos, sigma)
+
+
+def _assert_expansions_match_reference(theory, starts, max_size, levels=2, width=12):
+    """Walk `levels` rewrite steps out from the starts, comparing each
+    term's successors with the reference, in order, at the size bound."""
+    x, y = VARS[0], VARS[1]
+    candidates = (x, y, Variable("v0"), Variable("v1"))
+    rules = _search_rules(theory)
+    frontier, seen = list(starts), set(starts)
+    for _ in range(levels):
+        reached = []
+        for t in frontier:
+            got = list(_expansions(rules, t, candidates, max_size))
+            assert got == list(_reference_expansions(theory, t, candidates, max_size)), t
+            for produced, _ in got:
+                if produced not in seen:
+                    seen.add(produced)
+                    reached.append(produced)
+        frontier = reached[:width]
+
+
+def _nested_starts(theory):
+    """x, and F(G(x,y,x,...), y, x, ...) for every pair of symbols: terms
+    larger than some bounds, with rewrites inside and at the root."""
+    x, y = VARS[0], VARS[1]
+    starts = [x]
+    for f in theory.symbols:
+        for g in theory.symbols:
+            inner = Application(g, tuple((x, y)[i % 2] for i in range(g.arity)))
+            starts.append(Application(
+                f, (inner,) + tuple((y, x)[i % 2] for i in range(f.arity - 1))))
+    return starts
+
+
+@pytest.mark.parametrize("max_size", [1, 4, 7, 10])
+def test_sized_expansions_equal_the_reference_on_presets(corpus, max_size):
+    for theory in corpus:
+        _assert_expansions_match_reference(theory, _nested_starts(theory), max_size)
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_theories(), st.integers(1, 9))
+def test_sized_expansions_equal_the_reference(theory, max_size):
+    _assert_expansions_match_reference(theory, _nested_starts(theory), max_size, levels=3)

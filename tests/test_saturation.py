@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import os
 import subprocess
 import sys
@@ -6,11 +8,17 @@ from pathlib import Path
 
 import pytest
 
-from linvar.derivatives import derivative, order_derivative
+from linvar import presets, saturation
+from linvar.derivatives import (
+    _canonical_tuples,
+    _fact_identity,
+    derivative,
+    iterate,
+    order_derivative,
+)
 from linvar.dsl import parse_identity
 from linvar.presets import maltsev, semilattice
-from linvar import saturation
-from linvar.rewriting import VerifyResult, verify_derivation
+from linvar.rewriting import VerifyResult, derivation_to_json, verify_derivation
 from linvar.saturation import (
     BudgetTooSmallError,
     CertificateError,
@@ -24,7 +32,7 @@ from linvar.saturation import (
     saturate,
 )
 from linvar.terms import OperationSymbol, Variable, is_flat
-from linvar.theories import make_theory
+from linvar.theories import Identity, make_theory
 
 
 class TestSaturate:
@@ -240,3 +248,31 @@ class TestCertificateChecks:
                                 capture_output=True, text=True, timeout=120)
         assert result.returncode == 0, result.stderr
         assert result.stdout.split() == ["raised", "1"]
+
+
+# sha256 over the JSON of every certificate below, one line each; a change to
+# the chain search that alters any chain, its order or its substitutions
+# changes it.  The certificates do not depend on the string hash seed.
+STAGE_CERTIFICATES = (443, "1fedffabccc622577f21f7b63f9d745c9f9e825cf3ea9bee8efe852e5e4d3b84")
+
+
+def test_stage_certificates_are_pinned():
+    """Every entailed x = y and x = F(w) over the presets' derivative and
+    order-derivative stages keeps its certificate byte for byte."""
+    digest = hashlib.sha256()
+    count = 0
+    for theory in presets.presets():
+        for operator in ("derivative", "order_derivative"):
+            for stage in iterate(theory, operator).stages:
+                base = saturate(stage)
+                goals = [Identity(Variable("x"), Variable("y"))]
+                goals += [_fact_identity(s, w) for s in stage.symbols
+                          for w in _canonical_tuples(s.arity)]
+                for goal in goals:
+                    verdict = entails_flat(base, goal, with_countermodel=False)
+                    if isinstance(verdict, Entailed):
+                        count += 1
+                        line = json.dumps(derivation_to_json(verdict.derivation),
+                                          sort_keys=True)
+                        digest.update(line.encode() + b"\n")
+    assert (count, digest.hexdigest()) == STAGE_CERTIFICATES

@@ -1,3 +1,11 @@
+import copy
+import dataclasses
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -13,6 +21,7 @@ from linvar.terms import (
     is_flat,
     match_term,
     positions,
+    render_term,
     replace_at,
     subterm_at,
     term_size,
@@ -176,3 +185,64 @@ def test_match_recovers_substitution(t, sigma):
     assert apply_substitution(t, recovered) == instance
     for v in term_variables(t):
         assert recovered[v] == sigma.get(v, v)
+
+
+def _rebuilt(t):
+    """An equal term sharing no Application object with t."""
+    if isinstance(t, Variable):
+        return Variable(t.name)
+    return Application(OperationSymbol(t.symbol.name, t.symbol.arity),
+                       tuple(_rebuilt(c) for c in t.children))
+
+
+class TestHashCache:
+    @given(terms().filter(lambda t: isinstance(t, Application)))
+    def test_hash_is_the_dataclass_hash_before_and_after_caching(self, t):
+        expected = hash((t.symbol, t.children))
+        assert hash(t) == expected
+        assert hash(t) == expected
+
+    @given(terms())
+    def test_equal_terms_built_apart_hash_equal(self, t):
+        u = _rebuilt(t)
+        hash(t)
+        assert u == t and hash(u) == hash(t)
+
+    @given(terms())
+    def test_repr_equality_and_fields_are_unchanged(self, t):
+        before = repr(t)
+        hash(t)
+        assert repr(t) == before
+        if isinstance(t, Application):
+            assert before == f"Application(symbol={t.symbol!r}, children={t.children!r})"
+        assert t == _rebuilt(t) and t != Application(F1, (t,))
+        assert [f.name for f in dataclasses.fields(Application)] == ["symbol", "children"]
+
+    @given(terms())
+    def test_deepcopy_round_trips(self, t):
+        hash(t)
+        u = copy.deepcopy(t)
+        assert u == t and hash(u) == hash(t) and repr(u) == repr(t)
+
+    def test_pickle_hashes_right_under_another_hash_seed(self):
+        texts = ["p(x,f(y),g(z,x))", "g(f(f(x)),p(y,y,z))", "f(x)"]
+        hashed = [parse_term(text) for text in texts]
+        for t in hashed:
+            hash(t)
+        script = "\n".join([
+            "import pickle, sys",
+            "from linvar.dsl import parse_term",
+            "terms = pickle.loads(sys.stdin.buffer.read())",
+            "for t in terms:",
+            "    fresh = parse_term(str(t))",
+            "    print(t == fresh and hash(t) == hash(fresh) and {t: 1}.get(fresh) == 1)",
+        ])
+        src = Path(__file__).resolve().parents[1] / "src"
+        seed = "1" if os.environ.get("PYTHONHASHSEED") == "2" else "2"
+        result = subprocess.run(
+            [sys.executable, "-c", script], input=pickle.dumps(hashed),
+            env=dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=seed),
+            capture_output=True, timeout=120)
+        assert result.returncode == 0, result.stderr.decode()
+        assert result.stdout.decode().split() == ["True"] * len(texts)
+        assert [render_term(t) for t in hashed] == texts
