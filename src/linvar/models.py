@@ -2,8 +2,16 @@
 
 A model of size >= 2 witnesses consistency of a theory; a model in which an
 identity's two sides evaluate differently refutes entailment.  The search
-fills operation-table cells in lexicographic order with constraint
-propagation from the theory's identities, so results are deterministic.
+keeps every table in one list `cells`, each symbol's block at an offset in
+`theory.symbols` order, so the first undecided cell is the lexicographically
+first.  A ground instance's side compiles to an int, a cell id or `~value`
+for a variable (flat sides are affine in the values, so the instances are
+spread by strides); a nested side grounds to a tree (block offset,
+children).  An instance is evaluated until it reads an undecided cell and
+waits on that cell's watch list; deciding the cell puts it back on the
+stack.  Forcing is monotone, so the closure and any conflict do not depend
+on that order, and the search, branching on the first undecided cell with
+values ascending, returns the lexicographically first model in range.
 """
 from __future__ import annotations
 
@@ -11,12 +19,10 @@ import itertools
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from .terms import OperationSymbol, Term, Variable, term_variables
+from .terms import Application, OperationSymbol, Term, Variable
 from .theories import (
     Identity,
     Theory,
-    canonicalize_identity,
-    idempotency_identity,
     identity_variables,
 )
 
@@ -102,194 +108,175 @@ class Disequality:
 
 
 def _explicitly_idempotent(theory: Theory) -> frozenset[str]:
-    canon = theory.identity_set()
+    """Symbols F with an axiom v = F(v,...,v), in either orientation."""
     return frozenset(
-        s.name for s in theory.symbols
-        if s.arity >= 1 and canonicalize_identity(idempotency_identity(s)) in canon
-    )
+        t.symbol.name for e in theory.identities
+        for v, t in ((e.lhs, e.rhs), (e.rhs, e.lhs))
+        if isinstance(v, Variable) and isinstance(t, Application) and t.children
+        and all(c == v for c in t.children))
 
 
 class _TableSearch:
-    """Backtracking over table cells with forcing propagation.
+    """Backtracking over `cells` with forcing propagation (module docstring)."""
 
-    Linear identities give strong propagation: once an instance's argument
-    cells are decided, the instance pins the remaining root cell.
-    """
-
-    def __init__(self, theory: Theory, size: int, fix_diagonals: bool,
-                 constraint: Optional[Disequality] = None):
-        self.theory = theory
+    def __init__(self, symbols: tuple[OperationSymbol, ...], size: int,
+                 identities: list[tuple[Term, Term, tuple[Variable, ...]]],
+                 idempotent: frozenset[str],
+                 goal: Optional[tuple[Term, Term, tuple[Variable, ...], tuple[int, ...]]]):
         self.size = size
-        self.symbols = theory.symbols
-        self.tables: dict[str, list[Optional[int]]] = {
-            s.name: [None] * (size ** s.arity) for s in self.symbols
-        }
-        self.trail: list[tuple[str, int]] = []
-        self.instances = self._ground_instances()
-        self.constraint_instances = self._constraint_instances(constraint)
-        if fix_diagonals:
-            idempotent = _explicitly_idempotent(theory)
-            for sym in self.symbols:
-                if sym.name in idempotent:
-                    for a in range(size):
-                        self.tables[sym.name][self._index((a,) * sym.arity)] = a
+        self.symbols = symbols
+        self.powers = [size ** k for k in range(max((s.arity for s in symbols), default=0))]
+        blocks = [size ** s.arity for s in symbols]
+        self.offsets = dict(zip([s.name for s in symbols], itertools.accumulate([0] + blocks)))
+        self.cells: list[Optional[int]] = [None] * sum(blocks)
+        self.watch: list[list[int]] = [[] for _ in self.cells]
+        self.watched: set[tuple[int, int]] = set()  # lists only grow: no pair twice
+        self.trail: list[int] = []
+        self.instances = [pair for lhs, rhs, vs in identities
+                          for pair in self._instances(lhs, rhs, vs)]
+        self.stack = list(range(len(self.instances)))
+        self.goal = goal
+        self.goal_instances = None if goal is None else self._instances(*goal)
+        for s in symbols:
+            if s.name in idempotent:
+                diagonal = sum(self.powers[:s.arity])
+                for a in range(size):
+                    self.cells[self.offsets[s.name] + a * diagonal] = a
 
-    def _index(self, args: tuple[int, ...]) -> int:
-        index = 0
-        for a in args:
-            index = index * self.size + a
-        return index
-
-    # Ground terms are nested tuples: an int leaf, or (symbol name, children).
-    def _ground_instances(self) -> list[tuple[object, object]]:
-        out = []
-        for e in self.theory.identities:
-            vs = identity_variables(e)
-            for values in itertools.product(range(self.size), repeat=len(vs)):
-                rho = dict(zip(vs, values))
-                out.append((self._ground(e.lhs, rho), self._ground(e.rhs, rho)))
-        return out
+    def _instances(self, lhs: Term, rhs: Term, vs: tuple[Variable, ...],
+                   fixed: tuple[int, ...] = ()) -> list[tuple[object, object]]:
+        """Both sides' codes with vs over every value in `itertools.product`
+        order, the first len(fixed) of them held at `fixed`.  A flat side's
+        code is affine in the values: it is spread by one stride per
+        variable, as saturation spreads atom ids."""
+        size, m = self.size, len(fixed)
+        index = {v.name: k - m for k, v in enumerate(vs)}  # fixed ones < 0
+        columns = []
+        for t in (lhs, rhs):
+            if isinstance(t, Variable):
+                args, code, weights = (t,), -1, [-1]  # ~value == -1 - value
+            elif all(isinstance(c, Variable) for c in t.children):
+                args, code = t.children, self.offsets[t.symbol.name]
+                weights = self.powers[len(args) - 1::-1]
+            else:
+                return [(self._ground(lhs, rho), self._ground(rhs, rho))
+                        for rho in (dict(zip(vs, fixed + values)) for values in
+                                    itertools.product(range(size), repeat=len(vs) - m))]
+            strides = [0] * (len(vs) - m)
+            for a, w in zip(args, weights):
+                k = index[a.name]  # type: ignore[union-attr]
+                if k >= 0:
+                    strides[k] += w
+                else:
+                    code += w * fixed[k]
+            codes = [code]
+            for stride in strides:
+                codes = [c + a * stride for c in codes for a in range(size)]
+            columns.append(codes)
+        return list(zip(*columns))
 
     def _ground(self, t: Term, rho: Mapping[Variable, int]) -> object:
+        """~value for a variable, else (block offset, children codes)."""
         if isinstance(t, Variable):
-            return rho[t]
-        return (t.symbol.name, tuple(self._ground(c, rho) for c in t.children))
+            return ~rho[t]
+        return (self.offsets[t.symbol.name], tuple(self._ground(c, rho) for c in t.children))
 
-    def _eval(self, t: object) -> Optional[int]:
-        if isinstance(t, int):
-            return t
-        name, children = t  # type: ignore[misc]
-        args = []
-        for c in children:
-            v = self._eval(c)
-            if v is None:
-                return None
-            args.append(v)
-        return self.tables[name][self._index(tuple(args))]
+    def _value(self, code: object) -> int:
+        """A compiled side's value, or ~c for the first undecided cell c it reads."""
+        if isinstance(code, int):
+            if code < 0:
+                return ~code
+            cell = code
+        else:
+            offset, kids = code  # type: ignore[misc]
+            index = 0
+            for k in kids:
+                v = self._value(k)
+                if v < 0:
+                    return v
+                index = index * self.size + v
+            cell = offset + index
+        v = self.cells[cell]
+        return ~cell if v is None else v
 
-    def _root_cell(self, t: object) -> Optional[tuple[str, int]]:
-        """The undecided root cell of t, when all arguments are decided."""
-        if isinstance(t, int):
-            return None
-        name, children = t  # type: ignore[misc]
-        args = []
-        for c in children:
-            v = self._eval(c)
-            if v is None:
-                return None
-            args.append(v)
-        index = self._index(tuple(args))
-        if self.tables[name][index] is None:
-            return (name, index)
-        return None
-
-    def _set(self, name: str, index: int, value: int) -> bool:
-        cur = self.tables[name][index]
-        if cur is not None:
-            return cur == value
-        self.tables[name][index] = value
-        self.trail.append((name, index))
-        return True
+    def _set(self, cell: int, value: int) -> None:
+        self.cells[cell] = value
+        self.trail.append(cell)
+        self.stack.extend(self.watch[cell])
 
     def _propagate(self) -> bool:
-        changed = True
-        while changed:
-            changed = False
-            for lhs, rhs in self.instances:
-                lv = self._eval(lhs)
-                rv = self._eval(rhs)
-                if lv is not None and rv is not None:
-                    if lv != rv:
-                        return False
+        """Evaluate the stacked instances to a fixpoint; False on a conflict."""
+        stack, value, watch = self.stack, self._value, self.watch
+        while stack:
+            j = stack.pop()
+            lhs, rhs = self.instances[j]
+            lv, rv = value(lhs), value(rhs)
+            if lv >= 0 and rv >= 0:
+                if lv == rv:
                     continue
-                if lv is not None and rv is None:
-                    cell = self._root_cell(rhs)
-                    if cell is not None:
-                        if not self._set(cell[0], cell[1], lv):
-                            return False
-                        changed = True
-                elif rv is not None and lv is None:
-                    cell = self._root_cell(lhs)
-                    if cell is not None:
-                        if not self._set(cell[0], cell[1], rv):
-                            return False
-                        changed = True
+                stack.clear()
+                return False
+            # an undecided root cell, with every argument decided, is forced
+            if lv >= 0 and (isinstance(rhs, int) or all(value(k) >= 0 for k in rhs[1])):
+                self._set(~rv, lv)
+            elif rv >= 0 and (isinstance(lhs, int) or all(value(k) >= 0 for k in lhs[1])):
+                self._set(~lv, rv)
+            else:
+                for v in (lv, rv):
+                    if v < 0 and (~v, j) not in self.watched:
+                        self.watched.add((~v, j))
+                        watch[~v].append(j)
         return True
 
-    def _first_undecided(self) -> Optional[tuple[str, int]]:
-        for s in self.symbols:
-            table = self.tables[s.name]
-            for index, value in enumerate(table):
-                if value is None:
-                    return (s.name, index)
-        return None
-
-    def _constraint_instances(self, constraint: Optional[Disequality]
-                              ) -> Optional[list[tuple[object, object, Assignment]]]:
-        if constraint is None:
-            return None
-        fixed = dict(constraint.fixed)
-        vs = [v for v in
-              dict.fromkeys(term_variables(constraint.lhs) + term_variables(constraint.rhs))
-              if v not in fixed]
-        out = []
-        for values in itertools.product(range(self.size), repeat=len(vs)):
-            rho = dict(fixed)
-            rho.update(zip(vs, values))
-            out.append((self._ground(constraint.lhs, rho),
-                        self._ground(constraint.rhs, rho), rho))
-        return out
+    def _first_undecided(self) -> Optional[int]:
+        return self.cells.index(None) if None in self.cells else None
 
     def _constraint_status(self) -> tuple[Optional[Assignment], bool]:
         """(first assignment definitely separating the sides, any undecided)."""
         undecided = False
-        for lhs, rhs, rho in self.constraint_instances:
-            lv = self._eval(lhs)
-            rv = self._eval(rhs)
-            if lv is None or rv is None:
+        for j, (lhs, rhs) in enumerate(self.goal_instances):  # type: ignore[arg-type]
+            lv, rv = self._value(lhs), self._value(rhs)
+            if lv < 0 or rv < 0:
                 undecided = True
             elif lv != rv:
-                return rho, undecided
+                _, _, vs, fixed = self.goal  # type: ignore[misc]
+                values = list(itertools.product(range(self.size), repeat=len(vs) - len(fixed)))
+                return dict(zip(vs, fixed + values[j])), undecided
         return None, undecided
 
     def _freeze(self) -> FiniteAlgebra:
         tables = {}
-        for name, tab in self.tables.items():
+        for s in self.symbols:
+            offset = self.offsets[s.name]
+            tab = self.cells[offset:offset + self.size ** s.arity]
             if None in tab:
                 raise IncompleteModelError(
-                    f"table of {name} has an undecided cell at index {tab.index(None)}")
-            tables[name] = tuple(tab)
+                    f"table of {s.name} has an undecided cell at index {tab.index(None)}")
+            tables[s.name] = tuple(tab)
         return FiniteAlgebra(self.size, self.symbols, tables)  # type: ignore[arg-type]
 
     def run(self) -> Optional[tuple[FiniteAlgebra, Assignment]]:
-        if not self._propagate():
-            return None
-        return self._search()
+        return self._search() if self._propagate() else None
 
     def _search(self) -> Optional[tuple[FiniteAlgebra, Assignment]]:
-        if self.constraint_instances is not None:
+        witness: Optional[Assignment] = {}
+        if self.goal is not None:
             witness, undecided = self._constraint_status()
             if witness is None and not undecided:
                 return None  # constraint already failed on every assignment
         cell = self._first_undecided()
         if cell is None:
-            if self.constraint_instances is None:
-                return self._freeze(), {}
-            witness, _ = self._constraint_status()
-            if witness is None:
-                return None
-            return self._freeze(), witness
-        name, index = cell
+            return None if witness is None else (self._freeze(), witness)
+        mark = len(self.trail)
         for value in range(self.size):
-            mark = len(self.trail)
-            ok = self._set(name, index, value) and self._propagate()
-            if ok:
+            self._set(cell, value)
+            if self._propagate():
                 found = self._search()
                 if found is not None:
                     return found
-            while len(self.trail) > mark:
-                n, i = self.trail.pop()
-                self.tables[n][i] = None
+            for c in self.trail[mark:]:
+                self.cells[c] = None
+            del self.trail[mark:]
         return None
 
 
@@ -301,14 +288,24 @@ def find_model(theory: Theory, lo: int = 2, hi: int = 3,
 
     Diagonal cells of symbols with an explicit idempotency axiom are
     pre-fixed; every model of such a theory has identity diagonals, so this
-    prunes without losing completeness.  Returns None when the range is
-    exhausted, which is a bound, never a proof of entailment.
+    prunes without losing completeness.  A size below a `fixed` value of the
+    constraint has no assignment extending it.  Returns None when the range
+    is exhausted, which is a bound, never a proof of entailment.
     """
     if lo < 1:
         raise ValueError("model size must be at least 1")
+    idempotent = _explicitly_idempotent(theory) if fix_idempotent_diagonals else frozenset()
+    identities = [(e.lhs, e.rhs, identity_variables(e)) for e in theory.identities]
+    goal = None
+    if constraint is not None:
+        fixed = dict(constraint.fixed)
+        free = [v for v in identity_variables(Identity(constraint.lhs, constraint.rhs))
+                if v not in fixed]
+        goal = (constraint.lhs, constraint.rhs, (*fixed, *free), tuple(fixed.values()))
     for size in range(lo, hi + 1):
-        search = _TableSearch(theory, size, fix_idempotent_diagonals, constraint)
-        found = search.run()
+        if goal is not None and not all(0 <= k < size for k in goal[3]):
+            continue
+        found = _TableSearch(theory.symbols, size, identities, idempotent, goal).run()
         if found is not None:
             return found
     return None

@@ -473,13 +473,13 @@ def project_to_component(left: Theory, right: Theory, d: Derivation
 
     # Resolve classes to variables; two distinct variables in one class is an
     # inconsistency proof for the join.
+    roots = {slot: classes.find(slot) for slot in sorted(classes.parent)}
     resolved: dict[tuple[int, int], Variable] = {}
     var_slot: dict[tuple[int, int], tuple[int, int]] = {}
-    for slot in sorted(classes.parent):
+    for slot, root in roots.items():
         i, j = slot
         term = chain_terms[i].children[j - 1]
         if isinstance(term, Variable):
-            root = classes.find(slot)
             prev = var_slot.get(root)
             if prev is not None and chain_terms[prev[0]].children[prev[1] - 1] != term:
                 raise InconsistencyDetectedError(
@@ -487,23 +487,20 @@ def project_to_component(left: Theory, right: Theory, d: Derivation
             var_slot.setdefault(root, slot)
             resolved[root] = term
     fresh: Optional[Iterator[Variable]] = None
-    for slot in sorted(classes.parent):
-        root = classes.find(slot)
+    for root in roots.values():
         if root not in resolved:
             if fresh is None:
                 fresh = fresh_variables(_derivation_variable_names(d))
             resolved[root] = next(fresh)
-
-    def image(slot: tuple[int, int]) -> Variable:
-        return resolved[classes.find(slot)]
+    image = {slot: resolved[root] for slot, root in roots.items()}
 
     flat_terms: list[Term] = [
-        Application(t.symbol, tuple(image((i, j)) for j in range(1, len(t.children) + 1)))
+        Application(t.symbol, tuple(image[i, j] for j in range(1, len(t.children) + 1)))
         for i, t in enumerate(chain_terms)]
 
     # where does the collapsing hop land, flatly?
     if collapse_var in terminal_slots:
-        landing: Term = image(terminal_slots[collapse_var][0])
+        landing: Term = image[terminal_slots[collapse_var][0]]
     else:
         # fresh right-hand variable: its image is the hop's actual target
         landing = occurrence_term(d, terminal.target)
@@ -526,10 +523,10 @@ def project_to_component(left: Theory, right: Theory, d: Derivation
         dst = ostep.dst_side
         sigma: dict[Variable, Term] = {}
         for j, v in enumerate(_variable_children(ostep.src_side), start=1):
-            sigma.setdefault(v, image((i, j)))
+            sigma.setdefault(v, image[i, j])
         if isinstance(dst, Application):
             for j, v in enumerate(_variable_children(dst), start=1):
-                sigma.setdefault(v, image((i + 1, j)))
+                sigma.setdefault(v, image[i + 1, j])
         else:
             sigma.setdefault(dst, tn)
         step_obj = d.steps[edge.step - 1]

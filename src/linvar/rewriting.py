@@ -189,15 +189,21 @@ def _subterms(t: Term) -> list[tuple[Position, Term, int]]:
     return out
 
 
+# How `_expansions` produced a successor: the rule, the rewrite position
+# and the values of the rule's free variables.
+_Expansion = tuple[_SearchRule, Position, tuple[Variable, ...]]
+
+
 def _expansions(rules: list[_SearchRule], t: Term,
                 candidates: tuple[Variable, ...], max_size: int
-                ) -> Iterator[tuple[Term, DerivationStep]]:
+                ) -> Iterator[tuple[Term, _Expansion]]:
     """Successors of t: every rule of `_search_rules`, every position.
 
     Variables appearing only on the produced side range over the fixed
     candidate pool, which keeps branching finite.  The candidates are
     variables, so a successor's size depends only on the match and is
-    checked before the successor is built.
+    checked before the successor is built.  The step is built only on
+    request, by `_expansion_step`.
     """
     nodes = _subterms(t)
     size_at = {pos: size for pos, _, size in nodes}
@@ -214,7 +220,15 @@ def _expansions(rules: list[_SearchRule], t: Term,
                 sigma = dict(base)
                 sigma.update(zip(rule.free, values))
                 produced = replace_at(t, pos, apply_substitution(rule.produced, sigma))
-                yield produced, make_step(rule.equation, rule.forward, pos, sigma)
+                yield produced, (rule, pos, values)
+
+
+def _expansion_step(t: Term, how: _Expansion) -> DerivationStep:
+    """The step of `_expansions` that rewrote t as `how` says."""
+    rule, pos, values = how
+    sigma = dict(match_term(rule.source, subterm_at(t, pos)))  # type: ignore[arg-type]
+    sigma.update(zip(rule.free, values))
+    return make_step(rule.equation, rule.forward, pos, sigma)
 
 
 def _flip(step: DerivationStep) -> DerivationStep:
@@ -256,8 +270,8 @@ def bfs_prove(theory: Theory, goal: Identity,
     if goal.lhs == goal.rhs:
         return Proved(Derivation(theory.name, (goal.lhs,), ()))
 
-    # parents: term -> (previous term, step applied to previous)
-    sides: list[dict[Term, Optional[tuple[Term, DerivationStep]]]] = [
+    # parents: term -> (previous term, how `_expansions` rewrote it)
+    sides: list[dict[Term, Optional[tuple[Term, _Expansion]]]] = [
         {goal.lhs: None}, {goal.rhs: None}]
     frontiers: list[list[Term]] = [[goal.lhs], [goal.rhs]]
     expanded = 0
@@ -275,8 +289,8 @@ def bfs_prove(theory: Theory, goal: Identity,
             entry = sides[0][cur]
             if entry is None:
                 break
-            prev, step = entry
-            forward_steps.append(step)
+            prev, how = entry
+            forward_steps.append(_expansion_step(prev, how))
             cur = prev
         forward_terms.reverse()
         forward_steps.reverse()
@@ -287,8 +301,8 @@ def bfs_prove(theory: Theory, goal: Identity,
             entry = sides[1][cur]
             if entry is None:
                 break
-            prev, step = entry
-            steps.append(_flip(step))
+            prev, how = entry
+            steps.append(_flip(_expansion_step(prev, how)))
             terms.append(prev)
             cur = prev
         d = Derivation(theory.name, tuple(terms), tuple(steps))
@@ -303,17 +317,17 @@ def bfs_prove(theory: Theory, goal: Identity,
             return Unknown(stats("frontier exhausted"))
         for side in (0, 1):
             other = 1 - side
-            new: dict[Term, tuple[Term, DerivationStep]] = {}
+            new: dict[Term, tuple[Term, _Expansion]] = {}
             for t in frontiers[side]:
                 expanded += 1
-                for produced, step in _expansions(rules, t, candidates,
-                                                  bounds.max_term_size):
+                for produced, how in _expansions(rules, t, candidates,
+                                                 bounds.max_term_size):
                     if produced in sides[side] or produced in new:
                         continue
                     if len(sides[0]) + len(sides[1]) + len(new) > bounds.max_terms:
                         sides[side].update(new)
                         return Unknown(stats("max_terms reached"))
-                    new[produced] = (t, step)
+                    new[produced] = (t, how)
                     if produced in sides[other]:
                         sides[side].update(new)
                         return Proved(assemble(produced))

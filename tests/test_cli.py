@@ -1,6 +1,9 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from linvar.cli import main
 from linvar.dsl import parse_theory, render_theory
@@ -161,6 +164,51 @@ class TestModelsCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: table of m has an undecided cell")
+
+
+def _application_texts(kids):
+    """Mostly m(a,b) and g(a) as declared, else any of m, g, p, q over
+    1-3 arguments."""
+    declared = st.one_of(st.builds(lambda a, b: f"m({a},{b})", kids, kids),
+                         st.builds(lambda a: f"g({a})", kids))
+    return st.one_of(declared, declared, declared, st.builds(
+        lambda f, args: f"{f}({','.join(args)})",
+        st.sampled_from(["m", "g", "p", "q"]), st.lists(kids, min_size=1, max_size=3)))
+
+
+_term_texts = st.recursive(st.sampled_from(["x", "y", "z"]), _application_texts, max_leaves=6)
+_equations = st.builds(lambda a, b: f"{a} = {b}", _term_texts, _term_texts)
+_identity_texts = st.one_of(_equations, _equations, _equations,
+                            st.text(alphabet="xymg(),= ", max_size=12))
+
+
+@st.composite
+def _models_argv(draw, path):
+    """`linvar models` over random theory text: nested and non-linear
+    axioms, unknown symbols, wrong arities and malformed lines, at sizes
+    0-3, with and without a random --refute goal.  At most m/2 and g/1
+    have tables, so no table has more than nine cells."""
+    often = st.sampled_from([True, True, True, False])
+    lines = ["theory t"] if draw(often) else []
+    lines += [f"op {op}" for op in ("m/2", "g/1", "c/0") if draw(often)]
+    lines += [f"axiom {ax}" for ax in draw(st.lists(_identity_texts, max_size=3))]
+    path.write_text("\n".join(lines) + "\n")
+    argv = ["models", str(path), "--min", str(draw(st.sampled_from([1, 2, 3, 0]))),
+            "--max", str(draw(st.sampled_from([2, 3, 1, 0])))]
+    goal = draw(st.none() | _identity_texts)
+    return argv if goal is None else argv + ["--refute", goal]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_models_command_is_total(tmp_path_factory, data):
+    """No theory text or goal makes `linvar models` end in a traceback."""
+    argv = data.draw(_models_argv(tmp_path_factory.mktemp("models") / "t.thy"))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
 
 
 class TestJoinCommand:

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from hypothesis import given, settings
+
 from linvar.dsl import parse_identity, parse_term
 from linvar.models import (
     Disequality,
@@ -15,6 +17,7 @@ from linvar.models import (
 )
 from linvar.presets import maltsev, semilattice
 from linvar.terms import OperationSymbol, Variable
+from test_random_theories import small_theories, ternary_theories
 
 
 P3 = OperationSymbol("p", 3)
@@ -178,3 +181,287 @@ def test_model_completeness_does_not_rely_on_assert():
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout.split() == ["raised", "1"]
+
+
+# -- differential test against the nested-tuple search -------------------------
+
+
+def _reference_explicitly_idempotent(theory):
+    from linvar.theories import canonicalize_identity, idempotency_identity
+
+    canon = theory.identity_set()
+    return frozenset(
+        s.name for s in theory.symbols
+        if s.arity >= 1 and canonicalize_identity(idempotency_identity(s)) in canon
+    )
+
+
+class _ReferenceTableSearch:
+    """The model search as it was before the flat cell array: per-symbol
+    tables, ground instances as nested tuples, and propagation that
+    re-evaluates every instance until nothing changes."""
+
+    def __init__(self, theory, size, fix_diagonals, constraint=None):
+        self.theory = theory
+        self.size = size
+        self.symbols = theory.symbols
+        self.tables = {s.name: [None] * (size ** s.arity) for s in self.symbols}
+        self.trail = []
+        self.instances = self._ground_instances()
+        self.constraint_instances = self._constraint_instances(constraint)
+        if fix_diagonals:
+            idempotent = _reference_explicitly_idempotent(theory)
+            for sym in self.symbols:
+                if sym.name in idempotent:
+                    for a in range(size):
+                        self.tables[sym.name][self._index((a,) * sym.arity)] = a
+
+    def _index(self, args):
+        index = 0
+        for a in args:
+            index = index * self.size + a
+        return index
+
+    def _ground_instances(self):
+        from linvar.theories import identity_variables
+
+        out = []
+        for e in self.theory.identities:
+            vs = identity_variables(e)
+            for values in itertools.product(range(self.size), repeat=len(vs)):
+                rho = dict(zip(vs, values))
+                out.append((self._ground(e.lhs, rho), self._ground(e.rhs, rho)))
+        return out
+
+    def _ground(self, t, rho):
+        if isinstance(t, Variable):
+            return rho[t]
+        return (t.symbol.name, tuple(self._ground(c, rho) for c in t.children))
+
+    def _eval(self, t):
+        if isinstance(t, int):
+            return t
+        name, children = t
+        args = []
+        for c in children:
+            v = self._eval(c)
+            if v is None:
+                return None
+            args.append(v)
+        return self.tables[name][self._index(tuple(args))]
+
+    def _root_cell(self, t):
+        if isinstance(t, int):
+            return None
+        name, children = t
+        args = []
+        for c in children:
+            v = self._eval(c)
+            if v is None:
+                return None
+            args.append(v)
+        index = self._index(tuple(args))
+        if self.tables[name][index] is None:
+            return (name, index)
+        return None
+
+    def _set(self, name, index, value):
+        cur = self.tables[name][index]
+        if cur is not None:
+            return cur == value
+        self.tables[name][index] = value
+        self.trail.append((name, index))
+        return True
+
+    def _propagate(self):
+        changed = True
+        while changed:
+            changed = False
+            for lhs, rhs in self.instances:
+                lv = self._eval(lhs)
+                rv = self._eval(rhs)
+                if lv is not None and rv is not None:
+                    if lv != rv:
+                        return False
+                    continue
+                if lv is not None and rv is None:
+                    cell = self._root_cell(rhs)
+                    if cell is not None:
+                        if not self._set(cell[0], cell[1], lv):
+                            return False
+                        changed = True
+                elif rv is not None and lv is None:
+                    cell = self._root_cell(lhs)
+                    if cell is not None:
+                        if not self._set(cell[0], cell[1], rv):
+                            return False
+                        changed = True
+        return True
+
+    def _first_undecided(self):
+        for s in self.symbols:
+            for index, value in enumerate(self.tables[s.name]):
+                if value is None:
+                    return (s.name, index)
+        return None
+
+    def _constraint_instances(self, constraint):
+        from linvar.terms import term_variables
+
+        if constraint is None:
+            return None
+        fixed = dict(constraint.fixed)
+        vs = [v for v in
+              dict.fromkeys(term_variables(constraint.lhs) + term_variables(constraint.rhs))
+              if v not in fixed]
+        out = []
+        for values in itertools.product(range(self.size), repeat=len(vs)):
+            rho = dict(fixed)
+            rho.update(zip(vs, values))
+            out.append((self._ground(constraint.lhs, rho),
+                        self._ground(constraint.rhs, rho), rho))
+        return out
+
+    def _constraint_status(self):
+        undecided = False
+        for lhs, rhs, rho in self.constraint_instances:
+            lv = self._eval(lhs)
+            rv = self._eval(rhs)
+            if lv is None or rv is None:
+                undecided = True
+            elif lv != rv:
+                return rho, undecided
+        return None, undecided
+
+    def _freeze(self):
+        tables = {name: tuple(tab) for name, tab in self.tables.items()}
+        return FiniteAlgebra(self.size, self.symbols, tables)
+
+    def run(self):
+        if not self._propagate():
+            return None
+        return self._search()
+
+    def _search(self):
+        if self.constraint_instances is not None:
+            witness, undecided = self._constraint_status()
+            if witness is None and not undecided:
+                return None
+        cell = self._first_undecided()
+        if cell is None:
+            if self.constraint_instances is None:
+                return self._freeze(), {}
+            witness, _ = self._constraint_status()
+            if witness is None:
+                return None
+            return self._freeze(), witness
+        name, index = cell
+        for value in range(self.size):
+            mark = len(self.trail)
+            ok = self._set(name, index, value) and self._propagate()
+            if ok:
+                found = self._search()
+                if found is not None:
+                    return found
+            while len(self.trail) > mark:
+                n, i = self.trail.pop()
+                self.tables[n][i] = None
+        return None
+
+
+def _reference_find_model(theory, lo, hi, constraint=None, fix_idempotent_diagonals=True):
+    for size in range(lo, hi + 1):
+        found = _ReferenceTableSearch(theory, size, fix_idempotent_diagonals, constraint).run()
+        if found is not None:
+            return found
+    return None
+
+
+def _goals(theory):
+    """(lhs, rhs) of flat and of nested non-linear goals over the theory's
+    first symbol of positive arity."""
+    from linvar.terms import Application
+
+    x, y, z = Variable("x"), Variable("y"), Variable("z")
+    f = next(s for s in theory.symbols if s.arity >= 1)
+
+    def F(*args):
+        return Application(f, tuple(args[i % len(args)] for i in range(f.arity)))
+
+    return [
+        (x, y),
+        (x, F(x, y)),
+        (x, F(y, x)),
+        (F(x, y), F(y, x)),
+        (F(x, y, z), F(z, y, x)),
+        (F(F(x, y), y), y),                  # nested, non-linear
+        (F(x, F(y, x)), F(F(x, y), x)),      # nested on both sides
+        (x, F(F(y, y), F(x, y), z)),
+    ]
+
+
+def _assert_same_models(theory):
+    """Equal results at sizes 1-3, diagonals fixed or not, with no goal and
+    with each goal of `_goals`, some with fixed values."""
+    x, y = Variable("x"), Variable("y")
+    goals = _goals(theory)
+    identities = [str(e) for e in theory.identities]
+    for size in (1, 2, 3):
+        constraints = [None]
+        for lhs, rhs in goals:
+            constraints.append(Disequality(lhs, rhs))
+        for lhs, rhs in goals[:4] + goals[5:6]:
+            constraints.append(Disequality(lhs, rhs, ((x, size - 1),)))
+            constraints.append(Disequality(lhs, rhs, ((y, 0), (x, size // 2))))
+        for constraint in constraints:
+            for fix in (True, False):
+                got = find_model(theory, size, size, constraint, fix)
+                want = _reference_find_model(theory, size, size, constraint, fix)
+                label = (theory.name, identities, size, constraint, fix)
+                if want is None:
+                    assert got is None, label
+                    continue
+                assert got is not None, label
+                assert got[0] == want[0], label
+                assert list(got[1].items()) == list(want[1].items()), label
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_theories())
+def test_model_search_equals_the_reference(theory):
+    _assert_same_models(theory)
+
+
+@settings(max_examples=25, deadline=None)
+@given(ternary_theories())
+def test_model_search_equals_the_reference_on_ternary_theories(theory):
+    _assert_same_models(theory)
+
+
+def test_model_search_equals_the_reference_on_preset_stages(corpus):
+    from linvar.derivatives import iterate
+
+    stages = {}
+    for theory in corpus:
+        for operator in ("derivative", "order_derivative"):
+            for stage in iterate(theory, operator).stages:
+                stages.setdefault(stage, None)
+    for stage in stages:
+        _assert_same_models(stage)
+
+
+def test_model_search_equals_the_reference_on_nested_theories():
+    from linvar.dsl import parse_theory
+
+    for text in ("theory n1\nop m/2\naxiom m(x,x) = x\naxiom m(m(x,y),y) = m(x,y)\n",
+                 "theory n2\nop p/3\naxiom p(x,x,x) = x\naxiom p(p(x,y,z),y,y) = y\n",
+                 "theory n3\nop m/2\naxiom m(m(x,y),m(y,x)) = x\n"):
+        _assert_same_models(parse_theory(text))
+
+
+def test_fixed_value_outside_the_universe_skips_the_size():
+    goal = parse_identity("x = p(y,x,x)")
+    x = Variable("x")
+    assert find_model(maltsev(), 2, 2, Disequality(goal.lhs, goal.rhs, ((x, 2),))) is None
+    found = find_model(maltsev(), 2, 3, Disequality(goal.lhs, goal.rhs, ((x, 2),)))
+    assert found is not None and found[0].size == 3 and found[1][x] == 2

@@ -279,8 +279,8 @@ class TestProjectToComponent:
 
         from linvar import presets
         from linvar.derivatives import _fact_identity, order_fact_set
-        from linvar.rewriting import (Proved, SearchBounds, _expansions,
-                                      _search_rules, bfs_prove)
+        from linvar.rewriting import (Proved, SearchBounds, _expansion_step,
+                                      _expansions, _search_rules, bfs_prove)
         from linvar.theories import Identity, embedded_components
 
         rng = random.Random(987)
@@ -304,9 +304,10 @@ class TestProjectToComponent:
                            if not isinstance(o[0], Variable)]
                 if not options:
                     break
-                cur, step = rng.choice(options)
+                produced, how = rng.choice(options)
+                steps.append(_expansion_step(cur, how))
+                cur = produced
                 terms.append(cur)
-                steps.append(step)
             outcome = bfs_prove(joined, Identity(cur, goal_var), bounds)
             if not isinstance(outcome, Proved) or \
                     len(steps) + len(outcome.derivation.steps) == 0:

@@ -25,6 +25,7 @@ from linvar.models import refute_entailment, satisfies
 from linvar.rewriting import (
     Proved,
     SearchBounds,
+    _expansion_step,
     _expansions,
     _search_rules,
     bfs_prove,
@@ -588,7 +589,8 @@ def _assert_expansions_match_reference(theory, starts, max_size, levels=2, width
     for _ in range(levels):
         reached = []
         for t in frontier:
-            got = list(_expansions(rules, t, candidates, max_size))
+            got = [(produced, _expansion_step(t, how))
+                   for produced, how in _expansions(rules, t, candidates, max_size)]
             assert got == list(_reference_expansions(theory, t, candidates, max_size)), t
             for produced, _ in got:
                 if produced not in seen:
