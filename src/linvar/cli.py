@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from typing import Optional
@@ -108,12 +109,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _bounds(args: argparse.Namespace) -> SearchBounds:
-    default = SearchBounds()
-    return SearchBounds(
-        max_terms=args.max_terms or default.max_terms,
-        max_depth=args.max_depth or default.max_depth,
-        max_term_size=args.max_term_size or default.max_term_size,
-    )
+    """The search bounds given on the command line, defaults for the rest;
+    0 is a bound like any other."""
+    given = {name: getattr(args, name)
+             for name in ("max_terms", "max_depth", "max_term_size")
+             if getattr(args, name) is not None}
+    return SearchBounds(**given)
 
 
 def _cmd_validate(args) -> tuple[int, dict]:
@@ -312,6 +313,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     started = time.time()
     try:
         code, payload = _COMMANDS[args.command](args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout; send the rest of the output to devnull
+        # so that the flush at exit does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_ERROR
     except (ParseError, UnknownSymbolError, SignatureMismatchError,
             BudgetTooSmallError, rewriting.CertificateError,
             derivatives.StabilizationError,

@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from .terms import Application, OperationSymbol, Term, Variable
+from .terms import OperationSymbol, Term, Variable
 from .theories import (
     Identity,
     Theory,
@@ -107,21 +107,11 @@ class Disequality:
     fixed: tuple[tuple[Variable, int], ...] = ()
 
 
-def _explicitly_idempotent(theory: Theory) -> frozenset[str]:
-    """Symbols F with an axiom v = F(v,...,v), in either orientation."""
-    return frozenset(
-        t.symbol.name for e in theory.identities
-        for v, t in ((e.lhs, e.rhs), (e.rhs, e.lhs))
-        if isinstance(v, Variable) and isinstance(t, Application) and t.children
-        and all(c == v for c in t.children))
-
-
 class _TableSearch:
     """Backtracking over `cells` with forcing propagation (module docstring)."""
 
     def __init__(self, symbols: tuple[OperationSymbol, ...], size: int,
                  identities: list[tuple[Term, Term, tuple[Variable, ...]]],
-                 idempotent: frozenset[str],
                  goal: Optional[tuple[Term, Term, tuple[Variable, ...], tuple[int, ...]]]):
         self.size = size
         self.symbols = symbols
@@ -137,11 +127,6 @@ class _TableSearch:
         self.stack = list(range(len(self.instances)))
         self.goal = goal
         self.goal_instances = None if goal is None else self._instances(*goal)
-        for s in symbols:
-            if s.name in idempotent:
-                diagonal = sum(self.powers[:s.arity])
-                for a in range(size):
-                    self.cells[self.offsets[s.name] + a * diagonal] = a
 
     def _instances(self, lhs: Term, rhs: Term, vs: tuple[Variable, ...],
                    fixed: tuple[int, ...] = ()) -> list[tuple[object, object]]:
@@ -281,20 +266,17 @@ class _TableSearch:
 
 
 def find_model(theory: Theory, lo: int = 2, hi: int = 3,
-               constraint: Optional[Disequality] = None,
-               fix_idempotent_diagonals: bool = True
+               constraint: Optional[Disequality] = None
                ) -> Optional[tuple[FiniteAlgebra, Assignment]]:
     """First model of the theory in the size range, in deterministic order.
 
-    Diagonal cells of symbols with an explicit idempotency axiom are
-    pre-fixed; every model of such a theory has identity diagonals, so this
-    prunes without losing completeness.  A size below a `fixed` value of the
-    constraint has no assignment extending it.  Returns None when the range
-    is exhausted, which is a bound, never a proof of entailment.
+    An idempotency axiom needs no special case: its instances fix the
+    diagonal cells in the first propagation.  A size below a `fixed` value
+    of the constraint has no assignment extending it.  Returns None when
+    the range is exhausted, which is a bound, never a proof of entailment.
     """
     if lo < 1:
         raise ValueError("model size must be at least 1")
-    idempotent = _explicitly_idempotent(theory) if fix_idempotent_diagonals else frozenset()
     identities = [(e.lhs, e.rhs, identity_variables(e)) for e in theory.identities]
     goal = None
     if constraint is not None:
@@ -305,7 +287,7 @@ def find_model(theory: Theory, lo: int = 2, hi: int = 3,
     for size in range(lo, hi + 1):
         if goal is not None and not all(0 <= k < size for k in goal[3]):
             continue
-        found = _TableSearch(theory.symbols, size, identities, idempotent, goal).run()
+        found = _TableSearch(theory.symbols, size, identities, goal).run()
         if found is not None:
             return found
     return None

@@ -4,17 +4,29 @@ A derivation records, per step, the identity used, its orientation, the
 rewrite position, and the matched substitution, which is enough to replay
 every step mechanically.  The substitution is stored rather than recomputed
 because reverse steps with collapsing identities are ambiguous without it.
+
+Proof search (`bfs_prove`) runs on an encoded copy of the terms: a variable
+is its index in the search's candidate variables, an application the plain
+tuple (symbol index, child 1, ..., child n), and each rule's sides are
+compiled once per call to a pattern and a template over slot numbers.
+Matching, instantiation and replacement then build tuples, and equality and
+hashing run in C.  The encoding is injective, and candidates are tried in
+the same order as on `Term`s, so the search meets at the same term and
+returns the same derivation and statistics.  Only the terms on the returned
+path are decoded, and the derivation is replayed on `Term`s by
+`verify_derivation`, which knows nothing of the encoding.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Mapping, NamedTuple, Optional
+from typing import Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .dsl import parse_identity, parse_term, render_identity
 from .terms import (
     Application,
     InvalidPositionError,
+    OperationSymbol,
     Position,
     Term,
     Variable,
@@ -136,19 +148,51 @@ class Unknown:
 ProofSearchOutcome = Proved | Unknown
 
 
+# An encoded term: a variable is an int, an application the tuple
+# (symbol id, child 1, ..., child n), so child i sits at index i as in a
+# Position.
+_Code = Union[int, tuple]
+
+
+class _Encoding:
+    """Terms over fixed symbols and variables, numbered by their index."""
+
+    def __init__(self, symbols: Sequence[OperationSymbol],
+                 variables: Sequence[Variable]):
+        self.symbols = tuple(symbols)
+        self.variables = tuple(variables)
+        self._symbol_ids = {s: i for i, s in enumerate(self.symbols)}
+        self._variable_ids = {v: i for i, v in enumerate(self.variables)}
+
+    def encode(self, t: Term) -> _Code:
+        if isinstance(t, Variable):
+            return self._variable_ids[t]
+        return (self._symbol_ids[t.symbol],) + tuple(self.encode(c) for c in t.children)
+
+    def decode(self, code: _Code) -> Term:
+        if type(code) is int:
+            return self.variables[code]
+        return Application(self.symbols[code[0]],
+                           tuple(self.decode(c) for c in code[1:]))
+
+
 class _SearchRule(NamedTuple):
-    """One orientation of an identity, split once for proof search."""
+    """One orientation of an identity, split and encoded once for proof search."""
 
     equation: Identity
     forward: bool
     source: Term
-    produced: Term
     # produced-side variables absent from the source, in first-occurrence order
     free: tuple[Variable, ...]
     # the produced side's instance has `size` nodes, plus n times the size
     # of the matched subterm at each (source path, n) in `weights`
     size: int
     weights: tuple[tuple[Position, int], ...]
+    # source and produced side over the theory's symbol ids, each variable
+    # encoded as its slot: the source's `slots` variables first, then `free`
+    pattern: _Code
+    template: _Code
+    slots: int
 
 
 def _search_rules(theory: Theory) -> list[_SearchRule]:
@@ -164,24 +208,26 @@ def _search_rules(theory: Theory) -> list[_SearchRule]:
             for _, v in variable_occurrences(dst):
                 uses[v] = uses.get(v, 0) + 1
             weights = tuple((paths[v], n) for v, n in uses.items() if v in paths)
+            free = tuple(v for v in uses if v not in paths)
+            by_slot = _Encoding(theory.symbols, tuple(paths) + free)
             rules.append(_SearchRule(
-                eq, forward, src, dst,
-                tuple(v for v in uses if v not in paths),
-                term_size(dst) - sum(n for _, n in weights), weights))
+                eq, forward, src, free,
+                term_size(dst) - sum(n for _, n in weights), weights,
+                by_slot.encode(src), by_slot.encode(dst), len(paths)))
     return rules
 
 
-def _subterms(t: Term) -> list[tuple[Position, Term, int]]:
+def _subterms(t: _Code) -> list[tuple[Position, _Code, int]]:
     """(position, subterm, size) of every node of t, in preorder."""
     out: list = []
 
-    def walk(s: Term, pos: Position) -> int:
+    def walk(s: _Code, pos: Position) -> int:
         slot = len(out)
         out.append(None)
         size = 1
-        if isinstance(s, Application):
-            for i, c in enumerate(s.children, start=1):
-                size += walk(c, pos + (i,))
+        if type(s) is tuple:
+            for i in range(1, len(s)):
+                size += walk(s[i], pos + (i,))
         out[slot] = (pos, s, size)
         return size
 
@@ -189,45 +235,79 @@ def _subterms(t: Term) -> list[tuple[Position, Term, int]]:
     return out
 
 
+def _match(pattern: _Code, target: _Code, sigma: list) -> bool:
+    """Bind sigma's unset slots so that pattern's instance is target."""
+    if type(pattern) is int:
+        bound = sigma[pattern]
+        if bound is None:
+            sigma[pattern] = target
+            return True
+        return bound == target
+    if type(target) is int or target[0] != pattern[0]:
+        return False
+    for i in range(1, len(pattern)):
+        if not _match(pattern[i], target[i], sigma):
+            return False
+    return True
+
+
+def _instantiate(template: _Code, sigma: tuple) -> _Code:
+    if type(template) is int:
+        return sigma[template]
+    out = [template[0]]
+    for c in template[1:]:
+        out.append(sigma[c] if type(c) is int else _instantiate(c, sigma))
+    return tuple(out)
+
+
+def _replace(t: _Code, pos: Position, u: _Code, depth: int = 0) -> _Code:
+    if depth == len(pos):
+        return u
+    i = pos[depth]
+    return t[:i] + (_replace(t[i], pos, u, depth + 1),) + t[i + 1:]  # type: ignore[index]
+
+
 # How `_expansions` produced a successor: the rule, the rewrite position
-# and the values of the rule's free variables.
-_Expansion = tuple[_SearchRule, Position, tuple[Variable, ...]]
+# and the candidate indices of the rule's free variables' values.
+_Expansion = tuple[_SearchRule, Position, tuple[int, ...]]
 
 
-def _expansions(rules: list[_SearchRule], t: Term,
-                candidates: tuple[Variable, ...], max_size: int
-                ) -> Iterator[tuple[Term, _Expansion]]:
-    """Successors of t: every rule of `_search_rules`, every position.
+def _expansions(rules: list[_SearchRule], t: _Code, pool: int, max_size: int
+                ) -> Iterator[tuple[_Code, _Expansion]]:
+    """Successors of the encoded term t: every rule, every position.
 
-    Variables appearing only on the produced side range over the fixed
-    candidate pool, which keeps branching finite.  The candidates are
-    variables, so a successor's size depends only on the match and is
-    checked before the successor is built.  The step is built only on
-    request, by `_expansion_step`.
+    Variables appearing only on the produced side range over the
+    candidates, the variables 0, ..., pool - 1, which keeps branching
+    finite.  The candidates are variables, so a successor's size depends
+    only on the match and is checked before the successor is built.  The
+    step is built only on request, by `_expansion_step`.
     """
     nodes = _subterms(t)
     size_at = {pos: size for pos, _, size in nodes}
     total = nodes[0][2]
     for rule in rules:
+        n_free = len(rule.free)
         for pos, sub, size in nodes:
-            base = match_term(rule.source, sub)
-            if base is None:
+            sigma = [None] * rule.slots
+            if not _match(rule.pattern, sub, sigma):
                 continue
-            image = rule.size + sum(n * size_at[pos + path] for path, n in rule.weights)
+            image = rule.size
+            for path, n in rule.weights:
+                image += n * size_at[pos + path]
             if total - size + image > max_size:
                 continue
-            for values in itertools.product(candidates, repeat=len(rule.free)):
-                sigma = dict(base)
-                sigma.update(zip(rule.free, values))
-                produced = replace_at(t, pos, apply_substitution(rule.produced, sigma))
-                yield produced, (rule, pos, values)
+            base = tuple(sigma)
+            for values in itertools.product(range(pool), repeat=n_free):
+                yield (_replace(t, pos, _instantiate(rule.template, base + values)),
+                       (rule, pos, values))
 
 
-def _expansion_step(t: Term, how: _Expansion) -> DerivationStep:
-    """The step of `_expansions` that rewrote t as `how` says."""
+def _expansion_step(t: Term, how: _Expansion,
+                    candidates: Sequence[Variable]) -> DerivationStep:
+    """The step of `_expansions` that rewrote t, decoded, as `how` says."""
     rule, pos, values = how
     sigma = dict(match_term(rule.source, subterm_at(t, pos)))  # type: ignore[arg-type]
-    sigma.update(zip(rule.free, values))
+    sigma.update(zip(rule.free, (candidates[i] for i in values)))
     return make_step(rule.equation, rule.forward, pos, sigma)
 
 
@@ -255,6 +335,14 @@ def bfs_prove(theory: Theory, goal: Identity,
     Goal variables are never renamed; they behave as constants.  A Proved
     outcome always carries a derivation that verifies.  Unknown means the
     bounded frontier was exhausted, never that the goal fails.
+
+    Every variable a search term can hold is a goal variable or one of the
+    `bounds.fresh_variables` pool variables, so the search encodes terms
+    over those candidates (see the module docstring).  Successors are tried
+    rule by rule, at preorder positions, with the free variables' values in
+    `itertools.product` order, and each is sized before it is built.  The
+    path to the meeting term is decoded, built into steps and checked by
+    `verify_derivation` before it is returned.
     """
     sig = set(theory.symbols)
     for s in term_symbols(goal.lhs) | term_symbols(goal.rhs):
@@ -270,41 +358,36 @@ def bfs_prove(theory: Theory, goal: Identity,
     if goal.lhs == goal.rhs:
         return Proved(Derivation(theory.name, (goal.lhs,), ()))
 
+    encoding = _Encoding(theory.symbols, candidates)
+    lhs, rhs = encoding.encode(goal.lhs), encoding.encode(goal.rhs)
     # parents: term -> (previous term, how `_expansions` rewrote it)
-    sides: list[dict[Term, Optional[tuple[Term, _Expansion]]]] = [
-        {goal.lhs: None}, {goal.rhs: None}]
-    frontiers: list[list[Term]] = [[goal.lhs], [goal.rhs]]
+    sides: list[dict[_Code, Optional[tuple[_Code, _Expansion]]]] = [
+        {lhs: None}, {rhs: None}]
+    frontiers: list[list[_Code]] = [[lhs], [rhs]]
     expanded = 0
     rules = _search_rules(theory)
 
     def stats(reason: str) -> SearchStats:
         return SearchStats(expanded, len(sides[0]), len(sides[1]), reason)
 
-    def assemble(meet: Term) -> Derivation:
-        forward_terms: list[Term] = []
-        forward_steps: list[DerivationStep] = []
-        cur = meet
-        while True:
-            forward_terms.append(cur)
-            entry = sides[0][cur]
-            if entry is None:
-                break
+    def path(side: int, meet: _Code) -> tuple[list[Term], list[DerivationStep]]:
+        """Terms from meet back to the side's goal term, and their steps
+        from each term's predecessor; only these terms are decoded."""
+        terms = [encoding.decode(meet)]
+        steps = []
+        entry = sides[side][meet]
+        while entry is not None:
             prev, how = entry
-            forward_steps.append(_expansion_step(prev, how))
-            cur = prev
-        forward_terms.reverse()
-        forward_steps.reverse()
-        terms = forward_terms
-        steps = forward_steps
-        cur = meet
-        while True:
-            entry = sides[1][cur]
-            if entry is None:
-                break
-            prev, how = entry
-            steps.append(_flip(_expansion_step(prev, how)))
-            terms.append(prev)
-            cur = prev
+            terms.append(encoding.decode(prev))
+            steps.append(_expansion_step(terms[-1], how, candidates))
+            entry = sides[side][prev]
+        return terms, steps
+
+    def assemble(meet: _Code) -> Derivation:
+        forward_terms, forward_steps = path(0, meet)
+        backward_terms, backward_steps = path(1, meet)
+        terms = forward_terms[::-1] + backward_terms[1:]
+        steps = forward_steps[::-1] + [_flip(s) for s in backward_steps]
         d = Derivation(theory.name, tuple(terms), tuple(steps))
         check = verify_derivation(theory, d)
         if not check:
@@ -312,16 +395,16 @@ def bfs_prove(theory: Theory, goal: Identity,
                 f"search produced an invalid derivation: {check.reason}")
         return d
 
+    pool = len(candidates)
     for _ in range(bounds.max_depth):
         if not frontiers[0] and not frontiers[1]:
             return Unknown(stats("frontier exhausted"))
         for side in (0, 1):
             other = 1 - side
-            new: dict[Term, tuple[Term, _Expansion]] = {}
+            new: dict[_Code, tuple[_Code, _Expansion]] = {}
             for t in frontiers[side]:
                 expanded += 1
-                for produced, how in _expansions(rules, t, candidates,
-                                                 bounds.max_term_size):
+                for produced, how in _expansions(rules, t, pool, bounds.max_term_size):
                     if produced in sides[side] or produced in new:
                         continue
                     if len(sides[0]) + len(sides[1]) + len(new) > bounds.max_terms:

@@ -1,6 +1,10 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -143,6 +147,20 @@ class TestEntailCommand:
         assert "unknown" in capsys.readouterr().out
 
 
+    @pytest.mark.parametrize("flags, reason", [
+        (["--max-terms", "0", "--max-depth", "1"], "max_terms reached (expanded 1 terms)"),
+        (["--max-depth", "0"], "max_depth reached (expanded 0 terms)"),
+        (["--max-term-size", "0"], "frontier exhausted (expanded 2 terms)"),
+    ])
+    def test_zero_bound_is_not_the_default(self, maltsev_file, capsys, flags, reason):
+        # one step proves the goal under the default bounds
+        goal = "p(x,y,p(y,y,x)) = p(x,y,x)"
+        assert main(["entail", maltsev_file, goal]) == 0
+        assert capsys.readouterr().out.startswith("entailed (1 steps)")
+        assert main(["entail", maltsev_file, goal] + flags) == 2
+        assert capsys.readouterr().out == f"unknown: {reason}\n"
+
+
 class TestModelsCommand:
     def test_find_model(self, semilattice_file, capsys):
         assert main(["models", semilattice_file, "--min", "2", "--max", "2"]) == 0
@@ -209,6 +227,74 @@ def test_models_command_is_total(tmp_path_factory, data):
         code = main(argv)
     assert code in (0, 1, 2), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
+
+
+def _declared_texts(kids):
+    return st.one_of(st.builds(lambda a, b: f"m({a},{b})", kids, kids),
+                     st.builds(lambda a: f"g({a})", kids))
+
+
+_declared_terms = st.recursive(st.sampled_from(["x", "y", "z"]), _declared_texts,
+                               max_leaves=5)
+_declared_equations = st.builds(lambda a, b: f"{a} = {b}", _declared_terms, _declared_terms)
+
+
+@st.composite
+def _entail_argv(draw, path):
+    """`linvar entail` over random theory text and goals.  Three times in
+    four the theory declares m/2 and g/1 and its axioms and goal are
+    identities over them, flat or nested, linear or not; otherwise both
+    have the flaws `_models_argv` draws: unknown symbols, wrong arities,
+    missing declarations and malformed lines.  --max-terms, --max-depth and
+    --max-term-size are each absent or 0-3, so no search grows large."""
+    if draw(st.sampled_from([True, True, True, False])):
+        lines = ["theory t", "op m/2", "op g/1"]
+        axioms, goals = _declared_equations, _declared_equations
+    else:
+        often = st.sampled_from([True, True, True, False])
+        lines = ["theory t"] if draw(often) else []
+        lines += [f"op {op}" for op in ("m/2", "g/1", "c/0") if draw(often)]
+        axioms, goals = _identity_texts, _identity_texts
+    lines += [f"axiom {ax}" for ax in draw(st.lists(axioms, max_size=3))]
+    path.write_text("\n".join(lines) + "\n")
+    argv = ["entail", str(path), draw(goals)]
+    for flag in ("--max-terms", "--max-depth", "--max-term-size"):
+        value = draw(st.none() | st.integers(0, 3))
+        if value is not None:
+            argv += [flag, str(value)]
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_entail_command_is_total(tmp_path_factory, data):
+    """No theory text, goal or search bound makes `linvar entail` end in a
+    traceback."""
+    argv = data.draw(_entail_argv(tmp_path_factory.mktemp("entail") / "t.thy"))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+
+
+def test_closed_stdout_exits_1_without_traceback(tmp_path):
+    """A reader that closes the pipe first, as `| head` or `| true` may."""
+    read, write = os.pipe()
+    os.close(read)
+    src = Path(__file__).resolve().parents[1] / "src"
+    theory = tmp_path / "maltsev.thy"
+    theory.write_text(render_theory(maltsev()))
+    try:
+        result = subprocess.run(
+            [sys.executable, "-c", "import sys; from linvar.cli import main; "
+             "sys.exit(main())", "classify", str(theory)],
+            stdout=write, stderr=subprocess.PIPE, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=str(src)))
+    finally:
+        os.close(write)
+    assert "Traceback" not in result.stderr, result.stderr
+    assert result.returncode == 1
 
 
 class TestJoinCommand:

@@ -279,8 +279,9 @@ class TestProjectToComponent:
 
         from linvar import presets
         from linvar.derivatives import _fact_identity, order_fact_set
-        from linvar.rewriting import (Proved, SearchBounds, _expansion_step,
-                                      _expansions, _search_rules, bfs_prove)
+        from linvar.rewriting import (Proved, SearchBounds, _Encoding,
+                                      _expansion_step, _expansions, _search_rules,
+                                      bfs_prove)
         from linvar.theories import Identity, embedded_components
 
         rng = random.Random(987)
@@ -298,15 +299,18 @@ class TestProjectToComponent:
             start, goal_var = fact.rhs, fact.lhs
             pool = tuple({v: None for v in (goal_var, *start.children)}) \
                 + (Variable("u0"),)
+            encoding = _Encoding(joined.symbols, pool)
             cur, terms, steps = start, [start], []
             for _ in range(rng.randint(0, 4)):
-                options = [o for o in _expansions(rules, cur, pool, 12)
-                           if not isinstance(o[0], Variable)]
+                # encoded variables are ints, applications tuples
+                options = [o for o in _expansions(rules, encoding.encode(cur),
+                                                  len(pool), 12)
+                           if isinstance(o[0], tuple)]
                 if not options:
                     break
                 produced, how = rng.choice(options)
-                steps.append(_expansion_step(cur, how))
-                cur = produced
+                steps.append(_expansion_step(cur, how, pool))
+                cur = encoding.decode(produced)
                 terms.append(cur)
             outcome = bfs_prove(joined, Identity(cur, goal_var), bounds)
             if not isinstance(outcome, Proved) or \

@@ -25,6 +25,7 @@ from linvar.models import refute_entailment, satisfies
 from linvar.rewriting import (
     Proved,
     SearchBounds,
+    _Encoding,
     _expansion_step,
     _expansions,
     _search_rules,
@@ -584,13 +585,15 @@ def _assert_expansions_match_reference(theory, starts, max_size, levels=2, width
     term's successors with the reference, in order, at the size bound."""
     x, y = VARS[0], VARS[1]
     candidates = (x, y, Variable("v0"), Variable("v1"))
+    encoding = _Encoding(theory.symbols, candidates)
     rules = _search_rules(theory)
     frontier, seen = list(starts), set(starts)
     for _ in range(levels):
         reached = []
         for t in frontier:
-            got = [(produced, _expansion_step(t, how))
-                   for produced, how in _expansions(rules, t, candidates, max_size)]
+            got = [(encoding.decode(produced), _expansion_step(t, how, candidates))
+                   for produced, how in _expansions(rules, encoding.encode(t),
+                                                    len(candidates), max_size)]
             assert got == list(_reference_expansions(theory, t, candidates, max_size)), t
             for produced, _ in got:
                 if produced not in seen:

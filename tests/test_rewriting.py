@@ -1,4 +1,9 @@
+import itertools
+import random
+from typing import NamedTuple
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from linvar import rewriting
 from linvar.derivatives import derivative
@@ -7,8 +12,10 @@ from linvar.presets import maltsev, semilattice
 from linvar.rewriting import (
     CertificateError,
     Derivation,
+    DerivationStep,
     Proved,
     SearchBounds,
+    SearchStats,
     Unknown,
     VerifyResult,
     bfs_prove,
@@ -17,7 +24,22 @@ from linvar.rewriting import (
     make_step,
     verify_derivation,
 )
-from linvar.terms import Variable
+from linvar.terms import (
+    Application,
+    Term,
+    Variable,
+    apply_substitution,
+    fresh_variables,
+    match_term,
+    replace_at,
+    subterm_at,
+    term_size,
+    term_symbols,
+    term_variables,
+    variable_occurrences,
+)
+from linvar.theories import Identity, UnknownSymbolError
+from test_random_theories import _nested_starts, small_theories, ternary_theories
 
 
 @pytest.fixture
@@ -175,3 +197,225 @@ def test_search_result_failing_verification_raises(maltsev, monkeypatch):
                         lambda *args, **kwargs: VerifyResult(False, 0, "forced"))
     with pytest.raises(CertificateError, match="forced"):
         bfs_prove(maltsev, parse_identity("x = p(x,y,y)"))
+
+
+# -- the Term-based search, kept as the reference for the encoded one ---------
+
+
+class _ReferenceRule(NamedTuple):
+    equation: Identity
+    forward: bool
+    source: Term
+    produced: Term
+    free: tuple
+    size: int
+    weights: tuple
+
+
+def _reference_rules(theory):
+    rules = []
+    for eq in theory.identities:
+        for forward in (True, False):
+            src, dst = (eq.lhs, eq.rhs) if forward else (eq.rhs, eq.lhs)
+            paths = {}
+            for p, v in variable_occurrences(src):
+                paths.setdefault(v, p)
+            uses = {}
+            for _, v in variable_occurrences(dst):
+                uses[v] = uses.get(v, 0) + 1
+            weights = tuple((paths[v], n) for v, n in uses.items() if v in paths)
+            rules.append(_ReferenceRule(
+                eq, forward, src, dst,
+                tuple(v for v in uses if v not in paths),
+                term_size(dst) - sum(n for _, n in weights), weights))
+    return rules
+
+
+def _reference_subterms(t):
+    out = []
+
+    def walk(s, pos):
+        slot = len(out)
+        out.append(None)
+        size = 1
+        if isinstance(s, Application):
+            for i, c in enumerate(s.children, start=1):
+                size += walk(c, pos + (i,))
+        out[slot] = (pos, s, size)
+        return size
+
+    walk(t, ())
+    return out
+
+
+def _reference_sized_expansions(rules, t, candidates, max_size):
+    nodes = _reference_subterms(t)
+    size_at = {pos: size for pos, _, size in nodes}
+    total = nodes[0][2]
+    for rule in rules:
+        for pos, sub, size in nodes:
+            base = match_term(rule.source, sub)
+            if base is None:
+                continue
+            image = rule.size + sum(n * size_at[pos + path] for path, n in rule.weights)
+            if total - size + image > max_size:
+                continue
+            for values in itertools.product(candidates, repeat=len(rule.free)):
+                sigma = dict(base)
+                sigma.update(zip(rule.free, values))
+                produced = replace_at(t, pos, apply_substitution(rule.produced, sigma))
+                yield produced, (rule, pos, values)
+
+
+def _reference_step(t, how):
+    rule, pos, values = how
+    sigma = dict(match_term(rule.source, subterm_at(t, pos)))
+    sigma.update(zip(rule.free, values))
+    return make_step(rule.equation, rule.forward, pos, sigma)
+
+
+def _flipped(step):
+    return DerivationStep(step.equation, not step.forward, step.position, step.subst)
+
+
+def _reference_bfs_prove(theory, goal, bounds=SearchBounds()):
+    """`bfs_prove` on `Term`s: the same search without the encoding."""
+    sig = set(theory.symbols)
+    for s in term_symbols(goal.lhs) | term_symbols(goal.rhs):
+        if s not in sig:
+            raise UnknownSymbolError(f"goal symbol {s} is not in {theory.name}")
+    goal_vars = list(dict.fromkeys(term_variables(goal.lhs) + term_variables(goal.rhs)))
+    pool = itertools.islice(fresh_variables([v.name for v in goal_vars]),
+                            bounds.fresh_variables)
+    candidates = tuple(goal_vars) + tuple(pool)
+    if goal.lhs == goal.rhs:
+        return Proved(Derivation(theory.name, (goal.lhs,), ()))
+    sides = [{goal.lhs: None}, {goal.rhs: None}]
+    frontiers = [[goal.lhs], [goal.rhs]]
+    expanded = 0
+    rules = _reference_rules(theory)
+
+    def stats(reason):
+        return SearchStats(expanded, len(sides[0]), len(sides[1]), reason)
+
+    def assemble(meet):
+        terms, steps, cur = [], [], meet
+        while True:
+            terms.append(cur)
+            entry = sides[0][cur]
+            if entry is None:
+                break
+            prev, how = entry
+            steps.append(_reference_step(prev, how))
+            cur = prev
+        terms.reverse()
+        steps.reverse()
+        cur = meet
+        while sides[1][cur] is not None:
+            prev, how = sides[1][cur]
+            steps.append(_flipped(_reference_step(prev, how)))
+            terms.append(prev)
+            cur = prev
+        d = Derivation(theory.name, tuple(terms), tuple(steps))
+        assert verify_derivation(theory, d)
+        return d
+
+    for _ in range(bounds.max_depth):
+        if not frontiers[0] and not frontiers[1]:
+            return Unknown(stats("frontier exhausted"))
+        for side in (0, 1):
+            other = 1 - side
+            new = {}
+            for t in frontiers[side]:
+                expanded += 1
+                for produced, how in _reference_sized_expansions(
+                        rules, t, candidates, bounds.max_term_size):
+                    if produced in sides[side] or produced in new:
+                        continue
+                    if len(sides[0]) + len(sides[1]) + len(new) > bounds.max_terms:
+                        sides[side].update(new)
+                        return Unknown(stats("max_terms reached"))
+                    new[produced] = (t, how)
+                    if produced in sides[other]:
+                        sides[side].update(new)
+                        return Proved(assemble(produced))
+            sides[side].update(new)
+            frontiers[side] = list(new)
+    return Unknown(stats("max_depth reached"))
+
+
+def _walk(theory, t, steps, rng):
+    """t after `steps` seeded rewrites (at most size 12), values for new
+    variables drawn from t's own: the other side of a provable goal."""
+    candidates = term_variables(t)
+    rules = _reference_rules(theory)
+    for _ in range(steps):
+        options = [u for u, _ in _reference_sized_expansions(rules, t, candidates, 12)
+                   if u != t]
+        if not options:
+            break
+        t = rng.choice(options)
+    return t
+
+
+def _differential_goals(theory, rng):
+    """Nested non-linear goals: pairs of `_nested_starts` terms, each start
+    against a seeded rewrite walk from it, and x = y."""
+    starts = _nested_starts(theory)
+    x, y = Variable("x"), Variable("y")
+    goals = [Identity(x, y)]
+    goals += [Identity(a, b) for a, b in itertools.combinations(starts, 2)][:6]
+    goals += [Identity(s, _walk(theory, s, rng.randint(1, 3), rng)) for s in starts[1:5]]
+    return goals
+
+
+# (max_terms, max_depth, max_term_size, fresh_variables): the tiny bounds
+# stop a search at its first candidates, the larger ones let it meet
+DIFFERENTIAL_BOUNDS = [SearchBounds(n, d, 12) for n in range(4) for d in (1, 2)] + [
+    SearchBounds(50, 0, 12), SearchBounds(200, 2, 8), SearchBounds(400, 3, 12, 1),
+    SearchBounds(300, 4, 10, 0), SearchBounds(1500, 4, 12)]
+
+
+def _assert_search_equals_the_reference(theory, goals, bounds_list):
+    for goal in goals:
+        for bounds in bounds_list:
+            got = bfs_prove(theory, goal, bounds)
+            expected = _reference_bfs_prove(theory, goal, bounds)
+            assert got == expected, (str(goal), bounds)
+
+
+@pytest.mark.parametrize("index", range(7))
+def test_search_equals_the_reference_on_presets(corpus, index):
+    theory = corpus[index]
+    goals = _differential_goals(theory, random.Random(index))
+    _assert_search_equals_the_reference(theory, goals, DIFFERENTIAL_BOUNDS)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.one_of(small_theories(), ternary_theories()), st.randoms(use_true_random=False),
+       st.lists(st.sampled_from(DIFFERENTIAL_BOUNDS), min_size=1, max_size=4))
+def test_search_equals_the_reference(theory, rng, bounds_list):
+    _assert_search_equals_the_reference(theory, _differential_goals(theory, rng),
+                                        bounds_list)
+
+
+def test_search_equals_the_reference_on_non_linear_theories():
+    """Axioms with nested sides: patterns and templates deeper than one
+    level, over one symbol and over two."""
+    from linvar.dsl import parse_theory
+
+    cases = [
+        ("theory n1\nop m/2\naxiom m(x,x) = x\naxiom m(x,y) = m(y,x)\n"
+         "axiom m(m(x,y),z) = m(x,m(y,z))\naxiom m(x,m(x,y)) = m(x,y)\n",
+         ["m(m(x,y),m(y,x)) = m(x,y)", "m(x,m(y,m(x,z))) = m(m(z,y),x)",
+          "m(m(x,x),y) = m(y,x)", "x = m(y,x)"]),
+        ("theory n2\nop m/2\nop g/1\naxiom m(x,x) = x\naxiom g(x) = x\n"
+         "axiom m(g(x),y) = g(m(y,x))\naxiom g(g(x)) = m(x,g(x))\n",
+         ["m(g(x),g(y)) = g(m(y,x))", "g(m(g(x),y)) = m(y,x)",
+          "m(x,g(g(y))) = g(m(x,y))", "g(x) = m(g(y),x)"]),
+    ]
+    for text, goal_texts in cases:
+        theory = parse_theory(text)
+        arities = {s.name: s.arity for s in theory.symbols}
+        goals = [parse_identity(goal, arities) for goal in goal_texts]
+        _assert_search_equals_the_reference(theory, goals, DIFFERENTIAL_BOUNDS)
