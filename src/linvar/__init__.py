@@ -64,7 +64,6 @@ from .saturation import (
 from .terms import (
     Application,
     InvalidPositionError,
-    Occurrence,
     OperationSymbol,
     Term,
     Variable,

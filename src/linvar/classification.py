@@ -289,20 +289,6 @@ class JoinDecompositionReport:
         }
 
 
-def _extended_stage(trace: IterationTrace, n: int,
-                    operator: derivatives.Operator) -> Theory:
-    """Stage n of the iteration, recomputed past the recorded trace if needed."""
-    try:
-        return trace.stage(n)
-    except IndexError:
-        cur = trace.stages[-1]
-        op = derivatives.derivative if operator == "derivative" \
-            else derivatives.order_derivative
-        for _ in range(n - (len(trace.stages) - 1)):
-            cur = op(cur)
-        return cur
-
-
 def check_join_decomposition(left: Theory, right: Theory
                              ) -> JoinDecompositionReport:
     """Stage-by-stage distribution of both operators over the join, plus the
@@ -324,10 +310,15 @@ def check_join_decomposition(left: Theory, right: Theory
     for operator, (join_trace, left_trace, right_trace) in traces.items():
         flags = []
         for n in range(len(join_trace.stages)):
-            a = _extended_stage(left_trace, n, operator)
-            b = _extended_stage(right_trace, n, operator)
-            combined = join_disjoint(a, b)
-            flags.append(theory_equal(join_trace.stages[n], combined))
+            try:
+                a, b = left_trace.stage(n), right_trace.stage(n)
+            except IndexError:
+                # A component stopped inconsistent at a stage m < n.  Had the
+                # join's stage m equalled the combined one, the join would
+                # have stopped there too, so an earlier flag is already false.
+                flags.append(False)
+                continue
+            flags.append(theory_equal(join_trace.stages[n], join_disjoint(a, b)))
         ops.append(OperatorDecomposition(operator, len(flags), tuple(flags)))
 
     answers = [_answers(d, o) for d, o in

@@ -15,6 +15,7 @@ from typing import Optional
 from . import classification, derivatives, models, projection, rewriting, saturation
 from .dsl import (
     ParseError,
+    load_json,
     load_theory,
     parse_identity,
     render_identity,
@@ -265,8 +266,7 @@ def _cmd_join(args) -> tuple[int, dict]:
 def _cmd_project(args) -> tuple[int, dict]:
     left = load_theory(args.left)
     right = load_theory(args.right)
-    with open(args.derivation, "r", encoding="utf-8") as handle:
-        d = rewriting.derivation_from_json(json.load(handle))
+    d = rewriting.derivation_from_json(load_json(args.derivation))
     result = projection.project_to_component(left, right, d)
     out = rewriting.derivation_to_json(result.derivation)
     print(json.dumps(out, indent=2))
@@ -279,8 +279,7 @@ def _cmd_project(args) -> tuple[int, dict]:
 
 def _cmd_check_derivation(args) -> tuple[int, dict]:
     theory = load_theory(args.theory)
-    with open(args.derivation, "r", encoding="utf-8") as handle:
-        d = rewriting.derivation_from_json(json.load(handle))
+    d = rewriting.derivation_from_json(load_json(args.derivation))
     result = rewriting.verify_derivation(theory, d, args.allow_reflexivity)
     if result:
         print(f"valid derivation of {d.terms[0]} = {d.terms[-1]} "

@@ -7,7 +7,7 @@ Theory files are line based:
     axiom <term> = <term>
 
 Comments start with `#`.  Variables are identifiers starting with a lowercase
-letter; applications are written `f(t1,...,tn)`.
+letter; applications are written `f(t1,...,tn)`, and a constant `c()`.
 """
 from __future__ import annotations
 
@@ -87,7 +87,8 @@ class _TermParser:
             if self.depth > MAX_TERM_DEPTH:
                 raise self.error(f"term nested deeper than {MAX_TERM_DEPTH} levels")
             self.pos += 1
-            children = [self.parse_term()]
+            self.skip_ws()
+            children = [] if self.text.startswith(")", self.pos) else [self.parse_term()]
             self.skip_ws()
             while self.pos < len(self.text) and self.text[self.pos] == ",":
                 self.pos += 1
@@ -187,17 +188,48 @@ def theory_to_json(t: Theory) -> dict:
     }
 
 
-def theory_from_json(data: dict) -> Theory:
-    symbols = [OperationSymbol(o["name"], int(o["arity"])) for o in data["ops"]]
+def json_list(data: dict, key: str, kind: type) -> list:
+    """data[key] when it is a list of `kind` values, else a ValueError: a
+    document read from a file may have any shape."""
+    value = data.get(key)
+    if not isinstance(value, list) or any(type(v) is not kind for v in value):
+        raise ValueError(f"{key!r} must be a list of {kind.__name__} values")
+    return value
+
+
+def load_json(path: str) -> object:
+    """The file's JSON document; one nested too deeply for the decoder is a
+    ValueError, not a RecursionError."""
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            return json.load(handle)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
+
+
+def theory_from_json(data: object) -> Theory:
+    if not isinstance(data, dict) or not isinstance(data.get("name"), str):
+        raise ValueError("a theory is a JSON object with a string 'name'")
+    symbols = []
+    for o in json_list(data, "ops", dict):
+        name, arity = o.get("name"), o.get("arity")
+        if not (isinstance(name, str) and _IDENT.fullmatch(name)
+                and type(arity) is int and arity >= 0):
+            raise ValueError("each op needs an identifier 'name' and a "
+                             "non-negative integer 'arity'")
+        symbols.append(OperationSymbol(name, arity))
     arities = {s.name: s.arity for s in symbols}
-    identities = [parse_identity(a, arities) for a in data["axioms"]]
-    renames = tuple((a, b) for a, b in data.get("renames", []))
-    return make_theory(data["name"], symbols, identities, renames=renames)
+    identities = [parse_identity(a, arities) for a in json_list(data, "axioms", str)]
+    renames = data.get("renames", [])
+    if not (isinstance(renames, list) and all(isinstance(pair, list) and len(pair) == 2
+            and all(type(n) is str for n in pair) for pair in renames)):
+        raise ValueError("'renames' must be a list of [old, new] name pairs")
+    return make_theory(data["name"], symbols, identities,
+                       renames=tuple((a, b) for a, b in renames))
 
 
 def load_theory(path: str) -> Theory:
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
     if path.endswith(".json"):
-        return theory_from_json(json.loads(text))
-    return parse_theory(text)
+        return theory_from_json(load_json(path))
+    with open(path, "r", encoding="utf-8") as handle:
+        return parse_theory(handle.read())

@@ -107,10 +107,3 @@ def presets() -> list[Theory]:
         hagemann_mitschke(2),
         hagemann_mitschke(3),
     ]
-
-
-def preset_named(name: str) -> Theory:
-    for t in presets():
-        if t.name == name:
-            return t
-    raise KeyError(name)

@@ -289,12 +289,6 @@ class _ClassAssignment:
         if ra != rb:
             self.parent[rb] = ra
 
-    def classes(self) -> dict[tuple[int, int], list[tuple[int, int]]]:
-        out: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        for x in self.parent:
-            out.setdefault(self.find(x), []).append(x)
-        return out
-
 
 @dataclass(frozen=True)
 class ProjectionResult:
@@ -365,10 +359,6 @@ def _chain_search(d: Derivation, owner_sig: frozenset, goal: Variable
     if collapse is not None:
         return assemble(*collapse)
     return None
-
-
-def _case4_sides(d: Derivation, edge: SuccessorEdge) -> _OrientedStep:
-    return _oriented(d, edge.step, edge.direction)
 
 
 def project_to_component(left: Theory, right: Theory, d: Derivation
@@ -444,7 +434,7 @@ def project_to_component(left: Theory, right: Theory, d: Derivation
                 else:
                     classes.union(_UnionEdge((i, j), (i + 1, j), "equal"))
         else:  # case 4 between two retained applications
-            ostep = _case4_sides(d, edge)
+            ostep = _oriented(d, edge.step, edge.direction)
             by_var: dict[Variable, list[tuple[int, int]]] = {}
             for j, v in enumerate(_variable_children(ostep.src_side), start=1):
                 by_var.setdefault(v, []).append((i, j))
@@ -458,7 +448,7 @@ def project_to_component(left: Theory, right: Theory, d: Derivation
     terminal = edges[-1]
     if terminal.case != 4:
         raise ProjectionError(f"the chain ends on a case {terminal.case} edge, not a root step")
-    terminal_step = _case4_sides(d, terminal)
+    terminal_step = _oriented(d, terminal.step, terminal.direction)
     collapse_var = terminal_step.dst_side
     if not isinstance(collapse_var, Variable):
         raise ProjectionError(
@@ -519,7 +509,7 @@ def project_to_component(left: Theory, right: Theory, d: Derivation
                     f"non-root step {edge.step} does not flatten away: "
                     f"{render_term(flat_terms[i])} becomes {render_term(flat_terms[i + 1])}")
             continue
-        ostep = _case4_sides(d, edge)
+        ostep = _oriented(d, edge.step, edge.direction)
         dst = ostep.dst_side
         sigma: dict[Variable, Term] = {}
         for j, v in enumerate(_variable_children(ostep.src_side), start=1):

@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
-from .dsl import parse_identity, parse_term, render_identity
+from .dsl import json_list, parse_identity, parse_term, render_identity
 from .terms import (
     Application,
     InvalidPositionError,
@@ -124,7 +124,10 @@ class SearchBounds:
     max_terms: int = 200_000
     max_depth: int = 10
     max_term_size: int = 24
-    fresh_variables: int = 2
+
+
+# variables besides the goal's that a search term may hold
+FRESH_VARIABLES = 2
 
 
 @dataclass(frozen=True)
@@ -337,7 +340,7 @@ def bfs_prove(theory: Theory, goal: Identity,
     bounded frontier was exhausted, never that the goal fails.
 
     Every variable a search term can hold is a goal variable or one of the
-    `bounds.fresh_variables` pool variables, so the search encodes terms
+    `FRESH_VARIABLES` pool variables, so the search encodes terms
     over those candidates (see the module docstring).  Successors are tried
     rule by rule, at preorder positions, with the free variables' values in
     `itertools.product` order, and each is sized before it is built.  The
@@ -352,7 +355,7 @@ def bfs_prove(theory: Theory, goal: Identity,
     goal_vars = [v for v in
                  dict.fromkeys(term_variables(goal.lhs) + term_variables(goal.rhs))]
     pool = itertools.islice(fresh_variables([v.name for v in goal_vars]),
-                            bounds.fresh_variables)
+                            FRESH_VARIABLES)
     candidates = tuple(goal_vars) + tuple(pool)
 
     if goal.lhs == goal.rhs:
@@ -435,11 +438,22 @@ def derivation_to_json(d: Derivation) -> dict:
     }
 
 
-def derivation_from_json(data: dict) -> Derivation:
-    terms = tuple(parse_term(t) for t in data["terms"])
+def derivation_from_json(data: object) -> Derivation:
+    """The derivation `derivation_to_json` wrote; a ValueError names the
+    first part of a document of another shape."""
+    if not isinstance(data, dict) or not isinstance(data.get("theory"), str):
+        raise ValueError("a derivation is a JSON object with a string 'theory'")
+    terms = tuple(parse_term(t) for t in json_list(data, "terms", str))
     steps = []
-    for s in data["steps"]:
+    for s in json_list(data, "steps", dict):
+        subst = s.get("subst", {})
+        if not (isinstance(s.get("eq"), str) and s.get("dir") in ("fwd", "rev")
+                and isinstance(subst, dict)
+                and all(isinstance(t, str) for t in subst.values())):
+            raise ValueError("each step needs a string 'eq', a 'dir' of 'fwd' "
+                             "or 'rev', and a 'subst' object of strings")
         eq = parse_identity(s["eq"])
-        subst = {Variable(name): parse_term(t) for name, t in s.get("subst", {}).items()}
-        steps.append(make_step(eq, s["dir"] == "fwd", tuple(s["pos"]), subst))
+        pos = tuple(json_list(s, "pos", int))
+        mapping = {Variable(name): parse_term(t) for name, t in subst.items()}
+        steps.append(make_step(eq, s["dir"] == "fwd", pos, mapping))
     return Derivation(data["theory"], terms, tuple(steps))

@@ -427,25 +427,23 @@ class NotEntailedWithModel:
 EntailmentVerdict = Entailed | NotEntailed | NotEntailedWithModel
 
 
-_CACHE: dict[tuple[Theory, int], FlatFactBase] = {}
-
-
 def saturate(theory: Theory, budget: Optional[int] = None) -> FlatFactBase:
-    """Saturated fact base for the theory, memoized per (theory, budget).
+    """Saturated fact base for the theory, memoized on the theory per budget.
 
-    The memo is what lets separate calls on one theory share a base:
-    `classify` validates its input (which saturates it) and then iterates
-    from that same base, and a caller deciding many goals over one theory
-    builds its base once instead of once per goal.  Later iteration stages
-    are built by `FlatFactBase.extend` and live in their trace, not here.
+    The memo is `theory.saturated_bases`, so a base lives exactly as long as
+    its theory object, and an equal but distinct object builds its own.  It
+    lets separate calls on one theory share a base: `classify` validates its
+    input (which saturates it) and then iterates from that same base, and a
+    caller deciding many goals over one theory builds its base once instead
+    of once per goal.  Later iteration stages are built by
+    `FlatFactBase.extend` and live in their trace, not here.
     """
     if budget is None:
         budget = default_budget(theory)
-    key = (theory, budget)
-    base = _CACHE.get(key)
+    bases = theory.saturated_bases
+    base = bases.get(budget)
     if base is None:
-        base = FlatFactBase(theory, budget)
-        _CACHE[key] = base
+        base = bases[budget] = FlatFactBase(theory, budget)
     return base
 
 
@@ -523,14 +521,21 @@ def _collapse_instance_derivation(base: FlatFactBase, goal: Identity) -> Derivat
     return instance
 
 
-def entails_flat(base: FlatFactBase, goal: Identity,
-                 with_countermodel: bool = True,
-                 model_range: tuple[int, int] = (2, 3)) -> EntailmentVerdict:
+def _refuted(theory: Theory, goal: Identity) -> EntailmentVerdict:
+    """A model of 2 or 3 elements separating the goal's sides, if any."""
+    found = models.refute_entailment(theory, goal, 2, 3)
+    if found is None:
+        return NotEntailed()
+    algebra, rho = found
+    return NotEntailedWithModel(algebra, tuple(sorted((v.name, k) for v, k in rho.items())))
+
+
+def entails_flat(base: FlatFactBase, goal: Identity) -> EntailmentVerdict:
     """Decide a linear goal against the saturated base.
 
     Entailed verdicts carry a verifying derivation, flat throughout whenever
     the theory is consistent; a negative verdict is upgraded with a
-    separating finite model when one exists in the default size range.
+    separating finite model when one of 2 or 3 elements exists.
     """
     a, b, embedding = base._embed(goal)
     if base.same_class(a, b):
@@ -539,13 +544,7 @@ def entails_flat(base: FlatFactBase, goal: Identity,
         return Entailed(_chain_derivation(base, ids, edges, rename))
     if base.variables_merged():
         return Entailed(_collapse_instance_derivation(base, goal))
-    if with_countermodel:
-        found = models.refute_entailment(base.theory, goal, *model_range)
-        if found is not None:
-            algebra, rho = found
-            witness = tuple(sorted((v.name, k) for v, k in rho.items()))
-            return NotEntailedWithModel(algebra, witness)
-    return NotEntailed()
+    return _refuted(base.theory, goal)
 
 
 def inconsistency_target(base: FlatFactBase) -> Optional[int]:
@@ -564,8 +563,7 @@ def inconsistency_target(base: FlatFactBase) -> Optional[int]:
     return qid if base.same_class(0, qid) else None
 
 
-def is_inconsistent(base: FlatFactBase, with_countermodel: bool = True,
-                    model_range: tuple[int, int] = (2, 3)) -> EntailmentVerdict:
+def is_inconsistent(base: FlatFactBase, with_countermodel: bool = True) -> EntailmentVerdict:
     """Decide whether the base's theory proves two distinct variables equal.
 
     For an idempotent theory this is equivalent to the flat query
@@ -579,10 +577,4 @@ def is_inconsistent(base: FlatFactBase, with_countermodel: bool = True,
         rename = _output_renaming(base, {x: 0, y: 1})
         ids, edges = _chain(base, 0, target)
         return Entailed(_chain_derivation(base, ids, edges, rename))
-    if with_countermodel:
-        found = models.refute_entailment(base.theory, Identity(x, y), *model_range)
-        if found is not None:
-            algebra, rho = found
-            witness = tuple(sorted((v.name, k) for v, k in rho.items()))
-            return NotEntailedWithModel(algebra, witness)
-    return NotEntailed()
+    return _refuted(base.theory, Identity(x, y)) if with_countermodel else NotEntailed()

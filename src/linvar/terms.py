@@ -74,14 +74,6 @@ Substitution = Mapping[Variable, Term]
 ROOT: Position = ()
 
 
-def var(name: str) -> Variable:
-    return Variable(name)
-
-
-def app(symbol: OperationSymbol, *children: Term) -> Application:
-    return Application(symbol, tuple(children))
-
-
 def render_term(t: Term) -> str:
     if isinstance(t, Variable):
         return t.name
@@ -140,23 +132,6 @@ def replace_at(t: Term, p: Position, u: Term) -> Term:
     children = list(t.children)
     children[i - 1] = replace_at(children[i - 1], p[1:], u)
     return Application(t.symbol, tuple(children))
-
-
-@dataclass(frozen=True)
-class Occurrence:
-    """A position in a host term together with the subterm it reaches."""
-
-    position: Position
-    subterm: Term
-
-
-def occurrence_at(t: Term, p: Position) -> Occurrence:
-    return Occurrence(p, subterm_at(t, p))
-
-
-def occurrences(t: Term) -> Iterator[Occurrence]:
-    for p in positions(t):
-        yield Occurrence(p, subterm_at(t, p))
 
 
 def variable_occurrences(t: Term) -> Iterator[tuple[Position, Variable]]:

@@ -9,7 +9,8 @@ original axioms ahead of derived identities in search orders.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Optional
+from functools import cached_property
+from typing import Any, Iterable, Optional
 
 from .terms import (
     Application,
@@ -110,6 +111,17 @@ class Theory:
 
     def identity_set(self) -> frozenset[Identity]:
         return frozenset(self.identities)
+
+    @cached_property
+    def saturated_bases(self) -> dict[int, Any]:
+        """Saturated fact bases of this theory object by context size, filled
+        only by `saturation.saturate`.  Not a field: it is never compared or
+        hashed, and it is freed with the theory."""
+        return {}
+
+    def __reduce__(self):
+        # copies and pickles are rebuilt from the fields, without the bases
+        return Theory, (self.name, self.symbols, self.identities, self.renames)
 
     def __str__(self) -> str:
         return self.name

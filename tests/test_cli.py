@@ -217,16 +217,20 @@ def _models_argv(draw, path):
     return argv if goal is None else argv + ["--refute", goal]
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.data())
-def test_models_command_is_total(tmp_path_factory, data):
-    """No theory text or goal makes `linvar models` end in a traceback."""
-    argv = data.draw(_models_argv(tmp_path_factory.mktemp("models") / "t.thy"))
+def _assert_total(argv):
+    """The command ends in an exit code 0, 1 or 2, without a traceback."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in (0, 1, 2), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_models_command_is_total(tmp_path_factory, data):
+    """No theory text or goal makes `linvar models` end in a traceback."""
+    _assert_total(data.draw(_models_argv(tmp_path_factory.mktemp("models") / "t.thy")))
 
 
 def _declared_texts(kids):
@@ -270,12 +274,110 @@ def _entail_argv(draw, path):
 def test_entail_command_is_total(tmp_path_factory, data):
     """No theory text, goal or search bound makes `linvar entail` end in a
     traceback."""
-    argv = data.draw(_entail_argv(tmp_path_factory.mktemp("entail") / "t.thy"))
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    assert code in (0, 1, 2), (argv, err.getvalue())
-    assert "Traceback" not in err.getvalue()
+    _assert_total(data.draw(_entail_argv(tmp_path_factory.mktemp("entail") / "t.thy")))
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 3)
+    | st.sampled_from(["", "x", "fwd", "m(x,x)", "x = m(x,x)", "c()"]),
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.sampled_from(["name", "arity", "eq", "pos", "x"]), kids,
+                      max_size=3),
+    max_leaves=6)
+
+
+@st.composite
+def _document(draw, fields):
+    """An object of the given fields, each missing once in eight and once in
+    eight any JSON value, else drawn from its strategy; once in eight, any
+    JSON value instead of the object."""
+    def rarely():
+        return draw(st.integers(0, 7)) == 0
+
+    if rarely():
+        return draw(_json_values)
+    return {key: draw(_json_values if rarely() else good)
+            for key, good in fields.items() if not rarely()}
+
+
+_substitutions = st.dictionaries(st.sampled_from(["x", "y", "v0", "X", "c()"]),
+                                 _term_texts, max_size=2)
+_steps = _document({"eq": _identity_texts, "dir": st.sampled_from(["fwd", "rev"]),
+                    "pos": st.lists(st.integers(0, 3), max_size=3),
+                    "subst": _substitutions})
+_derivation_documents = _document({
+    "theory": st.sampled_from(["t", "join(maltsev,semilattice)"]),
+    "terms": st.lists(_term_texts, max_size=4),
+    "steps": st.lists(_steps, max_size=3)})
+_theory_documents = _document({
+    "name": st.sampled_from(["t", "join(a,b)"]),
+    "ops": st.lists(_document({"name": st.sampled_from(["m", "g", "c", "M", "1x", ""]),
+                               "arity": st.integers(-1, 3)}), max_size=3),
+    "axioms": st.lists(_identity_texts, max_size=3),
+    "renames": st.lists(st.lists(st.sampled_from(["m", "m_2"]), min_size=2,
+                                 max_size=2), max_size=2)})
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_check_derivation_command_is_total(tmp_path_factory, data):
+    """No derivation JSON, of whatever shape, makes `linvar check-derivation`
+    end in a traceback."""
+    folder = tmp_path_factory.mktemp("check")
+    theory, derivation = folder / "t.thy", folder / "d.json"
+    theory.write_text("theory t\nop m/2\nop g/1\naxiom m(x,x) = x\naxiom g(x) = x\n")
+    derivation.write_text(json.dumps(data.draw(_derivation_documents)))
+    _assert_total(["check-derivation", str(theory), str(derivation)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_project_command_is_total(tmp_path_factory, data):
+    """Nor does any derivation JSON make `linvar project` end in one; a
+    third of the documents are the worked example with one step field
+    replaced."""
+    from linvar.rewriting import derivation_to_json
+    from test_projection import _spec_example_derivation
+
+    folder = tmp_path_factory.mktemp("project")
+    left, right = folder / "maltsev.thy", folder / "semilattice.thy"
+    left.write_text(render_theory(maltsev()))
+    right.write_text(render_theory(semilattice()))
+    if data.draw(st.sampled_from([True, False, False])):
+        document = derivation_to_json(_spec_example_derivation(maltsev(), semilattice()))
+        step = document["steps"][data.draw(st.integers(0, 2))]
+        step[data.draw(st.sampled_from(["eq", "dir", "pos", "subst"]))] = \
+            data.draw(_json_values)
+    else:
+        document = data.draw(_derivation_documents)
+    derivation = folder / "d.json"
+    derivation.write_text(json.dumps(document))
+    _assert_total(["project", str(left), str(right), str(derivation)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_validate_command_is_total(tmp_path_factory, data):
+    """Nor does any theory JSON make `linvar validate` end in one."""
+    path = tmp_path_factory.mktemp("validate") / "t.json"
+    path.write_text(json.dumps(data.draw(_theory_documents)))
+    _assert_total(["validate", str(path)])
+
+
+@pytest.mark.parametrize("command, text", [
+    ("check-derivation", '{"steps": 5}'),
+    ("check-derivation", "[]"),
+    ("check-derivation", '{"theory": "t", "terms": ["x"], "steps": [{"eq": "x = x", "pos": []}]}'),
+    ("check-derivation", "[" * 100_000 + "]" * 100_000),
+    ("validate", "{}"),
+], ids=["no-terms", "a-list", "a-step-without-dir", "deeply-nested", "a-theory-without-ops"])
+def test_json_of_the_wrong_shape_exits_1(maltsev_file, tmp_path, capsys, command, text):
+    path = tmp_path / "d.json"
+    path.write_text(text)
+    argv = [command, str(path)] if command == "validate" else [command, maltsev_file, str(path)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_closed_stdout_exits_1_without_traceback(tmp_path):

@@ -10,6 +10,7 @@ from linvar.derivatives import derivative
 from linvar.dsl import parse_identity, parse_term
 from linvar.presets import maltsev, semilattice
 from linvar.rewriting import (
+    FRESH_VARIABLES,
     CertificateError,
     Derivation,
     DerivationStep,
@@ -182,6 +183,18 @@ class TestDerivationJson:
         assert again == collapse_chain
         assert verify_derivation(maltsev_prime, again)
 
+    def test_round_trip_with_a_constant(self):
+        """`render_term` writes a constant c as c(), which parses back."""
+        from linvar.dsl import parse_theory
+
+        theory = parse_theory("theory k\nop c/0\nop p/2\naxiom p(x,c()) = x\n")
+        outcome = bfs_prove(theory, parse_identity("p(p(x,c()),c()) = x",
+                                                   {"c": 0, "p": 2}))
+        assert isinstance(outcome, Proved)
+        data = derivation_to_json(outcome.derivation)
+        assert "p(x,c())" in data["terms"]
+        assert derivation_from_json(data) == outcome.derivation
+
     def test_schema_fields(self, collapse_chain):
         data = derivation_to_json(collapse_chain)
         assert set(data) == {"theory", "terms", "steps"}
@@ -286,7 +299,7 @@ def _reference_bfs_prove(theory, goal, bounds=SearchBounds()):
             raise UnknownSymbolError(f"goal symbol {s} is not in {theory.name}")
     goal_vars = list(dict.fromkeys(term_variables(goal.lhs) + term_variables(goal.rhs)))
     pool = itertools.islice(fresh_variables([v.name for v in goal_vars]),
-                            bounds.fresh_variables)
+                            FRESH_VARIABLES)
     candidates = tuple(goal_vars) + tuple(pool)
     if goal.lhs == goal.rhs:
         return Proved(Derivation(theory.name, (goal.lhs,), ()))
@@ -369,11 +382,11 @@ def _differential_goals(theory, rng):
     return goals
 
 
-# (max_terms, max_depth, max_term_size, fresh_variables): the tiny bounds
-# stop a search at its first candidates, the larger ones let it meet
+# (max_terms, max_depth, max_term_size): the tiny bounds stop a search at
+# its first candidates, the larger ones let it meet
 DIFFERENTIAL_BOUNDS = [SearchBounds(n, d, 12) for n in range(4) for d in (1, 2)] + [
-    SearchBounds(50, 0, 12), SearchBounds(200, 2, 8), SearchBounds(400, 3, 12, 1),
-    SearchBounds(300, 4, 10, 0), SearchBounds(1500, 4, 12)]
+    SearchBounds(50, 0, 12), SearchBounds(200, 2, 8), SearchBounds(400, 3, 12),
+    SearchBounds(300, 4, 10), SearchBounds(1500, 4, 12)]
 
 
 def _assert_search_equals_the_reference(theory, goals, bounds_list):

@@ -1,9 +1,14 @@
+import copy
+import gc
 import hashlib
 import itertools
 import json
 import os
+import pickle
 import subprocess
 import sys
+import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -127,10 +132,9 @@ class TestEntailsFlat:
             base = saturate(theory)
             for goal_text in ("x = p(x,y,y)", "p(x,x,x) = x") if theory.name != "semilattice" \
                     else ("x = m(x,x)", "m(x,y) = m(y,x)"):
-                verdict = entails_flat(base, parse_identity(goal_text),
-                                       with_countermodel=False)
-                if isinstance(verdict, Entailed):
-                    d = verdict.derivation
+                goal = parse_identity(goal_text)
+                if base.entails(goal):
+                    d = entails_flat(base, goal).derivation
                     assert verify_derivation(theory, d, allow_reflexivity=True)
                     assert all(is_flat(t) for t in d.terms)
 
@@ -269,10 +273,76 @@ def test_stage_certificates_are_pinned():
                 goals += [_fact_identity(s, w) for s in stage.symbols
                           for w in _canonical_tuples(s.arity)]
                 for goal in goals:
-                    verdict = entails_flat(base, goal, with_countermodel=False)
-                    if isinstance(verdict, Entailed):
+                    if base.entails(goal):
+                        verdict = entails_flat(base, goal)
                         count += 1
                         line = json.dumps(derivation_to_json(verdict.derivation),
                                           sort_keys=True)
                         digest.update(line.encode() + b"\n")
     assert (count, digest.hexdigest()) == STAGE_CERTIFICATES
+
+
+def _fresh(theory):
+    """An equal-but-renamed copy, so no base built earlier in the session
+    is keyed by it."""
+    return replace(theory, name=f"{theory.name}@fresh")
+
+
+def _module_sizes():
+    return {(name, attr): len(value)
+            for name, module in list(sys.modules.items())
+            if name == "linvar" or name.startswith("linvar.")
+            for attr, value in vars(module).items()
+            if not attr.startswith("__") and type(value) in (dict, list, set)}
+
+
+def test_no_module_level_state_grows():
+    """Saturated bases belong to their theory, not to a module."""
+    from linvar.classification import check_join_decomposition, classify
+
+    before = _module_sizes()
+    theories = [_fresh(t) for t in presets.presets()]
+    for theory in theories:
+        classify(theory)
+        entails_flat(saturate(theory), parse_identity("x = y"))
+    check_join_decomposition(theories[0], theories[2])
+    assert _module_sizes() == before
+
+
+def test_a_base_dies_with_its_theory():
+    theory = _fresh(maltsev())
+    base = weakref.ref(saturate(theory))
+    assert base() is saturate(theory)
+    del theory
+    gc.collect()
+    assert base() is None
+
+
+def test_classify_builds_each_base_once(monkeypatch):
+    """Validation's default-context base is the one the order iteration
+    starts from; later stages are extensions, not new bases."""
+    from linvar.classification import classify
+
+    built = []
+    init = FlatFactBase.__init__
+
+    def spy(self, theory, budget):
+        built.append((theory, budget))
+        init(self, theory, budget)
+
+    monkeypatch.setattr(FlatFactBase, "__init__", spy)
+    for theory in map(_fresh, presets.presets()):
+        built.clear()
+        classify(theory)
+        assert all(t is theory for t, _ in built)
+        assert sorted(b for _, b in built) == sorted({2, default_budget(theory)})
+
+
+def test_copies_of_a_saturated_theory_carry_no_bases():
+    theory = maltsev()
+    saturate(theory)
+    assert theory.saturated_bases
+    for twin in (copy.copy(theory), copy.deepcopy(theory),
+                 pickle.loads(pickle.dumps(theory))):
+        assert twin == theory and hash(twin) == hash(theory)
+        assert "saturated_bases" not in vars(twin)

@@ -129,17 +129,6 @@ def test_is_flat():
     assert not is_flat(parse_term("f(g(x,y))"))
 
 
-def test_occurrences_pair_positions_with_subterms():
-    from linvar.terms import occurrence_at, occurrences
-
-    t = parse_term("p(x,g(y,y),z)")
-    occs = list(occurrences(t))
-    assert occs[0].position == () and occs[0].subterm == t
-    assert occurrence_at(t, (2, 1)).subterm == Variable("y")
-    for occ in occs:
-        assert subterm_at(t, occ.position) == occ.subterm
-
-
 # -- properties ---------------------------------------------------------------
 
 
