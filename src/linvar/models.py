@@ -2,14 +2,15 @@
 
 A model of size >= 2 witnesses consistency of a theory; a model in which an
 identity's two sides evaluate differently refutes entailment.  The search
-keeps every table in one list `cells`, each symbol's block at an offset in
-`theory.symbols` order, so the first undecided cell is the lexicographically
-first.  A ground instance's side compiles to an int, a cell id or `~value`
-for a variable (flat sides are affine in the values, so the instances are
-spread by strides); a nested side grounds to a tree (block offset,
-children).  An instance is evaluated until it reads an undecided cell and
-waits on that cell's watch list; deciding the cell puts it back on the
-stack.  Forcing is monotone, so the closure and any conflict do not depend
+keeps every table in one list `cells`, indexed by the `FlatLayout` ids over
+the elements: cell v < size is element v itself, decided from the start,
+and each symbol's block follows in `theory.symbols` order, so the first
+undecided cell is the lexicographically first.  A ground instance's flat
+side is the id of its cell, taken from the layout's instance spreading as
+saturation takes its atom ids; a nested side grounds to a tree (symbol
+name, children).  An instance is evaluated until it reads an undecided
+cell and waits on that cell's watch list; deciding the cell puts it back on
+the stack.  Forcing is monotone, so the closure and any conflict do not depend
 on that order, and the search, branching on the first undecided cell with
 values ascending, returns the lexicographically first model in range.
 """
@@ -19,7 +20,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from .terms import OperationSymbol, Term, Variable
+from .terms import FlatLayout, OperationSymbol, Term, Variable, is_flat
 from .theories import (
     Identity,
     Theory,
@@ -100,11 +101,10 @@ def satisfies(algebra: FiniteAlgebra, theory: Theory) -> SatisfactionResult:
 
 @dataclass(frozen=True)
 class Disequality:
-    """Require some assignment extending `fixed` with lhs and rhs differing."""
+    """Require some assignment under which lhs and rhs differ."""
 
     lhs: Term
     rhs: Term
-    fixed: tuple[tuple[Variable, int], ...] = ()
 
 
 class _TableSearch:
@@ -112,13 +112,10 @@ class _TableSearch:
 
     def __init__(self, symbols: tuple[OperationSymbol, ...], size: int,
                  identities: list[tuple[Term, Term, tuple[Variable, ...]]],
-                 goal: Optional[tuple[Term, Term, tuple[Variable, ...], tuple[int, ...]]]):
+                 goal: Optional[tuple[Term, Term, tuple[Variable, ...]]]):
         self.size = size
-        self.symbols = symbols
-        self.powers = [size ** k for k in range(max((s.arity for s in symbols), default=0))]
-        blocks = [size ** s.arity for s in symbols]
-        self.offsets = dict(zip([s.name for s in symbols], itertools.accumulate([0] + blocks)))
-        self.cells: list[Optional[int]] = [None] * sum(blocks)
+        self.layout = FlatLayout(symbols, size)
+        self.cells: list[Optional[int]] = list(range(size)) + [None] * (self.layout.size - size)
         self.watch: list[list[int]] = [[] for _ in self.cells]
         self.watched: set[tuple[int, int]] = set()  # lists only grow: no pair twice
         self.trail: list[int] = []
@@ -128,59 +125,38 @@ class _TableSearch:
         self.goal = goal
         self.goal_instances = None if goal is None else self._instances(*goal)
 
-    def _instances(self, lhs: Term, rhs: Term, vs: tuple[Variable, ...],
-                   fixed: tuple[int, ...] = ()) -> list[tuple[object, object]]:
+    def _instances(self, lhs: Term, rhs: Term, vs: tuple[Variable, ...]
+                   ) -> list[tuple[object, object]]:
         """Both sides' codes with vs over every value in `itertools.product`
-        order, the first len(fixed) of them held at `fixed`.  A flat side's
-        code is affine in the values: it is spread by one stride per
-        variable, as saturation spreads atom ids."""
-        size, m = self.size, len(fixed)
-        index = {v.name: k - m for k, v in enumerate(vs)}  # fixed ones < 0
-        columns = []
-        for t in (lhs, rhs):
-            if isinstance(t, Variable):
-                args, code, weights = (t,), -1, [-1]  # ~value == -1 - value
-            elif all(isinstance(c, Variable) for c in t.children):
-                args, code = t.children, self.offsets[t.symbol.name]
-                weights = self.powers[len(args) - 1::-1]
-            else:
-                return [(self._ground(lhs, rho), self._ground(rhs, rho))
-                        for rho in (dict(zip(vs, fixed + values)) for values in
-                                    itertools.product(range(size), repeat=len(vs) - m))]
-            strides = [0] * (len(vs) - m)
-            for a, w in zip(args, weights):
-                k = index[a.name]  # type: ignore[union-attr]
-                if k >= 0:
-                    strides[k] += w
-                else:
-                    code += w * fixed[k]
-            codes = [code]
-            for stride in strides:
-                codes = [c + a * stride for c in codes for a in range(size)]
-            columns.append(codes)
-        return list(zip(*columns))
+        order: cell ids for flat sides, trees when either side is nested."""
+        if is_flat(lhs) and is_flat(rhs):
+            pairs: list[tuple[object, object]] = []
+            for ls, rs in zip(self.layout.instances(lhs, vs), self.layout.instances(rhs, vs)):
+                pairs += zip(ls, rs)
+            return pairs
+        return [(self._ground(lhs, rho), self._ground(rhs, rho))
+                for rho in (dict(zip(vs, values)) for values in
+                            itertools.product(range(self.size), repeat=len(vs)))]
 
     def _ground(self, t: Term, rho: Mapping[Variable, int]) -> object:
-        """~value for a variable, else (block offset, children codes)."""
+        """A variable's value, which is its cell, else (name, children codes)."""
         if isinstance(t, Variable):
-            return ~rho[t]
-        return (self.offsets[t.symbol.name], tuple(self._ground(c, rho) for c in t.children))
+            return rho[t]
+        return (t.symbol.name, tuple(self._ground(c, rho) for c in t.children))
 
     def _value(self, code: object) -> int:
         """A compiled side's value, or ~c for the first undecided cell c it reads."""
         if isinstance(code, int):
-            if code < 0:
-                return ~code
             cell = code
         else:
-            offset, kids = code  # type: ignore[misc]
-            index = 0
+            name, kids = code  # type: ignore[misc]
+            values = []
             for k in kids:
                 v = self._value(k)
                 if v < 0:
                     return v
-                index = index * self.size + v
-            cell = offset + index
+                values.append(v)
+            cell = self.layout.encode(name, values)
         v = self.cells[cell]
         return ~cell if v is None else v
 
@@ -224,21 +200,21 @@ class _TableSearch:
             if lv < 0 or rv < 0:
                 undecided = True
             elif lv != rv:
-                _, _, vs, fixed = self.goal  # type: ignore[misc]
-                values = list(itertools.product(range(self.size), repeat=len(vs) - len(fixed)))
-                return dict(zip(vs, fixed + values[j])), undecided
+                vs = self.goal[2]  # type: ignore[index]
+                values = list(itertools.product(range(self.size), repeat=len(vs)))
+                return dict(zip(vs, values[j])), undecided
         return None, undecided
 
     def _freeze(self) -> FiniteAlgebra:
         tables = {}
-        for s in self.symbols:
-            offset = self.offsets[s.name]
+        for s in self.layout.symbols:
+            offset = self.layout.offsets[s.name]
             tab = self.cells[offset:offset + self.size ** s.arity]
             if None in tab:
                 raise IncompleteModelError(
                     f"table of {s.name} has an undecided cell at index {tab.index(None)}")
             tables[s.name] = tuple(tab)
-        return FiniteAlgebra(self.size, self.symbols, tables)  # type: ignore[arg-type]
+        return FiniteAlgebra(self.size, self.layout.symbols, tables)  # type: ignore[arg-type]
 
     def run(self) -> Optional[tuple[FiniteAlgebra, Assignment]]:
         return self._search() if self._propagate() else None
@@ -271,22 +247,17 @@ def find_model(theory: Theory, lo: int = 2, hi: int = 3,
     """First model of the theory in the size range, in deterministic order.
 
     An idempotency axiom needs no special case: its instances fix the
-    diagonal cells in the first propagation.  A size below a `fixed` value
-    of the constraint has no assignment extending it.  Returns None when
-    the range is exhausted, which is a bound, never a proof of entailment.
+    diagonal cells in the first propagation.  Returns None when the range
+    is exhausted, which is a bound, never a proof of entailment.
     """
     if lo < 1:
         raise ValueError("model size must be at least 1")
     identities = [(e.lhs, e.rhs, identity_variables(e)) for e in theory.identities]
     goal = None
     if constraint is not None:
-        fixed = dict(constraint.fixed)
-        free = [v for v in identity_variables(Identity(constraint.lhs, constraint.rhs))
-                if v not in fixed]
-        goal = (constraint.lhs, constraint.rhs, (*fixed, *free), tuple(fixed.values()))
+        goal = (constraint.lhs, constraint.rhs,
+                identity_variables(Identity(constraint.lhs, constraint.rhs)))
     for size in range(lo, hi + 1):
-        if goal is not None and not all(0 <= k < size for k in goal[3]):
-            continue
         found = _TableSearch(theory.symbols, size, identities, goal).run()
         if found is not None:
             return found

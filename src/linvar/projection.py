@@ -295,7 +295,6 @@ class ProjectionResult:
     derivation: Derivation
     owner_index: int  # 1 or 2
     owner_theory: Theory
-    chain: tuple[DerivationOccurrence, ...]
 
 
 def _chain_search(d: Derivation, owner_sig: frozenset, goal: Variable
@@ -534,7 +533,7 @@ def project_to_component(left: Theory, right: Theory, d: Derivation
         raise ProjectionError("projected derivation is not flat")
     if out.terms[0] != t0 or out.terms[-1] != tn:
         raise ProjectionError("projected derivation does not keep the goal's endpoints")
-    return ProjectionResult(out, owner_index, owner, tuple(chain))
+    return ProjectionResult(out, owner_index, owner)
 
 
 def _conflict_derivation(joined: Theory, chain_terms: list[Application],

@@ -42,9 +42,11 @@ from . import models
 from .rewriting import CertificateError, Derivation, make_step, verify_derivation
 from .terms import (
     Application,
+    FlatLayout,
     Term,
     Variable,
     canonical_variable,
+    flat_parts,
     fresh_variables,
     is_flat,
     term_variables,
@@ -73,17 +75,9 @@ def goal_budget(theory: Theory, goal: Identity) -> int:
     return max(default_budget(theory), len(identity_variables(goal)))
 
 
-def _parts(side: Term) -> tuple[Optional[str], tuple[Term, ...]]:
-    """(symbol name or None for a variable, arguments) of a flat side,
-    the shape `FlatFactBase.encode` takes with each argument as an index."""
-    if isinstance(side, Variable):
-        return None, (side,)
-    return side.symbol.name, side.children
-
-
 class _ChainRule(NamedTuple):
     """One orientation of an identity, compiled for the chain search over
-    `FlatFactBase`'s affine id layout: an instance of the produced side has
+    the affine id layout of `FlatLayout`: an instance of the produced side has
     id `zero` plus, for each of its variables, the variable's context index
     times its stride."""
 
@@ -104,35 +98,28 @@ class _ChainRule(NamedTuple):
         return sigma
 
 
-class FlatFactBase:
+class FlatFactBase(FlatLayout):
     """Partition of the flat atoms over a bounded variable context.
 
-    Atoms are interned as integers, and `encode`/`_atom_digits` are the only
-    code that knows the layout: ids 0..budget-1 are the context variables,
-    and each symbol of arity n owns a block of budget**n consecutive ids, one
-    per argument tuple of context indices in row-major order.  An id is
-    therefore affine in the digits, which saturation uses to enumerate the
-    instances of an identity by strides instead of encoding each one.
+    Atoms are interned as integers by the `FlatLayout` over `budget` values,
+    read as the context variables: ids 0..budget-1 are the variables
+    themselves, and the instances of an identity are enumerated by strides.
     """
 
     def __init__(self, theory: Theory, budget: int):
         if budget < 2:
             raise BudgetTooSmallError("the context needs at least two variables")
-        for e in theory.identities:
-            if not is_linear_identity(e):
-                raise ValueError(f"flat saturation needs a linear theory; {e} is not")
+        super().__init__(theory.symbols, budget)
         self.theory = theory
-        self.budget = budget
         self.context = tuple(canonical_variable(i) for i in range(budget))
-        self._offsets: dict[str, int] = {}
-        total = budget
-        for s in theory.symbols:
-            self._offsets[s.name] = total
-            total += budget ** s.arity
-        self.size = total
-        self._parent = list(range(total))
+        self._parent = list(range(self.size))
         self._rule_table: Optional[dict[Optional[str], list[_ChainRule]]] = None
         self._apply_identities(0)
+
+    @property
+    def budget(self) -> int:
+        """The number of context variables."""
+        return self.n
 
     # -- union-find ---------------------------------------------------------
 
@@ -157,33 +144,7 @@ class FlatFactBase:
             out.setdefault(self.find(i), []).append(i)
         return out
 
-    # -- atom interning -----------------------------------------------------
-
-    def encode(self, name: Optional[str], digits: Sequence[int]) -> int:
-        """Id of the variable context[digits[0]] (name None) or of the atom
-        name(context[d] for d in digits)."""
-        if name is None:
-            return digits[0]
-        index = 0
-        for d in digits:
-            index = index * self.budget + d
-        return self._offsets[name] + index
-
-    def _atom_digits(self, i: int) -> tuple[Optional[str], tuple[int, ...]]:
-        """(symbol name or None for a variable, context indices used)."""
-        if i < self.budget:
-            return None, (i,)
-        for s in reversed(self.theory.symbols):
-            offset = self._offsets[s.name]
-            if i >= offset:
-                digits = []
-                rem = i - offset
-                for _ in range(s.arity):
-                    digits.append(rem % self.budget)
-                    rem //= self.budget
-                digits.reverse()
-                return s.name, tuple(digits)
-        raise IndexError(i)
+    # -- atoms as terms -----------------------------------------------------
 
     def _context_index(self, v: Variable) -> int:
         try:
@@ -195,12 +156,10 @@ class FlatFactBase:
         if isinstance(side, Application) and \
                 self.theory.symbol_named(side.symbol.name) != side.symbol:
             raise UnknownSymbolError(f"{side.symbol} is not in {self.theory.name}")
-        return _parts(side)
+        return flat_parts(side)
 
     def atom_id(self, t: Term) -> int:
         name, args = self._theory_parts(t)
-        if not is_flat(t):
-            raise ValueError(f"{t} is not flat")
         return self.encode(name, [self._context_index(v) for v in args])
 
     def atom_term(self, i: int) -> Term:
@@ -209,7 +168,7 @@ class FlatFactBase:
     def _named_atom(self, i: int,
                     names: Sequence[Variable] | dict[int, Variable]) -> Term:
         """Atom i with each context index d written as names[d]."""
-        name, digits = self._atom_digits(i)
+        name, digits = self.digits(i)
         args = tuple(names[d] for d in digits)
         if name is None:
             return args[0]
@@ -217,32 +176,15 @@ class FlatFactBase:
 
     # -- saturation ---------------------------------------------------------
 
-    def _instance_ids(self, side: Term, vs: tuple[Variable, ...]
-                      ) -> Iterator[list[int]]:
-        """Ids of the side under every assignment of vs to context indices,
-        in `itertools.product` order, one list per value of vs[0].
-
-        An id is affine in the digits, so each variable adds a stride per
-        unit of its value, and each list is the first one shifted by the
-        stride of vs[0]; no list outgrows budget**(len(vs) - 1) ids.
-        """
-        name, args = _parts(side)
-        zero = self.encode(name, [0] * len(args))
-        # an identity without variables has one instance: one list, [zero]
-        lead, *rest = [self.encode(name, [int(a == v) for a in args]) - zero
-                       for v in vs] or [0]
-        ids = [zero]
-        for stride in rest:
-            ids = [i + k * stride for i in ids for k in range(self.budget)]
-        for k in range(self.budget if vs else 1):
-            yield [i + k * lead for i in ids]
-
     def _apply_identities(self, start: int) -> None:
+        """Merge every instance of the identities from `start` on; both the
+        first build and `extend` come here, so both refuse a non-linear one."""
         union = self._union
         for e in self.theory.identities[start:]:
+            if not is_linear_identity(e):
+                raise ValueError(f"flat saturation needs a linear theory; {e} is not")
             vs = identity_variables(e)
-            for lhs, rhs in zip(self._instance_ids(e.lhs, vs),
-                                self._instance_ids(e.rhs, vs)):
+            for lhs, rhs in zip(self.instances(e.lhs, vs), self.instances(e.rhs, vs)):
                 for a, c in zip(lhs, rhs):
                     if a != c:
                         union(a, c)
@@ -311,9 +253,7 @@ class FlatFactBase:
             table: dict[Optional[str], list[_ChainRule]] = {}
             for idx, e in enumerate(self.theory.identities):
                 for src, dst, forward in ((e.lhs, e.rhs, True), (e.rhs, e.lhs, False)):
-                    if not is_flat(src):
-                        raise ValueError(f"{src} is not flat")
-                    src_name, src_args = _parts(src)
+                    src_name, src_args = flat_parts(src)
                     slot: dict[Term, int] = {}
                     repeats = []
                     for i, v in enumerate(src_args):
@@ -321,15 +261,14 @@ class FlatFactBase:
                             repeats.append((slot[v], i))
                         else:
                             slot[v] = i
-                    name, args = _parts(dst)
-                    zero = self.encode(name, [0] * len(args))
-                    strides = {v: self.encode(name, [int(a == v) for a in args]) - zero
-                               for v in args}
-                    free = [v for v in strides if v not in slot]
+                    dst_vars = term_variables(dst)
+                    zero, strides = self.strides(dst, dst_vars)
+                    stride = dict(zip(dst_vars, strides))
+                    free = [v for v in dst_vars if v not in slot]
                     table.setdefault(src_name, []).append(_ChainRule(
                         idx, forward, src_args, tuple(repeats), zero,
-                        tuple((slot[v], k) for v, k in strides.items() if v in slot),
-                        tuple(free), tuple(strides[v] for v in free)))
+                        tuple((slot[v], stride[v]) for v in dst_vars if v in slot),
+                        tuple(free), tuple(stride[v] for v in free)))
             self._rule_table = table
         return self._rule_table
 
@@ -348,7 +287,7 @@ class FlatFactBase:
         written-out proof would.  Ids are affine in the digits, so each
         neighbour's id is the rule's id at zero plus its variables' strides.
         """
-        kind, digits = self._atom_digits(aid)
+        kind, digits = self.digits(aid)
         order = [i for i in allowed if i not in digits] + sorted(set(digits))
         for rule in rules.get(kind, ()):
             # a repeated source variable must meet equal digits
@@ -377,7 +316,7 @@ class FlatFactBase:
             return None
         if a == b:
             return [a], []
-        allowed = sorted(set(self._atom_digits(a)[1]) | set(self._atom_digits(b)[1]))
+        allowed = sorted(set(self.digits(a)[1]) | set(self.digits(b)[1]))
         rules = self._rules()
         parents: dict[int, tuple[int, tuple[int, bool, dict[Variable, int]]]] = {}
         seen = {a}
@@ -563,13 +502,14 @@ def inconsistency_target(base: FlatFactBase) -> Optional[int]:
     return qid if base.same_class(0, qid) else None
 
 
-def is_inconsistent(base: FlatFactBase, with_countermodel: bool = True) -> EntailmentVerdict:
+def is_inconsistent(base: FlatFactBase) -> EntailmentVerdict:
     """Decide whether the base's theory proves two distinct variables equal.
 
     For an idempotent theory this is equivalent to the flat query
     x = F(y,...,y) for any symbol F; both that query and the direct
     variable-to-variable class check are consulted, so theories containing
-    bare two-variable identities are still caught.
+    bare two-variable identities are still caught.  A consistent base gets
+    a plain `NotEntailed`: no model search is run.
     """
     x, y = Variable("x"), Variable("y")
     target = inconsistency_target(base)
@@ -577,4 +517,4 @@ def is_inconsistent(base: FlatFactBase, with_countermodel: bool = True) -> Entai
         rename = _output_renaming(base, {x: 0, y: 1})
         ids, edges = _chain(base, 0, target)
         return Entailed(_chain_derivation(base, ids, edges, rename))
-    return _refuted(base.theory, Identity(x, y)) if with_countermodel else NotEntailed()
+    return NotEntailed()

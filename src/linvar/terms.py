@@ -1,4 +1,5 @@
-"""First-order terms: positions, occurrences, matching, substitution, renaming.
+"""First-order terms: positions, occurrences, matching, substitution,
+renaming, and the integer layout of flat atoms.
 
 Terms are immutable values; every function in this module is pure, so terms
 can be shared freely between threads and used as dict keys.
@@ -9,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional, Union
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 
 class InvalidPositionError(Exception):
@@ -104,6 +105,92 @@ def is_flat(t: Term) -> bool:
     if isinstance(t, Variable):
         return True
     return all(isinstance(c, Variable) for c in t.children)
+
+
+def flat_parts(t: Term) -> tuple[Optional[str], tuple[Variable, ...]]:
+    """(symbol name, or None for a variable; argument variables) of a flat
+    term, the shape `FlatLayout.encode` takes with each argument as a value."""
+    if isinstance(t, Variable):
+        return None, (t,)
+    if not is_flat(t):
+        raise ValueError(f"{t} is not flat")
+    return t.symbol.name, t.children  # type: ignore[return-value]
+
+
+class FlatLayout:
+    """Integer ids of the flat atoms over n values.
+
+    Ids 0..n-1 are the values.  After them each symbol, in signature order,
+    owns a block of n**arity ids, one per argument tuple in row-major order.
+    Saturation reads the values as context variables; model search reads
+    them as elements, and an atom's id as its table cell.  An id is affine
+    in its digits, so the instances of a flat side are spread by one stride
+    per variable instead of being encoded one at a time.
+    """
+
+    def __init__(self, symbols: Sequence[OperationSymbol], n: int):
+        self.symbols = tuple(symbols)
+        self.n = n
+        self.offsets: dict[str, int] = {}
+        total = n
+        for s in self.symbols:
+            self.offsets[s.name] = total
+            total += n ** s.arity
+        self.size = total
+
+    def encode(self, name: Optional[str], digits: Sequence[int]) -> int:
+        """Id of the value digits[0] (name None) or of the atom name(digits)."""
+        if name is None:
+            return digits[0]
+        index = 0
+        for d in digits:
+            index = index * self.n + d
+        return self.offsets[name] + index
+
+    def digits(self, i: int) -> tuple[Optional[str], tuple[int, ...]]:
+        """The inverse of `encode`: (symbol name or None, values used)."""
+        if i < self.n:
+            return None, (i,)
+        for s in reversed(self.symbols):
+            offset = self.offsets[s.name]
+            if i >= offset:
+                digits = []
+                rem = i - offset
+                for _ in range(s.arity):
+                    digits.append(rem % self.n)
+                    rem //= self.n
+                digits.reverse()
+                return s.name, tuple(digits)
+        raise IndexError(i)
+
+    def strides(self, side: Term, vs: Sequence[Variable]) -> tuple[int, list[int]]:
+        """The flat side's id with every variable at 0, and for each of vs,
+        which holds the side's variables, what one unit of its value adds."""
+        name, args = flat_parts(side)
+        index = {v.name: k for k, v in enumerate(vs)}
+        strides = [0] * len(vs)
+        weight = 1
+        for a in reversed(args):
+            strides[index[a.name]] += weight
+            weight *= self.n
+        return (0 if name is None else self.offsets[name]), strides
+
+    def instances(self, side: Term, vs: Sequence[Variable]) -> Iterator[list[int]]:
+        """Ids of the flat side under every assignment of vs to values, in
+        `itertools.product` order, one list per value of vs[0].
+
+        Each list is the first one shifted by the stride of vs[0], so no
+        list outgrows n**(len(vs) - 1) ids.
+        """
+        zero, strides = self.strides(side, vs)
+        # an identity without variables has one instance: one list, [zero]
+        lead, *rest = strides or [0]
+        ids = [zero]
+        for stride in rest:
+            ids = [i + k * stride for i in ids for k in range(self.n)]
+        yield ids
+        for k in range(1, self.n if vs else 1):
+            yield [i + k * lead for i in ids]
 
 
 def positions(t: Term, prefix: Position = ()) -> Iterator[Position]:

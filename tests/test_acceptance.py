@@ -313,7 +313,7 @@ def _valid_derivation_corpus():
 def iterate_theory_inconsistency(theory):
     from linvar.saturation import is_inconsistent, saturate
 
-    verdict = is_inconsistent(saturate(theory), with_countermodel=False)
+    verdict = is_inconsistent(saturate(theory))
     assert isinstance(verdict, Entailed)
     return verdict
 

@@ -249,8 +249,10 @@ def _entail_argv(draw, path):
     four the theory declares m/2 and g/1 and its axioms and goal are
     identities over them, flat or nested, linear or not; otherwise both
     have the flaws `_models_argv` draws: unknown symbols, wrong arities,
-    missing declarations and malformed lines.  --max-terms, --max-depth and
-    --max-term-size are each absent or 0-3, so no search grows large."""
+    missing declarations and malformed lines.  --max-terms is always 0-3,
+    so no search grows large; --max-depth and --max-term-size are each
+    absent or 0-3.  The default bounds, which an absent --max-terms would
+    bring in, are `test_zero_bound_is_not_the_default`'s to cover."""
     if draw(st.sampled_from([True, True, True, False])):
         lines = ["theory t", "op m/2", "op g/1"]
         axioms, goals = _declared_equations, _declared_equations
@@ -261,8 +263,8 @@ def _entail_argv(draw, path):
         axioms, goals = _identity_texts, _identity_texts
     lines += [f"axiom {ax}" for ax in draw(st.lists(axioms, max_size=3))]
     path.write_text("\n".join(lines) + "\n")
-    argv = ["entail", str(path), draw(goals)]
-    for flag in ("--max-terms", "--max-depth", "--max-term-size"):
+    argv = ["entail", str(path), draw(goals), "--max-terms", str(draw(st.integers(0, 3)))]
+    for flag in ("--max-depth", "--max-term-size"):
         value = draw(st.none() | st.integers(0, 3))
         if value is not None:
             argv += [flag, str(value)]

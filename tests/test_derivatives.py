@@ -152,10 +152,19 @@ class TestIterate:
         assert verify_derivation(trace.final, cert.derivation)
         assert iterate(semilattice, "derivative").certificate is None
 
-    def test_stage_cap_raises(self, semilattice, monkeypatch):
-        monkeypatch.setattr(derivatives, "_MAX_STAGES", 2)
-        with pytest.raises(StabilizationError):
-            iterate(semilattice, "derivative")
+    def test_shrinking_trigger_data_raise(self, semilattice, monkeypatch):
+        # each stage's data must contain the previous stage's; after the
+        # first stage this fact set drops every fact
+        calls = []
+
+        def shrinking(theory, base=None):
+            calls.append(theory)
+            return order_fact_set(theory, base=base) if len(calls) == 1 else frozenset()
+
+        monkeypatch.setattr(derivatives, "order_fact_set", shrinking)
+        with pytest.raises(StabilizationError, match="shrank at stage 1"):
+            iterate(semilattice, "order_derivative")
+        assert len(calls) == 2
 
 
 class TestJoinDistribution:

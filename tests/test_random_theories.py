@@ -40,6 +40,7 @@ from linvar.terms import (
     Variable,
     apply_substitution,
     canonical_variable,
+    flat_parts,
     match_term,
     positions,
     replace_at,
@@ -168,7 +169,7 @@ def test_default_budget_answers_like_a_larger_one(theory):
 
     k = theory.max_arity() + 1
     atoms = [small.atom_term(i) for i in range(small.size)
-             if all(d < k for d in small._atom_digits(i)[1])]
+             if all(d < k for d in small.digits(i)[1])]
     for s_, t in itertools.combinations(atoms, 2):
         assert small.same_class(small.atom_id(s_), small.atom_id(t)) == \
             large.same_class(large.atom_id(s_), large.atom_id(t)), (s_, t)
@@ -249,9 +250,9 @@ def test_chain_search_over_endpoint_variables_stays_shortest(theory):
             continue
         ids, edges = base.shortest_chain(0, target)
         assert len(edges) == distance[target], base.atom_term(target)
-        endpoint_vars = {0} | set(base._atom_digits(target)[1])
+        endpoint_vars = {0} | set(base.digits(target)[1])
         for i in ids:
-            assert set(base._atom_digits(i)[1]) <= endpoint_vars, base.atom_term(i)
+            assert set(base.digits(i)[1]) <= endpoint_vars, base.atom_term(i)
 
 
 def _reference_chain(base, a, b):
@@ -261,12 +262,12 @@ def _reference_chain(base, a, b):
     rules = []
     for idx, e in enumerate(base.theory.identities):
         for src, dst, forward in ((e.lhs, e.rhs, True), (e.rhs, e.lhs, False)):
-            name, args = saturation._parts(dst)
-            rules.append((idx, forward, saturation._parts(src), (name, args),
+            name, args = flat_parts(dst)
+            rules.append((idx, forward, flat_parts(src), (name, args),
                           list(dict.fromkeys(args))))
 
     def neighbors(aid, allowed):
-        kind, digits = base._atom_digits(aid)
+        kind, digits = base.digits(aid)
         order = [i for i in allowed if i not in digits] + sorted(set(digits))
         for idx, forward, (src_name, src_args), (name, args), dst_vars in rules:
             if src_name != kind:
@@ -284,7 +285,7 @@ def _reference_chain(base, a, b):
 
     if a == b:
         return [a], []
-    allowed = sorted(set(base._atom_digits(a)[1]) | set(base._atom_digits(b)[1]))
+    allowed = sorted(set(base.digits(a)[1]) | set(base.digits(b)[1]))
     parents = {}
     queue = deque([a])
     while queue:
@@ -357,7 +358,7 @@ def test_compiled_chain_search_equals_the_reference_on_preset_stages(corpus):
 def test_atom_codec_round_trips(theory):
     base = saturate(theory)
     for i in range(base.size):
-        name, digits = base._atom_digits(i)
+        name, digits = base.digits(i)
         assert base.encode(name, digits) == i
         assert base.atom_id(base.atom_term(i)) == i
 
