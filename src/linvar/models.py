@@ -13,12 +13,16 @@ cell and waits on that cell's watch list; deciding the cell puts it back on
 the stack.  Forcing is monotone, so the closure and any conflict do not depend
 on that order, and the search, branching on the first undecided cell with
 values ascending, returns the lexicographically first model in range.
+
+The layout and the identities' instances depend only on the theory and the
+size, so `find_model` compiles them once per theory object and size and
+keeps them in `Theory.compiled`; each search compiles only its goal.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Sequence
 
 from .terms import FlatLayout, OperationSymbol, Term, Variable, is_flat
 from .theories import (
@@ -107,42 +111,59 @@ class Disequality:
     rhs: Term
 
 
-class _TableSearch:
-    """Backtracking over `cells` with forcing propagation (module docstring)."""
+def _instance_pairs(layout: FlatLayout, lhs: Term, rhs: Term,
+                    vs: tuple[Variable, ...]) -> list[tuple[object, object]]:
+    """Both sides' codes with vs over every element in `itertools.product`
+    order: cell ids for flat sides, trees when either side is nested."""
+    if is_flat(lhs) and is_flat(rhs):
+        pairs: list[tuple[object, object]] = []
+        for ls, rs in zip(layout.instances(lhs, vs), layout.instances(rhs, vs)):
+            pairs += zip(ls, rs)
+        return pairs
+    return [(_ground(lhs, rho), _ground(rhs, rho))
+            for rho in (dict(zip(vs, values)) for values in
+                        itertools.product(range(layout.n), repeat=len(vs)))]
 
-    def __init__(self, symbols: tuple[OperationSymbol, ...], size: int,
-                 identities: list[tuple[Term, Term, tuple[Variable, ...]]],
-                 goal: Optional[tuple[Term, Term, tuple[Variable, ...]]]):
-        self.size = size
-        self.layout = FlatLayout(symbols, size)
-        self.cells: list[Optional[int]] = list(range(size)) + [None] * (self.layout.size - size)
+
+def _ground(t: Term, rho: Mapping[Variable, int]) -> object:
+    """A variable's value, which is its cell, else (name, children codes)."""
+    if isinstance(t, Variable):
+        return rho[t]
+    return (t.symbol.name, tuple(_ground(c, rho) for c in t.children))
+
+
+def _compile(theory: Theory, size: int
+             ) -> tuple[FlatLayout, tuple[tuple[object, object], ...]]:
+    """The cell layout over `size` elements and every identity's ground
+    instances, which no search changes; kept on the theory per size."""
+    layout = FlatLayout(theory.symbols, size)
+    return layout, tuple(pair for e in theory.identities
+                         for pair in _instance_pairs(layout, e.lhs, e.rhs,
+                                                     identity_variables(e)))
+
+
+class _TableSearch:
+    """Backtracking over `cells` with forcing propagation (module docstring).
+
+    The layout and the identities' instances are shared and only read; the
+    cells, watch lists, trail and the goal's instances are the search's own.
+    """
+
+    def __init__(self, layout: FlatLayout, instances: Sequence[tuple[object, object]],
+                 goal: Optional[Disequality]):
+        self.size = size = layout.n
+        self.layout = layout
+        self.cells: list[Optional[int]] = list(range(size)) + [None] * (layout.size - size)
         self.watch: list[list[int]] = [[] for _ in self.cells]
         self.watched: set[tuple[int, int]] = set()  # lists only grow: no pair twice
         self.trail: list[int] = []
-        self.instances = [pair for lhs, rhs, vs in identities
-                          for pair in self._instances(lhs, rhs, vs)]
-        self.stack = list(range(len(self.instances)))
+        self.instances = instances
+        self.stack = list(range(len(instances)))
         self.goal = goal
-        self.goal_instances = None if goal is None else self._instances(*goal)
-
-    def _instances(self, lhs: Term, rhs: Term, vs: tuple[Variable, ...]
-                   ) -> list[tuple[object, object]]:
-        """Both sides' codes with vs over every value in `itertools.product`
-        order: cell ids for flat sides, trees when either side is nested."""
-        if is_flat(lhs) and is_flat(rhs):
-            pairs: list[tuple[object, object]] = []
-            for ls, rs in zip(self.layout.instances(lhs, vs), self.layout.instances(rhs, vs)):
-                pairs += zip(ls, rs)
-            return pairs
-        return [(self._ground(lhs, rho), self._ground(rhs, rho))
-                for rho in (dict(zip(vs, values)) for values in
-                            itertools.product(range(self.size), repeat=len(vs)))]
-
-    def _ground(self, t: Term, rho: Mapping[Variable, int]) -> object:
-        """A variable's value, which is its cell, else (name, children codes)."""
-        if isinstance(t, Variable):
-            return rho[t]
-        return (t.symbol.name, tuple(self._ground(c, rho) for c in t.children))
+        if goal is not None:
+            self.goal_vars = identity_variables(Identity(goal.lhs, goal.rhs))
+            self.goal_instances = _instance_pairs(layout, goal.lhs, goal.rhs,
+                                                  self.goal_vars)
 
     def _value(self, code: object) -> int:
         """A compiled side's value, or ~c for the first undecided cell c it reads."""
@@ -195,14 +216,18 @@ class _TableSearch:
     def _constraint_status(self) -> tuple[Optional[Assignment], bool]:
         """(first assignment definitely separating the sides, any undecided)."""
         undecided = False
-        for j, (lhs, rhs) in enumerate(self.goal_instances):  # type: ignore[arg-type]
+        for j, (lhs, rhs) in enumerate(self.goal_instances):
             lv, rv = self._value(lhs), self._value(rhs)
             if lv < 0 or rv < 0:
                 undecided = True
             elif lv != rv:
-                vs = self.goal[2]  # type: ignore[index]
-                values = list(itertools.product(range(self.size), repeat=len(vs)))
-                return dict(zip(vs, values[j])), undecided
+                # instance j assigns the goal's variables j's base-size
+                # digits, the last variable's the lowest
+                values = []
+                for _ in self.goal_vars:
+                    j, digit = divmod(j, self.size)
+                    values.append(digit)
+                return dict(zip(self.goal_vars, reversed(values))), undecided
         return None, undecided
 
     def _freeze(self) -> FiniteAlgebra:
@@ -252,13 +277,10 @@ def find_model(theory: Theory, lo: int = 2, hi: int = 3,
     """
     if lo < 1:
         raise ValueError("model size must be at least 1")
-    identities = [(e.lhs, e.rhs, identity_variables(e)) for e in theory.identities]
-    goal = None
-    if constraint is not None:
-        goal = (constraint.lhs, constraint.rhs,
-                identity_variables(Identity(constraint.lhs, constraint.rhs)))
     for size in range(lo, hi + 1):
-        found = _TableSearch(theory.symbols, size, identities, goal).run()
+        layout, instances = theory.compiled(("models", size),
+                                            lambda: _compile(theory, size))
+        found = _TableSearch(layout, instances, constraint).run()
         if found is not None:
             return found
     return None

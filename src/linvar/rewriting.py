@@ -8,7 +8,8 @@ because reverse steps with collapsing identities are ambiguous without it.
 Proof search (`bfs_prove`) runs on an encoded copy of the terms: a variable
 is its index in the search's candidate variables, an application the plain
 tuple (symbol index, child 1, ..., child n), and each rule's sides are
-compiled once per call to a pattern and a template over slot numbers.
+compiled to a pattern and a template over slot numbers once per theory
+object, kept in `Theory.compiled`.
 Matching, instantiation and replacement then build tuples, and equality and
 hashing run in C.  The encoding is injective, and candidates are tried in
 the same order as on `Term`s, so the search meets at the same term and
@@ -198,8 +199,9 @@ class _SearchRule(NamedTuple):
     slots: int
 
 
-def _search_rules(theory: Theory) -> list[_SearchRule]:
-    """Both orientations of every identity, in the order search tries them."""
+def _search_rules(theory: Theory) -> tuple[_SearchRule, ...]:
+    """Both orientations of every identity, in the order search tries them;
+    a tuple, since `bfs_prove` shares it through `Theory.compiled`."""
     rules = []
     for eq in theory.identities:
         for forward in (True, False):
@@ -217,7 +219,7 @@ def _search_rules(theory: Theory) -> list[_SearchRule]:
                 eq, forward, src, free,
                 term_size(dst) - sum(n for _, n in weights), weights,
                 by_slot.encode(src), by_slot.encode(dst), len(paths)))
-    return rules
+    return tuple(rules)
 
 
 def _subterms(t: _Code) -> list[tuple[Position, _Code, int]]:
@@ -275,7 +277,7 @@ def _replace(t: _Code, pos: Position, u: _Code, depth: int = 0) -> _Code:
 _Expansion = tuple[_SearchRule, Position, tuple[int, ...]]
 
 
-def _expansions(rules: list[_SearchRule], t: _Code, pool: int, max_size: int
+def _expansions(rules: Sequence[_SearchRule], t: _Code, pool: int, max_size: int
                 ) -> Iterator[tuple[_Code, _Expansion]]:
     """Successors of the encoded term t: every rule, every position.
 
@@ -368,7 +370,7 @@ def bfs_prove(theory: Theory, goal: Identity,
         {lhs: None}, {rhs: None}]
     frontiers: list[list[_Code]] = [[lhs], [rhs]]
     expanded = 0
-    rules = _search_rules(theory)
+    rules = theory.compiled(("rewriting",), lambda: _search_rules(theory))
 
     def stats(reason: str) -> SearchStats:
         return SearchStats(expanded, len(sides[0]), len(sides[1]), reason)

@@ -29,6 +29,12 @@ assigns free variables only from the endpoints' variables: two of them for
 an inconsistency chain x ~ F(y,...,y), whatever the context size.
 Inconsistency is decided by a class test alone; `is_inconsistent` builds
 the chain, and iteration traces call it only when their certificate is read.
+
+A chain search is breadth-first with first-discovery parents and a fixed
+neighbour order, so its tree from one atom over one set of variables does
+not depend on the target.  Each base keeps that tree per (source,
+variables) and resumes it for the next target, so the many queries from
+v0 that entailment and certificates make expand each atom once.
 """
 from __future__ import annotations
 
@@ -98,6 +104,20 @@ class _ChainRule(NamedTuple):
         return sigma
 
 
+# How a chain search reached an atom: (previous atom, rule, the previous
+# atom's digits, values of the rule's free variables), as `_neighbors` yields.
+_Edge = tuple[int, _ChainRule, tuple[int, ...], tuple[int, ...]]
+
+
+class _ChainTree(NamedTuple):
+    """A breadth-first search from one atom over some context indices, kept
+    where its last query stopped: first-discovery parents (None for the
+    root) and the discovered atoms it has not expanded yet, in order."""
+
+    parents: dict[int, Optional[_Edge]]
+    queue: deque[int]
+
+
 class FlatFactBase(FlatLayout):
     """Partition of the flat atoms over a bounded variable context.
 
@@ -114,6 +134,7 @@ class FlatFactBase(FlatLayout):
         self.context = tuple(canonical_variable(i) for i in range(budget))
         self._parent = list(range(self.size))
         self._rule_table: Optional[dict[Optional[str], list[_ChainRule]]] = None
+        self._trees: dict[tuple[int, tuple[int, ...]], _ChainTree] = {}
         self._apply_identities(0)
 
     @property
@@ -204,6 +225,7 @@ class FlatFactBase(FlatLayout):
         out.theory = theory
         out._parent = list(self._parent)
         out._rule_table = None
+        out._trees = {}  # the parent's trees follow the parent's instance edges
         out._apply_identities(n)
         return out
 
@@ -272,7 +294,7 @@ class FlatFactBase(FlatLayout):
             self._rule_table = table
         return self._rule_table
 
-    def _neighbors(self, aid: int, allowed: list[int],
+    def _neighbors(self, aid: int, allowed: Sequence[int],
                    rules: dict[Optional[str], list[_ChainRule]]
                    ) -> Iterator[tuple[int, _ChainRule, tuple[int, ...], tuple[int, ...]]]:
         """Atoms one instance of a rule from `_rules` away, in a fixed
@@ -310,41 +332,45 @@ class FlatFactBase(FlatLayout):
 
         The search stays among the atoms over the endpoints' variables; by
         the retraction lemma a shortest chain of the whole context has an
-        image there that is no longer.
+        image there that is no longer.  It is a breadth-first search from a
+        with first-discovery parents and `_neighbors`' fixed order, so which
+        atoms it reaches, and from where, does not depend on b: the base
+        keeps one tree per (a, allowed) and resumes it, a whole atom's
+        expansion at a time, only until b has a parent.  The chain read off
+        the tree is the one a fresh search stopping at b would return, and
+        substitutions are built only for its edges.
         """
         if not self.same_class(a, b):
             return None
         if a == b:
             return [a], []
-        allowed = sorted(set(self.digits(a)[1]) | set(self.digits(b)[1]))
+        allowed = tuple(sorted(set(self.digits(a)[1]) | set(self.digits(b)[1])))
+        tree = self._trees.get((a, allowed))
+        if tree is None:
+            tree = self._trees[a, allowed] = _ChainTree({a: None}, deque([a]))
+        parents, queue = tree
         rules = self._rules()
-        parents: dict[int, tuple[int, tuple[int, bool, dict[Variable, int]]]] = {}
-        seen = {a}
-        queue = deque([a])
-        while queue:
+        while b not in parents:
+            if not queue:
+                # Atoms of one class are joined by a chain over their own
+                # variables (the retraction lemma), so this is unreachable.
+                raise CertificateError("atoms share a class but no chain was found")
             cur = queue.popleft()
             for tid, rule, digits, values in self._neighbors(cur, allowed, rules):
-                if tid in seen:
-                    continue
-                seen.add(tid)
-                parents[tid] = (cur, (rule.idx, rule.forward,
-                                      rule.substitution(digits, values)))
-                if tid == b:
-                    ids = [b]
-                    edges = []
-                    node = b
-                    while node != a:
-                        prev, edge = parents[node]
-                        edges.append(edge)
-                        ids.append(prev)
-                        node = prev
-                    ids.reverse()
-                    edges.reverse()
-                    return ids, edges
-                queue.append(tid)
-        # Atoms of one class are joined by a chain over their own variables
-        # (the retraction lemma), so this is unreachable.
-        raise CertificateError("atoms share a class but no chain was found")
+                if tid not in parents:
+                    parents[tid] = (cur, rule, digits, values)
+                    queue.append(tid)
+        ids = [b]
+        edges = []
+        entry = parents[b]
+        while entry is not None:
+            prev, rule, digits, values = entry
+            edges.append((rule.idx, rule.forward, rule.substitution(digits, values)))
+            ids.append(prev)
+            entry = parents[prev]
+        ids.reverse()
+        edges.reverse()
+        return ids, edges
 
 
 @dataclass(frozen=True)
@@ -369,8 +395,8 @@ EntailmentVerdict = Entailed | NotEntailed | NotEntailedWithModel
 def saturate(theory: Theory, budget: Optional[int] = None) -> FlatFactBase:
     """Saturated fact base for the theory, memoized on the theory per budget.
 
-    The memo is `theory.saturated_bases`, so a base lives exactly as long as
-    its theory object, and an equal but distinct object builds its own.  It
+    The memo is `Theory.compiled`, so a base lives exactly as long as its
+    theory object, and an equal but distinct object builds its own.  It
     lets separate calls on one theory share a base: `classify` validates its
     input (which saturates it) and then iterates from that same base, and a
     caller deciding many goals over one theory builds its base once instead
@@ -379,11 +405,8 @@ def saturate(theory: Theory, budget: Optional[int] = None) -> FlatFactBase:
     """
     if budget is None:
         budget = default_budget(theory)
-    bases = theory.saturated_bases
-    base = bases.get(budget)
-    if base is None:
-        base = bases[budget] = FlatFactBase(theory, budget)
-    return base
+    return theory.compiled(("saturation", budget),
+                           lambda: FlatFactBase(theory, budget))
 
 
 def _output_renaming(base: FlatFactBase, embedding: dict[Variable, int]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Any, Iterable, Optional
+from typing import Any, Callable, Iterable, Optional
 
 from .terms import (
     Application,
@@ -113,14 +113,27 @@ class Theory:
         return frozenset(self.identities)
 
     @cached_property
-    def saturated_bases(self) -> dict[int, Any]:
-        """Saturated fact bases of this theory object by context size, filled
-        only by `saturation.saturate`.  Not a field: it is never compared or
-        hashed, and it is freed with the theory."""
+    def _memo(self) -> dict[tuple, Any]:
+        # not a field: it is never compared or hashed, and dies with the theory
         return {}
 
+    def compiled(self, key: tuple, build: Callable[[], Any]) -> Any:
+        """Work compiled from this theory object, built by `build()` the
+        first time `key` is asked for and kept for the object's lifetime.
+
+        Keys name the owner first: `saturation.saturate`'s fact bases are
+        ("saturation", context size), `models.find_model`'s layout and
+        identity instances ("models", model size), and `rewriting.bfs_prove`'s
+        search rules ("rewriting",).  An equal but distinct theory object
+        compiles its own.
+        """
+        memo = self._memo
+        if key not in memo:
+            memo[key] = build()
+        return memo[key]
+
     def __reduce__(self):
-        # copies and pickles are rebuilt from the fields, without the bases
+        # copies and pickles are rebuilt from the fields, without the memo
         return Theory, (self.name, self.symbols, self.identities, self.renames)
 
     def __str__(self) -> str:

@@ -200,17 +200,23 @@ _identity_texts = st.one_of(_equations, _equations, _equations,
                             st.text(alphabet="xymg(),= ", max_size=12))
 
 
-@st.composite
-def _models_argv(draw, path):
-    """`linvar models` over random theory text: nested and non-linear
-    axioms, unknown symbols, wrong arities and malformed lines, at sizes
-    0-3, with and without a random --refute goal.  At most m/2 and g/1
-    have tables, so no table has more than nine cells."""
+def _flawed_theory_text(draw, ops=("m/2", "g/1", "c/0")):
+    """Random theory text of up to three axioms: nested and non-linear ones,
+    unknown symbols, wrong arities, malformed lines, and once in four each
+    a missing header or declaration."""
     often = st.sampled_from([True, True, True, False])
     lines = ["theory t"] if draw(often) else []
-    lines += [f"op {op}" for op in ("m/2", "g/1", "c/0") if draw(often)]
+    lines += [f"op {op}" for op in ops if draw(often)]
     lines += [f"axiom {ax}" for ax in draw(st.lists(_identity_texts, max_size=3))]
-    path.write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def _models_argv(draw, path):
+    """`linvar models` over `_flawed_theory_text`, at sizes 0-3, with and
+    without a random --refute goal.  At most m/2 and g/1 have tables, so no
+    table has more than nine cells."""
+    path.write_text(_flawed_theory_text(draw))
     argv = ["models", str(path), "--min", str(draw(st.sampled_from([1, 2, 3, 0]))),
             "--max", str(draw(st.sampled_from([2, 3, 1, 0])))]
     goal = draw(st.none() | _identity_texts)
@@ -248,21 +254,19 @@ def _entail_argv(draw, path):
     """`linvar entail` over random theory text and goals.  Three times in
     four the theory declares m/2 and g/1 and its axioms and goal are
     identities over them, flat or nested, linear or not; otherwise both
-    have the flaws `_models_argv` draws: unknown symbols, wrong arities,
+    have the flaws of `_flawed_theory_text`: unknown symbols, wrong arities,
     missing declarations and malformed lines.  --max-terms is always 0-3,
     so no search grows large; --max-depth and --max-term-size are each
     absent or 0-3.  The default bounds, which an absent --max-terms would
     bring in, are `test_zero_bound_is_not_the_default`'s to cover."""
     if draw(st.sampled_from([True, True, True, False])):
         lines = ["theory t", "op m/2", "op g/1"]
-        axioms, goals = _declared_equations, _declared_equations
+        lines += [f"axiom {ax}" for ax in draw(st.lists(_declared_equations, max_size=3))]
+        path.write_text("\n".join(lines) + "\n")
+        goals = _declared_equations
     else:
-        often = st.sampled_from([True, True, True, False])
-        lines = ["theory t"] if draw(often) else []
-        lines += [f"op {op}" for op in ("m/2", "g/1", "c/0") if draw(often)]
-        axioms, goals = _identity_texts, _identity_texts
-    lines += [f"axiom {ax}" for ax in draw(st.lists(axioms, max_size=3))]
-    path.write_text("\n".join(lines) + "\n")
+        path.write_text(_flawed_theory_text(draw))
+        goals = _identity_texts
     argv = ["entail", str(path), draw(goals), "--max-terms", str(draw(st.integers(0, 3)))]
     for flag in ("--max-depth", "--max-term-size"):
         value = draw(st.none() | st.integers(0, 3))
@@ -277,6 +281,99 @@ def test_entail_command_is_total(tmp_path_factory, data):
     """No theory text, goal or search bound makes `linvar entail` end in a
     traceback."""
     _assert_total(data.draw(_entail_argv(tmp_path_factory.mktemp("entail") / "t.thy")))
+
+
+def _terms_over(ops):
+    """Terms over the declared (name, arity) pairs, mostly flat."""
+    def applications(kids):
+        return st.sampled_from(ops).flatmap(lambda op: st.lists(
+            kids, min_size=op[1], max_size=op[1]).map(
+                lambda args: f"{op[0]}({','.join(args)})"))
+
+    return st.recursive(st.sampled_from(["x", "y", "z"]), applications, max_leaves=4)
+
+
+def _theory_file(draw, path):
+    """Three times in four a theory declaring some of m/2, g/1 and p/3,
+    idempotent unless an idempotency axiom is left out (once in eight), plus
+    up to three axioms over them, flat or nested; otherwise
+    `_flawed_theory_text` with p/3 declarable too.  No arity exceeds three,
+    so an order-derivative context has at most four variables."""
+    if draw(st.sampled_from([True, True, True, False])):
+        ops = [op for op in (("m", 2), ("g", 1), ("p", 3)) if draw(st.booleans())]
+        ops = ops or [("m", 2)]
+        lines = ["theory t"] + [f"op {name}/{arity}" for name, arity in ops]
+        lines += [f"axiom {name}({','.join('x' * arity)}) = x" for name, arity in ops
+                  if draw(st.integers(0, 7))]
+        terms = _terms_over(ops)
+        lines += [f"axiom {a} = {b}" for a, b in
+                  draw(st.lists(st.tuples(terms, terms), max_size=3))]
+        text = "\n".join(lines) + "\n"
+    else:
+        text = _flawed_theory_text(draw, ("m/2", "g/1", "c/0", "p/3"))
+    path.write_text(text)
+    return str(path)
+
+
+def _with_json(draw, argv, path):
+    """argv, and once in four a --json report written next to the input."""
+    if draw(st.integers(0, 3)) == 0:
+        argv += ["--json", str(path.with_suffix(".json"))]
+    return argv
+
+
+@st.composite
+def _derive_argv(draw, path):
+    """`linvar derive` over a `_theory_file`, with and without --order and
+    --iterate."""
+    argv = ["derive", _theory_file(draw, path)]
+    argv += [flag for flag in ("--order", "--iterate") if draw(st.booleans())]
+    return _with_json(draw, argv, path)
+
+
+@st.composite
+def _classify_argv(draw, path):
+    """`linvar classify` over a `_theory_file`, with model sizes 0-3 and
+    with and without --sufficient-only."""
+    argv = ["classify", _theory_file(draw, path),
+            "--min", str(draw(st.sampled_from([2, 1, 3, 0]))),
+            "--max", str(draw(st.sampled_from([2, 3, 1, 0])))]
+    if draw(st.booleans()):
+        argv.append("--sufficient-only")
+    return _with_json(draw, argv, path)
+
+
+@st.composite
+def _join_argv(draw, path):
+    """`linvar join` of two `_theory_file`s, with and without
+    --check-decomposition."""
+    argv = ["join", _theory_file(draw, path),
+            _theory_file(draw, path.with_name("right.thy"))]
+    if draw(st.booleans()):
+        argv.append("--check-decomposition")
+    return _with_json(draw, argv, path)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_derive_command_is_total(tmp_path_factory, data):
+    """No theory text makes `linvar derive` end in a traceback."""
+    _assert_total(data.draw(_derive_argv(tmp_path_factory.mktemp("derive") / "t.thy")))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_classify_command_is_total(tmp_path_factory, data):
+    """No theory text or model range makes `linvar classify` end in a
+    traceback."""
+    _assert_total(data.draw(_classify_argv(tmp_path_factory.mktemp("classify") / "t.thy")))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_join_command_is_total(tmp_path_factory, data):
+    """No pair of theory texts makes `linvar join` end in a traceback."""
+    _assert_total(data.draw(_join_argv(tmp_path_factory.mktemp("join") / "left.thy")))
 
 
 _json_values = st.recursive(

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import gc
 import hashlib
 import itertools
@@ -22,8 +23,14 @@ from linvar.derivatives import (
     order_derivative,
 )
 from linvar.dsl import parse_identity
+from linvar.models import find_model
 from linvar.presets import maltsev, semilattice
-from linvar.rewriting import VerifyResult, derivation_to_json, verify_derivation
+from linvar.rewriting import (
+    VerifyResult,
+    bfs_prove,
+    derivation_to_json,
+    verify_derivation,
+)
 from linvar.saturation import (
     BudgetTooSmallError,
     CertificateError,
@@ -292,6 +299,43 @@ def test_stage_certificates_are_pinned():
     assert (count, digest.hexdigest()) == STAGE_CERTIFICATES
 
 
+# sha256 over the verdict of every goal below, one line each: the separating
+# model's JSON and assignment, or the note when none is in range.  A change
+# to the model search that alters a first model or its assignment changes it.
+STAGE_REFUTATIONS = (476, "1796f346aa42e57528ae377d11d40fdc65dd9bf49678c61a7cb0d54a96b75cbe")
+
+
+def test_stage_refutations_are_pinned():
+    """Every x = y and x = F(w) over the presets' derivative and
+    order-derivative stages that the base does not entail keeps its model
+    byte for byte.  Each goal is decided twice on one theory object, so
+    the second answer is read with the theory's compiled search tables."""
+    digest = hashlib.sha256()
+    count = 0
+    for theory in presets.presets():
+        for operator in ("derivative", "order_derivative"):
+            for stage in iterate(theory, operator).stages:
+                base = saturate(stage)
+                goals = [Identity(Variable("x"), Variable("y"))]
+                goals += [_fact_identity(s, w) for s in stage.symbols
+                          for w in _canonical_tuples(s.arity)]
+                for goal in goals:
+                    if base.entails(goal):
+                        continue
+                    lines = []
+                    for _ in range(2):
+                        verdict = entails_flat(base, goal)
+                        if isinstance(verdict, NotEntailedWithModel):
+                            lines.append(json.dumps([verdict.algebra.to_json(),
+                                                     verdict.assignment]))
+                        else:
+                            lines.append(json.dumps(verdict.note))
+                    assert lines[0] == lines[1], goal
+                    count += 1
+                    digest.update(lines[0].encode() + b"\n")
+    assert (count, digest.hexdigest()) == STAGE_REFUTATIONS
+
+
 def _fresh(theory):
     """An equal-but-renamed copy, so no base built earlier in the session
     is keyed by it."""
@@ -349,10 +393,29 @@ def test_classify_builds_each_base_once(monkeypatch):
 
 
 def test_copies_of_a_saturated_theory_carry_no_bases():
+    """Nor any other compiled work: copies and pickles hold the fields only."""
     theory = maltsev()
     saturate(theory)
-    assert theory.saturated_bases
+    find_model(theory, 2, 3)
+    bfs_prove(theory, parse_identity("p(x,y,y) = x"))
+    assert {key[0] for key in theory._memo} == {"saturation", "models", "rewriting"}
+    fields = {f.name for f in dataclasses.fields(theory)}
     for twin in (copy.copy(theory), copy.deepcopy(theory),
                  pickle.loads(pickle.dumps(theory))):
         assert twin == theory and hash(twin) == hash(theory)
-        assert "saturated_bases" not in vars(twin)
+        assert set(vars(twin)) == fields
+
+
+def test_an_extension_starts_with_no_chain_trees(maltsev):
+    """`extend` copies the base, but the trees follow the parent's edges:
+    the inconsistent derivative joins atoms by chains its parent lacks."""
+    base = FlatFactBase(maltsev, 4)
+    members = [i for i in range(base.size) if base.same_class(0, i)]
+    for member in members:
+        base.shortest_chain(0, member)
+    assert base._trees
+    grown = base.extend(derivative(maltsev))
+    assert grown._trees == {} and base._trees
+    fresh = FlatFactBase(derivative(maltsev), 4)
+    for member in range(grown.size):
+        assert grown.shortest_chain(0, member) == fresh.shortest_chain(0, member)
