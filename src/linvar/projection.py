@@ -10,13 +10,20 @@ the derivation verifier rather than assumed.
 
 The successor relation is never built whole: `successors` computes the
 out-edges of one occurrence from the two steps beside its term, and the
-searches call it only for the occurrences they expand.
+searches call it only for the occurrences they expand.  Each projection
+reads both directions of every step once, into a table local to the call.
+
+A chain edge that is not a root step maps child j of one chain term to
+child j of the next, so the next term keeps the same list of class ids; only
+inner root steps and the final collapsing hop unite ids, in a union-find
+over ints.  The reasons for each union are rebuilt only when two variables
+collide, to stitch the inconsistency certificate.
 """
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .rewriting import Derivation, DerivationStep, make_step, verify_derivation
 from .terms import (
@@ -58,14 +65,12 @@ class InconsistencyDetectedError(ProjectionError):
             f"{render_term(derivation.terms[0])} = {render_term(derivation.terms[-1])}")
 
 
-@dataclass(frozen=True)
-class DerivationOccurrence:
+class DerivationOccurrence(NamedTuple):
     index: int
     position: Position
 
 
-@dataclass(frozen=True)
-class SuccessorEdge:
+class SuccessorEdge(NamedTuple):
     source: DerivationOccurrence
     target: DerivationOccurrence
     case: int       # 1: untouched, 2: rewrite inside, 3: variable fan-out, 4: root step
@@ -77,8 +82,7 @@ def _is_prefix(p: Position, q: Position) -> bool:
     return len(p) <= len(q) and q[:len(p)] == p
 
 
-@dataclass(frozen=True)
-class _OrientedStep:
+class _OrientedStep(NamedTuple):
     """One rewriting step read in a fixed direction."""
 
     from_index: int
@@ -100,6 +104,28 @@ def _oriented(d: Derivation, m: int, direction: int) -> _OrientedStep:
     return _OrientedStep(m, m - 1, dst, src, step.position, m, direction)
 
 
+# the readings leaving one term: the next step forward, the previous backward
+_Readings = tuple[Optional[_OrientedStep], Optional[_OrientedStep]]
+
+
+def _readings_at(d: Derivation, i: int) -> _Readings:
+    n = len(d.steps)
+    return (_oriented(d, i + 1, 1) if i < n else None,
+            _oriented(d, i, -1) if i > 0 else None)
+
+
+def _reading_table(d: Derivation) -> list[_Readings]:
+    """Both readings of every step, indexed by the term they leave."""
+    return [_readings_at(d, i) for i in range(len(d.steps) + 1)]
+
+
+def _reading(table: list[_Readings], edge: SuccessorEdge) -> _OrientedStep:
+    """The reading of the step an edge crosses, in the edge's direction."""
+    if edge.direction > 0:
+        return table[edge.step - 1][0]  # type: ignore[return-value]
+    return table[edge.step][1]  # type: ignore[return-value]
+
+
 def _variable_positions(side: Term, v: Variable) -> list[Position]:
     if isinstance(side, Variable):
         return [()] if side == v else []
@@ -117,25 +143,21 @@ def _variable_children(side: Term) -> tuple[Variable, ...]:
     return side.children  # type: ignore[return-value]
 
 
-def _edges_for(d: Derivation, ostep: _OrientedStep, pos: Position
-               ) -> Iterator[SuccessorEdge]:
-    """Successor edges leaving occurrence (ostep.from_index, pos)."""
-    u = DerivationOccurrence(ostep.from_index, pos)
+def _edges_for(ostep: _OrientedStep, u: DerivationOccurrence) -> list[SuccessorEdge]:
+    """Successor edges leaving occurrence u of ostep.from_index, ordered by
+    target: a fan-out lists the from-term's copies and the to-term's copies
+    in index order, each by position."""
+    pos = u.position
     s_pos = ostep.position
-    if not _is_prefix(pos, s_pos) and not _is_prefix(s_pos, pos):
-        yield SuccessorEdge(u, DerivationOccurrence(ostep.to_index, pos), 1,
-                            ostep.step, ostep.direction)
-        return
-    if _is_prefix(pos, s_pos) and pos != s_pos:
-        # the rewrite happened strictly inside this occurrence
-        yield SuccessorEdge(u, DerivationOccurrence(ostep.to_index, pos), 2,
-                            ostep.step, ostep.direction)
-        return
+    to_index, m, direction = ostep.to_index, ostep.step, ostep.direction
+    if pos[:len(s_pos)] != s_pos:
+        # the step is not at or above this occurrence: it leaves it untouched
+        # (1), or the rewrite happened strictly inside it (2)
+        case = 2 if s_pos[:len(pos)] == pos else 1
+        return [SuccessorEdge(u, DerivationOccurrence(to_index, pos), case, m, direction)]
     src, dst = ostep.src_side, ostep.dst_side
     if pos == s_pos and isinstance(src, Application):
-        yield SuccessorEdge(u, DerivationOccurrence(ostep.to_index, s_pos), 4,
-                            ostep.step, ostep.direction)
-        return
+        return [SuccessorEdge(u, DerivationOccurrence(to_index, s_pos), 4, m, direction)]
     # this occurrence sits at or under the matched image of a variable
     if isinstance(src, Variable):
         w = src
@@ -145,12 +167,18 @@ def _edges_for(d: Derivation, ostep: _OrientedStep, pos: Position
         w = _variable_children(src)[child_index - 1]
         p_pos = s_pos + (child_index,)
     rel = pos[len(p_pos):]
-    for q in _variable_positions(src, w):
-        yield SuccessorEdge(u, DerivationOccurrence(ostep.from_index, s_pos + q + rel),
-                            3, ostep.step, ostep.direction)
-    for q in _variable_positions(dst, w):
-        yield SuccessorEdge(u, DerivationOccurrence(ostep.to_index, s_pos + q + rel),
-                            3, ostep.step, ostep.direction)
+    sides = ((ostep.from_index, src), (to_index, dst))
+    return [SuccessorEdge(u, DerivationOccurrence(index, s_pos + q + rel), 3, m, direction)
+            for index, side in (sides if direction > 0 else sides[::-1])
+            for q in _variable_positions(side, w)]
+
+
+def _successors(readings: _Readings, occ: DerivationOccurrence) -> list[SuccessorEdge]:
+    forward, backward = readings
+    edges = _edges_for(forward, occ) if forward is not None else []
+    if backward is not None:
+        edges += _edges_for(backward, occ)
+    return edges
 
 
 def successors(d: Derivation, occ: DerivationOccurrence) -> tuple[SuccessorEdge, ...]:
@@ -159,13 +187,7 @@ def successors(d: Derivation, occ: DerivationOccurrence) -> tuple[SuccessorEdge,
     They come from the step after its term read forward and the step before
     it read backward, ordered forward edges first, then by case and target.
     """
-    edges: list[SuccessorEdge] = []
-    if occ.index < len(d.steps):
-        edges.extend(_edges_for(d, _oriented(d, occ.index + 1, 1), occ.position))
-    if occ.index > 0:
-        edges.extend(_edges_for(d, _oriented(d, occ.index, -1), occ.position))
-    return tuple(sorted(edges, key=lambda e: (-e.direction, e.case,
-                                              e.target.index, e.target.position)))
+    return tuple(_successors(_readings_at(d, occ.index), occ))
 
 
 def occurrence_term(d: Derivation, occ: DerivationOccurrence) -> Term:
@@ -174,12 +196,13 @@ def occurrence_term(d: Derivation, occ: DerivationOccurrence) -> Term:
 
 def mark_T(d: Derivation) -> frozenset[DerivationOccurrence]:
     """All occurrences reachable from the root of the first term."""
+    table = _reading_table(d)
     start = DerivationOccurrence(0, ())
     seen = {start}
     queue = deque([start])
     while queue:
         cur = queue.popleft()
-        for e in successors(d, cur):
+        for e in _successors(table[cur.index], cur):
             if e.target not in seen:
                 seen.add(e.target)
                 queue.append(e.target)
@@ -251,8 +274,7 @@ def z_substituted_derivation(d: Derivation,
 # -- chain extraction and replay ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class _UnionEdge:
+class _UnionEdge(NamedTuple):
     """Why two chain-children share a class.
 
     kind "equal": their subterms are syntactically equal.
@@ -269,27 +291,6 @@ class _UnionEdge:
     subst: tuple = ()
 
 
-class _ClassAssignment:
-    """Union-find over chain children with recorded reasons."""
-
-    def __init__(self) -> None:
-        self.parent: dict[tuple[int, int], tuple[int, int]] = {}
-        self.edges: list[_UnionEdge] = []
-
-    def find(self, x: tuple[int, int]) -> tuple[int, int]:
-        self.parent.setdefault(x, x)
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, edge: _UnionEdge) -> None:
-        self.edges.append(edge)
-        ra, rb = self.find(edge.a), self.find(edge.b)
-        if ra != rb:
-            self.parent[rb] = ra
-
-
 @dataclass(frozen=True)
 class ProjectionResult:
     derivation: Derivation
@@ -297,9 +298,9 @@ class ProjectionResult:
     owner_theory: Theory
 
 
-def _chain_search(d: Derivation, owner_sig: frozenset, goal: Variable
-                  ) -> Optional[tuple[list[DerivationOccurrence],
-                                      list[SuccessorEdge]]]:
+def _chain_search(d: Derivation, table: list[_Readings], owner_sig: frozenset,
+                  goal: Variable) -> Optional[tuple[list[DerivationOccurrence],
+                                                    list[SuccessorEdge]]]:
     """Shortest successor chain supporting a flat replay.
 
     The search walks occurrences rooted in the owner's signature.  A root
@@ -311,53 +312,59 @@ def _chain_search(d: Derivation, owner_sig: frozenset, goal: Variable
     the final edge is always such a collapsing root step.
     """
     start = DerivationOccurrence(0, ())
-    parents: dict[DerivationOccurrence, tuple[DerivationOccurrence, SuccessorEdge]] = {}
-    seen = {start}
+    parents: dict[DerivationOccurrence, Optional[SuccessorEdge]] = {start: None}
     queue = deque([start])
-    collapse: Optional[tuple[DerivationOccurrence, SuccessorEdge]] = None
+    collapse: Optional[SuccessorEdge] = None
+    terms = d.terms
 
-    def assemble(last: DerivationOccurrence, final_edge: SuccessorEdge
+    def assemble(final_edge: SuccessorEdge
                  ) -> tuple[list[DerivationOccurrence], list[SuccessorEdge]]:
-        chain = [last]
+        chain = [final_edge.source]
         edges = [final_edge]
-        node = last
-        while node != start:
-            prev, edge = parents[node]
+        edge = parents[final_edge.source]
+        while edge is not None:
             edges.append(edge)
-            chain.append(prev)
-            node = prev
+            chain.append(edge.source)
+            edge = parents[edge.source]
         chain.reverse()
         edges.reverse()
         return chain, edges
 
     while queue:
         cur = queue.popleft()
-        for e in successors(d, cur):
+        for e in _successors(table[cur.index], cur):
             occ = e.target
-            if occ in seen:
+            if occ in parents:
                 continue
-            collapsing = e.case == 4 and \
-                isinstance(_oriented(d, e.step, e.direction).dst_side, Variable)
-            term = occurrence_term(d, occ)
+            collapsing = e.case == 4 and isinstance(_reading(table, e).dst_side, Variable)
+            term = subterm_at(terms[occ.index], occ.position)
             if isinstance(term, Variable):
                 if term == goal and collapsing:
-                    return assemble(cur, e)
+                    return assemble(e)
                 continue  # other variables are dead ends
-            if not (isinstance(term, Application) and term.symbol in owner_sig):
+            if collapsing or term.symbol not in owner_sig:
+                # do not walk through a collapsed image; remember the first hop
                 if collapsing and collapse is None:
-                    collapse = (cur, e)
+                    collapse = e
                 continue
-            if collapsing:
-                # do not walk through the collapsed image; remember the hop
-                if collapse is None:
-                    collapse = (cur, e)
-                continue
-            seen.add(occ)
-            parents[occ] = (cur, e)
+            parents[occ] = e
             queue.append(occ)
     if collapse is not None:
-        return assemble(*collapse)
+        return assemble(collapse)
     return None
+
+
+def _root_pairs(src: Term, dst: Term) -> list[tuple[tuple[int, int], tuple[int, int]]]:
+    """The child slots a root step forces equal, chained per variable in
+    slot order.  A slot is (0, j) for child j of the source side's image and
+    (1, j) for child j of the produced side's; a collapsed side has none."""
+    by_var: dict[Variable, list[tuple[int, int]]] = {}
+    for j, v in enumerate(_variable_children(src), start=1):
+        by_var.setdefault(v, []).append((0, j))
+    if isinstance(dst, Application):
+        for j, v in enumerate(_variable_children(dst), start=1):
+            by_var.setdefault(v, []).append((1, j))
+    return [pair for slots in by_var.values() for pair in zip(slots, slots[1:])]
 
 
 def project_to_component(left: Theory, right: Theory, d: Derivation
@@ -388,108 +395,108 @@ def project_to_component(left: Theory, right: Theory, d: Derivation
     owner = left_emb if in_left else right_emb
     # The edge rule needs flat equation sides.  Check every step up front,
     # not only those the chain search reaches, so that a derivation is
-    # accepted or rejected as a whole.
-    for step in d.steps:
-        eq = step.equation
-        for side in ((eq.lhs, eq.rhs) if step.forward else (eq.rhs, eq.lhs)):
+    # accepted or rejected as a whole; a step repeating an earlier step's
+    # equation and direction adds nothing to check.
+    for eq, forward in dict.fromkeys((step.equation, step.forward) for step in d.steps):
+        for side in ((eq.lhs, eq.rhs) if forward else (eq.rhs, eq.lhs)):
             if not is_flat(side):
                 raise ProjectionError(f"equation side {render_term(side)} is not flat")
 
-    found = _chain_search(d, frozenset(owner.symbols), tn)
+    table = _reading_table(d)
+    found = _chain_search(d, table, frozenset(owner.symbols), tn)
     if found is None:
         raise ProjectionError(
             "no successor chain reaches the goal variable through "
             f"{owner.name}-rooted occurrences")
-    chain, edges = found
-    k = len(chain)  # application occurrences; edges[-1] is the collapsing hop
-
-    classes = _ClassAssignment()
+    chain, edges = found  # edges[-1] is the collapsing hop
     # the chain search keeps application occurrences only
-    chain_terms: list[Application] = [occurrence_term(d, occ) for occ in chain]  # type: ignore[misc]
-    for i in range(k):
-        for j in range(1, len(chain_terms[i].children) + 1):
-            classes.find((i, j))
+    chain_terms: list[Application] = [
+        subterm_at(d.terms[o.index], o.position) for o in chain]  # type: ignore[misc]
+
+    # Class ids of each chain term's children.  A non-root edge keeps child
+    # j at child j, so the next term shares the list; a root step gives its
+    # target fresh ids and unites the slots its equation's variables tie.
+    parent: list[int] = list(range(chain_terms[0].symbol.arity))
+    rows: list[list[int]] = [parent[:]]
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def unite(pairs, here: list[int], there: list[int]) -> None:
+        sides = (here, there)
+        for (s, j), (t, l) in pairs:
+            ra, rb = find(sides[s][j - 1]), find(sides[t][l - 1])
+            if ra != rb:
+                parent[rb] = ra
+
     for i, edge in enumerate(edges[:-1]):
         here, there = chain_terms[i], chain_terms[i + 1]
-        if edge.case in (1, 3):
-            if here != there:
-                raise ProjectionError(
-                    f"case {edge.case} edge at step {edge.step} changes "
-                    f"{render_term(here)} into {render_term(there)}")
-            for j in range(1, len(here.children) + 1):
-                classes.union(_UnionEdge((i, j), (i + 1, j), "equal"))
-        elif edge.case == 2:
-            ostep = _oriented(d, edge.step, edge.direction)
-            rel = ostep.position[len(chain[i].position):]
-            affected = rel[0]
-            for j in range(1, len(here.children) + 1):
-                if j == affected:
-                    step = d.steps[edge.step - 1]
-                    fwd = step.forward if edge.direction > 0 else not step.forward
-                    classes.union(_UnionEdge(
-                        (i, j), (i + 1, j), "rewrite",
-                        equation=step.equation, forward=fwd,
-                        rel_position=rel[1:], subst=step.subst))
-                else:
-                    classes.union(_UnionEdge((i, j), (i + 1, j), "equal"))
-        else:  # case 4 between two retained applications
-            ostep = _oriented(d, edge.step, edge.direction)
-            by_var: dict[Variable, list[tuple[int, int]]] = {}
-            for j, v in enumerate(_variable_children(ostep.src_side), start=1):
-                by_var.setdefault(v, []).append((i, j))
-            for j, v in enumerate(_variable_children(ostep.dst_side), start=1):
-                by_var.setdefault(v, []).append((i + 1, j))
-            for slots in by_var.values():
-                for a, b in zip(slots, slots[1:]):
-                    classes.union(_UnionEdge(a, b, "equal"))
+        if edge.case == 4:
+            ostep = _reading(table, edge)
+            row = list(range(len(parent), len(parent) + there.symbol.arity))
+            parent.extend(row)
+            unite(_root_pairs(ostep.src_side, ostep.dst_side), rows[i], row)
+            rows.append(row)
+            continue
+        # a rewrite strictly inside keeps the root symbol; the others keep the term
+        changed = here.symbol != there.symbol if edge.case == 2 else here != there
+        if changed:
+            raise ProjectionError(
+                f"case {edge.case} edge at step {edge.step} changes "
+                f"{render_term(here)} into {render_term(there)}")
+        rows.append(rows[i])
 
     # the collapsing hop relates the last application's children to each other
     terminal = edges[-1]
     if terminal.case != 4:
         raise ProjectionError(f"the chain ends on a case {terminal.case} edge, not a root step")
-    terminal_step = _oriented(d, terminal.step, terminal.direction)
+    terminal_step = _reading(table, terminal)
     collapse_var = terminal_step.dst_side
     if not isinstance(collapse_var, Variable):
         raise ProjectionError(
             f"the chain's last root step lands on {render_term(collapse_var)}, "
             "not a variable")
-    terminal_slots: dict[Variable, list[tuple[int, int]]] = {}
-    for j, v in enumerate(_variable_children(terminal_step.src_side), start=1):
-        terminal_slots.setdefault(v, []).append((k - 1, j))
-    for slots in terminal_slots.values():
-        for a, b in zip(slots, slots[1:]):
-            classes.union(_UnionEdge(a, b, "equal"))
+    unite(_root_pairs(terminal_step.src_side, collapse_var), rows[-1], rows[-1])
 
-    # Resolve classes to variables; two distinct variables in one class is an
-    # inconsistency proof for the join.
-    roots = {slot: classes.find(slot) for slot in sorted(classes.parent)}
-    resolved: dict[tuple[int, int], Variable] = {}
-    var_slot: dict[tuple[int, int], tuple[int, int]] = {}
-    for slot, root in roots.items():
-        i, j = slot
-        term = chain_terms[i].children[j - 1]
-        if isinstance(term, Variable):
-            prev = var_slot.get(root)
-            if prev is not None and chain_terms[prev[0]].children[prev[1] - 1] != term:
-                raise InconsistencyDetectedError(
-                    _conflict_derivation(joined, chain_terms, classes, prev, slot))
-            var_slot.setdefault(root, slot)
-            resolved[root] = term
+    # Resolve classes to variables in slot order; two distinct variables in
+    # one class is an inconsistency proof for the join.  Classes without a
+    # variable get fresh names in the order of their first slot.
+    held: dict[int, tuple[Variable, tuple[int, int]]] = {}
+    unnamed: dict[int, None] = {}
+    roots: list[list[int]] = []
+    for i, t in enumerate(chain_terms):
+        if i and rows[i] is rows[i - 1]:
+            row_roots = roots[-1]
+        else:
+            row_roots = [find(c) for c in rows[i]]
+        roots.append(row_roots)
+        for j, (child, r) in enumerate(zip(t.children, row_roots), start=1):
+            if isinstance(child, Variable):
+                first = held.get(r)
+                if first is None:
+                    held[r] = (child, (i, j))
+                elif first[0] != child:
+                    raise InconsistencyDetectedError(_conflict_derivation(
+                        joined, chain_terms,
+                        _union_reasons(d, table, chain, edges, chain_terms),
+                        first[1], (i, j)))
+            else:
+                unnamed.setdefault(r)
+    names = {r: v for r, (v, _) in held.items()}
     fresh: Optional[Iterator[Variable]] = None
-    for root in roots.values():
-        if root not in resolved:
+    for r in unnamed:
+        if r not in names:
             if fresh is None:
                 fresh = fresh_variables(_derivation_variable_names(d))
-            resolved[root] = next(fresh)
-    image = {slot: resolved[root] for slot, root in roots.items()}
-
-    flat_terms: list[Term] = [
-        Application(t.symbol, tuple(image[i, j] for j in range(1, len(t.children) + 1)))
-        for i, t in enumerate(chain_terms)]
+            names[r] = next(fresh)
 
     # where does the collapsing hop land, flatly?
-    if collapse_var in terminal_slots:
-        landing: Term = image[terminal_slots[collapse_var][0]]
+    src_children = _variable_children(terminal_step.src_side)
+    if collapse_var in src_children:
+        landing: Term = names[roots[-1][src_children.index(collapse_var)]]
     else:
         # fresh right-hand variable: its image is the hop's actual target
         landing = occurrence_term(d, terminal.target)
@@ -497,31 +504,29 @@ def project_to_component(left: Theory, right: Theory, d: Derivation
         raise ProjectionError(
             f"the chain collapses to {render_term(landing)}, "
             f"not the goal variable {tn.name}")
-    flat_terms.append(tn)
 
-    out_terms: list[Term] = [flat_terms[0]]
+    # replay the root steps on the flat terms
+    image = [tuple(names[r] for r in row_roots) for row_roots in roots]
+    out_terms: list[Term] = [Application(t0.symbol, image[0])]
     out_steps: list[DerivationStep] = []
     for i, edge in enumerate(edges):
         if edge.case != 4:
-            if flat_terms[i] != flat_terms[i + 1]:
-                raise ProjectionError(
-                    f"non-root step {edge.step} does not flatten away: "
-                    f"{render_term(flat_terms[i])} becomes {render_term(flat_terms[i + 1])}")
             continue
-        ostep = _oriented(d, edge.step, edge.direction)
+        ostep = _reading(table, edge)
         dst = ostep.dst_side
         sigma: dict[Variable, Term] = {}
-        for j, v in enumerate(_variable_children(ostep.src_side), start=1):
-            sigma.setdefault(v, image[i, j])
+        for v, value in zip(_variable_children(ostep.src_side), image[i]):
+            sigma.setdefault(v, value)
         if isinstance(dst, Application):
-            for j, v in enumerate(_variable_children(dst), start=1):
-                sigma.setdefault(v, image[i + 1, j])
+            for v, value in zip(_variable_children(dst), image[i + 1]):
+                sigma.setdefault(v, value)
+            out_terms.append(Application(chain_terms[i + 1].symbol, image[i + 1]))
         else:
             sigma.setdefault(dst, tn)
+            out_terms.append(tn)
         step_obj = d.steps[edge.step - 1]
         fwd = step_obj.forward if edge.direction > 0 else not step_obj.forward
         out_steps.append(make_step(step_obj.equation, fwd, (), sigma))
-        out_terms.append(flat_terms[i + 1])
 
     out = Derivation(owner.name, tuple(out_terms), tuple(out_steps))
     check = verify_derivation(owner, out, allow_reflexivity=True)
@@ -536,13 +541,42 @@ def project_to_component(left: Theory, right: Theory, d: Derivation
     return ProjectionResult(out, owner_index, owner)
 
 
+def _union_reasons(d: Derivation, table: list[_Readings],
+                   chain: list[DerivationOccurrence], edges: list[SuccessorEdge],
+                   chain_terms: list[Application]) -> list[_UnionEdge]:
+    """Why chain children share classes, edge by edge along the chain: a
+    non-root edge ties child j of term i to child j of term i+1 (by a
+    "rewrite" reason for the child its step rewrites inside), and a root
+    step ties the slots its equation's variables tie."""
+    reasons: list[_UnionEdge] = []
+    for i, edge in enumerate(edges):
+        ostep = _reading(table, edge)
+        if edge.case == 4:
+            reasons += [_UnionEdge((i + s, j), (i + t, l), "equal")
+                        for (s, j), (t, l) in _root_pairs(ostep.src_side, ostep.dst_side)]
+            continue
+        rewrite: Optional[_UnionEdge] = None
+        if edge.case == 2:
+            rel = ostep.position[len(chain[i].position):]
+            step = d.steps[edge.step - 1]
+            fwd = step.forward if edge.direction > 0 else not step.forward
+            rewrite = _UnionEdge((i, rel[0]), (i + 1, rel[0]), "rewrite", step.equation, fwd,
+                                 rel[1:], step.subst)
+        for j in range(1, chain_terms[i].symbol.arity + 1):
+            if rewrite is not None and j == rewrite.a[1]:
+                reasons.append(rewrite)
+            else:
+                reasons.append(_UnionEdge((i, j), (i + 1, j), "equal"))
+    return reasons
+
+
 def _conflict_derivation(joined: Theory, chain_terms: list[Application],
-                         classes: _ClassAssignment, a: tuple[int, int],
+                         reasons: list[_UnionEdge], a: tuple[int, int],
                          b: tuple[int, int]) -> Derivation:
     """Stitch recorded union reasons into a derivation between two child
     subterms whose classes collided."""
     adjacency: dict[tuple[int, int], list[tuple[tuple[int, int], _UnionEdge, bool]]] = {}
-    for e in classes.edges:
+    for e in reasons:
         adjacency.setdefault(e.a, []).append((e.b, e, True))
         adjacency.setdefault(e.b, []).append((e.a, e, False))
     parents: dict[tuple[int, int], tuple[tuple[int, int], _UnionEdge, bool]] = {}

@@ -1,10 +1,16 @@
+import hashlib
+import itertools
+import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import projection_reference as reference
+from linvar import presets
 from linvar.dsl import parse_identity, parse_term
 from linvar.presets import maltsev, semilattice
 from linvar.projection import (
@@ -12,17 +18,21 @@ from linvar.projection import (
     InconsistencyDetectedError,
     NotAProjectionInstanceError,
     ProjectionError,
+    _chain_search,
     _edges_for,
     _oriented,
+    _reading_table,
     mark_T,
     occurrence_term,
     project_to_component,
     successors,
     z_substituted_derivation,
 )
-from linvar.rewriting import Derivation, Proved, bfs_prove, make_step, verify_derivation
-from linvar.terms import OperationSymbol, Variable, is_flat, positions
-from linvar.theories import join_disjoint, make_theory
+from linvar.rewriting import (Derivation, Proved, bfs_prove, derivation_to_json, make_step,
+                              verify_derivation)
+from linvar.terms import (Application, OperationSymbol, Variable, apply_substitution, is_flat,
+                          match_term, positions, replace_at, subterm_at, term_variables)
+from linvar.theories import embedded_components, join_disjoint, make_theory
 
 
 def occ(index, *pos):
@@ -41,7 +51,7 @@ def eager_adjacency(d):
         for direction in (1, -1):
             ostep = _oriented(d, m, direction)
             for pos in positions(d.terms[ostep.from_index]):
-                edges.extend(_edges_for(d, ostep, pos))
+                edges.extend(_edges_for(ostep, DerivationOccurrence(ostep.from_index, pos)))
     adjacency = {}
     for e in edges:
         adjacency.setdefault(e.source, []).append(e)
@@ -385,7 +395,7 @@ class TestProjectToComponent:
         # python -O strips asserts; a chain whose case 1 edge joins two
         # different terms must still raise instead of being flattened
         script = "\n".join([
-            "import dataclasses, sys",
+            "import sys",
             "sys.path.insert(0, sys.argv[1])",
             "from linvar import projection",
             "from linvar.presets import maltsev, semilattice",
@@ -393,7 +403,7 @@ class TestProjectToComponent:
             "search = projection._chain_search",
             "def tampered(*args):",
             "    chain, edges = search(*args)",
-            "    return chain, [dataclasses.replace(edges[0], case=1)] + edges[1:]",
+            "    return chain, [edges[0]._replace(case=1)] + edges[1:]",
             "projection._chain_search = tampered",
             "mal, sem = maltsev(), semilattice()",
             "try:",
@@ -423,3 +433,274 @@ def _nested_root_step_example(semilattice):
                     make_step(ids["v0 = g(v0)"], False, (1,), {v0: x}),
                     make_step(ids["v0 = g(v0)"], False, (), {v0: x})))
     return nested, semilattice, d
+
+
+# -- a seeded corpus that reaches the rare paths of the projection ----------
+
+
+def _orientations(theory):
+    """(equation, forward, source side, produced side) for both readings of
+    every identity."""
+    return [(eq, fwd) + ((eq.lhs, eq.rhs) if fwd else (eq.rhs, eq.lhs))
+            for eq in theory.identities for fwd in (True, False)]
+
+
+class _Walk:
+    """A join derivation built step by step from seeded random choices."""
+
+    def __init__(self, rng, joined, start, pool):
+        self.rng, self.pool = rng, pool
+        self.rules = _orientations(joined)
+        self.terms, self.steps = [start], []
+
+    def apply(self, eq, forward, pos, sigma):
+        dst = eq.rhs if forward else eq.lhs
+        self.steps.append(make_step(eq, forward, pos, sigma))
+        self.terms.append(replace_at(self.terms[-1], pos, apply_substitution(dst, sigma)))
+
+    def instance(self, src, dst, pos):
+        """A substitution rewriting the subterm at pos by src -> dst, or None.
+        Produced-side variables get a pool variable or a subterm."""
+        sigma = match_term(src, subterm_at(self.terms[-1], pos))
+        if sigma is None:
+            return None
+        sigma = dict(sigma)
+        subterms = [subterm_at(self.terms[-1], p) for p in positions(self.terms[-1])]
+        for v in term_variables(dst):
+            if v not in sigma:
+                sigma[v] = self.rng.choice(self.pool + [self.rng.choice(subterms)])
+        return sigma
+
+    def excursion(self, pos, depth):
+        """Rewrite at pos, maybe wander inside the result, and rewrite back."""
+        eq, fwd, src, dst = self.rng.choice(self.rules)
+        sigma = self.instance(src, dst, pos)
+        if sigma is None or len(str(self.terms[-1])) > 60:
+            return
+        self.apply(eq, fwd, pos, sigma)
+        if depth > 0 and self.rng.random() < 0.6:
+            self.excursion(self.rng.choice(list(positions(self.terms[-1]))), depth - 1)
+        self.apply(eq, not fwd, pos, sigma)
+
+    def wander(self):
+        for _ in range(self.rng.randint(0, 2)):
+            self.excursion(self.rng.choice(list(positions(self.terms[-1]))), 1)
+
+    def derivation(self, joined):
+        return Derivation(joined.name, tuple(self.terms), tuple(self.steps))
+
+
+def _root_walk(rng, owner, joined):
+    """F(w) = z: root steps of the owner between applications, out and
+    partly back, with excursions of both components between them, closed by
+    a collapsing root step.  None when the owner has nothing to close with."""
+    owned = _orientations(owner)
+    closers = [s for _, _, s, d in owned if isinstance(s, Application)
+               and isinstance(d, Variable) and d in term_variables(s)]
+    if not closers:
+        return None
+    pool = [Variable(n) for n in ("x", "y", "z")][:rng.randint(2, 3)]
+    src = rng.choice(closers)
+    w = _Walk(rng, joined, apply_substitution(
+        src, {v: rng.choice(pool) for v in term_variables(src)}), pool)
+    drifts = []
+    for _ in range(rng.randint(1, 4)):
+        w.wander()
+        options = [r for r in owned
+                   if isinstance(r[2], Application) and isinstance(r[3], Application)]
+        rng.shuffle(options)
+        for eq, fwd, s, d in options:
+            sigma = w.instance(s, d, ())
+            if sigma is not None:
+                w.apply(eq, fwd, (), sigma)
+                drifts.append((eq, fwd, sigma))
+                break
+    while True:
+        w.wander()
+        root = w.terms[-1]
+        ends = [(eq, fwd, s) for eq, fwd, s, d in owned
+                if isinstance(s, Application) and isinstance(d, Variable)
+                and d in term_variables(s) and match_term(s, root) is not None]
+        if ends and (rng.random() < 0.3 or not drifts):
+            eq, fwd, s = rng.choice(ends)
+            w.apply(eq, fwd, (), dict(match_term(s, root)))
+            return w.derivation(joined)
+        eq, fwd, sigma = drifts.pop()
+        w.apply(eq, not fwd, (), sigma)
+
+
+def _projections_theory(arity):
+    """g(v,...,v) = v and v = g(..., v at k, ...) for each k, like `shaky`
+    in `test_inconsistency_detected_with_certificate`: inconsistent."""
+    def g(args):
+        return f"g({','.join(args)})"
+
+    ids = [parse_identity(f"{g(['v'] * arity)} = v")]
+    for k in range(arity):
+        ids.append(parse_identity(
+            f"v = {g(['v' if i == k else f'w{i}' for i in range(arity)])}"))
+    return make_theory(f"projections{arity}", [OperationSymbol("g", arity)], ids)
+
+
+def _conflict_walk(rng, owner, joined):
+    """g(x1..xn) = z over `_projections_theory`: turn each child into the
+    whole term, collapse the diagonal, and project, with excursions."""
+    g = owner.symbols[0]
+    projs = {}
+    for eq, fwd, src, dst in _orientations(owner):
+        if isinstance(src, Variable) and isinstance(dst, Application):
+            if all(c == src for c in dst.children):
+                diag = (eq, not fwd, dst, src)                   # g(v,...,v) -> v
+            else:
+                projs[dst.children.index(src) + 1] = (eq, fwd, dst)   # v -> g(..v..)
+    pool = [Variable(n) for n in ("x", "y", "z")]
+    w = _Walk(rng, joined, Application(g, tuple(rng.choice(pool) for _ in range(g.arity))),
+              pool)
+    for _ in range(rng.randint(1, 2)):
+        whole = w.terms[-1]
+        order = list(range(1, g.arity + 1))
+        rng.shuffle(order)
+        for k in order:
+            w.wander()
+            eq, fwd, dst = projs[k]
+            w.apply(eq, fwd, (k,), dict(match_term(dst, whole)))
+        w.wander()
+        eq, fwd, src, dst = diag
+        w.apply(eq, fwd, (), {dst: whole})
+    w.wander()
+    eq, fwd, dst = projs[rng.randint(1, g.arity)]
+    w.apply(eq, not fwd, (), dict(match_term(dst, w.terms[-1])))
+    return w.derivation(joined)
+
+
+def _spread_theory():
+    """f(v) = p(v,w,w) and v = p(v,w,w): a root step that instantiates w with
+    a compound term leaves a class without a variable."""
+    return make_theory("spread", [OperationSymbol("f", 1), OperationSymbol("p", 3)],
+                       [parse_identity("f(v) = p(v,w,w)"), parse_identity("v = p(v,w,w)")])
+
+
+def _walk_corpus():
+    """(left, right, join derivation) triples: eight root walks for each of
+    the 42 ordered pairs of distinct presets, root walks over `spread`, and
+    conflict walks over theories of projections, all from one seed."""
+    rng = random.Random(5417)
+    corpus = presets.presets()
+    cases = []
+    for a, b in itertools.permutations(corpus, 2):
+        a_emb, _, joined = embedded_components(a, b)
+        for _ in range(8):
+            d = _root_walk(rng, a_emb, joined)
+            if d is not None:
+                cases.append((a, b, d))
+    for owner, walk, copies in ((_spread_theory(), _root_walk, 4),
+                                (_projections_theory(2), _conflict_walk, 3),
+                                (_projections_theory(3), _conflict_walk, 3)):
+        for b in corpus:
+            a_emb, _, joined = embedded_components(owner, b)
+            for _ in range(copies):
+                cases.append((owner, b, walk(rng, a_emb, joined)))
+    return cases
+
+
+def _outcome(project, left, right, d):
+    """What a projection returns or raises, as JSON-ready data."""
+    try:
+        result = project(left, right, d)
+    except ProjectionError as exc:
+        cert = getattr(exc, "derivation", None)
+        return ["raised", type(exc).__name__, str(exc),
+                None if cert is None else derivation_to_json(cert)]
+    return ["projected", result.owner_index, result.owner_theory.name,
+            derivation_to_json(result.derivation)]
+
+
+# sha256 of `_outcome` over `_walk_corpus()`, taken before projection was
+# rewritten without per-edge objects
+PINNED_PROJECTIONS = "c47f2f558fd7f6b707f7a7b41ddc62192c9bcbb7805e9345c0d7c20cccbbc49f"
+
+
+def test_projections_are_pinned():
+    cases = _walk_corpus()
+    for left, right, d in cases:
+        assert verify_derivation(embedded_components(left, right)[2], d)
+    outcomes = [_outcome(project_to_component, *case) for case in cases]
+    digest = hashlib.sha256(json.dumps(outcomes).encode()).hexdigest()
+    assert digest == PINNED_PROJECTIONS
+
+
+def _edge_cases(maltsev, semilattice):
+    """Hand-built inputs: the spec example, a derivation the right-hand
+    component owns, and inputs rejected because they do not verify, have the
+    wrong shape or use a non-flat identity."""
+    joined = join_disjoint(maltsev, semilattice)
+    x, v0 = Variable("x"), Variable("v0")
+    ax_m = semilattice.identities[0]
+    return [
+        (maltsev, semilattice, _spec_example_derivation(maltsev, semilattice)),
+        (maltsev, semilattice, Derivation(joined.name, (parse_term("p(x,y,y)"),), ())),
+        (maltsev, semilattice, Derivation(joined.name, (parse_term("m(x,x)"), x),
+                                          (make_step(ax_m, False, (), {v0: x}),))),
+        (maltsev, semilattice, Derivation(joined.name, (parse_term("m(x,x)"), x),
+                                          (make_step(ax_m, True, (), {v0: x}),))),
+        (maltsev, semilattice, Derivation(
+            joined.name, (parse_term("p(m(x,x),y,y)"), parse_term("m(x,x)")),
+            (make_step(maltsev.identities[0], False, (),
+                       {v0: parse_term("m(x,x)"), Variable("v1"): Variable("y")}),))),
+        _nested_root_step_example(semilattice),
+    ]
+
+
+def _as_tuples(found):
+    """A chain search's answer with occurrences and edges as plain tuples."""
+    if found is None:
+        return None
+    chain, edges = found
+    return ([(o.index, o.position) for o in chain],
+            [(e.source.index, e.source.position, e.target.index, e.target.position,
+              e.case, e.step, e.direction) for e in edges])
+
+
+def test_projection_matches_the_reference(maltsev, semilattice):
+    """The same projections, errors, messages and certificates as the
+    projection code before its rewrite, kept in `projection_reference`, and
+    the same chains.  The corpus reaches every path of the class pass."""
+    from test_acceptance import _projection_corpus
+
+    cases = _walk_corpus() + _edge_cases(maltsev, semilattice)
+    cases += [(a, b, d) for a, b, d, _ in _projection_corpus()]
+    seen = {"inner root step": 0, "case 1": 0, "case 3": 0, "conflict": 0, "fresh name": 0}
+    for left, right, d in cases:
+        expected = _outcome(reference.project_to_component, left, right, d)
+        assert _outcome(project_to_component, left, right, d) == expected, \
+            [str(t) for t in d.terms]
+        a_emb, b_emb, joined = embedded_components(left, right)
+        if not (verify_derivation(joined, d) and isinstance(d.terms[0], Application)):
+            continue
+        owner = a_emb if d.terms[0].symbol in a_emb.symbols else b_emb
+        sig = frozenset(owner.symbols)
+        found = reference._chain_search(d, sig, d.terms[-1])
+        assert _as_tuples(_chain_search(d, _reading_table(d), sig, d.terms[-1])) == \
+            _as_tuples(found)
+        kinds = [e.case for e in found[1]] if found else []
+        seen["inner root step"] += 4 in kinds[:-1]
+        seen["case 1"] += 1 in kinds
+        seen["case 3"] += 3 in kinds
+        seen["conflict"] += expected[1] == "InconsistencyDetectedError"
+        if expected[0] == "projected":
+            names = {v for t in d.terms for v in term_variables(t)}
+            seen["fresh name"] += any(v not in names for t in expected[3]["terms"]
+                                      for v in term_variables(parse_term(t)))
+    assert seen["inner root step"] >= 100 and seen["conflict"] >= 20, seen
+    assert min(seen.values()) >= 5, seen
+
+
+def test_successors_match_the_reference():
+    """Every occurrence of the corpus has the same out-edges, in the same
+    order, as the reference computes."""
+    for _, _, d in _walk_corpus()[::4]:
+        for o in all_occurrences(d):
+            new = _as_tuples(([], successors(d, o)))[1]
+            old = _as_tuples(([], reference.successors(
+                d, reference.DerivationOccurrence(o.index, o.position))))[1]
+            assert new == old, (o, [str(t) for t in d.terms])
