@@ -21,7 +21,6 @@ from .derivatives import (
 )
 from .dsl import ParseError, load_theory, parse_identity, parse_term, parse_theory, render_theory
 from .models import (
-    Disequality,
     FiniteAlgebra,
     eval_term,
     find_model,
@@ -32,10 +31,8 @@ from .projection import (
     DerivationOccurrence,
     InconsistencyDetectedError,
     ProjectionResult,
-    mark_T,
     project_to_component,
     successors,
-    z_substituted_derivation,
 )
 from .rewriting import (
     CertificateError,

@@ -33,14 +33,7 @@ PropertyName = Literal["cm", "nci", "nperm"]
 class NotLinearIdempotentError(Exception):
     def __init__(self, report: ValidationReport):
         self.report = report
-        problems = []
-        if not report.is_linear:
-            problems.append("not linear")
-        bad = [name for name, status in report.idempotency
-               if status == "not-established"]
-        if bad:
-            problems.append(f"idempotency not established for {', '.join(bad)}")
-        super().__init__(f"{report.theory_name}: {'; '.join(problems)}")
+        super().__init__(f"{report.theory_name}: {'; '.join(report.problems)}")
 
 
 @dataclass(frozen=True)
@@ -72,7 +65,6 @@ class Verdict:
 @dataclass(frozen=True)
 class ClassificationReport:
     theory_name: str
-    validation: ValidationReport
     cm: Verdict
     nci: Verdict
     nperm: Verdict
@@ -145,8 +137,7 @@ def _trace_verdict(prop: str, trace: IterationTrace, answer: bool,
     return _no_verdict(prop, trace.final, len(trace.stages) - 1, model_range)
 
 
-def _report(theory: Theory, validation: ValidationReport,
-            d_trace: IterationTrace, o_trace: IterationTrace,
+def _report(theory: Theory, d_trace: IterationTrace, o_trace: IterationTrace,
             model_range: tuple[int, int]) -> ClassificationReport:
     """The three verdicts of `_answers`, each with its certificate."""
     cm_yes, nci_yes, nperm_yes = _answers(d_trace, o_trace)
@@ -161,15 +152,8 @@ def _report(theory: Theory, validation: ValidationReport,
         # a consistent stage 0 always has its derivative recorded as stage 1
         cm = _no_verdict("cm", d_trace.stages[1], 1, model_range)
     nperm = _trace_verdict("nperm", o_trace, nperm_yes, model_range)
-    return ClassificationReport(theory.name, validation, cm, nci, nperm,
+    return ClassificationReport(theory.name, cm, nci, nperm,
                                 traces=(d_trace, o_trace))
-
-
-def _validated(theory: Theory) -> ValidationReport:
-    report = validate(theory)
-    if not report.ok:
-        raise NotLinearIdempotentError(report)
-    return report
 
 
 def classify(theory: Theory, model_range: tuple[int, int] = (2, 3),
@@ -185,8 +169,7 @@ def classify(theory: Theory, model_range: tuple[int, int] = (2, 3),
         if sufficient_only:
             return _classify_sufficient_only(theory, report)
         raise NotLinearIdempotentError(report)
-    return _report(theory, report,
-                   derivatives.iterate(theory, "derivative"),
+    return _report(theory, derivatives.iterate(theory, "derivative"),
                    derivatives.iterate(theory, "order_derivative"),
                    model_range)
 
@@ -238,7 +221,7 @@ def _classify_sufficient_only(theory: Theory, report: ValidationReport
                      note="sufficient-only: search found no inconsistency proof")
     unknown = Verdict("nci", None, 0, "none", note="not evaluated: input not linear")
     unknown2 = Verdict("nperm", None, 0, "none", note="not evaluated: input not linear")
-    return ClassificationReport(theory.name, report, cm, unknown, unknown2,
+    return ClassificationReport(theory.name, cm, unknown, unknown2,
                                 mode="sufficient-only")
 
 
@@ -302,8 +285,9 @@ def check_join_decomposition(left: Theory, right: Theory
 
     joined = join_disjoint(left, right)
     theories = (joined, left, right)
-    for t in theories:
-        _validated(t)
+    for report in map(validate, theories):
+        if not report.ok:
+            raise NotLinearIdempotentError(report)
     traces = {operator: [derivatives.iterate(t, operator) for t in theories]
               for operator in ("derivative", "order_derivative")}
     ops = []

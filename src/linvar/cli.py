@@ -133,6 +133,8 @@ def _cmd_validate(args) -> tuple[int, dict]:
         print(f"  non-linear axiom: {render_identity(e)}")
     for name, status in report.idempotency:
         print(f"  idempotency of {name}: {status}")
+    for problem in report.problems:
+        print(f"  refused: {problem}")
     return (EXIT_OK if report.ok else EXIT_ERROR), payload
 
 
@@ -187,6 +189,14 @@ def _cmd_classify(args) -> tuple[int, dict]:
     return code, report.to_json()
 
 
+def _entailed(derivation: rewriting.Derivation) -> tuple[int, dict]:
+    """Print and report a goal proved by `derivation`."""
+    out = rewriting.derivation_to_json(derivation)
+    print(f"entailed ({len(derivation.steps)} steps)")
+    print(json.dumps(out, indent=2))
+    return EXIT_OK, {"verdict": "entailed", "derivation": out}
+
+
 def _cmd_entail(args) -> tuple[int, dict]:
     theory = load_theory(args.theory)
     arities = {s.name: s.arity for s in theory.symbols}
@@ -197,10 +207,7 @@ def _cmd_entail(args) -> tuple[int, dict]:
         base = saturation.saturate(theory, saturation.goal_budget(theory, goal))
         verdict = saturation.entails_flat(base, goal)
         if isinstance(verdict, Entailed):
-            print(f"entailed ({len(verdict.derivation.steps)} steps)")
-            print(json.dumps(rewriting.derivation_to_json(verdict.derivation), indent=2))
-            return EXIT_OK, {"verdict": "entailed",
-                             "derivation": rewriting.derivation_to_json(verdict.derivation)}
+            return _entailed(verdict.derivation)
         if isinstance(verdict, NotEntailedWithModel):
             print(f"not entailed; countermodel size {verdict.algebra.size} "
                   f"under {dict(verdict.assignment)}")
@@ -211,10 +218,7 @@ def _cmd_entail(args) -> tuple[int, dict]:
         return EXIT_OK, {"verdict": "not-entailed"}
     outcome = rewriting.bfs_prove(theory, goal, _bounds(args))
     if isinstance(outcome, rewriting.Proved):
-        print(f"entailed ({len(outcome.derivation.steps)} steps)")
-        print(json.dumps(rewriting.derivation_to_json(outcome.derivation), indent=2))
-        return EXIT_OK, {"verdict": "entailed",
-                         "derivation": rewriting.derivation_to_json(outcome.derivation)}
+        return _entailed(outcome.derivation)
     print(f"unknown: {outcome.stats.reason} "
           f"(expanded {outcome.stats.expanded} terms)")
     return EXIT_UNKNOWN, {"verdict": "unknown", "reason": outcome.stats.reason}

@@ -103,14 +103,6 @@ def satisfies(algebra: FiniteAlgebra, theory: Theory) -> SatisfactionResult:
     return SatisfactionResult(True)
 
 
-@dataclass(frozen=True)
-class Disequality:
-    """Require some assignment under which lhs and rhs differ."""
-
-    lhs: Term
-    rhs: Term
-
-
 def _instance_pairs(layout: FlatLayout, lhs: Term, rhs: Term,
                     vs: tuple[Variable, ...]) -> list[tuple[object, object]]:
     """Both sides' codes with vs over every element in `itertools.product`
@@ -150,7 +142,7 @@ class _TableSearch:
     """
 
     def __init__(self, layout: FlatLayout, instances: Sequence[tuple[object, object]],
-                 goal: Optional[Disequality]):
+                 goal: Optional[Identity]):
         self.size = size = layout.n
         self.layout = layout
         self.cells: list[Optional[int]] = list(range(size)) + [None] * (layout.size - size)
@@ -161,7 +153,7 @@ class _TableSearch:
         self.stack = list(range(len(instances)))
         self.goal = goal
         if goal is not None:
-            self.goal_vars = identity_variables(Identity(goal.lhs, goal.rhs))
+            self.goal_vars = identity_variables(goal)
             self.goal_instances = _instance_pairs(layout, goal.lhs, goal.rhs,
                                                   self.goal_vars)
 
@@ -267,9 +259,10 @@ class _TableSearch:
 
 
 def find_model(theory: Theory, lo: int = 2, hi: int = 3,
-               constraint: Optional[Disequality] = None
+               constraint: Optional[Identity] = None
                ) -> Optional[tuple[FiniteAlgebra, Assignment]]:
-    """First model of the theory in the size range, in deterministic order.
+    """First model of the theory in the size range, in deterministic order,
+    and an assignment separating the constraint's sides (empty without one).
 
     An idempotency axiom needs no special case: its instances fix the
     diagonal cells in the first propagation.  Returns None when the range
@@ -289,4 +282,4 @@ def find_model(theory: Theory, lo: int = 2, hi: int = 3,
 def refute_entailment(theory: Theory, goal: Identity, lo: int = 2, hi: int = 3
                       ) -> Optional[tuple[FiniteAlgebra, Assignment]]:
     """A model of the theory separating the goal's sides, if one exists in range."""
-    return find_model(theory, lo, hi, Disequality(goal.lhs, goal.rhs))
+    return find_model(theory, lo, hi, goal)

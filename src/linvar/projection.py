@@ -8,10 +8,11 @@ chain children that are forced equal, and replays the chain's root steps on
 variable representatives of those classes.  Output validity is certified by
 the derivation verifier rather than assumed.
 
-The successor relation is never built whole: `successors` computes the
-out-edges of one occurrence from the two steps beside its term, and the
-searches call it only for the occurrences they expand.  Each projection
-reads both directions of every step once, into a table local to the call.
+The successor relation is never built whole: the out-edges of one
+occurrence come from the two steps beside its term, and the chain search
+computes them only for the occurrences it expands.  Each projection reads
+both directions of every step once, into a table local to the call.
+`successors` gives the same edges for one occurrence on its own.
 
 A chain edge that is not a root step maps child j of one chain term to
 child j of the next, so the next term keeps the same list of class ids; only
@@ -33,12 +34,9 @@ from .terms import (
     Variable,
     fresh_variables,
     is_flat,
-    match_term,
     render_term,
-    replace_at,
     subterm_at,
     term_variables,
-    variable_occurrences,
 )
 from .theories import Identity, Theory, embedded_components
 
@@ -76,10 +74,6 @@ class SuccessorEdge(NamedTuple):
     case: int       # 1: untouched, 2: rewrite inside, 3: variable fan-out, 4: root step
     step: int       # 1-based step the edge crosses (or sits beside, for case 3)
     direction: int  # +1 along the derivation, -1 against it
-
-
-def _is_prefix(p: Position, q: Position) -> bool:
-    return len(p) <= len(q) and q[:len(p)] == p
 
 
 class _OrientedStep(NamedTuple):
@@ -190,26 +184,8 @@ def successors(d: Derivation, occ: DerivationOccurrence) -> tuple[SuccessorEdge,
     return tuple(_successors(_readings_at(d, occ.index), occ))
 
 
-def occurrence_term(d: Derivation, occ: DerivationOccurrence) -> Term:
-    return subterm_at(d.terms[occ.index], occ.position)
-
-
-def mark_T(d: Derivation) -> frozenset[DerivationOccurrence]:
-    """All occurrences reachable from the root of the first term."""
-    table = _reading_table(d)
-    start = DerivationOccurrence(0, ())
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        cur = queue.popleft()
-        for e in _successors(table[cur.index], cur):
-            if e.target not in seen:
-                seen.add(e.target)
-                queue.append(e.target)
-    return frozenset(seen)
-
-
 def _derivation_variable_names(d: Derivation) -> set[str]:
+    """Every variable name the derivation uses, which fresh names avoid."""
     names = set()
     for t in d.terms:
         names.update(v.name for v in term_variables(t))
@@ -220,55 +196,6 @@ def _derivation_variable_names(d: Derivation) -> set[str]:
         names.update(v.name for v in term_variables(step.equation.lhs))
         names.update(v.name for v in term_variables(step.equation.rhs))
     return names
-
-
-def z_substituted_derivation(d: Derivation,
-                             marked: Optional[frozenset[DerivationOccurrence]] = None
-                             ) -> Derivation:
-    """Replace every variable occurrence lying under a marked occurrence with
-    one fresh variable, keeping the step metadata.
-
-    The marking is closed under the successor relation, which is what makes
-    every step replay on the substituted terms; each reconstructed step is
-    checked structurally and a failure raises rather than returning a bogus
-    derivation.
-    """
-    from .terms import apply_substitution
-
-    if marked is None:
-        marked = mark_T(d)
-    z = next(fresh_variables(_derivation_variable_names(d)))
-    by_index: dict[int, list[Position]] = {}
-    for occ in marked:
-        by_index.setdefault(occ.index, []).append(occ.position)
-
-    new_terms: list[Term] = []
-    for i, t in enumerate(d.terms):
-        prefixes = by_index.get(i, [])
-        out = t
-        for pos, _ in variable_occurrences(t):
-            if any(_is_prefix(p, pos) for p in prefixes):
-                out = replace_at(out, pos, z)
-        new_terms.append(out)
-
-    new_steps: list[DerivationStep] = []
-    for m, step in enumerate(d.steps, start=1):
-        src, dst = (step.equation.lhs, step.equation.rhs)
-        if not step.forward:
-            src, dst = dst, src
-        before = match_term(src, subterm_at(new_terms[m - 1], step.position))
-        if before is None:
-            raise ProjectionError(f"step {m} no longer matches after substitution")
-        after = match_term(dst, subterm_at(new_terms[m], step.position), binding=before)
-        if after is None:
-            raise ProjectionError(f"step {m} no longer lines up after substitution")
-        replayed = replace_at(new_terms[m - 1], step.position,
-                              apply_substitution(dst, after))
-        if replayed != new_terms[m]:
-            raise ProjectionError(
-                f"step {m} does not reproduce the substituted successor term")
-        new_steps.append(make_step(step.equation, step.forward, step.position, after))
-    return Derivation(d.theory_name, tuple(new_terms), tuple(new_steps))
 
 
 # -- chain extraction and replay ---------------------------------------------
@@ -499,7 +426,7 @@ def project_to_component(left: Theory, right: Theory, d: Derivation
         landing: Term = names[roots[-1][src_children.index(collapse_var)]]
     else:
         # fresh right-hand variable: its image is the hop's actual target
-        landing = occurrence_term(d, terminal.target)
+        landing = subterm_at(d.terms[terminal.target.index], terminal.target.position)
     if landing != tn:
         raise ProjectionError(
             f"the chain collapses to {render_term(landing)}, "

@@ -466,12 +466,7 @@ def _collapse_instance_derivation(base: FlatFactBase, goal: Identity) -> Derivat
     goal_names = {v.name for v in
                   term_variables(goal.lhs) + term_variables(goal.rhs)}
     fresh = fresh_variables(goal_names)
-    rename = {}
-    taken = set(goal_names)
-    for i in range(base.budget):
-        v = next(fresh)
-        rename[i] = v
-        taken.add(v.name)
+    rename = {i: next(fresh) for i in range(base.budget)}
     ids, edges = _chain(base, 0, 1)
     collapse = _chain_derivation(base, ids, edges, rename)
     instance = substitute_derivation(

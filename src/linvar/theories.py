@@ -5,10 +5,13 @@ are unordered pairs of terms; theories store them in a canonical form so
 that set-level comparisons (needed when comparing iterated derivatives)
 are plain syntactic equality.  Construction order is preserved, which keeps
 original axioms ahead of derived identities in search orders.
+
+One helper, `_embed`, renames and canonicalizes the right component of a
+join, for both `join_disjoint` and `embedded_components`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Callable, Iterable, Optional
 
@@ -21,7 +24,6 @@ from .terms import (
     is_flat,
     rename_jointly,
     render_term,
-    term_key,
     term_symbols,
     term_variables,
 )
@@ -167,13 +169,18 @@ def make_theory(name: str,
                 identities: Iterable[Identity],
                 renames: tuple[tuple[str, str], ...] = ()) -> Theory:
     """Canonicalize, deduplicate and order-check the parts of a theory."""
+    return extend_theory(Theory(name, _signature(symbols), (), renames), name, identities)
+
+
+def _signature(symbols: Iterable[OperationSymbol]) -> tuple[OperationSymbol, ...]:
+    """The symbols in (name, arity) order; a name used twice is refused."""
     syms = tuple(sorted(set(symbols), key=lambda s: (s.name, s.arity)))
     seen: set[str] = set()
     for s in syms:
         if s.name in seen:
             raise ValueError(f"duplicate symbol name {s.name!r} in signature")
         seen.add(s.name)
-    return extend_theory(Theory(name, syms, (), renames), name, identities)
+    return syms
 
 
 @dataclass(frozen=True)
@@ -183,6 +190,8 @@ class ValidationReport:
     nonlinear_identities: tuple[Identity, ...]
     # status per symbol: "explicit" | "derivable" | "not-established"
     idempotency: tuple[tuple[str, str], ...]
+    # the 0-ary symbols, always "not-established"
+    constants: tuple[str, ...] = ()
 
     @property
     def is_idempotent(self) -> bool:
@@ -191,6 +200,19 @@ class ValidationReport:
     @property
     def ok(self) -> bool:
         return self.is_linear and self.is_idempotent
+
+    @property
+    def problems(self) -> list[str]:
+        """Why the theory is not linear idempotent, one phrase per reason."""
+        out = [] if self.is_linear else ["not linear"]
+        bad = [name for name, status in self.idempotency
+               if status == "not-established" and name not in self.constants]
+        if bad:
+            out.append(f"idempotency not established for {', '.join(bad)}")
+        # an idempotent constant c = x gives x = c = y
+        out += [f"{c} is a constant, and {c} = x would force x = y, so only a "
+                "trivial variety satisfies it" for c in self.constants]
+        return out
 
 
 def idempotency_identity(symbol: OperationSymbol) -> Identity:
@@ -230,7 +252,8 @@ def validate(theory: Theory) -> ValidationReport:
             statuses.append((s.name, "derivable"))
         else:
             statuses.append((s.name, "not-established"))
-    return ValidationReport(theory.name, linear, nonlinear, tuple(statuses))
+    return ValidationReport(theory.name, linear, nonlinear, tuple(statuses),
+                            tuple(s.name for s in theory.symbols if s.arity == 0))
 
 
 def _rename_symbols(t: Term, mapping: dict[str, OperationSymbol]) -> Term:
@@ -240,63 +263,55 @@ def _rename_symbols(t: Term, mapping: dict[str, OperationSymbol]) -> Term:
     return Application(sym, tuple(_rename_symbols(c, mapping) for c in t.children))
 
 
-def join_disjoint(a: Theory, b: Theory) -> Theory:
-    """Union of two theories over a disjoint signature.
+def _embed(a: Theory, b: Theory
+           ) -> tuple[list[OperationSymbol], tuple[Identity, ...], Theory]:
+    """`b`'s symbols and identities as they sit inside the join of `a` and
+    `b`, and the join, renaming and canonicalizing `b` once for both.
 
-    Symbols of `b` clashing with names from `a` are renamed with a numeric
-    suffix; the rename map is recorded on the result.  Both identity lists
-    are canonical already, and `term_key` orders by symbol name, so only a
-    rename makes `b`'s identities need canonicalizing again.
+    Both identity lists are canonical already, and a symbol's name counts
+    in canonical form only through the order of names, so only a rename
+    makes `b`'s identities need canonicalizing again.
     """
     taken = {s.name for s in a.symbols}
     mapping: dict[str, OperationSymbol] = {}
-    renames: list[tuple[str, str]] = []
-    new_symbols = list(a.symbols)
+    symbols = []
     for s in b.symbols:
         if s.name in taken:
             k = 2
             while f"{s.name}_{k}" in taken:
                 k += 1
-            renamed = OperationSymbol(f"{s.name}_{k}", s.arity)
-            mapping[s.name] = renamed
-            renames.append((s.name, renamed.name))
-            new_symbols.append(renamed)
-            taken.add(renamed.name)
-        else:
-            new_symbols.append(s)
-            taken.add(s.name)
-    name = f"join({a.name},{b.name})"
-    signature = make_theory(name, new_symbols, (), renames=tuple(renames))
-    if not mapping:
-        # symbol-free identities, such as x = y, may occur in both
-        return replace(signature,
-                       identities=tuple(dict.fromkeys(a.identities + b.identities)))
-    b_identities = [
-        Identity(_rename_symbols(e.lhs, mapping), _rename_symbols(e.rhs, mapping))
-        for e in b.identities
-    ]
-    return extend_theory(replace(signature, identities=a.identities), name,
-                         b_identities)
+            mapping[s.name] = OperationSymbol(f"{s.name}_{k}", s.arity)
+            s = mapping[s.name]
+        symbols.append(s)
+        taken.add(s.name)
+    identities = b.identities
+    if mapping:
+        identities = tuple(dict.fromkeys(
+            canonicalize_identity(Identity(_rename_symbols(e.lhs, mapping),
+                                           _rename_symbols(e.rhs, mapping)))
+            for e in identities))
+    # symbol-free identities, such as x = y, may occur in both
+    joined = Theory(f"join({a.name},{b.name})", _signature([*a.symbols, *symbols]),
+                    tuple(dict.fromkeys(a.identities + identities)),
+                    tuple((old, new.name) for old, new in mapping.items()))
+    return symbols, identities, joined
+
+
+def join_disjoint(a: Theory, b: Theory) -> Theory:
+    """Union of two theories over a disjoint signature.
+
+    A symbol of `b` whose name is taken, by `a` or by an earlier symbol of
+    `b`, gets the first free suffix _2, _3, ...; the renames are recorded
+    on the result.
+    """
+    return _embed(a, b)[2]
 
 
 def embedded_components(a: Theory, b: Theory) -> tuple[Theory, Theory, Theory]:
-    """The two component theories as they appear inside join_disjoint(a, b).
-
-    As in `join_disjoint`, `b`'s identities are canonical already and need
-    canonicalizing again only after a rename.
-    """
-    joined = join_disjoint(a, b)
-    mapping = {old: joined.symbol_named(new) for old, new in joined.renames}
-    mapping = {k: v for k, v in mapping.items() if v is not None}
-    b_symbols = [mapping.get(s.name, s) for s in b.symbols]
-    signature = make_theory(b.name, b_symbols, ())
-    if not mapping:
-        return a, replace(signature, identities=b.identities), joined
-    b_identities = [
-        Identity(_rename_symbols(e.lhs, mapping), _rename_symbols(e.rhs, mapping))
-        for e in b.identities
-    ]
-    return a, extend_theory(signature, b.name, b_identities), joined
+    """The two component theories as they appear inside join_disjoint(a, b),
+    and the join."""
+    symbols, identities, joined = _embed(a, b)
+    return a, Theory(b.name, _signature(symbols), identities), joined
 
 
 def theory_equal(a: Theory, b: Theory) -> bool:

@@ -52,6 +52,24 @@ class TestValidateCommand:
         assert "line 3" in err and "arity" in err
 
 
+def test_constant_is_refused_with_its_reason(tmp_path, capsys):
+    """An idempotent constant holds only in a trivial variety: classify
+    and validate exit 1 and say so, and the status stays not-established."""
+    path = tmp_path / "withc.thy"
+    path.write_text("theory withc\nop c/0\nop m/2\naxiom m(x,x) = x\n")
+    reason = ("c is a constant, and c = x would force x = y, so only a "
+              "trivial variety satisfies it")
+    assert main(["classify", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: withc: {reason}\n"
+    report = tmp_path / "validate.json"
+    assert main(["validate", str(path), "--json", str(report)]) == 1
+    captured = capsys.readouterr()
+    assert f"  refused: {reason}\n" in captured.out
+    assert "Traceback" not in captured.err
+    assert json.loads(report.read_text())["result"]["idempotency"] == \
+        {"c": "not-established", "m": "explicit"}
+
+
 class TestClassifyCommand:
     def test_maltsev_summary(self, maltsev_file, capsys, tmp_path):
         report_path = tmp_path / "report.json"

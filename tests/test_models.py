@@ -8,7 +8,6 @@ from hypothesis import given, settings
 
 from linvar.dsl import parse_identity, parse_term
 from linvar.models import (
-    Disequality,
     FiniteAlgebra,
     eval_term,
     find_model,
@@ -17,6 +16,7 @@ from linvar.models import (
 )
 from linvar.presets import maltsev, semilattice
 from linvar.terms import OperationSymbol, Variable
+from linvar.theories import Identity
 from test_random_theories import small_theories, ternary_theories
 
 
@@ -105,8 +105,7 @@ class TestFindModel:
 
     def test_maltsev_refutation_witness(self):
         goal = parse_identity("x = p(y,x,x)")
-        found = find_model(maltsev(), 2, 2,
-                           Disequality(goal.lhs, goal.rhs))
+        found = find_model(maltsev(), 2, 2, goal)
         assert found is not None
         algebra, rho = found
         assert satisfies(algebra, maltsev())
@@ -390,7 +389,7 @@ def _assert_same_models(theory):
     """Equal results at sizes 1-3, with no goal and with each goal of
     `_goals`.  The search fixes no diagonal ahead of propagation, and
     equals the reference both with and without it."""
-    constraints = [None] + [Disequality(lhs, rhs) for lhs, rhs in _goals(theory)]
+    constraints = [None] + [Identity(lhs, rhs) for lhs, rhs in _goals(theory)]
     identities = [str(e) for e in theory.identities]
     for size in (1, 2, 3):
         for constraint in constraints:

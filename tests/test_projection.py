@@ -22,11 +22,8 @@ from linvar.projection import (
     _edges_for,
     _oriented,
     _reading_table,
-    mark_T,
-    occurrence_term,
     project_to_component,
     successors,
-    z_substituted_derivation,
 )
 from linvar.rewriting import (Derivation, Proved, bfs_prove, derivation_to_json, make_step,
                               verify_derivation)
@@ -140,8 +137,8 @@ class TestSuccessorGraph:
         d = _spec_example_derivation(maltsev, semilattice)
         edges = [e for o in all_occurrences(d) for e in successors(d, o)]
         for e in edges[:200]:
-            a = occurrence_term(d, e.source)
-            b = occurrence_term(d, e.target)
+            a = subterm_at(d.terms[e.source.index], e.source.position)
+            b = subterm_at(d.terms[e.target.index], e.target.position)
             if a == b:
                 continue
             outcome = bfs_prove(joined, parse_identity(f"{a} = {b}"))
@@ -177,68 +174,6 @@ def _spec_example_derivation(mal, sem):
                     make_step(ax_p, False, (), {v0: x, v1: myy})))
     assert verify_derivation(joined, d)
     return d
-
-
-class TestMarkT:
-    def test_single_term(self, maltsev):
-        d = Derivation(maltsev.name, (parse_term("p(x,y,z)"),), ())
-        assert mark_T(d) == frozenset({occ(0)})
-
-    def test_collapse_chain_reaches_final_variable(self, maltsev):
-        from linvar.derivatives import derivative
-
-        prime = derivative(maltsev)
-        ax2, ind1 = prime.identities[1], prime.identities[2]
-        x, y = Variable("x"), Variable("y")
-        vs = [Variable(f"v{i}") for i in range(4)]
-        d = Derivation(prime.name,
-                       (parse_term("p(x,y,y)"), parse_term("p(y,y,y)"), y),
-                       (make_step(ind1, True, (), {vs[0]: x, vs[1]: y, vs[2]: y, vs[3]: y}),
-                        make_step(ax2, False, (), {vs[0]: y, vs[1]: y})))
-        assert verify_derivation(prime, d)
-        marked = mark_T(d)
-        assert occ(2) in marked
-
-    def test_join_example_reaches_goal(self, maltsev, semilattice):
-        d = _spec_example_derivation(maltsev, semilattice)
-        assert occ(3) in mark_T(d)
-
-    def test_marking_reaches_goal_across_corpus(self):
-        # over consistent components, the first term always reaches an
-        # occurrence of the final variable
-        from test_acceptance import _projection_corpus
-
-        for _, _, d, _ in _projection_corpus()[:15]:
-            marked = mark_T(d)
-            goal = d.terms[-1]
-            assert any(occurrence_term(d, o) == goal for o in marked), \
-                [str(t) for t in d.terms]
-
-
-class TestZSubstitution:
-    def test_stepless_derivation_blankets_the_term(self, maltsev):
-        d = Derivation(maltsev.name, (parse_term("p(x,y,x)"),), ())
-        out = z_substituted_derivation(d)
-        t = out.terms[0]
-        children = set(t.children)
-        assert len(children) == 1
-        (z,) = children
-        assert z.name not in {"x", "y"}
-
-    def test_output_verifies(self, maltsev, semilattice):
-        joined = join_disjoint(maltsev, semilattice)
-        d = _spec_example_derivation(maltsev, semilattice)
-        out = z_substituted_derivation(d)
-        assert verify_derivation(joined, out)
-        assert is_flat(out.terms[0])
-
-    def test_marked_subset_controls_replacement(self, maltsev):
-        d = Derivation(maltsev.name, (parse_term("p(x,y,x)"),), ())
-        out = z_substituted_derivation(d, frozenset({occ(0, 2)}))
-        t = out.terms[0]
-        assert t.children[0] == Variable("x")
-        assert t.children[2] == Variable("x")
-        assert t.children[1] != Variable("y")
 
 
 class TestProjectToComponent:

@@ -16,3 +16,24 @@ def test_no_assert_in_the_sources():
              for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_every_import_is_used():
+    """Each name a module imports appears as a name in that module; only
+    the package's `__init__` imports names to export them."""
+    unused = []
+    for path in SOURCES:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update((a.asname or a.name, node.lineno) for a in node.names)
+            elif isinstance(node, ast.Import):
+                imported.update((a.asname or a.name.split(".")[0], node.lineno)
+                                for a in node.names)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line}: {name}"
+                   for name, line in imported.items() if name not in used]
+    assert unused == []

@@ -1,6 +1,11 @@
+import hashlib
+import itertools
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from linvar import presets
 from linvar.dsl import parse_identity, parse_term, parse_theory, render_theory
 from linvar.presets import day, hagemann_mitschke, jonsson, maltsev, semilattice
 from linvar.terms import (
@@ -17,6 +22,7 @@ from linvar.theories import (
     SignatureMismatchError,
     UnknownSymbolError,
     canonicalize_identity,
+    embedded_components,
     join_disjoint,
     make_theory,
     theory_equal,
@@ -143,6 +149,59 @@ class TestJoinDisjoint:
         tripled = join_disjoint(join_disjoint(maltsev, maltsev), maltsev)
         names = [s.name for s in tripled.symbols]
         assert len(names) == len(set(names)) == 3
+
+
+def _prefixed(theory, prefix):
+    """The theory over its symbols renamed prefix + name, as the benchmark's
+    join workload renames both sides of a pair."""
+    mapping = {s.name: OperationSymbol(prefix + s.name, s.arity) for s in theory.symbols}
+
+    def walk(t):
+        if isinstance(t, Variable):
+            return t
+        return Application(mapping[t.symbol.name], tuple(walk(c) for c in t.children))
+
+    return make_theory(prefix + theory.name, mapping.values(),
+                       [Identity(walk(e.lhs), walk(e.rhs)) for e in theory.identities])
+
+
+def _join_pairs():
+    """Every ordered preset pair, bare and under one shared prefix; a
+    component already holding m and m_2, so that a clashing m becomes m_3
+    (and a clashing m_2 after a rename to m_2, m_2_2); and x = y in both
+    components, with and without a clash."""
+    corpus = presets.presets()
+    pairs = list(itertools.product(corpus, repeat=2))
+    pairs += [(_prefixed(a, "abc0_"), _prefixed(b, "abc0_"))
+              for a, b in itertools.product(corpus, repeat=2)]
+    both_m = parse_theory("theory both_m\nop m/2\nop m_2/2\naxiom m(x,x) = x\n"
+                          "axiom m_2(x,x) = x\naxiom m(x,y) = m_2(y,x)\n")
+    pairs += [(both_m, semilattice()), (semilattice(), both_m), (both_m, both_m)]
+    trivial_m = parse_theory("theory trivial_m\nop m/2\naxiom x = y\naxiom m(x,x) = x\n")
+    trivial_p = parse_theory("theory trivial_p\nop p/3\naxiom x = y\n"
+                             "axiom p(x,x,x) = x\n")
+    pairs += [(trivial_m, trivial_p), (trivial_m, trivial_m)]
+    return pairs
+
+
+def _theory_record(t):
+    return [t.name, [[s.name, s.arity] for s in t.symbols],
+            [str(e) for e in t.identities], [list(r) for r in t.renames]]
+
+
+# sha256 of the records of `join_disjoint` and of the three
+# `embedded_components` theories over `_join_pairs()`, taken while each of
+# the two still renamed the right component on its own
+PINNED_JOINS = "43bd52c4e8764b3e64a7e4723d9ee22bdcc65fad988590a0215c4996560f8f37"
+
+
+def test_joins_are_pinned():
+    records = [[_theory_record(join_disjoint(a, b))]
+               + [_theory_record(t) for t in embedded_components(a, b)]
+               for a, b in _join_pairs()]
+    assert len(records) == 103
+    digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
+    assert digest == PINNED_JOINS
 
 
 class TestTheoryEqual:
