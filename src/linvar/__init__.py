@@ -77,7 +77,6 @@ from .theories import (
     UnknownSymbolError,
     ValidationReport,
     canonicalize_identity,
-    extend_theory,
     join_disjoint,
     make_theory,
     theory_equal,

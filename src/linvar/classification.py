@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from typing import Literal, Optional
 
 from . import derivatives, models, rewriting
-from .derivatives import IterationTrace, WeakIndependenceProfile
+from .derivatives import IterationTrace
 from .rewriting import Derivation, SearchBounds, bfs_prove
 from .terms import Variable
 from .theories import (
@@ -24,6 +24,8 @@ from .theories import (
     Theory,
     ValidationReport,
     idempotency_identity,
+    join_disjoint,
+    theory_equal,
     validate,
 )
 
@@ -197,9 +199,7 @@ def _classify_sufficient_only(theory: Theory, report: ValidationReport
     bounds = SearchBounds(max_terms=5_000, max_depth=4, max_term_size=20)
     if not _bfs_idempotent(theory, report, bounds):
         raise NotLinearIdempotentError(report)
-    pairs = []
-    witnesses = []
-    x = Variable("x")
+    pairs = set()
     for s in theory.symbols:
         for i in range(1, s.arity + 1):
             for w in derivatives._canonical_tuples(s.arity):
@@ -207,12 +207,10 @@ def _classify_sufficient_only(theory: Theory, report: ValidationReport
                     continue
                 fact = derivatives._fact_identity(s, w)
                 if isinstance(bfs_prove(theory, fact, bounds), rewriting.Proved):
-                    pairs.append((s.name, i))
-                    witnesses.append((s.name, i, fact))
+                    pairs.add((s.name, i))
                     break
-    profile = WeakIndependenceProfile(frozenset(pairs), tuple(witnesses))
-    first = derivatives._derivative_from_profile(theory, profile)
-    outcome = bfs_prove(first, Identity(x, Variable("y")), bounds)
+    first = derivatives._next_stage(theory, "derivative", frozenset(pairs))
+    outcome = bfs_prove(first, Identity(Variable("x"), Variable("y")), bounds)
     if isinstance(outcome, rewriting.Proved):
         cm = Verdict("cm", True, 1, "derivation", derivation=outcome.derivation,
                      note="sufficient-only: derivative inconsistency proved by search")
@@ -281,8 +279,6 @@ def check_join_decomposition(left: Theory, right: Theory
     the stagewise comparison and the three answers, which need no
     certificate, so none is built.
     """
-    from .theories import join_disjoint, theory_equal
-
     joined = join_disjoint(left, right)
     theories = (joined, left, right)
     for report in map(validate, theories):

@@ -27,6 +27,7 @@ from .saturation import BudgetTooSmallError, Entailed, NotEntailedWithModel
 from .theories import (
     SignatureMismatchError,
     UnknownSymbolError,
+    is_linear_identity,
     join_disjoint,
     validate,
 )
@@ -201,9 +202,8 @@ def _cmd_entail(args) -> tuple[int, dict]:
     theory = load_theory(args.theory)
     arities = {s.name: s.arity for s in theory.symbols}
     goal = parse_identity(args.identity, arities)
-    from .theories import is_linear_identity
-
-    if is_linear_identity(goal):
+    # saturation decides linear goals over linear theories; search the rest
+    if is_linear_identity(goal) and all(map(is_linear_identity, theory.identities)):
         base = saturation.saturate(theory, saturation.goal_budget(theory, goal))
         verdict = saturation.entails_flat(base, goal)
         if isinstance(verdict, Entailed):
@@ -317,6 +317,23 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         code, payload = _COMMANDS[args.command](args)
         sys.stdout.flush()
+        if getattr(args, "json", None):
+            bounds: dict = {}
+            for name in ("min", "max", "max_terms", "max_depth", "max_term_size"):
+                if getattr(args, name, None) is not None:
+                    bounds[name.replace("_", "-")] = getattr(args, name)
+            report = {
+                "command": args.command,
+                "argv": list(argv) if argv is not None else sys.argv[1:],
+                "version": VERSION,
+                "bounds": bounds,
+                "elapsed_s": round(time.time() - started, 3),
+                "result": payload,
+                "exit_code": code,
+            }
+            with open(args.json, "w", encoding="utf-8") as handle:
+                json.dump(report, handle, indent=2)
+                handle.write("\n")
     except BrokenPipeError:
         # the reader closed stdout; send the rest of the output to devnull
         # so that the flush at exit does not fail again
@@ -329,26 +346,9 @@ def main(argv: Optional[list[str]] = None) -> int:
             derivatives.StabilizationError,
             classification.NotLinearIdempotentError,
             models.IncompleteModelError, projection.ProjectionError,
-            FileNotFoundError, ValueError) as exc:
+            OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    if getattr(args, "json", None):
-        bounds: dict = {}
-        for name in ("min", "max", "max_terms", "max_depth", "max_term_size"):
-            if getattr(args, name, None) is not None:
-                bounds[name.replace("_", "-")] = getattr(args, name)
-        report = {
-            "command": args.command,
-            "argv": list(argv) if argv is not None else sys.argv[1:],
-            "version": VERSION,
-            "bounds": bounds,
-            "elapsed_s": round(time.time() - started, 3),
-            "result": payload,
-            "exit_code": code,
-        }
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2)
-            handle.write("\n")
     return code
 
 

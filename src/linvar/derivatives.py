@@ -7,6 +7,10 @@ every weak independence to full independence; the order derivative closes
 every derivable fact x = F(w) under replacing entries by x.  Both operators
 only grow the theory, and their trigger data live in finite sets, so
 iteration always stabilizes or turns inconsistent.
+
+Both operators take one step, `_next_stage`, from their trigger data; the
+identities it adds are written in canonical form, so a stage is its
+parent's identity list plus the new ones, canonicalized nowhere again.
 """
 from __future__ import annotations
 
@@ -18,7 +22,7 @@ from typing import Literal, Optional
 from . import saturation
 from .saturation import EntailmentVerdict, FlatFactBase
 from .terms import Application, OperationSymbol, Variable, canonical_variable
-from .theories import Identity, Theory, UnknownSymbolError, extend_theory
+from .theories import Identity, Theory, UnknownSymbolError
 
 Operator = Literal["derivative", "order_derivative"]
 
@@ -119,19 +123,6 @@ def _independence_identity(symbol: OperationSymbol, place: int) -> Identity:
     return Identity(Application(symbol, left), Application(symbol, right))
 
 
-def _derivative_from_profile(theory: Theory, profile: WeakIndependenceProfile) -> Theory:
-    new = []
-    for name, place in sorted(profile.pairs):
-        symbol = _symbol(theory, name)
-        new.append(_independence_identity(symbol, place))
-    return extend_theory(theory, theory.name + "'", new)
-
-
-def derivative(theory: Theory) -> Theory:
-    """The theory plus an independence identity for every weak independence."""
-    return _derivative_from_profile(theory, weak_independence_profile(theory))
-
-
 def order_fact_set(theory: Theory, base: Optional[FlatFactBase] = None
                    ) -> frozenset[tuple[str, tuple[int, ...]]]:
     """All derivable canonical facts x = F(w), as (symbol, tuple) keys."""
@@ -147,22 +138,49 @@ def order_fact_set(theory: Theory, base: Optional[FlatFactBase] = None
     return frozenset(out)
 
 
-def _order_derivative_from_facts(theory: Theory,
-                                 facts: frozenset[tuple[str, tuple[int, ...]]]
-                                 ) -> Theory:
-    new = []
-    for name, w in sorted(facts):
-        symbol = _symbol(theory, name)
-        # every mixture replacing entries of w by x
-        choices = [(0,) if d == 0 else (0, d) for d in w]
-        for mixture in itertools.product(*choices):
-            new.append(_canonical_fact(symbol, mixture))
-    return extend_theory(theory, theory.name + "+", new)
+def _context_size(theory: Theory, operator: Operator) -> int:
+    """Two variables for the derivative, whose queries use only x and y; the
+    default max_arity + 1 for the order derivative's facts x = F(w)."""
+    return 2 if operator == "derivative" else saturation.default_budget(theory)
+
+
+def _triggers(theory: Theory, operator: Operator,
+              base: Optional[FlatFactBase] = None) -> frozenset:
+    """The profile's (symbol, place) pairs, or the canonical fact set."""
+    if base is None:
+        base = saturation.saturate(theory, _context_size(theory, operator))
+    if operator == "derivative":
+        return weak_independence_profile(theory, base).pairs
+    return order_fact_set(theory, base)
+
+
+def _next_stage(theory: Theory, operator: Operator, triggers: frozenset) -> Theory:
+    """The theory plus the canonical identities its trigger data add, in
+    order, each kept once."""
+    new: list[Identity] = []
+    if operator == "derivative":
+        suffix = "'"
+        for name, place in sorted(triggers):
+            new.append(_independence_identity(_symbol(theory, name), place))
+    else:
+        suffix = "+"
+        for name, w in sorted(triggers):
+            symbol = _symbol(theory, name)
+            # every mixture replacing entries of w by x
+            choices = [(0,) if d == 0 else (0, d) for d in w]
+            new += [_canonical_fact(symbol, m) for m in itertools.product(*choices)]
+    return Theory(theory.name + suffix, theory.symbols,
+                  tuple(dict.fromkeys(theory.identities + tuple(new))), theory.renames)
+
+
+def derivative(theory: Theory) -> Theory:
+    """The theory plus an independence identity for every weak independence."""
+    return _next_stage(theory, "derivative", _triggers(theory, "derivative"))
 
 
 def order_derivative(theory: Theory) -> Theory:
     """The theory plus all x-mixtures of every derivable fact x = F(w)."""
-    return _order_derivative_from_facts(theory, order_fact_set(theory))
+    return _next_stage(theory, "order_derivative", _triggers(theory, "order_derivative"))
 
 
 @dataclass(frozen=True)
@@ -208,14 +226,12 @@ class IterationTrace:
 def iterate(theory: Theory, operator: Operator) -> IterationTrace:
     """Apply the operator until the stage is inconsistent or triggers stabilize.
 
-    Stage n+1 is a function of stage n's trigger data (profile or fact set),
-    so equal consecutive data means every later stage repeats.  Every stage
-    keeps the signature, so one context size serves the whole iteration:
-    two variables for the derivative, whose profile and inconsistency
-    queries use only x and y, and the default max_arity + 1 for the order
-    derivative, whose fact sets range over all of them.  The stop test is a
-    class lookup; the certificate is built only when the trace's
-    `certificate` is read.
+    Stage n+1 is a function of stage n's trigger data (profile pairs or fact
+    set), so equal consecutive data means every later stage repeats.  Every
+    stage keeps the signature, so one context size (`_context_size`) serves
+    the whole iteration, and each stage's base extends the previous one.
+    The stop test is a class lookup; the certificate is built only when the
+    trace's `certificate` is read.
 
     Termination needs no stage cap: the operators only add identities, so
     each stage's trigger data contain the previous stage's, and a strictly
@@ -225,30 +241,22 @@ def iterate(theory: Theory, operator: Operator) -> IterationTrace:
     """
     stages = [theory]
     data: list[frozenset] = []
-    budget = 2 if operator == "derivative" else saturation.default_budget(theory)
-    base = saturation.saturate(theory, budget)
+    base = saturation.saturate(theory, _context_size(theory, operator))
     while True:
         cur = stages[-1]
         if saturation.inconsistency_target(base) is not None:
             return IterationTrace(operator, tuple(stages), tuple(data),
                                   "inconsistent", base)
-        if operator == "derivative":
-            profile = weak_independence_profile(cur, base=base)
-            stage_key: frozenset = profile.pairs
-        else:
-            stage_key = order_fact_set(cur, base=base)
-        if data and stage_key == data[-1]:
-            data.append(stage_key)
+        triggers = _triggers(cur, operator, base)
+        if data and triggers == data[-1]:
+            data.append(triggers)
             return IterationTrace(operator, tuple(stages), tuple(data),
                                   "fixpoint", base)
-        if data and not stage_key > data[-1]:
+        if data and not triggers > data[-1]:
             raise StabilizationError(
                 f"{operator} trigger data of {theory.name} shrank at stage "
                 f"{len(data)}; the operators only add identities")
-        data.append(stage_key)
-        if operator == "derivative":
-            nxt = _derivative_from_profile(cur, profile)
-        else:
-            nxt = _order_derivative_from_facts(cur, stage_key)
+        data.append(triggers)
+        nxt = _next_stage(cur, operator, triggers)
         base = base.extend(nxt)
         stages.append(nxt)

@@ -32,6 +32,7 @@ from .terms import (
     Term,
     Variable,
     apply_substitution,
+    compose_substitutions,
     fresh_variables,
     match_term,
     render_term,
@@ -322,8 +323,6 @@ def _flip(step: DerivationStep) -> DerivationStep:
 
 def substitute_derivation(d: Derivation, subst: Mapping[Variable, Term]) -> Derivation:
     """The substitution instance of a derivation, which is again a derivation."""
-    from .terms import compose_substitutions
-
     terms = tuple(apply_substitution(t, subst) for t in d.terms)
     steps = tuple(
         make_step(s.equation, s.forward, s.position,

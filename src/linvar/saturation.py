@@ -45,7 +45,13 @@ from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from . import models
-from .rewriting import CertificateError, Derivation, make_step, verify_derivation
+from .rewriting import (
+    CertificateError,
+    Derivation,
+    make_step,
+    substitute_derivation,
+    verify_derivation,
+)
 from .terms import (
     Application,
     FlatLayout,
@@ -461,8 +467,6 @@ def _collapse_instance_derivation(base: FlatFactBase, goal: Identity) -> Derivat
     The chain proving two variables equal is instantiated with the goal's
     sides; the instance verifies, though its inner terms need not be flat.
     """
-    from .rewriting import substitute_derivation
-
     goal_names = {v.name for v in
                   term_variables(goal.lhs) + term_variables(goal.rhs)}
     fresh = fresh_variables(goal_names)

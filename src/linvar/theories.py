@@ -6,8 +6,11 @@ that set-level comparisons (needed when comparing iterated derivatives)
 are plain syntactic equality.  Construction order is preserved, which keeps
 original axioms ahead of derived identities in search orders.
 
-One helper, `_embed`, renames and canonicalizes the right component of a
-join, for both `join_disjoint` and `embedded_components`.
+`canonicalize_identity` runs only on identities from outside the program,
+in `make_theory`, and on those a symbol rename changed, in `_embed`, which
+embeds the right component of a join for both `join_disjoint` and
+`embedded_components`.  The derivatives and `idempotency_identity` write
+their identities in canonical form.
 """
 from __future__ import annotations
 
@@ -142,17 +145,18 @@ class Theory:
         return self.name
 
 
-def extend_theory(theory: Theory, name: str,
-                  identities: Iterable[Identity]) -> Theory:
-    """The theory, renamed, plus more identities over its signature.
+def make_theory(name: str,
+                symbols: Iterable[OperationSymbol],
+                identities: Iterable[Identity],
+                renames: tuple[tuple[str, str], ...] = ()) -> Theory:
+    """Check, canonicalize and deduplicate the parts of a theory.
 
-    The theory's own identities are already canonical, so only the new ones
-    are canonicalized, and one equal to an identity already present is
-    canonical too and is skipped; duplicates are dropped and the order is
-    kept.
+    An identity already present is canonical and is skipped; duplicates are
+    dropped and the order is kept.
     """
-    by_name = {s.name: s for s in theory.symbols}
-    canon = dict.fromkeys(theory.identities)
+    signature = _signature(symbols)
+    by_name = {s.name: s for s in signature}
+    canon: dict[Identity, None] = {}
     for e in identities:
         if e in canon:
             continue
@@ -161,15 +165,7 @@ def extend_theory(theory: Theory, name: str,
                 raise UnknownSymbolError(
                     f"identity {e} uses {s} outside the signature of {name!r}")
         canon.setdefault(canonicalize_identity(e))
-    return Theory(name, theory.symbols, tuple(canon), theory.renames)
-
-
-def make_theory(name: str,
-                symbols: Iterable[OperationSymbol],
-                identities: Iterable[Identity],
-                renames: tuple[tuple[str, str], ...] = ()) -> Theory:
-    """Canonicalize, deduplicate and order-check the parts of a theory."""
-    return extend_theory(Theory(name, _signature(symbols), (), renames), name, identities)
+    return Theory(name, signature, tuple(canon), renames)
 
 
 def _signature(symbols: Iterable[OperationSymbol]) -> tuple[OperationSymbol, ...]:
@@ -216,7 +212,8 @@ class ValidationReport:
 
 
 def idempotency_identity(symbol: OperationSymbol) -> Identity:
-    x = Variable("x")
+    """v0 = F(v0,...,v0), written in canonical form."""
+    x = canonical_variable(0)
     return Identity(x, Application(symbol, (x,) * symbol.arity))
 
 
@@ -225,7 +222,9 @@ def validate(theory: Theory) -> ValidationReport:
 
     Idempotency is an entailment question, so a symbol whose idempotency
     identity is not literally present is checked with the flat saturation
-    engine; that check is only available when the theory is linear.
+    engine; that check is only available when the theory is linear.  The
+    identity is written in canonical form, so "literally present" is a set
+    lookup.
     """
     nonlinear = tuple(e for e in theory.identities if not is_linear_identity(e))
     linear = not nonlinear
@@ -234,24 +233,18 @@ def validate(theory: Theory) -> ValidationReport:
     base = None
     statuses: list[tuple[str, str]] = []
     for s in theory.symbols:
-        if s.arity == 0:
-            statuses.append((s.name, "not-established"))
-            continue
-        if canonicalize_identity(idempotency_identity(s)) in canon:
-            statuses.append((s.name, "explicit"))
-            continue
-        if not linear:
-            statuses.append((s.name, "not-established"))
-            continue
-        if base is None:
-            from . import saturation
-
-            base = saturation.saturate(theory)
         goal = idempotency_identity(s)
-        if base.entails(goal):
-            statuses.append((s.name, "derivable"))
+        if s.arity > 0 and goal in canon:
+            status = "explicit"
+        elif s.arity > 0 and linear:
+            if base is None:
+                from . import saturation
+
+                base = saturation.saturate(theory)
+            status = "derivable" if base.entails(goal) else "not-established"
         else:
-            statuses.append((s.name, "not-established"))
+            status = "not-established"
+        statuses.append((s.name, status))
     return ValidationReport(theory.name, linear, nonlinear, tuple(statuses),
                             tuple(s.name for s in theory.symbols if s.arity == 0))
 

@@ -1,13 +1,16 @@
+import sys
+from pathlib import Path
+
 import pytest
 
-from linvar import models
+from linvar import models, theories
 from linvar.classification import (
     NotLinearIdempotentError,
     _bfs_idempotent,
     check_join_decomposition,
     classify,
 )
-from linvar.dsl import parse_identity
+from linvar.dsl import load_theory, parse_identity
 from linvar.models import satisfies
 from linvar.presets import hagemann_mitschke, maltsev, majority, semilattice
 from linvar.rewriting import Proved, SearchBounds, bfs_prove, verify_derivation
@@ -214,3 +217,47 @@ def test_unknown_symbol_in_idempotency_search_raises(maltsev):
     report = ValidationReport("maltsev", True, (), (("q", "not-established"),))
     with pytest.raises(UnknownSymbolError):
         _bfs_idempotent(maltsev, report, SearchBounds(max_terms=10))
+
+
+THEORY_FILES = sorted((Path(__file__).resolve().parents[1] / "theories").glob("*.thy"))
+
+
+@pytest.fixture
+def canonicalize_calls(monkeypatch):
+    """Count `canonicalize_identity` calls through every module of the
+    package that binds the name, each with the name of the function that
+    made it (a generator expression counts as its enclosing function)."""
+    original = theories.canonicalize_identity
+    callers = []
+
+    def counted(e):
+        frame = sys._getframe(1)
+        if frame.f_code.co_name == "<genexpr>":
+            frame = frame.f_back
+        callers.append(frame.f_code.co_name)
+        return original(e)
+
+    for module in list(sys.modules.values()):
+        if module is not None and module.__name__.split(".")[0] == "linvar" \
+                and getattr(module, "canonicalize_identity", None) is original:
+            monkeypatch.setattr(module, "canonicalize_identity", counted)
+    return callers
+
+
+def test_stages_and_verdicts_canonicalize_nothing_again(canonicalize_calls):
+    """The operators write their identities canonically and validation looks
+    the idempotency identity up as written, so classifying a loaded preset
+    canonicalizes nothing; the join check canonicalizes only what `_embed`'s
+    symbol renames changed."""
+    loaded = [load_theory(str(path)) for path in THEORY_FILES]
+    assert len(loaded) == 7
+    # loading canonicalizes the axioms, which come from outside the program
+    canonicalize_calls.clear()
+    for theory in loaded:
+        classify(theory)
+        assert canonicalize_calls == [], theory.name
+    for left in loaded:
+        for right in loaded:
+            check_join_decomposition(left, right)
+    assert len(canonicalize_calls) == 284
+    assert set(canonicalize_calls) == {"_embed"}

@@ -178,6 +178,22 @@ class TestEntailCommand:
         assert main(["entail", maltsev_file, goal] + flags) == 2
         assert capsys.readouterr().out == f"unknown: {reason}\n"
 
+    def test_linear_goal_over_non_linear_theory_is_searched(self, tmp_path, capsys):
+        # saturation needs a linear theory as well as a linear goal
+        path = tmp_path / "nl.thy"
+        path.write_text("theory nl\nop p/2\naxiom p(x,x) = x\n"
+                        "axiom p(p(x,y),z) = p(x,p(y,z))\n")
+        assert main(["entail", str(path), "p(x,x) = x"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("entailed (1 steps)")
+        assert main(["entail", str(path), "p(p(x,y),x) = p(x,p(y,x))"]) == 0
+        assert capsys.readouterr().out.startswith("entailed")
+        code = main(["entail", str(path), "p(x,y) = p(y,x)",
+                     "--max-depth", "2", "--max-terms", "50"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out.startswith("unknown: ")
+        assert captured.err == ""
+
 
 class TestModelsCommand:
     def test_find_model(self, semilattice_file, capsys):
@@ -570,6 +586,18 @@ class TestProjectAndCheckDerivation:
     def test_missing_file_exits_1(self, capsys):
         assert main(["classify", "/nonexistent/nope.thy"]) == 1
         assert "error" in capsys.readouterr().err
+
+    def test_directory_as_theory_exits_1(self, tmp_path, capsys):
+        assert main(["classify", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Is a directory" in err
+
+    def test_unwritable_report_exits_1(self, maltsev_file, tmp_path, capsys):
+        report = tmp_path / "missing_dir" / "r.json"
+        assert main(["validate", maltsev_file, "--json", str(report)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "No such file or directory" in err
+        assert not report.exists()
 
 
 class TestPipelines:

@@ -5,13 +5,11 @@ import pytest
 from linvar import derivatives
 from linvar.derivatives import (
     StabilizationError,
-    WeakIndependenceProfile,
     _canonical_fact,
     _canonical_tuples,
-    _derivative_from_profile,
     _fact_identity,
     _independence_identity,
-    _order_derivative_from_facts,
+    _next_stage,
     derivative,
     iterate,
     order_derivative,
@@ -215,7 +213,6 @@ class TestStageBuilders:
     def test_unknown_symbols_raise_without_asserts(self, maltsev):
         # raised errors, so that python -O keeps the check
         with pytest.raises(UnknownSymbolError):
-            _derivative_from_profile(
-                maltsev, WeakIndependenceProfile(frozenset({("q", 1)}), ()))
+            _next_stage(maltsev, "derivative", frozenset({("q", 1)}))
         with pytest.raises(UnknownSymbolError):
-            _order_derivative_from_facts(maltsev, frozenset({("q", (0, 1))}))
+            _next_stage(maltsev, "order_derivative", frozenset({("q", (0, 1))}))

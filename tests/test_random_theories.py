@@ -10,7 +10,7 @@ import random
 from collections import deque
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from linvar import presets, saturation
 from linvar.derivatives import (
@@ -54,7 +54,6 @@ from linvar.theories import (
     Theory,
     _rename_symbols,
     embedded_components,
-    extend_theory,
     identity_variables,
     join_disjoint,
     make_theory,
@@ -525,34 +524,31 @@ def _stages_by_make_theory(theory, operator):
                        list(theory.identities) + new, renames=theory.renames)
 
 
+def _with_examples(theories):
+    """Run a hypothesis test on each of `theories` too."""
+    def decorate(test):
+        for theory in theories:
+            test = example(theory)(test)
+        return test
+    return decorate
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.one_of(small_theories(), ternary_theories()))
+@_with_examples(presets.presets()
+                + [presets.jonsson(4), presets.day(3), presets.hagemann_mitschke(4)])
 def test_stages_equal_a_full_canonicalization(theory):
-    """Canonicalizing only the new identities of a stage gives the same
-    identities, in the same order, as canonicalizing all of them."""
+    """Each stage equals its `make_theory` rebuild, identities in order: the
+    operators write their new identities canonically and append them to
+    the parent's list, so canonicalizing every identity again changes
+    nothing.  Runs on random theories, the presets and three larger
+    family members, since nothing canonicalizes a stage at run time."""
     for operator in ("derivative", "order_derivative"):
         trace = iterate(theory, operator)
         for before, after in zip(trace.stages, trace.stages[1:]):
             expected = _stages_by_make_theory(before, operator)
             assert after == expected
             assert after.identities == expected.identities
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.one_of(st.tuples(small_theories(), st.just(flat_terms)),
-                 st.tuples(ternary_theories(), st.just(ternary_terms))),
-       st.data())
-def test_extend_theory_equals_make_theory(theory_and_terms, data):
-    """Extending canonicalizes only the new identities and equals building
-    the theory again from all of them; the new ones may repeat old ones."""
-    theory, terms = theory_and_terms
-    new = data.draw(st.lists(st.one_of(st.builds(Identity, terms, terms),
-                                       st.sampled_from(theory.identities)),
-                             max_size=5))
-    expected = make_theory("extended", theory.symbols, list(theory.identities) + new,
-                           renames=theory.renames)
-    got = extend_theory(theory, "extended", new)
-    assert got == expected and got.identities == expected.identities
 
 
 def _join_by_make_theory(a, b, joined):
@@ -582,7 +578,7 @@ def test_join_disjoint_equals_make_theory(left, right, clash, collapse):
     every theory, an identity without symbols that both sides then share.
     The same holds for `b` as `embedded_components` embeds it in the join."""
     if collapse:
-        left, right, clash = (extend_theory(t, t.name, [Identity(X, Y)])
+        left, right, clash = (make_theory(t.name, t.symbols, t.identities + (Identity(X, Y),))
                               for t in (left, right, clash))
     for b in (right, clash):
         joined = join_disjoint(left, b)

@@ -44,7 +44,7 @@ from linvar.saturation import (
     saturate,
 )
 from linvar.terms import OperationSymbol, Variable, is_flat
-from linvar.theories import Identity, extend_theory, make_theory
+from linvar.theories import Identity, make_theory
 
 
 class TestSaturate:
@@ -113,7 +113,8 @@ class TestSaturate:
     def test_extension_refuses_a_non_linear_identity(self, maltsev):
         # Maltsev proves x = p(p(y,y,y),y,x), so reading the nested child as
         # a context variable would wrongly merge the variables
-        nested = extend_theory(maltsev, "m2", [parse_identity("x = p(p(y,y,y),y,x)")])
+        nested = make_theory("m2", maltsev.symbols, list(maltsev.identities)
+                             + [parse_identity("x = p(p(y,y,y),y,x)")])
         with pytest.raises(ValueError, match="needs a linear theory") as fresh:
             FlatFactBase(nested, 4)
         with pytest.raises(ValueError, match="needs a linear theory") as grown:

@@ -37,3 +37,29 @@ def test_every_import_is_used():
         unused += [f"{path.name}:{line}: {name}"
                    for name, line in imported.items() if name not in used]
     assert unused == []
+
+
+def _package_imports(nodes):
+    """The package modules that these import statements name."""
+    out = set()
+    for node in nodes:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            out.update([node.module] if node.module else [a.name for a in node.names])
+    return out
+
+
+def test_function_level_imports_break_a_cycle():
+    """A function may import a package module only when that module
+    imports this one at top level; any other import belongs at the top."""
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path))
+             for path in SOURCES}
+    top = {name: _package_imports(tree.body) for name, tree in trees.items()}
+    misplaced = []
+    for name, tree in trees.items():
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for module in _package_imports(ast.walk(func)):
+                if name not in top[module]:
+                    misplaced.append(f"{name}.{func.name} imports {module}")
+    assert misplaced == []
