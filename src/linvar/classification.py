@@ -18,7 +18,7 @@ from typing import Literal, Optional
 from . import derivatives, models, rewriting
 from .derivatives import IterationTrace
 from .rewriting import Derivation, SearchBounds, bfs_prove
-from .terms import Variable
+from .terms import Code, Variable
 from .theories import (
     Identity,
     Theory,
@@ -95,7 +95,7 @@ class ClassificationReport:
                     "budget": tr.budget,
                     "stop": tr.stop_reason,
                     "stages": [t.name for t in tr.stages],
-                    "stage_sizes": [len(t.identities) for t in tr.stages],
+                    "stage_sizes": [len(t.codes) for t in tr.stages],
                 }
                 for tr in self.traces
             ],
@@ -270,6 +270,36 @@ class JoinDecompositionReport:
         }
 
 
+def _added(stage: Theory, start: Theory) -> frozenset[Code]:
+    """The codes a trace's stage added to its stage 0, `start`."""
+    return frozenset(stage.codes[len(start.codes):])
+
+
+def _join_stage_matches(stages: tuple[Theory, Theory, Theory],
+                        starts: tuple[Theory, Theory, Theory]) -> bool:
+    """Whether stage n >= 1 of the join's trace has the identity set of
+    join_disjoint(a_n, b_n), for `stages` (join_n, a_n, b_n) and the
+    traces' stage 0 `starts` (join, a, b), without building that join.
+
+    A code stands for one canonical identity, so comparing codes compares
+    identities.  Past stage 0 the operators add the codes of v0 = F(...)
+    and F(...) = F(...), whose canonical forms do not depend on F's name:
+    renaming b's symbols through the join's `renames` maps b's added codes
+    to those of its added identities as the join holds them.  No added
+    code is an identity of the join's stage 0, since each names a symbol
+    of one component and is new in that component (the rename being a
+    bijection).  So both theories are stage 0 plus a disjoint added part,
+    and they are equal exactly when the added parts are.  Taking the parts
+    since stage 0, not since stage n - 1, keeps this exact after an
+    earlier mismatch too.
+    """
+    (join_n, a_n, b_n), (joined, a, b) = stages, starts
+    rename = dict(joined.renames)
+    renamed_b = {(rename.get(ln, ln), la, rename.get(rn, rn), ra)
+                 for ln, la, rn, ra in _added(b_n, b)}
+    return _added(join_n, joined) == _added(a_n, a) | renamed_b
+
+
 def check_join_decomposition(left: Theory, right: Theory
                              ) -> JoinDecompositionReport:
     """Stage-by-stage distribution of both operators over the join, plus the
@@ -277,7 +307,8 @@ def check_join_decomposition(left: Theory, right: Theory
 
     Each theory is iterated once per operator; the same traces feed both
     the stagewise comparison and the three answers, which need no
-    certificate, so none is built.
+    certificate, so none is built.  Stage 0 is compared as identity sets,
+    and later stages by the codes they added (`_join_stage_matches`).
     """
     joined = join_disjoint(left, right)
     theories = (joined, left, right)
@@ -288,8 +319,9 @@ def check_join_decomposition(left: Theory, right: Theory
               for operator in ("derivative", "order_derivative")}
     ops = []
     for operator, (join_trace, left_trace, right_trace) in traces.items():
-        flags = []
-        for n in range(len(join_trace.stages)):
+        # the join's stage 0 is `joined`, the join of the components' stage 0
+        flags = [theory_equal(join_trace.stages[0], joined)]
+        for n in range(1, len(join_trace.stages)):
             try:
                 a, b = left_trace.stage(n), right_trace.stage(n)
             except IndexError:
@@ -298,7 +330,7 @@ def check_join_decomposition(left: Theory, right: Theory
                 # have stopped there too, so an earlier flag is already false.
                 flags.append(False)
                 continue
-            flags.append(theory_equal(join_trace.stages[n], join_disjoint(a, b)))
+            flags.append(_join_stage_matches((join_trace.stages[n], a, b), theories))
         ops.append(OperatorDecomposition(operator, len(flags), tuple(flags)))
 
     answers = [_answers(d, o) for d, o in

@@ -153,7 +153,7 @@ def _cmd_derive(args) -> tuple[int, dict]:
             payload["certificate"] = rewriting.derivation_to_json(
                 trace.certificate.derivation)
         for n, stage in enumerate(trace.stages):
-            print(f"# stage {n} ({len(stage.identities)} identities)")
+            print(f"# stage {n} ({len(stage.codes)} identities)")
             print(render_theory(stage))
         print(f"stopped: {trace.stop_reason} at stage {len(trace.stages) - 1}")
         return EXIT_OK, payload

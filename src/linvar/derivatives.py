@@ -8,9 +8,16 @@ every derivable fact x = F(w) under replacing entries by x.  Both operators
 only grow the theory, and their trigger data live in finite sets, so
 iteration always stabilizes or turns inconsistent.
 
-Both operators take one step, `_next_stage`, from their trigger data; the
-identities it adds are written in canonical form, so a stage is its
-parent's identity list plus the new ones, canonicalized nowhere again.
+Both operators take one step, `_next_stage`, from their trigger data.  It
+writes each new identity as a code (`terms.Code`), the form the engine
+reads, and never as terms: an independence pair (F, i) is the code of
+F(v0,...,v(a-1)) = F(the same with v(a) at place i), and a mixture m of a
+fact x = F(w) is the code of v0 = F(m renumbered by first occurrence).
+Both are codes of canonical identities, so a stage is its parent plus the
+new codes, a set lookup drops the ones the parent has, and nothing is
+canonicalized again.  Saturation extends the parent's base by the new
+codes; a stage builds its `Identity` terms only when a reader asks for
+them.
 """
 from __future__ import annotations
 
@@ -21,7 +28,7 @@ from typing import Literal, Optional
 
 from . import saturation
 from .saturation import EntailmentVerdict, FlatFactBase
-from .terms import Application, OperationSymbol, Variable, canonical_variable
+from .terms import Application, Code, OperationSymbol, Variable
 from .theories import Identity, Theory, UnknownSymbolError
 
 Operator = Literal["derivative", "order_derivative"]
@@ -61,20 +68,25 @@ def _fact_identity(symbol: OperationSymbol, digits: tuple[int, ...]) -> Identity
     return Identity(_X, Application(symbol, args))
 
 
-def _canonical_fact(symbol: OperationSymbol, digits: tuple[int, ...]) -> Identity:
-    """`_fact_identity` in canonical form: x is v0 and the other entries
-    are renumbered by first occurrence."""
+def _mixture_code(name: str, digits: tuple[int, ...]) -> Code:
+    """The code of x = F(digits) in canonical form: x is v0, and the other
+    entries are renumbered by first occurrence, a restricted-growth string."""
     renaming = {0: 0}
-    args = tuple(canonical_variable(renaming.setdefault(d, len(renaming)))
-                 for d in digits)
-    return Identity(canonical_variable(0), Application(symbol, args))
+    return None, (0,), name, tuple(renaming.setdefault(d, len(renaming)) for d in digits)
 
 
 @dataclass(frozen=True)
 class WeakIndependenceProfile:
     pairs: frozenset[tuple[str, int]]
-    # one witnessing fact x = F(w) per pair, in (symbol, place) order
-    witnesses: tuple[tuple[str, int, Identity], ...]
+    # one witnessing fact x = F(w) per pair, in (symbol, place) order, as
+    # (F, place, w)
+    witness_digits: tuple[tuple[OperationSymbol, int, tuple[int, ...]], ...]
+
+    @cached_property
+    def witnesses(self) -> tuple[tuple[str, int, Identity], ...]:
+        """The witnessing facts as (symbol name, place, x = F(w)), built on
+        first read."""
+        return tuple((s.name, i, _fact_identity(s, w)) for s, i, w in self.witness_digits)
 
     def places(self, symbol_name: str) -> tuple[int, ...]:
         return tuple(sorted(i for name, i in self.pairs if name == symbol_name))
@@ -104,7 +116,7 @@ def weak_independence_profile(theory: Theory,
             for w in entailed:
                 if w[i - 1] != 0:
                     pairs.append((s.name, i))
-                    witnesses.append((s.name, i, _fact_identity(s, w)))
+                    witnesses.append((s, i, w))
                     break
     return WeakIndependenceProfile(frozenset(pairs), tuple(witnesses))
 
@@ -116,11 +128,11 @@ def _symbol(theory: Theory, name: str) -> OperationSymbol:
     return symbol
 
 
-def _independence_identity(symbol: OperationSymbol, place: int) -> Identity:
-    """F(z1,...,u,...,zn) = F(z1,...,u',...,zn), written in canonical form."""
-    left = tuple(canonical_variable(j) for j in range(symbol.arity))
-    right = left[:place - 1] + (canonical_variable(symbol.arity),) + left[place:]
-    return Identity(Application(symbol, left), Application(symbol, right))
+def _independence_code(name: str, arity: int, place: int) -> Code:
+    """The code of F(z1,...,u,...,zn) = F(z1,...,u',...,zn) in canonical
+    form: u' is the new last variable."""
+    left = tuple(range(arity))
+    return name, left, name, left[:place - 1] + (arity,) + left[place:]
 
 
 def order_fact_set(theory: Theory, base: Optional[FlatFactBase] = None
@@ -155,22 +167,21 @@ def _triggers(theory: Theory, operator: Operator,
 
 
 def _next_stage(theory: Theory, operator: Operator, triggers: frozenset) -> Theory:
-    """The theory plus the canonical identities its trigger data add, in
-    order, each kept once."""
-    new: list[Identity] = []
+    """The theory plus the canonical codes its trigger data add, in order,
+    each kept once; `Theory.extended` builds their identities on read."""
+    codes: list[Code] = []
     if operator == "derivative":
         suffix = "'"
         for name, place in sorted(triggers):
-            new.append(_independence_identity(_symbol(theory, name), place))
+            codes.append(_independence_code(name, _symbol(theory, name).arity, place))
     else:
         suffix = "+"
         for name, w in sorted(triggers):
-            symbol = _symbol(theory, name)
+            _symbol(theory, name)  # refuses a name outside the signature
             # every mixture replacing entries of w by x
             choices = [(0,) if d == 0 else (0, d) for d in w]
-            new += [_canonical_fact(symbol, m) for m in itertools.product(*choices)]
-    return Theory(theory.name + suffix, theory.symbols,
-                  tuple(dict.fromkeys(theory.identities + tuple(new))), theory.renames)
+            codes += [_mixture_code(name, m) for m in itertools.product(*choices)]
+    return theory.extended(theory.name + suffix, codes)
 
 
 def derivative(theory: Theory) -> Theory:

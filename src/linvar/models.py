@@ -24,10 +24,11 @@ import itertools
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
-from .terms import FlatLayout, OperationSymbol, Term, Variable, is_flat
+from .terms import Code, FlatLayout, OperationSymbol, Term, Variable
 from .theories import (
     Identity,
     Theory,
+    identity_code,
     identity_variables,
 )
 
@@ -103,16 +104,18 @@ def satisfies(algebra: FiniteAlgebra, theory: Theory) -> SatisfactionResult:
     return SatisfactionResult(True)
 
 
-def _instance_pairs(layout: FlatLayout, lhs: Term, rhs: Term,
-                    vs: tuple[Variable, ...]) -> list[tuple[object, object]]:
-    """Both sides' codes with vs over every element in `itertools.product`
-    order: cell ids for flat sides, trees when either side is nested."""
-    if is_flat(lhs) and is_flat(rhs):
-        pairs: list[tuple[object, object]] = []
-        for ls, rs in zip(layout.instances(lhs, vs), layout.instances(rhs, vs)):
+def _instance_pairs(layout: FlatLayout, source: Code | Identity
+                    ) -> list[tuple[object, object]]:
+    """Both sides of every instance, the variables over every element in
+    `itertools.product` order: cell ids spread from a linear identity's
+    code, trees grounded from a nested identity, which has no code."""
+    pairs: list[tuple[object, object]] = []
+    if not isinstance(source, Identity):
+        for ls, rs in layout.code_instances(source):
             pairs += zip(ls, rs)
         return pairs
-    return [(_ground(lhs, rho), _ground(rhs, rho))
+    vs = identity_variables(source)
+    return [(_ground(source.lhs, rho), _ground(source.rhs, rho))
             for rho in (dict(zip(vs, values)) for values in
                         itertools.product(range(layout.n), repeat=len(vs)))]
 
@@ -129,9 +132,10 @@ def _compile(theory: Theory, size: int
     """The cell layout over `size` elements and every identity's ground
     instances, which no search changes; kept on the theory per size."""
     layout = FlatLayout(theory.symbols, size)
-    return layout, tuple(pair for e in theory.identities
-                         for pair in _instance_pairs(layout, e.lhs, e.rhs,
-                                                     identity_variables(e)))
+    pairs: list[tuple[object, object]] = []
+    for k, code in enumerate(theory.codes):
+        pairs += _instance_pairs(layout, theory.identities[k] if code is None else code)
+    return layout, tuple(pairs)
 
 
 class _TableSearch:
@@ -154,8 +158,7 @@ class _TableSearch:
         self.goal = goal
         if goal is not None:
             self.goal_vars = identity_variables(goal)
-            self.goal_instances = _instance_pairs(layout, goal.lhs, goal.rhs,
-                                                  self.goal_vars)
+            self.goal_instances = _instance_pairs(layout, identity_code(goal) or goal)
 
     def _value(self, code: object) -> int:
         """A compiled side's value, or ~c for the first undecided cell c it reads."""

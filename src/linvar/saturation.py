@@ -30,6 +30,14 @@ an inconsistency chain x ~ F(y,...,y), whatever the context size.
 Inconsistency is decided by a class test alone; `is_inconsistent` builds
 the chain, and iteration traces call it only when their certificate is read.
 
+The engine reads a theory through its identities' codes (`terms.Code`:
+symbol names and variable indices), never through their terms.  A code's
+two sides give a layout id and one stride per variable, and the instances
+are spread from those, so an iteration stage, which `derivatives` writes
+as its parent plus new codes, is saturated by extending the parent's base
+with the new codes' instances, without building an identity.  A
+non-linear identity has no code and is refused.
+
 A chain search is breadth-first with first-discovery parents and a fixed
 neighbour order, so its tree from one atom over one set of variables does
 not depend on the target.  Each base keeps that tree per (source,
@@ -58,6 +66,7 @@ from .terms import (
     Term,
     Variable,
     canonical_variable,
+    code_width,
     flat_parts,
     fresh_variables,
     is_flat,
@@ -68,7 +77,6 @@ from .theories import (
     Theory,
     UnknownSymbolError,
     identity_variables,
-    is_linear_identity,
 )
 
 
@@ -141,7 +149,7 @@ class FlatFactBase(FlatLayout):
         self._parent = list(range(self.size))
         self._rule_table: Optional[dict[Optional[str], list[_ChainRule]]] = None
         self._trees: dict[tuple[int, tuple[int, ...]], _ChainTree] = {}
-        self._apply_identities(0)
+        self._apply_codes(0)
 
     @property
     def budget(self) -> int:
@@ -203,15 +211,17 @@ class FlatFactBase(FlatLayout):
 
     # -- saturation ---------------------------------------------------------
 
-    def _apply_identities(self, start: int) -> None:
-        """Merge every instance of the identities from `start` on; both the
-        first build and `extend` come here, so both refuse a non-linear one."""
+    def _apply_codes(self, start: int) -> None:
+        """Merge every instance of the identities' codes from `start` on;
+        both the first build and `extend` come here, so both refuse a
+        non-linear identity, which has no code."""
         union = self._union
-        for e in self.theory.identities[start:]:
-            if not is_linear_identity(e):
-                raise ValueError(f"flat saturation needs a linear theory; {e} is not")
-            vs = identity_variables(e)
-            for lhs, rhs in zip(self.instances(e.lhs, vs), self.instances(e.rhs, vs)):
+        codes = self.theory.codes
+        for k in range(start, len(codes)):
+            if codes[k] is None:
+                raise ValueError("flat saturation needs a linear theory; "
+                                 f"{self.theory.identities[k]} is not")
+            for lhs, rhs in self.code_instances(codes[k]):
                 for a, c in zip(lhs, rhs):
                     if a != c:
                         union(a, c)
@@ -224,15 +234,15 @@ class FlatFactBase(FlatLayout):
         """
         if theory.symbols != self.theory.symbols:
             raise ValueError("extension must keep the signature")
-        n = len(self.theory.identities)
-        if theory.identities[:n] != self.theory.identities:
+        n = len(self.theory.codes)
+        if theory.codes[:n] != self.theory.codes:
             raise ValueError("extension must keep the existing identities as a prefix")
         out = copy.copy(self)
         out.theory = theory
         out._parent = list(self._parent)
         out._rule_table = None
         out._trees = {}  # the parent's trees follow the parent's instance edges
-        out._apply_identities(n)
+        out._apply_codes(n)
         return out
 
     # -- queries ------------------------------------------------------------
@@ -275,28 +285,32 @@ class FlatFactBase(FlatLayout):
     # -- derivation extraction ----------------------------------------------
 
     def _rules(self) -> dict[Optional[str], list[_ChainRule]]:
-        """Both orientations of every identity, compiled once per base and
-        grouped by the source side's symbol (None for a variable)."""
+        """Both orientations of every identity's code, compiled once per
+        base and grouped by the source side's symbol (None for a variable).
+        Code index k is the canonical identity's variable v<k>."""
         if self._rule_table is None:
             table: dict[Optional[str], list[_ChainRule]] = {}
-            for idx, e in enumerate(self.theory.identities):
-                for src, dst, forward in ((e.lhs, e.rhs, True), (e.rhs, e.lhs, False)):
-                    src_name, src_args = flat_parts(src)
-                    slot: dict[Term, int] = {}
+            for idx, code in enumerate(self.theory.codes):
+                width = code_width(code)
+                for src, dst, forward in ((code[:2], code[2:], True),
+                                          (code[2:], code[:2], False)):
+                    src_name, src_args = src
+                    slot: dict[int, int] = {}
                     repeats = []
                     for i, v in enumerate(src_args):
                         if v in slot:
                             repeats.append((slot[v], i))
                         else:
                             slot[v] = i
-                    dst_vars = term_variables(dst)
-                    zero, strides = self.strides(dst, dst_vars)
-                    stride = dict(zip(dst_vars, strides))
+                    dst_vars = tuple(dict.fromkeys(dst[1]))
+                    zero, stride = self.strides(dst, width)
                     free = [v for v in dst_vars if v not in slot]
                     table.setdefault(src_name, []).append(_ChainRule(
-                        idx, forward, src_args, tuple(repeats), zero,
+                        idx, forward, tuple(map(canonical_variable, src_args)),
+                        tuple(repeats), zero,
                         tuple((slot[v], stride[v]) for v in dst_vars if v in slot),
-                        tuple(free), tuple(stride[v] for v in free)))
+                        tuple(map(canonical_variable, free)),
+                        tuple(stride[v] for v in free)))
             self._rule_table = table
         return self._rule_table
 

@@ -117,6 +117,22 @@ def flat_parts(t: Term) -> tuple[Optional[str], tuple[Variable, ...]]:
     return t.symbol.name, t.children  # type: ignore[return-value]
 
 
+# A flat side as the engine reads it: the symbol name, or None for a bare
+# variable, and the argument variables as indices.
+FlatSide = tuple[Optional[str], tuple[int, ...]]
+
+# A linear identity as the engine reads it: (lhs symbol name or None, lhs
+# argument indices, rhs symbol name or None, rhs argument indices), with the
+# variables numbered by first occurrence, lhs first.  A canonical identity's
+# variable v<k> is index k.  `theories.identity_code` writes one.
+Code = tuple[Optional[str], tuple[int, ...], Optional[str], tuple[int, ...]]
+
+
+def code_width(code: Code) -> int:
+    """The number of variables of a code (0 when only constants occur)."""
+    return max(code[1] + code[3], default=-1) + 1
+
+
 class FlatLayout:
     """Integer ids of the flat atoms over n values.
 
@@ -163,34 +179,40 @@ class FlatLayout:
                 return s.name, tuple(digits)
         raise IndexError(i)
 
-    def strides(self, side: Term, vs: Sequence[Variable]) -> tuple[int, list[int]]:
-        """The flat side's id with every variable at 0, and for each of vs,
-        which holds the side's variables, what one unit of its value adds."""
-        name, args = flat_parts(side)
-        index = {v.name: k for k, v in enumerate(vs)}
-        strides = [0] * len(vs)
+    def strides(self, side: FlatSide, count: int) -> tuple[int, list[int]]:
+        """The flat side's id with every variable at 0, and for each of the
+        `count` variables, which include the side's, what one unit of its
+        value adds."""
+        name, args = side
+        strides = [0] * count
         weight = 1
         for a in reversed(args):
-            strides[index[a.name]] += weight
+            strides[a] += weight
             weight *= self.n
         return (0 if name is None else self.offsets[name]), strides
 
-    def instances(self, side: Term, vs: Sequence[Variable]) -> Iterator[list[int]]:
-        """Ids of the flat side under every assignment of vs to values, in
-        `itertools.product` order, one list per value of vs[0].
+    def instances(self, side: FlatSide, count: int) -> Iterator[list[int]]:
+        """Ids of the flat side under every assignment of its `count`
+        variables to values, in `itertools.product` order, one list per
+        value of variable 0.
 
-        Each list is the first one shifted by the stride of vs[0], so no
-        list outgrows n**(len(vs) - 1) ids.
+        Each list is the first one shifted by the stride of variable 0, so
+        no list outgrows n**(count - 1) ids.
         """
-        zero, strides = self.strides(side, vs)
+        zero, strides = self.strides(side, count)
         # an identity without variables has one instance: one list, [zero]
         lead, *rest = strides or [0]
         ids = [zero]
         for stride in rest:
             ids = [i + k * stride for i in ids for k in range(self.n)]
         yield ids
-        for k in range(1, self.n if vs else 1):
+        for k in range(1, self.n if count else 1):
             yield [i + k * lead for i in ids]
+
+    def code_instances(self, code: Code) -> Iterator[tuple[list[int], list[int]]]:
+        """The two sides' `instances` under the same assignments, pairwise."""
+        width = code_width(code)
+        return zip(self.instances(code[:2], width), self.instances(code[2:], width))
 
 
 def positions(t: Term, prefix: Position = ()) -> Iterator[Position]:

@@ -11,6 +11,14 @@ in `make_theory`, and on those a symbol rename changed, in `_embed`, which
 embeds the right component of a join for both `join_disjoint` and
 `embedded_components`.  The derivatives and `idempotency_identity` write
 their identities in canonical form.
+
+The engine reads a linear identity as its code (`terms.Code`, written by
+`identity_code`): symbol names and variable indices, with no terms.  A
+code stands for one canonical identity (`code_identity`), so for
+canonical identities comparing codes is comparing identities.  Every
+theory has its `codes`; the derivatives build their stages with
+`Theory.extended` from codes alone, and such a stage builds its
+`identities` the first time they are read.
 """
 from __future__ import annotations
 
@@ -20,10 +28,12 @@ from typing import Any, Callable, Iterable, Optional
 
 from .terms import (
     Application,
+    Code,
     OperationSymbol,
     Term,
     Variable,
     canonical_variable,
+    flat_parts,
     is_flat,
     rename_jointly,
     render_term,
@@ -65,6 +75,27 @@ def is_linear_identity(e: Identity) -> bool:
     return is_flat(e.lhs) and is_flat(e.rhs)
 
 
+def identity_code(e: Identity) -> Optional[Code]:
+    """The code of a linear identity, variables numbered by first
+    occurrence; None for a non-linear one, which has no code."""
+    if not is_linear_identity(e):
+        return None
+    index: dict[Variable, int] = {}
+    (lname, largs), (rname, rargs) = flat_parts(e.lhs), flat_parts(e.rhs)
+    return (lname, tuple(index.setdefault(v, len(index)) for v in largs),
+            rname, tuple(index.setdefault(v, len(index)) for v in rargs))
+
+
+def code_identity(code: Code, symbols: dict[str, OperationSymbol]) -> Identity:
+    """The identity a code stands for, over v0, v1, ... and the symbols
+    named in `symbols`: the canonical identity, for a code of one."""
+    sides = []
+    for name, args in (code[:2], code[2:]):
+        vs = tuple(map(canonical_variable, args))
+        sides.append(vs[0] if name is None else Application(symbols[name], vs))
+    return Identity(*sides)
+
+
 def _renamed_key(t: Term, names: dict[Variable, str]) -> tuple:
     """`term_key` of t with its variables renamed v0, v1, ... by first
     occurrence, continuing the renaming in `names`, without building the
@@ -98,12 +129,31 @@ class Theory:
 
     `renames` records symbol renamings applied while building the theory
     (only joins produce them).
+
+    The engine reads a theory through `codes`.  A stage that `extended`
+    builds holds its parent and its new codes, and makes `identities` from
+    them on the first read; it is a `Theory` like any other, equal to, and
+    hashed, copied and pickled as, the theory of the same four fields.
     """
 
     name: str
     symbols: tuple[OperationSymbol, ...]
     identities: tuple[Identity, ...]
     renames: tuple[tuple[str, str], ...] = field(default=())
+
+    def __getattr__(self, attr: str) -> Any:
+        # reached only for attributes the instance lacks: a stage's identities
+        # before their first read
+        parent_codes = self.__dict__.get("_parent_codes")
+        if attr != "identities" or parent_codes is None:
+            raise AttributeError(attr)
+        parent, codes = parent_codes
+        symbols = {s.name: s for s in self.symbols}
+        identities = parent.identities + tuple(code_identity(c, symbols)
+                                               for c in codes)
+        self.__dict__["identities"] = identities
+        del self.__dict__["_parent_codes"]
+        return identities
 
     def symbol_named(self, name: str) -> Optional[OperationSymbol]:
         for s in self.symbols:
@@ -116,6 +166,32 @@ class Theory:
 
     def identity_set(self) -> frozenset[Identity]:
         return frozenset(self.identities)
+
+    @cached_property
+    def codes(self) -> tuple[Optional[Code], ...]:
+        """Each identity's `identity_code`, in order: None for a non-linear
+        one.  Its length is the identity count, which needs no identity."""
+        return tuple(map(identity_code, self.identities))
+
+    @cached_property
+    def code_set(self) -> frozenset[Optional[Code]]:
+        return frozenset(self.codes)
+
+    def extended(self, name: str, codes: Iterable[Code]) -> Theory:
+        """This theory plus the identities of `codes`, in order, each kept
+        once, under a new name: one stage of an operator.
+
+        The codes are those of canonical identities, as are this theory's,
+        and a code stands for one canonical identity, so a code already
+        present is dropped by a set lookup.  The identities are built on
+        their first read.
+        """
+        present = self.code_set
+        new = tuple(c for c in dict.fromkeys(codes) if c not in present)
+        stage = object.__new__(Theory)
+        stage.__dict__.update(name=name, symbols=self.symbols, renames=self.renames,
+                              codes=self.codes + new, _parent_codes=(self, new))
+        return stage
 
     @cached_property
     def _memo(self) -> dict[tuple, Any]:

@@ -1,3 +1,4 @@
+import subprocess
 import sys
 from pathlib import Path
 
@@ -248,7 +249,8 @@ def test_stages_and_verdicts_canonicalize_nothing_again(canonicalize_calls):
     """The operators write their identities canonically and validation looks
     the idempotency identity up as written, so classifying a loaded preset
     canonicalizes nothing; the join check canonicalizes only what `_embed`'s
-    symbol renames changed."""
+    symbol renames changed, once per pair, since it compares later stages
+    by their codes instead of joining them again."""
     loaded = [load_theory(str(path)) for path in THEORY_FILES]
     assert len(loaded) == 7
     # loading canonicalizes the axioms, which come from outside the program
@@ -259,5 +261,17 @@ def test_stages_and_verdicts_canonicalize_nothing_again(canonicalize_calls):
     for left in loaded:
         for right in loaded:
             check_join_decomposition(left, right)
-    assert len(canonicalize_calls) == 284
+    assert len(canonicalize_calls) == 34
     assert set(canonicalize_calls) == {"_embed"}
+
+
+def test_join_decomposition_sweep_script():
+    """The sweep over every ordered preset pair runs the join check end to
+    end and finds no failure."""
+    script = Path(__file__).resolve().parents[1] / "scripts" / "join_decomposition_sweep.py"
+    result = subprocess.run([sys.executable, str(script)], capture_output=True,
+                            text=True, timeout=300)
+    assert result.returncode == 0, result.stdout + result.stderr
+    lines = result.stdout.splitlines()
+    assert sum(line.startswith("ok ") for line in lines) == 49
+    assert lines[-1].startswith("49 pairs in ") and lines[-1].endswith(", 0 failures")

@@ -1,14 +1,22 @@
+import contextlib
+import copy
+import dataclasses
+import hashlib
+import io
 import itertools
+import json
+import pickle
+from pathlib import Path
 
 import pytest
 
-from linvar import derivatives
+from linvar import cli, derivatives
 from linvar.derivatives import (
     StabilizationError,
-    _canonical_fact,
     _canonical_tuples,
     _fact_identity,
-    _independence_identity,
+    _independence_code,
+    _mixture_code,
     _next_stage,
     derivative,
     iterate,
@@ -23,8 +31,11 @@ from linvar.presets import hagemann_mitschke, maltsev, semilattice
 from linvar.saturation import Entailed
 from linvar.terms import OperationSymbol
 from linvar.theories import (
+    Theory,
     UnknownSymbolError,
     canonicalize_identity,
+    code_identity,
+    identity_code,
     join_disjoint,
     make_theory,
     theory_equal,
@@ -202,13 +213,21 @@ class TestStageBuilders:
 
     @pytest.mark.parametrize("arity", range(1, 5))
     def test_new_identities_are_written_in_canonical_form(self, arity):
+        """The operators' codes stand for canonical identities, and for the
+        identities the operators are defined by."""
         symbol = OperationSymbol("f", arity)
+        symbols = {"f": symbol}
         for place in range(1, arity + 1):
-            e = _independence_identity(symbol, place)
+            e = code_identity(_independence_code("f", arity, place), symbols)
             assert canonicalize_identity(e) == e
+            assert identity_code(e) == _independence_code("f", arity, place)
+            # u and u' at the place, the other places shared
+            assert [a == b for a, b in zip(e.lhs.children, e.rhs.children)] == \
+                [j != place for j in range(1, arity + 1)]
         for w in itertools.product(range(arity + 1), repeat=arity):
-            assert _canonical_fact(symbol, w) == \
-                canonicalize_identity(_fact_identity(symbol, w)), w
+            e = code_identity(_mixture_code("f", w), symbols)
+            assert e == canonicalize_identity(_fact_identity(symbol, w)), w
+            assert identity_code(e) == _mixture_code("f", w)
 
     def test_unknown_symbols_raise_without_asserts(self, maltsev):
         # raised errors, so that python -O keeps the check
@@ -216,3 +235,59 @@ class TestStageBuilders:
             _next_stage(maltsev, "derivative", frozenset({("q", 1)}))
         with pytest.raises(UnknownSymbolError):
             _next_stage(maltsev, "order_derivative", frozenset({("q", (0, 1))}))
+
+
+# sha256 over one JSON line per stage (theory, operator, stage name, size,
+# identities in order) of both operators' traces of the presets and the
+# families, and over `linvar derive [--order] --iterate` stdout on the
+# preset files; taken while stages were still built from Identity terms.
+PINNED_STAGES = (79, "9a93edcfd0e847e7a1e87ac9040794ee2e1c6ece9225aa492e801cdf95a2cb1c")
+PINNED_DERIVE_OUTPUT = "086bf058304184b337cf495568c0bc4496890c650db806af44815c63bb0a4082"
+THEORY_FILES = sorted((Path(__file__).resolve().parents[1] / "theories").glob("*.thy"))
+
+
+def test_stage_contents_are_pinned(corpus, families):
+    """Stages hold their codes and build their identities only when read,
+    and then the same identities, in the same order, as before."""
+    digest = hashlib.sha256()
+    count = 0
+    for theory in corpus + families:
+        for operator in ("derivative", "order_derivative"):
+            for stage in iterate(theory, operator).stages:
+                # the count needs no identity; stage 0 is the input itself
+                size = len(stage.codes)
+                assert ("identities" in vars(stage)) == (stage is theory)
+                line = json.dumps([theory.name, operator, stage.name, size,
+                                   [str(e) for e in stage.identities]])
+                digest.update(line.encode() + b"\n")
+                count += 1
+    assert (count, digest.hexdigest()) == PINNED_STAGES
+
+
+def test_derive_output_is_pinned():
+    digest = hashlib.sha256()
+    assert len(THEORY_FILES) == 7
+    for path in THEORY_FILES:
+        for extra in ([], ["--order"]):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli.main(["derive", str(path), "--iterate", *extra])
+            digest.update(f"{path.name} {extra} {code}\n".encode() + out.getvalue().encode())
+    assert digest.hexdigest() == PINNED_DERIVE_OUTPUT
+
+
+def test_a_stage_behaves_as_the_eager_theory_of_its_fields(corpus):
+    """A stage builds its identities on first read, and compares, hashes,
+    copies and pickles as a `Theory` built from the same four fields."""
+    for theory in corpus:
+        for operator in ("derivative", "order_derivative"):
+            stage = iterate(theory, operator).stages[1]
+            assert isinstance(stage, Theory) and "identities" not in vars(stage)
+            eager = Theory(stage.name, stage.symbols, stage.identities, stage.renames)
+            assert stage == eager and eager == stage and hash(stage) == hash(eager)
+            assert repr(stage) == repr(eager) and stage.codes == eager.codes
+            for twin in (copy.copy(stage), copy.deepcopy(stage),
+                         pickle.loads(pickle.dumps(stage)),
+                         dataclasses.replace(stage)):
+                assert twin == stage and hash(twin) == hash(stage)
+                assert set(vars(twin)) == {f.name for f in dataclasses.fields(Theory)}

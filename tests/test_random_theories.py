@@ -13,9 +13,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from linvar import presets, saturation
+from linvar.classification import _join_stage_matches, check_join_decomposition
 from linvar.derivatives import (
     _canonical_tuples,
     _fact_identity,
+    _mixture_code,
     derivative,
     iterate,
     order_derivative,
@@ -57,6 +59,7 @@ from linvar.theories import (
     identity_variables,
     join_disjoint,
     make_theory,
+    theory_equal,
     validate,
 )
 
@@ -399,25 +402,57 @@ def test_atom_codec_round_trips(theory):
         assert base.atom_id(base.atom_term(i)) == i
 
 
+def _assert_partition_matches_grounding(base):
+    """The base's classes are those of a union-find over every ground
+    identity instance of the whole context (`_instance_pairs`)."""
+    parent = list(range(base.size))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for a, b in _instance_pairs(base):
+        parent[find(a)] = find(b)
+    expected = {}
+    for i in range(base.size):
+        expected.setdefault(find(i), []).append(i)
+    assert sorted(base.classes().values()) == sorted(expected.values()), base.theory.name
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.one_of(small_theories(), ternary_theories()))
 def test_saturation_matches_an_independent_union_find(theory):
     """The stride enumeration merges exactly the instance pairs, both when
     building a base and when extending one along an iteration."""
     for base in (saturate(theory), iterate(theory, "derivative").final_base):
-        parent = list(range(base.size))
+        _assert_partition_matches_grounding(base)
 
-        def find(x):
-            while parent[x] != x:
-                x = parent[x]
-            return x
 
-        for a, b in _instance_pairs(base):
-            parent[find(a)] = find(b)
-        expected = {}
-        for i in range(base.size):
-            expected.setdefault(find(i), []).append(i)
-        assert sorted(base.classes().values()) == sorted(expected.values())
+def _stage_bases(theory):
+    """For both operators, a base built from each stage's codes at the
+    iteration's context size, and the final base, which the iteration
+    extended stage by stage with the new codes alone."""
+    for operator in ("derivative", "order_derivative"):
+        trace = iterate(theory, operator)
+        for stage in trace.stages:
+            yield saturation.FlatFactBase(stage, trace.budget)
+        yield trace.final_base
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(small_theories(), ternary_theories()))
+def test_code_saturation_matches_grounding_on_every_stage(theory):
+    """Saturation reads codes only; grounding the identities' terms under
+    every assignment gives the same partition at every stage."""
+    for base in _stage_bases(theory):
+        _assert_partition_matches_grounding(base)
+
+
+def test_code_saturation_matches_grounding_on_preset_and_family_stages(corpus, families):
+    for theory in corpus + families:
+        for base in _stage_bases(theory):
+            _assert_partition_matches_grounding(base)
 
 
 @settings(max_examples=25, deadline=None)
@@ -447,6 +482,10 @@ def test_found_models_satisfy(theory):
 
 H2 = OperationSymbol("h", 2)
 K1 = OperationSymbol("k", 1)
+X, Y = VARS[0], VARS[1]
+# f clashes and becomes f_2, which sorts after f0 where f sorted before it,
+# so a rename can turn an identity of the clashing theory around
+F0 = OperationSymbol("f0", 1)
 
 
 @settings(max_examples=20, deadline=None)
@@ -455,11 +494,88 @@ K1 = OperationSymbol("k", 1)
 def test_join_theorems_on_random_pairs(left, right):
     """Stagewise distribution of both operators over random joins, and
     agreement of each property with the disjunction over the components."""
-    from linvar.classification import check_join_decomposition
-
     report = check_join_decomposition(left, right)
     assert report.decomposition_holds, report.to_json()
     assert report.prime_filter_holds, report.to_json()
+
+
+def _flags_by_rejoining(left, right):
+    """`check_join_decomposition`'s flags per operator as they were first
+    computed: stage n of the join against join_disjoint(a_n, b_n), as
+    identity sets."""
+    joined = join_disjoint(left, right)
+    out = []
+    for operator in ("derivative", "order_derivative"):
+        join_trace, left_trace, right_trace = (
+            iterate(t, operator) for t in (joined, left, right))
+        flags = []
+        for n, stage in enumerate(join_trace.stages):
+            try:
+                a, b = left_trace.stage(n), right_trace.stage(n)
+            except IndexError:
+                flags.append(False)
+                continue
+            flags.append(theory_equal(stage, join_disjoint(a, b)))
+        out.append(tuple(flags))
+    return out
+
+
+def _assert_join_flags_match_rejoining(left, right):
+    report = check_join_decomposition(left, right)
+    assert [op.equal_per_stage for op in report.operators] == \
+        _flags_by_rejoining(left, right)
+    joined = join_disjoint(left, right)
+    starts = (joined, left, right)
+    compared = 0
+    for operator in ("derivative", "order_derivative"):
+        traces = [iterate(t, operator) for t in starts]
+        for n in range(1, len(traces[0].stages)):
+            try:
+                stages = tuple(trace.stage(n) for trace in traces)
+            except IndexError:
+                continue
+            assert _join_stage_matches(stages, starts) == \
+                theory_equal(stages[0], join_disjoint(*stages[1:]))
+            compared += 1
+    return compared
+
+
+def test_join_flags_match_rejoining_on_preset_pairs(corpus):
+    """Comparing the codes each stage added gives the flags that joining
+    the components' stages again and comparing identity sets gives."""
+    compared = sum(_assert_join_flags_match_rejoining(a, b)
+                   for a in corpus for b in corpus)
+    assert compared == 113
+
+
+@settings(max_examples=30, deadline=None)
+@given(_theories_over("left", F2, G1, max_extra=2),
+       _theories_over("right", H2, K1, max_extra=2),
+       _theories_over("clash", F2, F0, max_extra=3))
+def test_join_flags_match_rejoining_on_random_pairs(left, right, clash):
+    """As on the presets, with a clash that renames b's symbols too."""
+    for b in (right, clash):
+        _assert_join_flags_match_rejoining(left, b)
+
+
+def test_a_join_stage_off_by_one_code_does_not_match(majority):
+    """Stage 1 of majority joined with itself (m renamed m_2), with one
+    added code more or one fewer, no longer matches its components."""
+    joined = join_disjoint(majority, majority)
+    assert joined.renames == (("m", "m_2"),)
+    starts = (joined, majority, majority)
+    stages = tuple(iterate(t, "derivative").stage(1) for t in starts)
+    assert _join_stage_matches(stages, starts)
+    join_1 = stages[0]
+    # v0 = m_2(v0,v1,v1), which only the order derivative could add
+    missing = _mixture_code("m_2", (0, 1, 1))
+    assert missing not in join_1.code_set
+    added = join_1.extended(join_1.name, [missing])
+    removed = Theory(join_1.name, join_1.symbols, join_1.identities[:-1], join_1.renames)
+    assert len(removed.codes) > len(joined.codes)
+    for tampered in (added, removed):
+        assert not _join_stage_matches((tampered,) + stages[1:], starts)
+        assert not theory_equal(tampered, join_disjoint(*stages[1:]))
 
 
 def _profile_over_all_tuples(theory, base):
@@ -561,10 +677,6 @@ def _join_by_make_theory(a, b, joined):
                        renames=joined.renames)
 
 
-X, Y = VARS[0], VARS[1]
-# f clashes and becomes f_2, which sorts after f0 where f sorted before it,
-# so a rename can turn an identity of the clashing theory around
-F0 = OperationSymbol("f0", 1)
 
 
 @settings(max_examples=30, deadline=None)
