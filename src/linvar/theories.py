@@ -173,10 +173,6 @@ class Theory:
         one.  Its length is the identity count, which needs no identity."""
         return tuple(map(identity_code, self.identities))
 
-    @cached_property
-    def code_set(self) -> frozenset[Optional[Code]]:
-        return frozenset(self.codes)
-
     def extended(self, name: str, codes: Iterable[Code]) -> Theory:
         """This theory plus the identities of `codes`, in order, each kept
         once, under a new name: one stage of an operator.
@@ -186,7 +182,7 @@ class Theory:
         present is dropped by a set lookup.  The identities are built on
         their first read.
         """
-        present = self.code_set
+        present = set(self.codes)
         new = tuple(c for c in dict.fromkeys(codes) if c not in present)
         stage = object.__new__(Theory)
         stage.__dict__.update(name=name, symbols=self.symbols, renames=self.renames,

@@ -569,7 +569,7 @@ def test_a_join_stage_off_by_one_code_does_not_match(majority):
     join_1 = stages[0]
     # v0 = m_2(v0,v1,v1), which only the order derivative could add
     missing = _mixture_code("m_2", (0, 1, 1))
-    assert missing not in join_1.code_set
+    assert missing not in join_1.codes
     added = join_1.extended(join_1.name, [missing])
     removed = Theory(join_1.name, join_1.symbols, join_1.identities[:-1], join_1.renames)
     assert len(removed.codes) > len(joined.codes)
