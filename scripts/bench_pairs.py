@@ -1,0 +1,104 @@
+#!/usr/bin/env python3
+"""Alternated pairs of benchmark runs: a parent checkout against this one.
+
+    python3 scripts/bench_pairs.py PARENT_CHECKOUT WORKLOAD SEED...
+
+For each seed, runs `perfbench/run.py --workload WORKLOAD --seed SEED
+--trace 0 --seconds 20` in the parent checkout and in this one, one after
+the other.  The side that runs first flips on every other seed, because on
+a shared host the side that runs second in a pair tends to read slower.
+Then prints, for each end-to-end metric, both sides' median and quartiles
+over the seeds and in how many pairs this checkout's value is lower, and
+whether the two sides' round fingerprints agree on every round both ran.
+Uses the standard library only.
+"""
+from __future__ import annotations
+
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SECONDS = 20
+
+
+def run_side(root: Path, workload: str, seed: int) -> tuple[dict[str, float], dict[int, str]]:
+    """(end-to-end metric values, fingerprint per round) of one run."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--trace", "0", "--seconds", str(SECONDS)],
+        cwd=root, stdout=subprocess.PIPE, text=True, check=True)
+    return parse_run(proc.stdout)
+
+
+def parse_run(stdout: str) -> tuple[dict[str, float], dict[int, str]]:
+    """The metric values of run.py's closing JSON line, and the fingerprint
+    of each "# round i: ... fingerprint <hex> ..." line."""
+    lines = stdout.strip().splitlines()
+    metrics = {name: m["value"] for name, m in json.loads(lines[-1])["metrics"].items()}
+    fingerprints = {}
+    for line in lines:
+        if line.startswith("# round "):
+            words = line.split()
+            fingerprints[int(words[2].rstrip(":"))] = words[words.index("fingerprint") + 1]
+    return metrics, fingerprints
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    """(first quartile, median, third quartile)."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def summary(pairs: list[tuple[dict[str, float], dict[str, float]]]) -> list[str]:
+    """One line per metric over (parent, change) pairs of metric values."""
+    lines = []
+    for name in pairs[0][0]:
+        before = [p[name] for p, _ in pairs]
+        after = [c[name] for _, c in pairs]
+        (b1, b2, b3), (a1, a2, a3) = quartiles(before), quartiles(after)
+        change = f"{(a2 - b2) / b2:+.1%}" if b2 else "n/a"
+        lower = sum(a < b for b, a in zip(before, after))
+        lines.append(f"{name}: parent {b2:.6g} [{b1:.6g}, {b3:.6g}]  "
+                     f"change {a2:.6g} [{a1:.6g}, {a3:.6g}]  {change}  "
+                     f"lower in {lower}/{len(pairs)}")
+    return lines
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) < 3:
+        print("usage: bench_pairs.py PARENT_CHECKOUT WORKLOAD SEED...", file=sys.stderr)
+        return 2
+    parent, workload, seeds = Path(argv[0]).resolve(), argv[1], [int(s) for s in argv[2:]]
+    pairs = []
+    mismatches = []
+    common = 0
+    for i, seed in enumerate(seeds):
+        sides = {}
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in order:
+            sides[side] = run_side(parent if side == "parent" else ROOT, workload, seed)
+        (before, fp_before), (after, fp_after) = sides["parent"], sides["change"]
+        pairs.append((before, after))
+        shared = fp_before.keys() & fp_after.keys()
+        common += len(shared)
+        mismatches += [f"seed {seed} round {r}" for r in sorted(shared)
+                       if fp_before[r] != fp_after[r]]
+        print(f"# seed {seed}: {order[0]} first; cpu_s {before['cpu_s']:.4f} -> "
+              f"{after['cpu_s']:.4f}", flush=True)
+    print(f"# {workload}, {len(pairs)} alternated pairs, {SECONDS} s runs")
+    for line in summary(pairs):
+        print(line)
+    if mismatches:
+        print("fingerprints differ: " + ", ".join(mismatches))
+        return 1
+    print(f"fingerprints equal on {common} common rounds")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))

@@ -14,15 +14,31 @@ the stack.  Forcing is monotone, so the closure and any conflict do not depend
 on that order, and the search, branching on the first undecided cell with
 values ascending, returns the lexicographically first model in range.
 
-The layout and the identities' instances depend only on the theory and the
-size, so `find_model` compiles them once per theory object and size and
-keeps them in `Theory.compiled`; each search compiles only its goal.
+The layout, the identities' instances and the first model depend only on
+the theory and the size, so the first model is searched once per theory
+object and size, and `find_model` keeps all three in `Theory.compiled`.
+A goal (a constraint whose sides must differ under some assignment) is
+first evaluated on that model, and the constrained search runs only when
+the model does not separate it.  That returns what the constrained search
+alone would:
+
+- The goal never enters propagation, so the constrained search walks the
+  same tree, in the same order, as the unconstrained one.
+- It prunes only subtrees in which every goal instance is already decided
+  equal; decided cells stay decided below, so those subtrees hold no
+  separating leaf.
+- So it returns the first leaf, in the unconstrained order, that separates
+  the goal, with the first unequal instance as its witness.  When the first
+  model separates the goal, that model is the leaf, and the witness is read
+  from it the same way.
+- A size with no model at all has no separating one, so it is skipped.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .terms import Code, FlatLayout, OperationSymbol, Term, Variable
 from .theories import (
@@ -105,19 +121,18 @@ def satisfies(algebra: FiniteAlgebra, theory: Theory) -> SatisfactionResult:
 
 
 def _instance_pairs(layout: FlatLayout, source: Code | Identity
-                    ) -> list[tuple[object, object]]:
+                    ) -> Iterator[tuple[object, object]]:
     """Both sides of every instance, the variables over every element in
     `itertools.product` order: cell ids spread from a linear identity's
     code, trees grounded from a nested identity, which has no code."""
-    pairs: list[tuple[object, object]] = []
     if not isinstance(source, Identity):
         for ls, rs in layout.code_instances(source):
-            pairs += zip(ls, rs)
-        return pairs
+            yield from zip(ls, rs)
+        return
     vs = identity_variables(source)
-    return [(_ground(source.lhs, rho), _ground(source.rhs, rho))
-            for rho in (dict(zip(vs, values)) for values in
-                        itertools.product(range(layout.n), repeat=len(vs)))]
+    for values in itertools.product(range(layout.n), repeat=len(vs)):
+        rho = dict(zip(vs, values))
+        yield _ground(source.lhs, rho), _ground(source.rhs, rho)
 
 
 def _ground(t: Term, rho: Mapping[Variable, int]) -> object:
@@ -127,26 +142,82 @@ def _ground(t: Term, rho: Mapping[Variable, int]) -> object:
     return (t.symbol.name, tuple(_ground(c, rho) for c in t.children))
 
 
-def _compile(theory: Theory, size: int
-             ) -> tuple[FlatLayout, tuple[tuple[object, object], ...]]:
-    """The cell layout over `size` elements and every identity's ground
-    instances, which no search changes; kept on the theory per size."""
+class _Compiled(NamedTuple):
+    """What `find_model` keeps per theory object and model size."""
+
+    layout: FlatLayout
+    instances: tuple[tuple[object, object], ...]  # every identity's, in order
+    first: Optional[tuple[int, ...]]  # the first model's cells; None: no model
+
+
+def _compile(theory: Theory, size: int) -> _Compiled:
+    """The cell layout over `size` elements, every identity's ground
+    instances and the first model, none of which depends on a goal."""
     layout = FlatLayout(theory.symbols, size)
     pairs: list[tuple[object, object]] = []
     for k, code in enumerate(theory.codes):
         pairs += _instance_pairs(layout, theory.identities[k] if code is None else code)
-    return layout, tuple(pairs)
+    instances = tuple(pairs)
+    search = _TableSearch(layout, instances, None)
+    first = None if search.run() is None else tuple(search.cells)
+    return _Compiled(layout, instances, first)
+
+
+def _value(layout: FlatLayout, cells: Sequence[Optional[int]], side: object) -> int:
+    """A compiled side's value, or ~c for the first undecided cell c it reads."""
+    if isinstance(side, int):
+        cell = side
+    else:
+        name, kids = side  # type: ignore[misc]
+        values = []
+        for k in kids:
+            v = _value(layout, cells, k)
+            if v < 0:
+                return v
+            values.append(v)
+        cell = layout.encode(name, values)
+    v = cells[cell]
+    return ~cell if v is None else v
+
+
+def _goal_status(goal: Iterable[tuple[object, object]], value: Callable[[object], int]
+                 ) -> tuple[Optional[int], bool]:
+    """(the first goal instance whose sides are decided and differ, whether
+    any instance reads an undecided cell)."""
+    undecided = False
+    for j, (lhs, rhs) in enumerate(goal):
+        lv, rv = value(lhs), value(rhs)
+        if lv < 0 or rv < 0:
+            undecided = True
+        elif lv != rv:
+            return j, undecided
+    return None, undecided
+
+
+def _freeze(layout: FlatLayout, cells: Sequence[Optional[int]]) -> FiniteAlgebra:
+    """The algebra of complete cells, in tables of its own, so no two
+    callers share one; an undecided cell raises `IncompleteModelError`."""
+    size = layout.n
+    tables = {}
+    for s in layout.symbols:
+        offset = layout.offsets[s.name]
+        tab = tuple(cells[offset:offset + size ** s.arity])
+        if None in tab:
+            raise IncompleteModelError(
+                f"table of {s.name} has an undecided cell at index {tab.index(None)}")
+        tables[s.name] = tab
+    return FiniteAlgebra(size, layout.symbols, tables)  # type: ignore[arg-type]
 
 
 class _TableSearch:
     """Backtracking over `cells` with forcing propagation (module docstring).
 
     The layout and the identities' instances are shared and only read; the
-    cells, watch lists, trail and the goal's instances are the search's own.
+    cells, watch lists and trail are the search's own.
     """
 
     def __init__(self, layout: FlatLayout, instances: Sequence[tuple[object, object]],
-                 goal: Optional[Identity]):
+                 goal: Optional[Sequence[tuple[object, object]]]):
         self.size = size = layout.n
         self.layout = layout
         self.cells: list[Optional[int]] = list(range(size)) + [None] * (layout.size - size)
@@ -155,26 +226,8 @@ class _TableSearch:
         self.trail: list[int] = []
         self.instances = instances
         self.stack = list(range(len(instances)))
-        self.goal = goal
-        if goal is not None:
-            self.goal_vars = identity_variables(goal)
-            self.goal_instances = _instance_pairs(layout, identity_code(goal) or goal)
-
-    def _value(self, code: object) -> int:
-        """A compiled side's value, or ~c for the first undecided cell c it reads."""
-        if isinstance(code, int):
-            cell = code
-        else:
-            name, kids = code  # type: ignore[misc]
-            values = []
-            for k in kids:
-                v = self._value(k)
-                if v < 0:
-                    return v
-                values.append(v)
-            cell = self.layout.encode(name, values)
-        v = self.cells[cell]
-        return ~cell if v is None else v
+        self.goal = goal  # the goal's instances, if any
+        self.value = functools.partial(_value, layout, self.cells)
 
     def _set(self, cell: int, value: int) -> None:
         self.cells[cell] = value
@@ -183,7 +236,7 @@ class _TableSearch:
 
     def _propagate(self) -> bool:
         """Evaluate the stacked instances to a fixpoint; False on a conflict."""
-        stack, value, watch = self.stack, self._value, self.watch
+        stack, value, watch = self.stack, self.value, self.watch
         while stack:
             j = stack.pop()
             lhs, rhs = self.instances[j]
@@ -208,46 +261,21 @@ class _TableSearch:
     def _first_undecided(self) -> Optional[int]:
         return self.cells.index(None) if None in self.cells else None
 
-    def _constraint_status(self) -> tuple[Optional[Assignment], bool]:
-        """(first assignment definitely separating the sides, any undecided)."""
-        undecided = False
-        for j, (lhs, rhs) in enumerate(self.goal_instances):
-            lv, rv = self._value(lhs), self._value(rhs)
-            if lv < 0 or rv < 0:
-                undecided = True
-            elif lv != rv:
-                # instance j assigns the goal's variables j's base-size
-                # digits, the last variable's the lowest
-                values = []
-                for _ in self.goal_vars:
-                    j, digit = divmod(j, self.size)
-                    values.append(digit)
-                return dict(zip(self.goal_vars, reversed(values))), undecided
-        return None, undecided
-
-    def _freeze(self) -> FiniteAlgebra:
-        tables = {}
-        for s in self.layout.symbols:
-            offset = self.layout.offsets[s.name]
-            tab = self.cells[offset:offset + self.size ** s.arity]
-            if None in tab:
-                raise IncompleteModelError(
-                    f"table of {s.name} has an undecided cell at index {tab.index(None)}")
-            tables[s.name] = tuple(tab)
-        return FiniteAlgebra(self.size, self.layout.symbols, tables)  # type: ignore[arg-type]
-
-    def run(self) -> Optional[tuple[FiniteAlgebra, Assignment]]:
+    def run(self) -> Optional[int]:
+        """Search for the first model that separates the goal, and leave it
+        in `cells`; return the first goal instance it separates (0 without
+        a goal), or None when there is no such model."""
         return self._search() if self._propagate() else None
 
-    def _search(self) -> Optional[tuple[FiniteAlgebra, Assignment]]:
-        witness: Optional[Assignment] = {}
+    def _search(self) -> Optional[int]:
+        witness: Optional[int] = 0
         if self.goal is not None:
-            witness, undecided = self._constraint_status()
+            witness, undecided = _goal_status(self.goal, self.value)
             if witness is None and not undecided:
-                return None  # constraint already failed on every assignment
+                return None  # every goal instance is decided equal below here
         cell = self._first_undecided()
         if cell is None:
-            return None if witness is None else (self._freeze(), witness)
+            return witness
         mark = len(self.trail)
         for value in range(self.size):
             self._set(cell, value)
@@ -261,6 +289,17 @@ class _TableSearch:
         return None
 
 
+def _assignment(variables: Sequence[Variable], j: int, size: int) -> Assignment:
+    """The assignment of goal instance j: instances run over the variables'
+    values in `itertools.product` order, so j's base-size digits, the last
+    variable's the lowest."""
+    values = []
+    for _ in variables:
+        j, digit = divmod(j, size)
+        values.append(digit)
+    return dict(zip(variables, reversed(values)))
+
+
 def find_model(theory: Theory, lo: int = 2, hi: int = 3,
                constraint: Optional[Identity] = None
                ) -> Optional[tuple[FiniteAlgebra, Assignment]]:
@@ -268,17 +307,33 @@ def find_model(theory: Theory, lo: int = 2, hi: int = 3,
     and an assignment separating the constraint's sides (empty without one).
 
     An idempotency axiom needs no special case: its instances fix the
-    diagonal cells in the first propagation.  Returns None when the range
-    is exhausted, which is a bound, never a proof of entailment.
+    diagonal cells in the first propagation.  The first model of each size
+    is searched once and kept on the theory; a constraint it does not
+    separate gets a search of its own (module docstring).  Returns None
+    when the range is exhausted, which is a bound, never a proof of
+    entailment.
     """
     if lo < 1:
         raise ValueError("model size must be at least 1")
+    goal_source = None if constraint is None else identity_code(constraint) or constraint
     for size in range(lo, hi + 1):
-        layout, instances = theory.compiled(("models", size),
-                                            lambda: _compile(theory, size))
-        found = _TableSearch(layout, instances, constraint).run()
-        if found is not None:
-            return found
+        layout, instances, cells = theory.compiled(("models", size),
+                                                   lambda: _compile(theory, size))
+        if cells is None:
+            continue  # no model of this size, so none separating the goal
+        if goal_source is None:
+            return _freeze(layout, cells), {}
+        witness, _ = _goal_status(_instance_pairs(layout, goal_source),
+                                  functools.partial(_value, layout, cells))
+        if witness is None:
+            search = _TableSearch(layout, instances,
+                                  tuple(_instance_pairs(layout, goal_source)))
+            witness = search.run()
+            if witness is None:
+                continue
+            cells = search.cells
+        return (_freeze(layout, cells),
+                _assignment(identity_variables(constraint), witness, size))
     return None
 
 

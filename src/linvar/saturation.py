@@ -31,12 +31,13 @@ Inconsistency is decided by a class test alone; `is_inconsistent` builds
 the chain, and iteration traces call it only when their certificate is read.
 
 The engine reads a theory through its identities' codes (`terms.Code`:
-symbol names and variable indices), never through their terms.  A code's
-two sides give a layout id and one stride per variable, and the instances
-are spread from those, so an iteration stage, which `derivatives` writes
-as its parent plus new codes, is saturated by extending the parent's base
-with the new codes' instances, without building an identity.  A
-non-linear identity has no code and is refused.
+symbol names and variable indices), never through their terms, and a goal
+through its own code.  A code's two sides give a layout id and one stride
+per variable, and the instances are spread from those, so an iteration
+stage, which `derivatives` writes as its parent plus new codes, is
+saturated by extending the parent's base with the new codes' instances,
+without building an identity.  A non-linear identity has no code and is
+refused.
 
 A chain search is breadth-first with first-discovery parents and a fixed
 neighbour order, so its tree from one atom over one set of variables does
@@ -76,6 +77,7 @@ from .theories import (
     Identity,
     Theory,
     UnknownSymbolError,
+    identity_code,
     identity_variables,
 )
 
@@ -187,14 +189,14 @@ class FlatFactBase(FlatLayout):
         except ValueError:
             raise KeyError(f"{v} is not a context variable") from None
 
-    def _theory_parts(self, side: Term) -> tuple[Optional[str], tuple[Term, ...]]:
+    def _check_symbol(self, side: Term) -> None:
         if isinstance(side, Application) and \
                 self.theory.symbol_named(side.symbol.name) != side.symbol:
             raise UnknownSymbolError(f"{side.symbol} is not in {self.theory.name}")
-        return flat_parts(side)
 
     def atom_id(self, t: Term) -> int:
-        name, args = self._theory_parts(t)
+        self._check_symbol(t)
+        name, args = flat_parts(t)
         return self.encode(name, [self._context_index(v) for v in args])
 
     def atom_term(self, i: int) -> Term:
@@ -247,22 +249,24 @@ class FlatFactBase(FlatLayout):
 
     # -- queries ------------------------------------------------------------
 
-    def _embed(self, goal: Identity) -> tuple[int, int, dict[Variable, int]]:
-        for side in (goal.lhs, goal.rhs):
-            if not is_flat(side):
-                raise ValueError(f"{side} is not linear; only flat queries are decidable")
-        goal_vars = [v for v in
-                     dict.fromkeys(term_variables(goal.lhs) + term_variables(goal.rhs))]
-        if len(goal_vars) > self.budget:
+    def _embed(self, goal: Identity) -> tuple[int, int]:
+        """The atom ids of the goal's sides, read from its code.
+
+        The code numbers the goal's variables by first occurrence, lhs
+        first, and the atoms read variable k as context index k; that is
+        the embedding `_output_renaming` inverts, over `identity_variables`.
+        """
+        code = identity_code(goal)
+        if code is None:
+            side = goal.rhs if is_flat(goal.lhs) else goal.lhs
+            raise ValueError(f"{side} is not linear; only flat queries are decidable")
+        width = code_width(code)
+        if width > self.budget:
             raise BudgetTooSmallError(
-                f"goal uses {len(goal_vars)} variables, context has {self.budget}")
-        embedding = {v: i for i, v in enumerate(goal_vars)}
-
-        def encode(side: Term) -> int:
-            name, args = self._theory_parts(side)
-            return self.encode(name, [embedding[v] for v in args])
-
-        return encode(goal.lhs), encode(goal.rhs), embedding
+                f"goal uses {width} variables, context has {self.budget}")
+        self._check_symbol(goal.lhs)
+        self._check_symbol(goal.rhs)
+        return self.encode(*code[:2]), self.encode(*code[2:])
 
     def entails(self, goal: Identity) -> bool:
         """Linear entailment: one class, or a collapsed theory.
@@ -271,11 +275,13 @@ class FlatFactBase(FlatLayout):
         identity, including ones with no flat derivation of their own (the
         flattening argument needs consistency), so that case short-circuits.
         """
-        a, b, _ = self._embed(goal)
+        a, b = self._embed(goal)
         return self.same_class(a, b) or self.variables_merged()
 
     def fact_entailed(self, symbol_name: str, digits: tuple[int, ...]) -> bool:
-        """Does the class of v0 contain symbol(context[digits])?"""
+        """Does the class of v0 contain symbol(context[digits])?  A caller
+        asking this for many facts of one base reads `variables_merged()`
+        once and tests the class itself."""
         return self.same_class(0, self.encode(symbol_name, digits)) \
             or self.variables_merged()
 
@@ -429,11 +435,12 @@ def saturate(theory: Theory, budget: Optional[int] = None) -> FlatFactBase:
                            lambda: FlatFactBase(theory, budget))
 
 
-def _output_renaming(base: FlatFactBase, embedding: dict[Variable, int]
+def _output_renaming(base: FlatFactBase, variables: Sequence[Variable]
                      ) -> dict[int, Variable]:
-    """Map context indices back to goal variables, keeping the rest readable."""
-    rename: dict[int, Variable] = {i: v for v, i in embedding.items()}
-    taken = {v.name for v in rename.values()}
+    """Map context index k back to the k-th goal variable, keeping the rest
+    readable."""
+    rename: dict[int, Variable] = dict(enumerate(variables))
+    taken = {v.name for v in variables}
     fresh = fresh_variables(taken)
     for i in range(base.budget):
         if i in rename:
@@ -512,10 +519,10 @@ def entails_flat(base: FlatFactBase, goal: Identity) -> EntailmentVerdict:
     the theory is consistent; a negative verdict is upgraded with a
     separating finite model when one of 2 or 3 elements exists.
     """
-    a, b, embedding = base._embed(goal)
+    a, b = base._embed(goal)
     if base.same_class(a, b):
         ids, edges = _chain(base, a, b)
-        rename = _output_renaming(base, embedding)
+        rename = _output_renaming(base, identity_variables(goal))
         return Entailed(_chain_derivation(base, ids, edges, rename))
     if base.variables_merged():
         return Entailed(_collapse_instance_derivation(base, goal))
@@ -550,7 +557,7 @@ def is_inconsistent(base: FlatFactBase) -> EntailmentVerdict:
     x, y = Variable("x"), Variable("y")
     target = inconsistency_target(base)
     if target is not None:
-        rename = _output_renaming(base, {x: 0, y: 1})
+        rename = _output_renaming(base, (x, y))
         ids, edges = _chain(base, 0, target)
         return Entailed(_chain_derivation(base, ids, edges, rename))
     return NotEntailed()

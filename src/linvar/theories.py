@@ -33,7 +33,6 @@ from .terms import (
     Term,
     Variable,
     canonical_variable,
-    flat_parts,
     is_flat,
     rename_jointly,
     render_term,
@@ -78,12 +77,19 @@ def is_linear_identity(e: Identity) -> bool:
 def identity_code(e: Identity) -> Optional[Code]:
     """The code of a linear identity, variables numbered by first
     occurrence; None for a non-linear one, which has no code."""
-    if not is_linear_identity(e):
-        return None
     index: dict[Variable, int] = {}
-    (lname, largs), (rname, rargs) = flat_parts(e.lhs), flat_parts(e.rhs)
-    return (lname, tuple(index.setdefault(v, len(index)) for v in largs),
-            rname, tuple(index.setdefault(v, len(index)) for v in rargs))
+    code: list[object] = []
+    for side in (e.lhs, e.rhs):
+        if isinstance(side, Variable):
+            code += (None, (index.setdefault(side, len(index)),))
+            continue
+        args = []
+        for v in side.children:
+            if not isinstance(v, Variable):
+                return None
+            args.append(index.setdefault(v, len(index)))
+        code += (side.symbol.name, tuple(args))
+    return tuple(code)  # type: ignore[return-value]
 
 
 def code_identity(code: Code, symbols: dict[str, OperationSymbol]) -> Identity:
@@ -165,7 +171,7 @@ class Theory:
         return max((s.arity for s in self.symbols), default=0)
 
     def identity_set(self) -> frozenset[Identity]:
-        return frozenset(self.identities)
+        return self.compiled(("identity_set",), lambda: frozenset(self.identities))
 
     @cached_property
     def codes(self) -> tuple[Optional[Code], ...]:
@@ -199,10 +205,11 @@ class Theory:
         first time `key` is asked for and kept for the object's lifetime.
 
         Keys name the owner first: `saturation.saturate`'s fact bases are
-        ("saturation", context size), `models.find_model`'s layout and
-        identity instances ("models", model size), and `rewriting.bfs_prove`'s
-        search rules ("rewriting",).  An equal but distinct theory object
-        compiles its own.
+        ("saturation", context size), `models.find_model`'s layout,
+        identity instances and first model ("models", model size),
+        `rewriting.bfs_prove`'s search rules ("rewriting",), and the set of
+        identities `identity_set` returns ("identity_set",).  An equal but
+        distinct theory object compiles its own.
         """
         memo = self._memo
         if key not in memo:

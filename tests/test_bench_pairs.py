@@ -1,0 +1,48 @@
+"""scripts/bench_pairs.py on fixed numbers; no benchmark runs here."""
+import importlib.util
+import json
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
+
+
+def _load():
+    spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_summary_reports_medians_quartiles_and_lower_pairs():
+    bench_pairs = _load()
+    before = [0.10, 0.12, 0.14, 0.16, 0.18]
+    after = [0.09, 0.13, 0.10, 0.12, 0.11]
+    pairs = [({"cpu_s": b, "ok_frac": 1.0}, {"cpu_s": a, "ok_frac": 1.0})
+             for b, a in zip(before, after)]
+    assert bench_pairs.summary(pairs) == [
+        "cpu_s: parent 0.14 [0.12, 0.16]  change 0.11 [0.1, 0.12]  -21.4%  lower in 4/5",
+        "ok_frac: parent 1 [1, 1]  change 1 [1, 1]  +0.0%  lower in 0/5",
+    ]
+
+
+def test_a_single_pair_has_its_values_as_quartiles():
+    bench_pairs = _load()
+    assert bench_pairs.summary([({"cert_steps": 0.0}, {"cert_steps": 2.0})]) == [
+        "cert_steps: parent 0 [0, 0]  change 2 [2, 2]  n/a  lower in 0/1"]
+
+
+def test_parse_run_reads_metrics_and_round_fingerprints():
+    bench_pairs = _load()
+    closing = {"correct": True, "attempted": 7, "failed": 0,
+               "metrics": {"cpu_s": {"value": 0.25, "unit": "s"},
+                           "ok_frac": {"value": 1.0, "unit": "ratio"}}}
+    stdout = "\n".join([
+        "# workload entail seed 3: 2 rounds (0 traced), closed loop, 1 caller",
+        "# round 0: inputs 1a fingerprint 00ff ops 4 failed 0 cpu 0.2 s wall 0.2 s",
+        "# round 1: inputs 2b fingerprint 11ee ops 3 failed 0 cpu 0.3 s wall 0.3 s",
+        "cpu_s = 0.25 s",
+        "ok_frac = 1 ratio",
+        json.dumps(closing),
+    ])
+    assert bench_pairs.parse_run(stdout) == ({"cpu_s": 0.25, "ok_frac": 1.0},
+                                             {0: "00ff", 1: "11ee"})

@@ -14,6 +14,7 @@ from linvar.models import (
     refute_entailment,
     satisfies,
 )
+from linvar import presets
 from linvar.presets import maltsev, semilattice
 from linvar.terms import OperationSymbol, Variable
 from linvar.theories import Identity
@@ -123,6 +124,10 @@ class TestFindModel:
         b = find_model(maltsev(), 2, 3)
         assert a is not None and b is not None
         assert a[0] == b[0]
+        # one theory object keeps its first model, but each call gets its own
+        theory = maltsev()
+        c, d = find_model(theory, 2, 3), find_model(theory, 2, 3)
+        assert c[0] == d[0] and c[0].tables is not d[0].tables
 
 
 class TestRefuteEntailment:
@@ -437,3 +442,82 @@ def test_model_search_equals_the_reference_on_nested_theories():
                  "theory n3\nop m/2\naxiom m(m(x,y),m(y,x)) = x\n"):
         _assert_same_models(parse_theory(text))
 
+
+
+# -- the first model of each size ---------------------------------------------
+
+
+def _count_searches(monkeypatch):
+    """Record, per `_TableSearch` built, whether it has a goal."""
+    from linvar import models
+
+    constrained = []
+    init = models._TableSearch.__init__
+
+    def spy(self, layout, instances, goal):
+        constrained.append(goal is not None)
+        init(self, layout, instances, goal)
+
+    monkeypatch.setattr(models._TableSearch, "__init__", spy)
+    return constrained
+
+
+def test_a_goal_the_first_model_does_not_separate_is_searched_for(monkeypatch):
+    """The first model of m(x,x) = x on two elements is min, which is
+    commutative; the constrained search still finds the parent's answer."""
+    from linvar.theories import make_theory
+
+    theory = make_theory("idem", [M2], [parse_identity("m(x,x) = x")])
+    constrained = _count_searches(monkeypatch)
+    assert find_model(theory, 2, 2)[0].tables["m"] == (0, 0, 0, 1)
+    found = refute_entailment(theory, parse_identity("m(x,y) = m(y,x)"), 2, 3)
+    assert found is not None
+    algebra, rho = found
+    assert algebra.tables["m"] == (0, 0, 1, 1)
+    assert rho == {Variable("x"): 0, Variable("y"): 1}
+    assert constrained == [False, True]
+
+
+def test_a_goal_no_two_element_model_separates_is_answered_at_three(monkeypatch):
+    """x = p2(y1,y2,x) over jonsson3's first order derivative: the size-2
+    search comes up empty, and the first model of size 3 separates it."""
+    from linvar.derivatives import iterate
+
+    stage = iterate(presets.jonsson(3), "order_derivative").stages[1]
+    goal = parse_identity("x = p2(y1,y2,x)")
+    constrained = _count_searches(monkeypatch)
+    found = refute_entailment(stage, goal, 2, 3)
+    assert constrained == [False, True, False]
+    assert refute_entailment(stage, goal, 2, 2) is None
+    assert found is not None
+    algebra, rho = found
+    assert algebra.size == 3 and algebra == find_model(stage, 3, 3)[0]
+    assert rho == {Variable("x"): 1, Variable("y1"): 0, Variable("y2"): 2}
+    want = _reference_find_model(stage, 2, 3, goal)
+    assert (algebra, list(rho.items())) == (want[0], list(want[1].items()))
+
+
+def test_model_searches_per_stage_and_size_are_pinned(monkeypatch):
+    """Deciding every x = y and x = F(w) over the presets' stages searches
+    once per stage and size it reaches, plus once per goal the first model
+    does not separate: 17 and 4, where a search per refuted goal and size
+    would be 480."""
+    from linvar.derivatives import _canonical_tuples, iterate
+    from linvar.saturation import entails_flat, saturate
+    from linvar.terms import Application
+
+    constrained = _count_searches(monkeypatch)
+    stages = {}
+    for theory in presets.presets():
+        for operator in ("derivative", "order_derivative"):
+            for stage in iterate(theory, operator).stages:
+                stages[id(stage)] = stage
+                goals = [parse_identity("x = y")]
+                goals += [Identity(Variable("x"), Application(s, tuple(
+                              Variable(f"y{d}" if d else "x") for d in w)))
+                          for s in stage.symbols for w in _canonical_tuples(s.arity)]
+                for goal in goals:
+                    entails_flat(saturate(stage), goal)
+    reached = sum(key[0] == "models" for stage in stages.values() for key in stage._memo)
+    assert constrained.count(False) == reached == 17
+    assert constrained.count(True) == 4

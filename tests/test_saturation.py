@@ -43,8 +43,8 @@ from linvar.saturation import (
     is_inconsistent,
     saturate,
 )
-from linvar.terms import OperationSymbol, Variable, is_flat
-from linvar.theories import Identity, make_theory
+from linvar.terms import Application, OperationSymbol, Variable, is_flat
+from linvar.theories import Identity, UnknownSymbolError, make_theory
 
 
 class TestSaturate:
@@ -176,6 +176,29 @@ class TestEntailsFlat:
         base = saturate(maltsev)
         with pytest.raises(ValueError):
             base.entails(parse_identity("p(p(x,y,y),y,y) = x"))
+
+    def test_refused_goals_keep_their_messages(self, maltsev):
+        """A nested side (the left one first), too many variables, and a
+        symbol outside the theory, by name or by arity."""
+        base = FlatFactBase(maltsev, 2)
+        x, y = Variable("x"), Variable("y")
+        p2, q1 = OperationSymbol("p", 2), OperationSymbol("q", 1)
+        cases = [
+            (parse_identity("x = p(p(x,y,y),y,y)"), ValueError,
+             "p(p(x,y,y),y,y) is not linear; only flat queries are decidable"),
+            (parse_identity("p(x,p(x,y,y),y) = p(p(x,y,y),y,y)"), ValueError,
+             "p(x,p(x,y,y),y) is not linear; only flat queries are decidable"),
+            (parse_identity("x = p(y,z,x)"), BudgetTooSmallError,
+             "goal uses 3 variables, context has 2"),
+            (Identity(x, Application(p2, (x, y))), UnknownSymbolError,
+             "p/2 is not in maltsev"),
+            (Identity(Application(q1, (y,)), Application(p2, (x, y))), UnknownSymbolError,
+             "q/1 is not in maltsev"),
+        ]
+        for goal, error, message in cases:
+            with pytest.raises(error) as caught:
+                base.entails(goal)
+            assert str(caught.value) == message
 
     def test_collapsed_theory_entails_everything(self, maltsev):
         base = saturate(derivative(maltsev))
@@ -398,8 +421,9 @@ def test_copies_of_a_saturated_theory_carry_no_bases():
     theory = maltsev()
     saturate(theory)
     find_model(theory, 2, 3)
-    bfs_prove(theory, parse_identity("p(x,y,y) = x"))
-    assert {key[0] for key in theory._memo} == {"saturation", "models", "rewriting"}
+    bfs_prove(theory, parse_identity("p(x,y,y) = x"))  # verifies its proof
+    assert {key[0] for key in theory._memo} == {"saturation", "models", "rewriting",
+                                                "identity_set"}
     fields = {f.name for f in dataclasses.fields(theory)}
     for twin in (copy.copy(theory), copy.deepcopy(theory),
                  pickle.loads(pickle.dumps(theory))):
