@@ -10,26 +10,37 @@ a shared host the side that runs second in a pair tends to read slower.
 Then prints, for each end-to-end metric, both sides' median and quartiles
 over the seeds and in how many pairs this checkout's value is lower, and
 whether the two sides' round fingerprints agree on every round both ran.
-Uses the standard library only.
+Each side runs with its own bytecode cache, `PYTHONPYCACHEPREFIX` set to a
+temporary directory that starts empty and is removed at the end, so
+neither side reads a cache the other lacks: a checkout's `__pycache__`
+folders, or their absence under `PYTHONDONTWRITEBYTECODE`, move setup time
+and peak memory.  Give the two checkouts paths of equal length, too: the
+same tree read up to 0.5 MiB apart in `peak_rss_mib` from checkout paths
+of different lengths.  Uses the standard library only.
 """
 from __future__ import annotations
 
 import json
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SECONDS = 20
 
 
-def run_side(root: Path, workload: str, seed: int) -> tuple[dict[str, float], dict[int, str]]:
-    """(end-to-end metric values, fingerprint per round) of one run."""
+def run_side(root: Path, workload: str, seed: int,
+             cache: str) -> tuple[dict[str, float], dict[int, str]]:
+    """(end-to-end metric values, fingerprint per round) of one run, with
+    its bytecode cache under `cache`."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--trace", "0", "--seconds", str(SECONDS)],
-        cwd=root, stdout=subprocess.PIPE, text=True, check=True)
+        cwd=root, env={**os.environ, "PYTHONPYCACHEPREFIX": cache},
+        stdout=subprocess.PIPE, text=True, check=True)
     return parse_run(proc.stdout)
 
 
@@ -74,6 +85,13 @@ def main(argv: list[str]) -> int:
         print("usage: bench_pairs.py PARENT_CHECKOUT WORKLOAD SEED...", file=sys.stderr)
         return 2
     parent, workload, seeds = Path(argv[0]).resolve(), argv[1], [int(s) for s in argv[2:]]
+    with tempfile.TemporaryDirectory() as parent_cache, \
+            tempfile.TemporaryDirectory() as change_cache:
+        return compare(parent, workload, seeds, {"parent": parent_cache, "change": change_cache})
+
+
+def compare(parent: Path, workload: str, seeds: list[int], caches: dict[str, str]) -> int:
+    """Run and report the pairs, each side with its bytecode cache in `caches`."""
     pairs = []
     mismatches = []
     common = 0
@@ -81,7 +99,8 @@ def main(argv: list[str]) -> int:
         sides = {}
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            sides[side] = run_side(parent if side == "parent" else ROOT, workload, seed)
+            sides[side] = run_side(parent if side == "parent" else ROOT, workload, seed,
+                                   caches[side])
         (before, fp_before), (after, fp_after) = sides["parent"], sides["change"]
         pairs.append((before, after))
         shared = fp_before.keys() & fp_after.keys()

@@ -26,6 +26,9 @@ _OP_DECL = re.compile(r"([A-Za-z][A-Za-z0-9_]*)\s*/\s*(\d+)\Z")
 # substitution, matching and proof search recurse once or twice per level,
 # so a term at this depth still passes all of them under Python's default
 # recursion limit; a deeper one is a ParseError instead of a RecursionError.
+# The derivation verifier walks a step's position in a loop and recurses
+# only over the equation's sides; term equality, which it uses to compare
+# what lies beside the path and under a variable, recurses once per level.
 MAX_TERM_DEPTH = 200
 
 

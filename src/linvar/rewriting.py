@@ -5,6 +5,13 @@ rewrite position, and the matched substitution, which is enough to replay
 every step mechanically.  The substitution is stored rather than recomputed
 because reverse steps with collapsing identities are ambiguous without it.
 
+`verify_derivation` checks each step in place and builds no term: it walks
+the step's position down the term and the next term together, comparing
+the children beside the path, and matches the two sides of the equation
+under the stored substitution against the subterms at the position.  That
+accepts exactly the steps whose replay, the term with the instance of the
+produced side put in at the position, equals the next term.
+
 Proof search (`bfs_prove`) runs on an encoded copy of the terms: a variable
 is its index in the search's candidate variables, an application the plain
 tuple (symbol index, child 1, ..., child n), and each rule's sides are
@@ -14,7 +21,7 @@ Matching, instantiation and replacement then build tuples, and equality and
 hashing run in C.  The encoding is injective, and candidates are tried in
 the same order as on `Term`s, so the search meets at the same term and
 returns the same derivation and statistics.  Only the terms on the returned
-path are decoded, and the derivation is replayed on `Term`s by
+path are decoded, and the derivation is checked on `Term`s by
 `verify_derivation`, which knows nothing of the encoding.
 """
 from __future__ import annotations
@@ -26,7 +33,6 @@ from typing import Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 from .dsl import json_list, parse_identity, parse_term, render_identity
 from .terms import (
     Application,
-    InvalidPositionError,
     OperationSymbol,
     Position,
     Term,
@@ -36,7 +42,6 @@ from .terms import (
     fresh_variables,
     match_term,
     render_term,
-    replace_at,
     subterm_at,
     term_size,
     term_symbols,
@@ -93,9 +98,38 @@ def _is_reflexivity(e: Identity) -> bool:
     return isinstance(e.lhs, Variable) and e.lhs == e.rhs
 
 
+def _is_instance(pattern: Term, target: Term, images: Mapping[str, Term]) -> bool:
+    """Whether `pattern` under the substitution `images`, keyed by variable
+    name, equals `target`, building and binding nothing; a variable outside
+    it stands for itself.  Recurses over the pattern, an equation side, and
+    compares each image whole."""
+    if isinstance(pattern, Variable):
+        image = images.get(pattern.name, pattern)
+        return image is target or image == target
+    if not isinstance(target, Application) or target.symbol != pattern.symbol:
+        return False
+    for p, t in zip(pattern.children, target.children):
+        if not _is_instance(p, t, images):
+            return False
+    return True
+
+
 def verify_derivation(theory: Theory, d: Derivation,
                       allow_reflexivity: bool = False) -> VerifyResult:
-    """Replay every step; pinpoint the first one that does not check out."""
+    """Check every step; pinpoint the first one that does not check out.
+
+    A step is checked in place, without building a term.  One loop walks
+    `terms[i]` and `terms[i+1]` together down the step's position: the
+    position is valid when each index names a child of `terms[i]`, and the
+    next term agrees with the rewrite off the path when at each level it
+    has the same symbol and equal children beside the path.  At the
+    position, `src` under σ must be the subterm of `terms[i]` and `dst`
+    under σ the subterm of `terms[i+1]`.  Since the position is valid in
+    `terms[i]`, that is exactly `replace_at(terms[i], p, dst·σ) ==
+    terms[i+1]`, the replay the checks stand for, and the checks run and
+    fail in the replay's order: equation, position, source instance,
+    produced term.
+    """
     if not d.terms or len(d.terms) != len(d.steps) + 1:
         return VerifyResult(False, None, "terms and steps do not line up")
     canon = theory.identity_set()
@@ -106,17 +140,26 @@ def verify_derivation(theory: Theory, d: Derivation,
             if eq not in canon and canonicalize_identity(eq) not in canon:
                 return VerifyResult(False, i, f"equation {eq} is not in {theory.name}")
         src, dst = (eq.lhs, eq.rhs) if step.forward else (eq.rhs, eq.lhs)
-        sigma = step.mapping
-        try:
-            sub = subterm_at(d.terms[i], step.position)
-        except InvalidPositionError:
-            return VerifyResult(False, i, f"position {list(step.position)} invalid")
-        if apply_substitution(src, sigma) != sub:
+        # variables are equal exactly when their names are, and a name
+        # hashes without a call into Python
+        images = {v.name: t for v, t in step.subst}
+        # `there` turns None where the next term leaves the rewrite's context
+        here, there = d.terms[i], d.terms[i + 1]
+        for k in step.position:
+            if isinstance(here, Variable) or not 1 <= k <= len(here.children):
+                return VerifyResult(False, i, f"position {list(step.position)} invalid")
+            if (isinstance(there, Application) and there.symbol == here.symbol
+                    and there.children[:k - 1] == here.children[:k - 1]
+                    and there.children[k:] == here.children[k:]):
+                there = there.children[k - 1]
+            else:
+                there = None
+            here = here.children[k - 1]
+        if not _is_instance(src, here, images):
             return VerifyResult(
                 False, i,
                 f"instance of {render_term(src)} does not match at {list(step.position)}")
-        produced = replace_at(d.terms[i], step.position, apply_substitution(dst, sigma))
-        if produced != d.terms[i + 1]:
+        if there is None or not _is_instance(dst, there, images):
             return VerifyResult(False, i, "step does not produce the next term")
     return VerifyResult(True)
 

@@ -1,6 +1,8 @@
 """scripts/bench_pairs.py on fixed numbers; no benchmark runs here."""
 import importlib.util
 import json
+import os
+import subprocess
 from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
@@ -46,3 +48,35 @@ def test_parse_run_reads_metrics_and_round_fingerprints():
     ])
     assert bench_pairs.parse_run(stdout) == ({"cpu_s": 0.25, "ok_frac": 1.0},
                                              {0: "00ff", 1: "11ee"})
+
+
+def test_each_side_gets_its_own_empty_bytecode_cache(monkeypatch, tmp_path, capsys):
+    """Every run of a side gets that side's `PYTHONPYCACHEPREFIX`, a directory
+    that is empty before the side's first run and is gone afterwards; the
+    rest of the environment passes through.  No benchmark runs: the runs
+    are replaced by a fixed closing line."""
+    bench_pairs = _load()
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    closing = json.dumps({"metrics": {"cpu_s": {"value": 0.5, "unit": "s"}}})
+    calls = []
+
+    def fake_run(argv, cwd, env, **kwargs):
+        cache = env["PYTHONPYCACHEPREFIX"]
+        calls.append((Path(cwd), cache, os.listdir(cache)))
+        assert env["PYTHONDONTWRITEBYTECODE"] == "1"
+        return subprocess.CompletedProcess(argv, 0, stdout=closing + "\n")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    parent = tmp_path / "parent"
+    assert bench_pairs.main([str(parent), "project", "1", "2"]) == 0
+    caches = {}
+    for cwd, cache, _ in calls:
+        caches.setdefault(cwd, set()).add(cache)
+    assert set(caches) == {parent, bench_pairs.ROOT}
+    (parent_cache,), (change_cache,) = caches[parent], caches[bench_pairs.ROOT]
+    assert parent_cache != change_cache
+    assert all(listed == [] for _, _, listed in calls)
+    assert not os.path.exists(parent_cache) and not os.path.exists(change_cache)
+    assert [cwd for cwd, _, _ in calls] == [parent, bench_pairs.ROOT,
+                                            bench_pairs.ROOT, parent]
+    assert "cpu_s: parent 0.5" in capsys.readouterr().out

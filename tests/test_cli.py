@@ -583,6 +583,21 @@ class TestProjectAndCheckDerivation:
         assert main(["check-derivation", str(prime), str(bad)]) == 0
         assert "INVALID at step 0" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("bottom, verdict", [
+        ("x", "valid derivation"),
+        ("y", "INVALID at step 0: step does not produce the next term"),
+    ])
+    def test_check_derivation_at_the_nesting_bound(self, maltsev_file, tmp_path, capsys,
+                                                   bottom, verdict):
+        from linvar.rewriting import derivation_to_json
+        from test_rewriting import _deep_maltsev_derivation
+
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps(derivation_to_json(_deep_maltsev_derivation(bottom))))
+        assert main(["check-derivation", maltsev_file, str(path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith(verdict) and captured.err == ""
+
     def test_missing_file_exits_1(self, capsys):
         assert main(["classify", "/nonexistent/nope.thy"]) == 1
         assert "error" in capsys.readouterr().err

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from typing import NamedTuple
@@ -5,8 +6,9 @@ from typing import NamedTuple
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import verify_reference as reference
 from linvar import rewriting
-from linvar.derivatives import derivative
+from linvar.derivatives import derivative, order_derivative
 from linvar.dsl import parse_identity, parse_term
 from linvar.presets import maltsev, semilattice
 from linvar.rewriting import (
@@ -25,8 +27,10 @@ from linvar.rewriting import (
     make_step,
     verify_derivation,
 )
+from linvar.saturation import Entailed, entails_flat, is_inconsistent, saturate
 from linvar.terms import (
     Application,
+    OperationSymbol,
     Term,
     Variable,
     apply_substitution,
@@ -34,12 +38,13 @@ from linvar.terms import (
     match_term,
     replace_at,
     subterm_at,
+    term_depth,
     term_size,
     term_symbols,
     term_variables,
     variable_occurrences,
 )
-from linvar.theories import Identity, UnknownSymbolError
+from linvar.theories import Identity, UnknownSymbolError, embedded_components
 from test_random_theories import _nested_starts, small_theories, ternary_theories
 
 
@@ -78,9 +83,9 @@ class TestVerifyDerivation:
                              collapse_chain.steps[1].mapping)
         bad = Derivation(collapse_chain.theory_name, collapse_chain.terms,
                          (collapse_chain.steps[0], bad_step, collapse_chain.steps[2]))
-        result = verify_derivation(maltsev_prime, bad)
-        assert not result
-        assert result.step_index == 1
+        # p(x,y,y) at [1] is x, not an instance of the step's source
+        assert verify_derivation(maltsev_prime, bad) == VerifyResult(
+            False, 1, "instance of p(v0,v1,v2) does not match at [1]")
 
     def test_foreign_equation_rejected(self, maltsev, collapse_chain):
         # the independence identity is not part of the base theory
@@ -117,6 +122,21 @@ class TestVerifyDerivation:
     def test_shape_mismatch(self, maltsev):
         d = Derivation(maltsev.name, (), ())
         assert not verify_derivation(maltsev, d)
+
+    def test_invalid_position_reason(self, maltsev_prime, collapse_chain):
+        # the first term is the variable x, which has no child 1
+        step = dataclasses.replace(collapse_chain.steps[0], position=(1,))
+        bad = Derivation(collapse_chain.theory_name, collapse_chain.terms,
+                         (step,) + collapse_chain.steps[1:])
+        assert verify_derivation(maltsev_prime, bad) == VerifyResult(
+            False, 0, "position [1] invalid")
+
+    def test_wrong_next_term_reason(self, maltsev_prime, collapse_chain):
+        terms = list(collapse_chain.terms)
+        terms[2] = parse_term("p(y,y,x)")
+        bad = Derivation(collapse_chain.theory_name, tuple(terms), collapse_chain.steps)
+        assert verify_derivation(maltsev_prime, bad) == VerifyResult(
+            False, 1, "step does not produce the next term")
 
 
 class TestBfsProve:
@@ -432,3 +452,169 @@ def test_search_equals_the_reference_on_non_linear_theories():
         arities = {s.name: s.arity for s in theory.symbols}
         goals = [parse_identity(goal, arities) for goal in goal_texts]
         _assert_search_equals_the_reference(theory, goals, DIFFERENTIAL_BOUNDS)
+
+
+# -- the in-place verifier against the replaying one ------------------------
+
+
+def _preset_certificates(corpus):
+    """(theory, derivation) pairs of the engine's certificates: `entails_flat`
+    and `bfs_prove` on each preset's axioms, both ways round, and on its
+    idempotency identities, and `is_inconsistent` on each derivative of it
+    that collapses."""
+    out = []
+    bounds = SearchBounds(max_terms=2000, max_depth=4, max_term_size=12)
+    x = Variable("x")
+    for theory in corpus:
+        base = saturate(theory)
+        goals = [g for e in theory.identities for g in (e, Identity(e.rhs, e.lhs))]
+        goals += [Identity(Application(s, (x,) * s.arity), x) for s in theory.symbols]
+        for goal in goals:
+            verdict = entails_flat(base, goal)
+            assert isinstance(verdict, Entailed), (theory.name, str(goal))
+            out.append((theory, verdict.derivation))
+            outcome = bfs_prove(theory, goal, bounds)
+            if isinstance(outcome, Proved):
+                out.append((theory, outcome.derivation))
+        for operator in (derivative, order_derivative):
+            stage = operator(theory)
+            verdict = is_inconsistent(saturate(stage))
+            if isinstance(verdict, Entailed):
+                out.append((stage, verdict.derivation))
+    return out
+
+
+def _mutations(d, rng):
+    """Broken copies of d: misaligned terms and steps, and for steps drawn
+    by rng, a position too deep, with index 0 or with an index above the
+    arity; one σ binding changed; the next term with a leaf replaced below
+    the rewrite position, a sibling replaced above it, or its root symbol
+    swapped; a foreign equation, the next step's equation, and the
+    direction flipped."""
+    out = [Derivation(d.theory_name, d.terms[:-1], d.steps)]
+    if not d.steps:
+        return out
+    out.append(Derivation(d.theory_name, d.terms, d.steps[:-1]))
+    fresh = Variable("u9")
+
+    def pick():
+        i = rng.randrange(len(d.steps))
+        return i, d.steps[i], subterm_at(d.terms[i], d.steps[i].position)
+
+    def with_step(i, **changes):
+        steps = list(d.steps)
+        steps[i] = dataclasses.replace(steps[i], **changes)
+        out.append(Derivation(d.theory_name, d.terms, tuple(steps)))
+
+    def with_next(i, t):
+        terms = list(d.terms)
+        terms[i + 1] = t
+        out.append(Derivation(d.theory_name, tuple(terms), d.steps))
+
+    i, step, sub = pick()
+    with_step(i, position=step.position + (1,) * (term_depth(sub) + 1))
+    i, step, sub = pick()
+    with_step(i, position=step.position + (0,))
+    i, step, sub = pick()
+    arity = len(sub.children) if isinstance(sub, Application) else 0
+    with_step(i, position=step.position + (arity + 1,))
+    i, step, sub = pick()
+    if step.subst:
+        k = rng.randrange(len(step.subst))
+        v, image = step.subst[k]
+        subst = step.subst[:k] + ((v, fresh if image != fresh else sub),) + step.subst[k + 1:]
+        with_step(i, subst=subst)
+    i, step, sub = pick()
+    there, pos = d.terms[i + 1], step.position
+    below = [p for p, _ in variable_occurrences(there) if p[:len(pos)] == pos]
+    if below:
+        with_next(i, replace_at(there, rng.choice(below), fresh))
+    beside = [q + (j,) for n in range(len(pos)) for q in [pos[:n]]
+              for j in range(1, len(subterm_at(there, q).children) + 1) if j != pos[n]]
+    if beside:
+        with_next(i, replace_at(there, rng.choice(beside), fresh))
+    if isinstance(there, Application):
+        swapped = OperationSymbol(there.symbol.name + "_", there.symbol.arity)
+        with_next(i, Application(swapped, there.children))
+    else:
+        with_next(i, Variable(there.name + "_"))
+    i, step, sub = pick()
+    foreign = Identity(Variable("v0"), Application(OperationSymbol("g", 1), (Variable("v0"),)))
+    with_step(i, equation=foreign)
+    with_step(i, equation=d.steps[(i + 1) % len(d.steps)].equation)
+    i, step, sub = pick()
+    with_step(i, forward=not step.forward)
+    return out
+
+
+def test_verifier_equals_the_reference(corpus):
+    """The same (ok, step, reason) as the verifier that builds each step's
+    instances and replayed term, kept in `verify_reference`, on every walk
+    of the projection corpus, on the presets' certificates and on seeded
+    mutations of each."""
+    from test_projection import _walk_corpus
+
+    rng = random.Random(2117)
+    cases = [(embedded_components(a, b)[2], d) for a, b, d in _walk_corpus()]
+    cases += _preset_certificates(corpus)
+    seen = {}
+    for theory, d in cases:
+        for candidate in [d] + _mutations(d, rng):
+            expected = reference.verify_derivation(theory, candidate)
+            assert verify_derivation(theory, candidate) == expected, \
+                ([str(t) for t in candidate.terms], expected)
+            kind = "valid" if expected else expected.reason.split()[0]
+            seen[kind] = seen.get(kind, 0) + 1
+    assert set(seen) == {"valid", "terms", "equation", "position", "instance", "step"}, seen
+    assert min(seen.values()) >= 300, seen
+
+
+def test_verifying_builds_no_term(monkeypatch):
+    """Checking a 40-step derivation, a corpus walk and its mirror image,
+    constructs no `Application`, whether it verifies or fails at its last
+    step."""
+    from test_projection import _walk_corpus
+
+    a, b, d = next(case for case in _walk_corpus() if len(case[2].steps) == 20)
+    joined = embedded_components(a, b)[2]
+    mirror = tuple(dataclasses.replace(s, forward=not s.forward) for s in reversed(d.steps))
+    long = Derivation(d.theory_name, d.terms + d.terms[-2::-1], d.steps + mirror)
+    wrong_end = Derivation(long.theory_name, long.terms[:-1] + (Variable("u9"),), long.steps)
+    joined.identity_set()   # the theory's own memo, built once
+    built = []
+    original = Application.__post_init__
+
+    def counted(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(Application, "__post_init__", counted)
+    assert len(long.steps) == 40
+    assert verify_derivation(joined, long)
+    assert verify_derivation(joined, wrong_end) == VerifyResult(
+        False, 39, "step does not produce the next term")
+    assert built == []
+
+
+def _deep_maltsev_derivation(bottom):
+    """p(x,y,y) = x rewritten at the bottom of MAX_TERM_DEPTH − 2 levels of
+    p(·,y,z), with `bottom` as the produced subterm in the next term."""
+    from linvar.dsl import MAX_TERM_DEPTH
+
+    levels = MAX_TERM_DEPTH - 3
+    before = "p(" * levels + "p(x,y,y)" + ",y,z)" * levels
+    after = "p(" * levels + bottom + ",y,z)" * levels
+    axiom = parse_identity("p(v0,v1,v1) = v0")
+    step = make_step(axiom, True, (1,) * levels, {Variable("v0"): Variable("x"),
+                                                   Variable("v1"): Variable("y")})
+    return Derivation("maltsev", (parse_term(before), parse_term(after)), (step,))
+
+
+def test_verifying_at_the_nesting_bound(maltsev):
+    from linvar.dsl import MAX_TERM_DEPTH
+
+    valid = _deep_maltsev_derivation("x")
+    assert term_depth(valid.terms[0]) == MAX_TERM_DEPTH - 2
+    assert verify_derivation(maltsev, valid)
+    assert verify_derivation(maltsev, _deep_maltsev_derivation("y")) == VerifyResult(
+        False, 0, "step does not produce the next term")
