@@ -10,13 +10,16 @@ a shared host the side that runs second in a pair tends to read slower.
 Then prints, for each end-to-end metric, both sides' median and quartiles
 over the seeds and in how many pairs this checkout's value is lower, and
 whether the two sides' round fingerprints agree on every round both ran.
-Each side runs with its own bytecode cache, `PYTHONPYCACHEPREFIX` set to a
-temporary directory that starts empty and is removed at the end, so
-neither side reads a cache the other lacks: a checkout's `__pycache__`
-folders, or their absence under `PYTHONDONTWRITEBYTECODE`, move setup time
-and peak memory.  Give the two checkouts paths of equal length, too: the
+Both sides run with `PYTHONDONTWRITEBYTECODE=1` and without
+`PYTHONPYCACHEPREFIX`: each worker reads the interpreter's own standard
+library bytecode and compiles the checkout's modules from source, so
+neither side reads a cache the other lacks.  (Under a cache prefix the
+interpreter ignores the installed standard library bytecode and, without
+writing any, recompiles it in every worker.)  The script refuses, with
+exit status 2, two checkouts whose absolute paths differ in length (the
 same tree read up to 0.5 MiB apart in `peak_rss_mib` from checkout paths
-of different lengths.  Uses the standard library only.
+of different lengths) or a checkout with a `__pycache__` directory under
+`src/` or `perfbench/`.  Uses the standard library only.
 """
 from __future__ import annotations
 
@@ -25,23 +28,38 @@ import os
 import statistics
 import subprocess
 import sys
-import tempfile
 from pathlib import Path
+from typing import Optional
 
 ROOT = Path(__file__).resolve().parent.parent
 SECONDS = 20
 
 
-def run_side(root: Path, workload: str, seed: int,
-             cache: str) -> tuple[dict[str, float], dict[int, str]]:
-    """(end-to-end metric values, fingerprint per round) of one run, with
-    its bytecode cache under `cache`."""
+def run_side(root: Path, workload: str, seed: int
+             ) -> tuple[dict[str, float], dict[int, str]]:
+    """(end-to-end metric values, fingerprint per round) of one run, which
+    writes no bytecode and has no cache prefix."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPYCACHEPREFIX"}
+    env["PYTHONDONTWRITEBYTECODE"] = "1"
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--trace", "0", "--seconds", str(SECONDS)],
-        cwd=root, env={**os.environ, "PYTHONPYCACHEPREFIX": cache},
-        stdout=subprocess.PIPE, text=True, check=True)
+        cwd=root, env=env, stdout=subprocess.PIPE, text=True, check=True)
     return parse_run(proc.stdout)
+
+
+def refusal(parent: Path, change: Path) -> Optional[str]:
+    """Why the two checkouts cannot be compared fairly, or None."""
+    if len(str(parent)) != len(str(change)):
+        return (f"checkout paths differ in length: {parent} has {len(str(parent))} "
+                f"characters, {change} has {len(str(change))}")
+    for root in (parent, change):
+        for sub in ("src", "perfbench"):
+            found = next((root / sub).rglob("__pycache__"), None)
+            if found is not None:
+                return (f"{found} holds bytecode that only one side may read; "
+                        "remove it")
+    return None
 
 
 def parse_run(stdout: str) -> tuple[dict[str, float], dict[int, str]]:
@@ -85,13 +103,10 @@ def main(argv: list[str]) -> int:
         print("usage: bench_pairs.py PARENT_CHECKOUT WORKLOAD SEED...", file=sys.stderr)
         return 2
     parent, workload, seeds = Path(argv[0]).resolve(), argv[1], [int(s) for s in argv[2:]]
-    with tempfile.TemporaryDirectory() as parent_cache, \
-            tempfile.TemporaryDirectory() as change_cache:
-        return compare(parent, workload, seeds, {"parent": parent_cache, "change": change_cache})
-
-
-def compare(parent: Path, workload: str, seeds: list[int], caches: dict[str, str]) -> int:
-    """Run and report the pairs, each side with its bytecode cache in `caches`."""
+    problem = refusal(parent, ROOT)
+    if problem is not None:
+        print(f"error: {problem}", file=sys.stderr)
+        return 2
     pairs = []
     mismatches = []
     common = 0
@@ -99,8 +114,7 @@ def compare(parent: Path, workload: str, seeds: list[int], caches: dict[str, str
         sides = {}
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            sides[side] = run_side(parent if side == "parent" else ROOT, workload, seed,
-                                   caches[side])
+            sides[side] = run_side(parent if side == "parent" else ROOT, workload, seed)
         (before, fp_before), (after, fp_after) = sides["parent"], sides["change"]
         pairs.append((before, after))
         shared = fp_before.keys() & fp_after.keys()

@@ -47,6 +47,7 @@ from .rewriting import (
     verify_derivation,
 )
 from .saturation import (
+    AtomSpaceTooLargeError,
     BudgetTooSmallError,
     Entailed,
     FlatFactBase,

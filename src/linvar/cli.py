@@ -23,7 +23,12 @@ from .dsl import (
     theory_to_json,
 )
 from .rewriting import SearchBounds
-from .saturation import BudgetTooSmallError, Entailed, NotEntailedWithModel
+from .saturation import (
+    AtomSpaceTooLargeError,
+    BudgetTooSmallError,
+    Entailed,
+    NotEntailedWithModel,
+)
 from .theories import (
     SignatureMismatchError,
     UnknownSymbolError,
@@ -342,7 +347,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         os.close(devnull)
         return EXIT_ERROR
     except (ParseError, UnknownSymbolError, SignatureMismatchError,
-            BudgetTooSmallError, rewriting.CertificateError,
+            BudgetTooSmallError, AtomSpaceTooLargeError,
+            rewriting.CertificateError,
             derivatives.StabilizationError,
             classification.NotLinearIdempotentError,
             models.IncompleteModelError, projection.ProjectionError,

@@ -107,12 +107,10 @@ def weak_independence_profile(theory: Theory,
         base = saturation.saturate(theory, 2)
     pairs = []
     witnesses = []
-    merged = base.variables_merged()
     for s in theory.symbols:
         if s.arity == 0:
             continue
-        entailed = [w for w in itertools.product((0, 1), repeat=s.arity)
-                    if merged or base.same_class(0, base.encode(s.name, w))]
+        entailed = base.entailed_facts(s.name, itertools.product((0, 1), repeat=s.arity))
         for i in range(1, s.arity + 1):
             for w in entailed:
                 if w[i - 1] != 0:
@@ -141,15 +139,8 @@ def order_fact_set(theory: Theory, base: Optional[FlatFactBase] = None
     """All derivable canonical facts x = F(w), as (symbol, tuple) keys."""
     if base is None:
         base = saturation.saturate(theory)
-    out = set()
-    merged = base.variables_merged()
-    for s in theory.symbols:
-        if s.arity == 0:
-            continue
-        for w in _canonical_tuples(s.arity):
-            if merged or base.same_class(0, base.encode(s.name, w)):
-                out.add((s.name, w))
-    return frozenset(out)
+    return frozenset((s.name, w) for s in theory.symbols if s.arity
+                     for w in base.entailed_facts(s.name, _canonical_tuples(s.arity)))
 
 
 def _context_size(theory: Theory, operator: Operator) -> int:

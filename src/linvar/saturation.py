@@ -39,6 +39,17 @@ saturated by extending the parent's base with the new codes' instances,
 without building an identity.  A non-linear identity has no code and is
 refused.
 
+The saturation kernel spreads each code once, into both sides' id lists
+with variable 0 at value 0 (`FlatLayout.code_spread`), and walks the
+values of variable 0 by shifting those ids; each pair is united in one loop
+over the parent array, with both roots found by path halving in place.  No
+list outgrows b**(width - 1) ids.  The order of the unions decides which
+atom represents a class, and nothing reads that: roots are only compared,
+and chains come from the identities' rules, not from the union-find.  The
+fact queries of the derivatives (`entailed_facts`) likewise read v0's root
+once and compare each fact atom's root to it.  An atom space too large for
+memory is refused with its size (`AtomSpaceTooLargeError`).
+
 A chain search is breadth-first with first-discovery parents and a fixed
 neighbour order, so its tree from one atom over one set of variables does
 not depend on the target.  Each base keeps that tree per (source,
@@ -51,7 +62,7 @@ import copy
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import models
 from .rewriting import (
@@ -84,6 +95,11 @@ from .theories import (
 
 class BudgetTooSmallError(Exception):
     """A query needs more distinct variables than the saturation context has."""
+
+
+class AtomSpaceTooLargeError(Exception):
+    """The union-find array over a context's flat atoms could not be
+    allocated."""
 
 
 def default_budget(theory: Theory) -> int:
@@ -148,7 +164,7 @@ class FlatFactBase(FlatLayout):
         super().__init__(theory.symbols, budget)
         self.theory = theory
         self.context = tuple(canonical_variable(i) for i in range(budget))
-        self._parent = list(range(self.size))
+        self._parent = self._atom_array(range(self.size))
         self._rule_table: Optional[dict[Optional[str], list[_ChainRule]]] = None
         self._trees: dict[tuple[int, tuple[int, ...]], _ChainTree] = {}
         self._apply_codes(0)
@@ -158,6 +174,16 @@ class FlatFactBase(FlatLayout):
         """The number of context variables."""
         return self.n
 
+    def _atom_array(self, values: Iterable[int]) -> list[int]:
+        """A union-find array over every atom, or a refusal naming its size
+        when memory runs out."""
+        try:
+            return list(values)
+        except MemoryError:
+            raise AtomSpaceTooLargeError(
+                f"saturation over {self.n} variables needs {self.size} atoms; "
+                "there is not enough memory for them") from None
+
     # -- union-find ---------------------------------------------------------
 
     def find(self, x: int) -> int:
@@ -166,11 +192,6 @@ class FlatFactBase(FlatLayout):
             parent[x] = parent[parent[x]]
             x = parent[x]
         return x
-
-    def _union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self._parent[rb] = ra
 
     def same_class(self, a: int, b: int) -> bool:
         return self.find(a) == self.find(b)
@@ -216,17 +237,31 @@ class FlatFactBase(FlatLayout):
     def _apply_codes(self, start: int) -> None:
         """Merge every instance of the identities' codes from `start` on;
         both the first build and `extend` come here, so both refuse a
-        non-linear identity, which has no code."""
-        union = self._union
+        non-linear identity, which has no code.
+
+        Each code's sides are spread once (`FlatLayout.code_spread`), and
+        each instance pair is united in place: both roots are found with
+        path halving, and the rhs root is hung under the lhs root.
+        """
+        parent = self._parent
         codes = self.theory.codes
         for k in range(start, len(codes)):
             if codes[k] is None:
                 raise ValueError("flat saturation needs a linear theory; "
                                  f"{self.theory.identities[k]} is not")
-            for lhs, rhs in self.code_instances(codes[k]):
+            lhs, rhs, lhs_lead, rhs_lead, count = self.code_spread(codes[k])
+            for j in range(count):
+                dl, dr = j * lhs_lead, j * rhs_lead
                 for a, c in zip(lhs, rhs):
+                    a += dl
+                    c += dr
                     if a != c:
-                        union(a, c)
+                        while a != (p := parent[a]):
+                            parent[a] = a = parent[p]
+                        while c != (p := parent[c]):
+                            parent[c] = c = parent[p]
+                        if a != c:
+                            parent[c] = a
 
     def extend(self, theory: Theory) -> "FlatFactBase":
         """Saturation for a theory extending this one by extra identities.
@@ -241,7 +276,7 @@ class FlatFactBase(FlatLayout):
             raise ValueError("extension must keep the existing identities as a prefix")
         out = copy.copy(self)
         out.theory = theory
-        out._parent = list(self._parent)
+        out._parent = self._atom_array(self._parent)
         out._rule_table = None
         out._trees = {}  # the parent's trees follow the parent's instance edges
         out._apply_codes(n)
@@ -279,11 +314,30 @@ class FlatFactBase(FlatLayout):
         return self.same_class(a, b) or self.variables_merged()
 
     def fact_entailed(self, symbol_name: str, digits: tuple[int, ...]) -> bool:
-        """Does the class of v0 contain symbol(context[digits])?  A caller
-        asking this for many facts of one base reads `variables_merged()`
-        once and tests the class itself."""
-        return self.same_class(0, self.encode(symbol_name, digits)) \
-            or self.variables_merged()
+        """Does the class of v0 contain symbol(context[digits])?"""
+        return bool(self.entailed_facts(symbol_name, (digits,)))
+
+    def entailed_facts(self, symbol_name: str, tuples: Iterable[tuple[int, ...]]
+                       ) -> list[tuple[int, ...]]:
+        """The tuples w, in order, whose atom symbol(context[w]) lies in the
+        class of v0: all of them once the variables merged.  v0's root is
+        read once, and each atom is encoded and its root found inline."""
+        if self.variables_merged():
+            return list(tuples)
+        parent = self._parent
+        root = self.find(0)
+        n, offset = self.n, self.offsets[symbol_name]
+        out = []
+        for w in tuples:
+            a = 0
+            for d in w:
+                a = a * n + d
+            a += offset
+            while a != (p := parent[a]):
+                parent[a] = a = parent[p]
+            if a == root:
+                out.append(w)
+        return out
 
     def variables_merged(self) -> bool:
         return self.same_class(0, 1)

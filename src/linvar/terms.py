@@ -191,28 +191,37 @@ class FlatLayout:
             weight *= self.n
         return (0 if name is None else self.offsets[name]), strides
 
-    def instances(self, side: FlatSide, count: int) -> Iterator[list[int]]:
-        """Ids of the flat side under every assignment of its `count`
-        variables to values, in `itertools.product` order, one list per
-        value of variable 0.
+    def code_spread(self, code: Code) -> tuple[list[int], list[int], int, int, int]:
+        """A code's instances as (lhs ids, rhs ids, lhs lead, rhs lead,
+        count): the two sides' ids with variable 0 at value 0 and the other
+        variables over every value in `itertools.product` order, what one
+        unit of variable 0 adds to each side, and how many values it takes
+        (1 for a code without variables).
 
-        Each list is the first one shifted by the stride of variable 0, so
-        no list outgrows n**(count - 1) ids.
+        The instances with variable 0 at value k are the lists shifted by
+        k times the leads, so no list outgrows n**(width - 1) ids.
         """
-        zero, strides = self.strides(side, count)
-        # an identity without variables has one instance: one list, [zero]
-        lead, *rest = strides or [0]
-        ids = [zero]
-        for stride in rest:
-            ids = [i + k * stride for i in ids for k in range(self.n)]
-        yield ids
-        for k in range(1, self.n if count else 1):
-            yield [i + k * lead for i in ids]
+        width = code_width(code)
+        lhs_zero, lhs_strides = self.strides(code[:2], width)
+        rhs_zero, rhs_strides = self.strides(code[2:], width)
+        lhs, rhs = [lhs_zero], [rhs_zero]
+        values = range(self.n)
+        for j in range(1, width):
+            stride = lhs_strides[j]
+            lhs = [i + k * stride for i in lhs for k in values]
+            stride = rhs_strides[j]
+            rhs = [i + k * stride for i in rhs for k in values]
+        if not width:
+            return lhs, rhs, 0, 0, 1
+        return lhs, rhs, lhs_strides[0], rhs_strides[0], self.n
 
     def code_instances(self, code: Code) -> Iterator[tuple[list[int], list[int]]]:
-        """The two sides' `instances` under the same assignments, pairwise."""
-        width = code_width(code)
-        return zip(self.instances(code[:2], width), self.instances(code[2:], width))
+        """The ids of both sides of every instance of a code, in
+        `itertools.product` order, as one pair of lists per value of
+        variable 0 (`code_spread` shifted)."""
+        lhs, rhs, lhs_lead, rhs_lead, count = self.code_spread(code)
+        for k in range(count):
+            yield [i + k * lhs_lead for i in lhs], [i + k * rhs_lead for i in rhs]
 
 
 def positions(t: Term, prefix: Position = ()) -> Iterator[Position]:

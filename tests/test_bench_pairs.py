@@ -1,7 +1,6 @@
 """scripts/bench_pairs.py on fixed numbers; no benchmark runs here."""
 import importlib.util
 import json
-import os
 import subprocess
 from pathlib import Path
 
@@ -50,33 +49,58 @@ def test_parse_run_reads_metrics_and_round_fingerprints():
                                              {0: "00ff", 1: "11ee"})
 
 
-def test_each_side_gets_its_own_empty_bytecode_cache(monkeypatch, tmp_path, capsys):
-    """Every run of a side gets that side's `PYTHONPYCACHEPREFIX`, a directory
-    that is empty before the side's first run and is gone afterwards; the
-    rest of the environment passes through.  No benchmark runs: the runs
-    are replaced by a fixed closing line."""
+def test_each_side_runs_without_writing_or_redirecting_bytecode(monkeypatch, tmp_path,
+                                                                capsys):
+    """Every run of both sides gets `PYTHONDONTWRITEBYTECODE=1` and no
+    `PYTHONPYCACHEPREFIX`, even when the caller set one, so each worker
+    reads the interpreter's standard library bytecode; the rest of the
+    environment passes through, and the first side flips per seed.  No
+    benchmark runs: the runs are replaced by a fixed closing line."""
     bench_pairs = _load()
-    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    monkeypatch.setenv("PYTHONPYCACHEPREFIX", str(tmp_path / "cache"))
+    monkeypatch.setenv("BENCH_PAIRS_PROBE", "kept")
     closing = json.dumps({"metrics": {"cpu_s": {"value": 0.5, "unit": "s"}}})
     calls = []
 
     def fake_run(argv, cwd, env, **kwargs):
-        cache = env["PYTHONPYCACHEPREFIX"]
-        calls.append((Path(cwd), cache, os.listdir(cache)))
+        calls.append(Path(cwd))
         assert env["PYTHONDONTWRITEBYTECODE"] == "1"
+        assert "PYTHONPYCACHEPREFIX" not in env
+        assert env["BENCH_PAIRS_PROBE"] == "kept"
         return subprocess.CompletedProcess(argv, 0, stdout=closing + "\n")
 
     monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
-    parent = tmp_path / "parent"
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    monkeypatch.setattr(bench_pairs, "ROOT", change)
     assert bench_pairs.main([str(parent), "project", "1", "2"]) == 0
-    caches = {}
-    for cwd, cache, _ in calls:
-        caches.setdefault(cwd, set()).add(cache)
-    assert set(caches) == {parent, bench_pairs.ROOT}
-    (parent_cache,), (change_cache,) = caches[parent], caches[bench_pairs.ROOT]
-    assert parent_cache != change_cache
-    assert all(listed == [] for _, _, listed in calls)
-    assert not os.path.exists(parent_cache) and not os.path.exists(change_cache)
-    assert [cwd for cwd, _, _ in calls] == [parent, bench_pairs.ROOT,
-                                            bench_pairs.ROOT, parent]
+    assert calls == [parent, change, change, parent]
     assert "cpu_s: parent 0.5" in capsys.readouterr().out
+    assert not (tmp_path / "cache").exists()
+
+
+def test_checkout_paths_of_different_lengths_are_refused():
+    bench_pairs = _load()
+    assert bench_pairs.refusal(Path("/work/parent"), Path("/work/change")) is None
+    assert bench_pairs.refusal(Path("/work/parent"), Path("/work/repo")) == (
+        "checkout paths differ in length: /work/parent has 12 characters, "
+        "/work/repo has 10")
+
+
+def test_a_checkout_with_bytecode_is_refused_before_any_run(monkeypatch, tmp_path, capsys):
+    bench_pairs = _load()
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    cache = change / "src" / "linvar" / "__pycache__"
+    cache.mkdir(parents=True)
+    (parent / "perfbench").mkdir(parents=True)
+
+    def fake_run(*args, **kwargs):
+        raise AssertionError("no run may start")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    monkeypatch.setattr(bench_pairs, "ROOT", change)
+    assert bench_pairs.main([str(parent), "classify", "1"]) == 2
+    assert str(cache) in capsys.readouterr().err
+    cache.rmdir()
+    (parent / "perfbench" / "__pycache__").mkdir()
+    assert bench_pairs.main([str(parent), "classify", "1"]) == 2
+    assert str(parent / "perfbench" / "__pycache__") in capsys.readouterr().err

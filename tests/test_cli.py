@@ -532,6 +532,29 @@ def test_closed_stdout_exits_1_without_traceback(tmp_path):
     assert result.returncode == 1
 
 
+def test_an_atom_space_past_memory_exits_1_without_traceback(tmp_path):
+    """One 12-ary symbol puts the order context at 13 variables, so the
+    union-find array needs 13 + 13**12 atoms.  The child caps its own
+    address space at 1.5 GiB, so the failed allocation cannot press on the
+    host; the message gives the atom count and the context size."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    theory = tmp_path / "f12.thy"
+    theory.write_text("theory f12\nop f/12\naxiom v0 = f(" + ",".join(["v0"] * 12) + ")\n")
+    limit = 3 * 2 ** 29
+    result = subprocess.run(
+        [sys.executable, "-c", "import resource, sys; "
+         "hard = resource.getrlimit(resource.RLIMIT_AS)[1]; "
+         f"cap = {limit} if hard == resource.RLIM_INFINITY else min({limit}, hard); "
+         "resource.setrlimit(resource.RLIMIT_AS, (cap, cap)); "
+         "from linvar.cli import main; sys.exit(main())", "classify", str(theory)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(src)))
+    assert "Traceback" not in result.stderr, result.stderr
+    assert result.returncode == 1
+    assert result.stderr == (f"error: saturation over 13 variables needs {13 + 13 ** 12} "
+                             "atoms; there is not enough memory for them\n")
+
+
 class TestJoinCommand:
     def test_join_prints_theory(self, maltsev_file, semilattice_file, capsys):
         assert main(["join", maltsev_file, semilattice_file]) == 0

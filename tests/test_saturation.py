@@ -13,7 +13,9 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
+import saturation_reference as reference
 from linvar import presets, saturation
 from linvar.derivatives import (
     _canonical_tuples,
@@ -43,8 +45,16 @@ from linvar.saturation import (
     is_inconsistent,
     saturate,
 )
-from linvar.terms import Application, OperationSymbol, Variable, is_flat
+from linvar.terms import (
+    Application,
+    FlatLayout,
+    OperationSymbol,
+    Variable,
+    code_width,
+    is_flat,
+)
 from linvar.theories import Identity, UnknownSymbolError, make_theory
+from test_random_theories import small_theories
 
 
 class TestSaturate:
@@ -444,3 +454,71 @@ def test_an_extension_starts_with_no_chain_trees(maltsev):
     fresh = FlatFactBase(derivative(maltsev), 4)
     for member in range(grown.size):
         assert grown.shortest_chain(0, member) == fresh.shortest_chain(0, member)
+
+
+def _check_against_reference(theory):
+    """At every stage of both iterations, the kernel's partition equals the
+    reference loop's, whether the stage's base was extended from its
+    parent's or built afresh, and the batched fact query reads that
+    partition the way per-atom class tests do."""
+    for operator in ("derivative", "order_derivative"):
+        trace = iterate(theory, operator)
+        budget = trace.budget
+        base = None
+        for stage in trace.stages:
+            base = FlatFactBase(stage, budget) if base is None else base.extend(stage)
+            oracle = reference.ReferenceBase(stage, budget)
+            expected = reference.partition(oracle.find, oracle.size)
+            assert reference.partition(base.find, base.size) == expected, stage.name
+            fresh = FlatFactBase(stage, budget)
+            assert reference.partition(fresh.find, fresh.size) == expected, stage.name
+            merged = oracle.find(0) == oracle.find(1)
+            for s in stage.symbols:
+                tuples = [w for w in _canonical_tuples(s.arity) if max(w, default=0) < budget]
+                assert base.entailed_facts(s.name, tuples) == [
+                    w for w in tuples
+                    if merged or oracle.find(0) == oracle.find(oracle.encode(s.name, w))]
+
+
+def test_kernel_matches_the_reference_on_presets_and_families(families):
+    for theory in presets.presets() + families:
+        _check_against_reference(theory)
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_theories())
+def test_kernel_matches_the_reference_on_random_theories(theory):
+    _check_against_reference(theory)
+
+
+_ORDER_SYMBOLS = [OperationSymbol("c", 0), OperationSymbol("d", 0),
+                  OperationSymbol("g", 1), OperationSymbol("f", 3)]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("code", [
+    ("c", (), "d", ()),                 # width 0: one instance
+    (None, (0,), "g", (0,)),            # width 1, a bare-variable side
+    (None, (0,), "f", (0, 0, 0)),       # one variable repeated
+    ("f", (0, 1, 1), None, (0,)),
+    ("f", (0, 1, 2), "f", (2, 1, 0)),
+    ("g", (0,), "f", (1, 2, 1)),        # variable 0 absent from one side
+], ids=["width-0", "bare-variable", "idempotency", "repeat", "permutation",
+        "lead-absent"])
+def test_code_instances_run_in_product_order(code, n):
+    """Flattened, the pairs are both sides encoded under every assignment in
+    `itertools.product` order (the order `models._assignment` decodes), in
+    one pair of lists per value of variable 0, none longer than
+    n**(width - 1)."""
+    layout = FlatLayout(_ORDER_SYMBOLS, n)
+    width = code_width(code)
+    expected = [(layout.encode(code[0], [values[v] for v in code[1]]),
+                 layout.encode(code[2], [values[v] for v in code[3]]))
+                for values in itertools.product(range(n), repeat=width)]
+    chunks = list(layout.code_instances(code))
+    assert [pair for lhs, rhs in chunks for pair in zip(lhs, rhs)] == expected
+    assert len(chunks) == (n if width else 1)
+    bound = n ** max(width - 1, 0)
+    assert all(len(lhs) == len(rhs) == bound for lhs, rhs in chunks)
+    lhs, rhs, *_ = layout.code_spread(code)
+    assert len(lhs) == len(rhs) == bound
