@@ -261,6 +261,7 @@ def iterate(theory: Theory, operator: Operator) -> IterationTrace:
                 f"{operator} trigger data of {theory.name} shrank at stage "
                 f"{len(data)}; the operators only add identities")
         data.append(triggers)
-        nxt = _next_stage(cur, operator, triggers)
+        # the current stage already holds the codes of the previous triggers
+        nxt = _next_stage(cur, operator, triggers - data[-2] if len(data) > 1 else triggers)
         base = base.extend(nxt)
         stages.append(nxt)

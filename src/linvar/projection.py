@@ -10,9 +10,9 @@ the derivation verifier rather than assumed.
 
 The successor relation is never built whole: the out-edges of one
 occurrence come from the two steps beside its term, and the chain search
-computes them only for the occurrences it expands.  Each projection reads
-both directions of every step once, into a table local to the call.
-`successors` gives the same edges for one occurrence on its own.
+computes them only for the occurrences it expands, reading each step's
+equation sides where the step lies.  `successors` gives the same edges for
+one occurrence on its own, from the same function the search expands.
 
 A chain edge that is not a root step maps child j of one chain term to
 child j of the next, so the next term keeps the same list of class ids; only
@@ -49,10 +49,6 @@ class NotAProjectionInstanceError(ProjectionError):
     pass
 
 
-class OwnerAmbiguousError(ProjectionError):
-    pass
-
-
 class InconsistencyDetectedError(ProjectionError):
     """The chain forced two distinct variables equal; carries the proof."""
 
@@ -76,48 +72,13 @@ class SuccessorEdge(NamedTuple):
     direction: int  # +1 along the derivation, -1 against it
 
 
-class _OrientedStep(NamedTuple):
-    """One rewriting step read in a fixed direction."""
-
-    from_index: int
-    to_index: int
-    src_side: Term   # equation side matched in the from-term
-    dst_side: Term
-    position: Position
-    step: int
-    direction: int
-
-
-def _oriented(d: Derivation, m: int, direction: int) -> _OrientedStep:
-    step = d.steps[m - 1]
-    src, dst = (step.equation.lhs, step.equation.rhs)
-    if not step.forward:
-        src, dst = dst, src
-    if direction > 0:
-        return _OrientedStep(m - 1, m, src, dst, step.position, m, direction)
-    return _OrientedStep(m, m - 1, dst, src, step.position, m, direction)
-
-
-# the readings leaving one term: the next step forward, the previous backward
-_Readings = tuple[Optional[_OrientedStep], Optional[_OrientedStep]]
-
-
-def _readings_at(d: Derivation, i: int) -> _Readings:
-    n = len(d.steps)
-    return (_oriented(d, i + 1, 1) if i < n else None,
-            _oriented(d, i, -1) if i > 0 else None)
-
-
-def _reading_table(d: Derivation) -> list[_Readings]:
-    """Both readings of every step, indexed by the term they leave."""
-    return [_readings_at(d, i) for i in range(len(d.steps) + 1)]
-
-
-def _reading(table: list[_Readings], edge: SuccessorEdge) -> _OrientedStep:
-    """The reading of the step an edge crosses, in the edge's direction."""
-    if edge.direction > 0:
-        return table[edge.step - 1][0]  # type: ignore[return-value]
-    return table[edge.step][1]  # type: ignore[return-value]
+def _sides(step: DerivationStep, direction: int) -> tuple[Term, Term]:
+    """The equation side a step matches and the side it produces, read in
+    the direction of travel (+1 along the derivation, -1 against it)."""
+    eq = step.equation
+    if step.forward == (direction > 0):
+        return eq.lhs, eq.rhs
+    return eq.rhs, eq.lhs
 
 
 def _variable_positions(side: Term, v: Variable) -> list[Position]:
@@ -137,19 +98,21 @@ def _variable_children(side: Term) -> tuple[Variable, ...]:
     return side.children  # type: ignore[return-value]
 
 
-def _edges_for(ostep: _OrientedStep, u: DerivationOccurrence) -> list[SuccessorEdge]:
-    """Successor edges leaving occurrence u of ostep.from_index, ordered by
-    target: a fan-out lists the from-term's copies and the to-term's copies
-    in index order, each by position."""
+def _edges_for(d: Derivation, m: int, direction: int,
+               u: DerivationOccurrence) -> list[SuccessorEdge]:
+    """Successor edges leaving occurrence u across step m read in the given
+    direction, ordered by target: a fan-out lists the from-term's copies
+    and the to-term's copies in index order, each by position."""
+    step = d.steps[m - 1]
     pos = u.position
-    s_pos = ostep.position
-    to_index, m, direction = ostep.to_index, ostep.step, ostep.direction
+    s_pos = step.position
+    to_index = m if direction > 0 else m - 1
     if pos[:len(s_pos)] != s_pos:
         # the step is not at or above this occurrence: it leaves it untouched
         # (1), or the rewrite happened strictly inside it (2)
         case = 2 if s_pos[:len(pos)] == pos else 1
         return [SuccessorEdge(u, DerivationOccurrence(to_index, pos), case, m, direction)]
-    src, dst = ostep.src_side, ostep.dst_side
+    src, dst = _sides(step, direction)
     if pos == s_pos and isinstance(src, Application):
         return [SuccessorEdge(u, DerivationOccurrence(to_index, s_pos), 4, m, direction)]
     # this occurrence sits at or under the matched image of a variable
@@ -161,17 +124,17 @@ def _edges_for(ostep: _OrientedStep, u: DerivationOccurrence) -> list[SuccessorE
         w = _variable_children(src)[child_index - 1]
         p_pos = s_pos + (child_index,)
     rel = pos[len(p_pos):]
-    sides = ((ostep.from_index, src), (to_index, dst))
+    sides = ((u.index, src), (to_index, dst))
     return [SuccessorEdge(u, DerivationOccurrence(index, s_pos + q + rel), 3, m, direction)
             for index, side in (sides if direction > 0 else sides[::-1])
             for q in _variable_positions(side, w)]
 
 
-def _successors(readings: _Readings, occ: DerivationOccurrence) -> list[SuccessorEdge]:
-    forward, backward = readings
-    edges = _edges_for(forward, occ) if forward is not None else []
-    if backward is not None:
-        edges += _edges_for(backward, occ)
+def _successors(d: Derivation, occ: DerivationOccurrence) -> list[SuccessorEdge]:
+    i = occ.index
+    edges = _edges_for(d, i + 1, 1, occ) if i < len(d.steps) else []
+    if i > 0:
+        edges += _edges_for(d, i, -1, occ)
     return edges
 
 
@@ -181,7 +144,7 @@ def successors(d: Derivation, occ: DerivationOccurrence) -> tuple[SuccessorEdge,
     They come from the step after its term read forward and the step before
     it read backward, ordered forward edges first, then by case and target.
     """
-    return tuple(_successors(_readings_at(d, occ.index), occ))
+    return tuple(_successors(d, occ))
 
 
 def _derivation_variable_names(d: Derivation) -> set[str]:
@@ -225,9 +188,8 @@ class ProjectionResult:
     owner_theory: Theory
 
 
-def _chain_search(d: Derivation, table: list[_Readings], owner_sig: frozenset,
-                  goal: Variable) -> Optional[tuple[list[DerivationOccurrence],
-                                                    list[SuccessorEdge]]]:
+def _chain_search(d: Derivation, owner_sig: frozenset, goal: Variable
+                  ) -> Optional[tuple[list[DerivationOccurrence], list[SuccessorEdge]]]:
     """Shortest successor chain supporting a flat replay.
 
     The search walks occurrences rooted in the owner's signature.  A root
@@ -242,7 +204,7 @@ def _chain_search(d: Derivation, table: list[_Readings], owner_sig: frozenset,
     parents: dict[DerivationOccurrence, Optional[SuccessorEdge]] = {start: None}
     queue = deque([start])
     collapse: Optional[SuccessorEdge] = None
-    terms = d.terms
+    terms, steps = d.terms, d.steps
 
     def assemble(final_edge: SuccessorEdge
                  ) -> tuple[list[DerivationOccurrence], list[SuccessorEdge]]:
@@ -259,11 +221,12 @@ def _chain_search(d: Derivation, table: list[_Readings], owner_sig: frozenset,
 
     while queue:
         cur = queue.popleft()
-        for e in _successors(table[cur.index], cur):
+        for e in _successors(d, cur):
             occ = e.target
             if occ in parents:
                 continue
-            collapsing = e.case == 4 and isinstance(_reading(table, e).dst_side, Variable)
+            collapsing = (e.case == 4 and
+                          isinstance(_sides(steps[e.step - 1], e.direction)[1], Variable))
             term = subterm_at(terms[occ.index], occ.position)
             if isinstance(term, Variable):
                 if term == goal and collapsing:
@@ -312,25 +275,22 @@ def project_to_component(left: Theory, right: Theory, d: Derivation
             and isinstance(tn, Variable)):
         raise NotAProjectionInstanceError(
             "expected a derivation from F(x1,...,xn) to a variable")
-    in_left = t0.symbol in left_emb.symbols
-    in_right = t0.symbol in right_emb.symbols
-    if in_left and in_right:
-        raise OwnerAmbiguousError(f"{t0.symbol} appears in both components")
-    if not in_left and not in_right:
+    # the join renames the right component's symbols apart from the left's
+    if t0.symbol in left_emb.symbols:
+        owner_index, owner = 1, left_emb
+    elif t0.symbol in right_emb.symbols:
+        owner_index, owner = 2, right_emb
+    else:
         raise NotAProjectionInstanceError(f"{t0.symbol} belongs to neither component")
-    owner_index = 1 if in_left else 2
-    owner = left_emb if in_left else right_emb
     # The edge rule needs flat equation sides.  Check every step up front,
     # not only those the chain search reaches, so that a derivation is
-    # accepted or rejected as a whole; a step repeating an earlier step's
-    # equation and direction adds nothing to check.
-    for eq, forward in dict.fromkeys((step.equation, step.forward) for step in d.steps):
-        for side in ((eq.lhs, eq.rhs) if forward else (eq.rhs, eq.lhs)):
+    # accepted or rejected as a whole.
+    for step in d.steps:
+        for side in _sides(step, 1):
             if not is_flat(side):
                 raise ProjectionError(f"equation side {render_term(side)} is not flat")
 
-    table = _reading_table(d)
-    found = _chain_search(d, table, frozenset(owner.symbols), tn)
+    found = _chain_search(d, frozenset(owner.symbols), tn)
     if found is None:
         raise ProjectionError(
             "no successor chain reaches the goal variable through "
@@ -362,10 +322,9 @@ def project_to_component(left: Theory, right: Theory, d: Derivation
     for i, edge in enumerate(edges[:-1]):
         here, there = chain_terms[i], chain_terms[i + 1]
         if edge.case == 4:
-            ostep = _reading(table, edge)
             row = list(range(len(parent), len(parent) + there.symbol.arity))
             parent.extend(row)
-            unite(_root_pairs(ostep.src_side, ostep.dst_side), rows[i], row)
+            unite(_root_pairs(*_sides(d.steps[edge.step - 1], edge.direction)), rows[i], row)
             rows.append(row)
             continue
         # a rewrite strictly inside keeps the root symbol; the others keep the term
@@ -380,13 +339,12 @@ def project_to_component(left: Theory, right: Theory, d: Derivation
     terminal = edges[-1]
     if terminal.case != 4:
         raise ProjectionError(f"the chain ends on a case {terminal.case} edge, not a root step")
-    terminal_step = _reading(table, terminal)
-    collapse_var = terminal_step.dst_side
+    terminal_src, collapse_var = _sides(d.steps[terminal.step - 1], terminal.direction)
     if not isinstance(collapse_var, Variable):
         raise ProjectionError(
             f"the chain's last root step lands on {render_term(collapse_var)}, "
             "not a variable")
-    unite(_root_pairs(terminal_step.src_side, collapse_var), rows[-1], rows[-1])
+    unite(_root_pairs(terminal_src, collapse_var), rows[-1], rows[-1])
 
     # Resolve classes to variables in slot order; two distinct variables in
     # one class is an inconsistency proof for the join.  Classes without a
@@ -408,7 +366,7 @@ def project_to_component(left: Theory, right: Theory, d: Derivation
                 elif first[0] != child:
                     raise InconsistencyDetectedError(_conflict_derivation(
                         joined, chain_terms,
-                        _union_reasons(d, table, chain, edges, chain_terms),
+                        _union_reasons(d, chain, edges, chain_terms),
                         first[1], (i, j)))
             else:
                 unnamed.setdefault(r)
@@ -421,7 +379,7 @@ def project_to_component(left: Theory, right: Theory, d: Derivation
             names[r] = next(fresh)
 
     # where does the collapsing hop land, flatly?
-    src_children = _variable_children(terminal_step.src_side)
+    src_children = _variable_children(terminal_src)
     if collapse_var in src_children:
         landing: Term = names[roots[-1][src_children.index(collapse_var)]]
     else:
@@ -439,10 +397,10 @@ def project_to_component(left: Theory, right: Theory, d: Derivation
     for i, edge in enumerate(edges):
         if edge.case != 4:
             continue
-        ostep = _reading(table, edge)
-        dst = ostep.dst_side
+        step_obj = d.steps[edge.step - 1]
+        src, dst = _sides(step_obj, edge.direction)
         sigma: dict[Variable, Term] = {}
-        for v, value in zip(_variable_children(ostep.src_side), image[i]):
+        for v, value in zip(_variable_children(src), image[i]):
             sigma.setdefault(v, value)
         if isinstance(dst, Application):
             for v, value in zip(_variable_children(dst), image[i + 1]):
@@ -451,7 +409,6 @@ def project_to_component(left: Theory, right: Theory, d: Derivation
         else:
             sigma.setdefault(dst, tn)
             out_terms.append(tn)
-        step_obj = d.steps[edge.step - 1]
         fwd = step_obj.forward if edge.direction > 0 else not step_obj.forward
         out_steps.append(make_step(step_obj.equation, fwd, (), sigma))
 
@@ -468,24 +425,23 @@ def project_to_component(left: Theory, right: Theory, d: Derivation
     return ProjectionResult(out, owner_index, owner)
 
 
-def _union_reasons(d: Derivation, table: list[_Readings],
-                   chain: list[DerivationOccurrence], edges: list[SuccessorEdge],
-                   chain_terms: list[Application]) -> list[_UnionEdge]:
+def _union_reasons(d: Derivation, chain: list[DerivationOccurrence],
+                   edges: list[SuccessorEdge], chain_terms: list[Application]
+                   ) -> list[_UnionEdge]:
     """Why chain children share classes, edge by edge along the chain: a
     non-root edge ties child j of term i to child j of term i+1 (by a
     "rewrite" reason for the child its step rewrites inside), and a root
     step ties the slots its equation's variables tie."""
     reasons: list[_UnionEdge] = []
     for i, edge in enumerate(edges):
-        ostep = _reading(table, edge)
+        step = d.steps[edge.step - 1]
         if edge.case == 4:
             reasons += [_UnionEdge((i + s, j), (i + t, l), "equal")
-                        for (s, j), (t, l) in _root_pairs(ostep.src_side, ostep.dst_side)]
+                        for (s, j), (t, l) in _root_pairs(*_sides(step, edge.direction))]
             continue
         rewrite: Optional[_UnionEdge] = None
         if edge.case == 2:
-            rel = ostep.position[len(chain[i].position):]
-            step = d.steps[edge.step - 1]
+            rel = step.position[len(chain[i].position):]
             fwd = step.forward if edge.direction > 0 else not step.forward
             rewrite = _UnionEdge((i, rel[0]), (i + 1, rel[0]), "rewrite", step.equation, fwd,
                                  rel[1:], step.subst)

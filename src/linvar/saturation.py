@@ -321,9 +321,10 @@ class FlatFactBase(FlatLayout):
                        ) -> list[tuple[int, ...]]:
         """The tuples w, in order, whose atom symbol(context[w]) lies in the
         class of v0: all of them once the variables merged.  v0's root is
-        read once, and each atom is encoded and its root found inline."""
-        if self.variables_merged():
-            return list(tuples)
+        read once, and each atom is encoded and its root found inline.  A
+        tuple naming a value outside the context raises
+        `BudgetTooSmallError`."""
+        merged = self.variables_merged()
         parent = self._parent
         root = self.find(0)
         n, offset = self.n, self.offsets[symbol_name]
@@ -331,11 +332,14 @@ class FlatFactBase(FlatLayout):
         for w in tuples:
             a = 0
             for d in w:
+                if d >= n:
+                    raise BudgetTooSmallError(
+                        f"fact tuple {w} reaches past a context of {n} variables")
                 a = a * n + d
             a += offset
             while a != (p := parent[a]):
                 parent[a] = a = parent[p]
-            if a == root:
+            if merged or a == root:
                 out.append(w)
         return out
 

@@ -12,7 +12,6 @@ from typing import Iterator, Optional
 from linvar.projection import (
     InconsistencyDetectedError,
     NotAProjectionInstanceError,
-    OwnerAmbiguousError,
     ProjectionError,
     ProjectionResult,
 )
@@ -29,6 +28,10 @@ from linvar.terms import (
     term_variables,
 )
 from linvar.theories import Identity, Theory, embedded_components
+
+
+class OwnerAmbiguousError(ProjectionError):
+    """Never raised: the join renames the components' symbols apart."""
 
 
 def _derivation_variable_names(d: Derivation) -> set[str]:

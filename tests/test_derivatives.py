@@ -9,8 +9,9 @@ import pickle
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
-from linvar import cli, derivatives
+from linvar import cli, derivatives, saturation
 from linvar.derivatives import (
     StabilizationError,
     _canonical_tuples,
@@ -41,6 +42,7 @@ from linvar.theories import (
     theory_equal,
     validate,
 )
+from test_random_theories import small_theories
 
 
 class TestWeakIndependenceProfile:
@@ -174,6 +176,44 @@ class TestIterate:
         with pytest.raises(StabilizationError, match="shrank at stage 1"):
             iterate(semilattice, "order_derivative")
         assert len(calls) == 2
+
+
+def _iterate_over_all_triggers(theory, operator):
+    """`iterate` with every stage built by `_next_stage` from all of its
+    trigger data: (stages, stage data, stop reason)."""
+    stages, data = [theory], []
+    base = saturation.saturate(theory, derivatives._context_size(theory, operator))
+    while saturation.inconsistency_target(base) is None:
+        data.append(derivatives._triggers(stages[-1], operator, base))
+        if len(data) > 1 and data[-1] == data[-2]:
+            return stages, data, "fixpoint"
+        stages.append(_next_stage(stages[-1], operator, data[-1]))
+        base = base.extend(stages[-1])
+    return stages, data, "inconsistent"
+
+
+def _assert_iterates_as_over_all_triggers(theory):
+    for operator in ("derivative", "order_derivative"):
+        trace = iterate(theory, operator)
+        stages, data, stop = _iterate_over_all_triggers(theory, operator)
+        assert [(s.name, s.codes) for s in trace.stages] == \
+            [(s.name, s.codes) for s in stages], (theory.name, operator)
+        assert (trace.stage_data, trace.stop_reason) == (tuple(data), stop)
+
+
+def test_stages_from_new_triggers_equal_stages_from_all(corpus, families):
+    """A stage built from only the trigger data its parent lacked has the
+    same codes, in the same order, as one built from all of them, on the
+    presets, the families and every ordered preset join."""
+    joins = [join_disjoint(a, b) for a, b in itertools.product(corpus, repeat=2)]
+    for theory in corpus + families + joins:
+        _assert_iterates_as_over_all_triggers(theory)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_theories())
+def test_stages_from_new_triggers_equal_stages_from_all_on_random_theories(theory):
+    _assert_iterates_as_over_all_triggers(theory)
 
 
 class TestJoinDistribution:

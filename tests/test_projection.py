@@ -20,8 +20,6 @@ from linvar.projection import (
     ProjectionError,
     _chain_search,
     _edges_for,
-    _oriented,
-    _reading_table,
     project_to_component,
     successors,
 )
@@ -46,9 +44,9 @@ def eager_adjacency(d):
     edges = []
     for m in range(1, len(d.steps) + 1):
         for direction in (1, -1):
-            ostep = _oriented(d, m, direction)
-            for pos in positions(d.terms[ostep.from_index]):
-                edges.extend(_edges_for(ostep, DerivationOccurrence(ostep.from_index, pos)))
+            from_index = m - 1 if direction > 0 else m
+            for pos in positions(d.terms[from_index]):
+                edges.extend(_edges_for(d, m, direction, DerivationOccurrence(from_index, pos)))
     adjacency = {}
     for e in edges:
         adjacency.setdefault(e.source, []).append(e)
@@ -325,6 +323,27 @@ class TestProjectToComponent:
     def test_non_flat_step_is_rejected(self, semilattice):
         with pytest.raises(ProjectionError, match=r"equation side g\(g\(v0\)\) is not flat"):
             project_to_component(*_nested_root_step_example(semilattice))
+
+    def test_first_non_flat_step_is_named(self, semilattice):
+        """The flatness check names the first non-flat step in step order,
+        here a repeated f(v) = g(g(v)) before f(v) = h(h(v))."""
+        f, g, h = (OperationSymbol(name, 1) for name in "fgh")
+        nested = make_theory("nested2", [f, g, h], [parse_identity("f(v) = g(g(v))"),
+                                                   parse_identity("f(v) = h(h(v))"),
+                                                   parse_identity("h(v) = v")])
+        ids = {str(e): e for e in nested.identities}
+        x, v0 = Variable("x"), Variable("v0")
+        gg, hh = ids["f(v0) = g(g(v0))"], ids["f(v0) = h(h(v0))"]
+        d = Derivation(join_disjoint(nested, semilattice).name,
+                       tuple(map(parse_term, ("f(x)", "g(g(x))", "f(x)", "g(g(x))", "f(x)",
+                                              "h(h(x))", "h(x)", "x"))),
+                       (make_step(gg, True, (), {v0: x}), make_step(gg, False, (), {v0: x}),
+                        make_step(gg, True, (), {v0: x}), make_step(gg, False, (), {v0: x}),
+                        make_step(hh, True, (), {v0: x}),
+                        make_step(ids["v0 = h(v0)"], False, (1,), {v0: x}),
+                        make_step(ids["v0 = h(v0)"], False, (), {v0: x})))
+        with pytest.raises(ProjectionError, match=r"equation side g\(g\(v0\)\) is not flat"):
+            project_to_component(nested, semilattice, d)
 
     def test_chain_checks_do_not_rely_on_assert(self):
         # python -O strips asserts; a chain whose case 1 edge joins two
@@ -615,8 +634,7 @@ def test_projection_matches_the_reference(maltsev, semilattice):
         owner = a_emb if d.terms[0].symbol in a_emb.symbols else b_emb
         sig = frozenset(owner.symbols)
         found = reference._chain_search(d, sig, d.terms[-1])
-        assert _as_tuples(_chain_search(d, _reading_table(d), sig, d.terms[-1])) == \
-            _as_tuples(found)
+        assert _as_tuples(_chain_search(d, sig, d.terms[-1])) == _as_tuples(found)
         kinds = [e.case for e in found[1]] if found else []
         seen["inner root step"] += 4 in kinds[:-1]
         seen["case 1"] += 1 in kinds

@@ -23,6 +23,7 @@ from linvar.derivatives import (
     derivative,
     iterate,
     order_derivative,
+    order_fact_set,
 )
 from linvar.dsl import parse_identity
 from linvar.models import find_model
@@ -94,6 +95,23 @@ class TestSaturate:
         for term in ("w", "p(v0,w,v1)"):
             with pytest.raises(KeyError, match="not a context variable"):
                 base.atom_id(parse_term(term))
+
+    def test_fact_query_past_the_context_is_refused(self, maltsev):
+        # p(v0,v1,v2) needs a third variable, which a 2-variable context
+        # lacks; the digit 2 must not be read as carrying into the next one
+        for base in (saturate(maltsev, 2), saturate(derivative(maltsev), 2)):
+            with pytest.raises(BudgetTooSmallError, match=r"\(0, 1, 2\).* 2 variables"):
+                base.fact_entailed("p", (0, 1, 2))
+        assert saturate(maltsev, 3).fact_entailed("p", (0, 1, 1))
+
+    def test_fact_query_past_the_atom_space_is_refused(self, maltsev):
+        with pytest.raises(BudgetTooSmallError, match=r"\(2, 2, 2\).* 2 variables"):
+            saturate(maltsev, 2).fact_entailed("p", (2, 2, 2))
+
+    def test_order_fact_set_refuses_a_narrow_base(self):
+        day = presets.day(2)
+        with pytest.raises(BudgetTooSmallError, match="2 variables"):
+            order_fact_set(day, saturate(day, 2))
 
     def test_default_budget(self, maltsev, semilattice):
         # max_arity + 1 variables: the widest query is a fact x = F(w)
