@@ -88,9 +88,6 @@ class WeakIndependenceProfile:
         first read."""
         return tuple((s.name, i, _fact_identity(s, w)) for s, i, w in self.witness_digits)
 
-    def places(self, symbol_name: str) -> tuple[int, ...]:
-        return tuple(sorted(i for name, i in self.pairs if name == symbol_name))
-
 
 def weak_independence_profile(theory: Theory,
                               base: Optional[FlatFactBase] = None

@@ -17,8 +17,10 @@ one occurrence on its own, from the same function the search expands.
 A chain edge that is not a root step maps child j of one chain term to
 child j of the next, so the next term keeps the same list of class ids; only
 inner root steps and the final collapsing hop unite ids, in a union-find
-over ints.  The reasons for each union are rebuilt only when two variables
-collide, to stitch the inconsistency certificate.
+over ints.  When two variables collide, `_conflict_derivation` walks the
+chain's edges again, tying each child slot to the slot it is equal to or
+rewritten into, and stitches the inconsistency certificate from a shortest
+path of ties between the two slots.
 """
 from __future__ import annotations
 
@@ -38,7 +40,7 @@ from .terms import (
     subterm_at,
     term_variables,
 )
-from .theories import Identity, Theory, embedded_components
+from .theories import Theory, embedded_components
 
 
 class ProjectionError(Exception):
@@ -164,21 +166,8 @@ def _derivation_variable_names(d: Derivation) -> set[str]:
 # -- chain extraction and replay ---------------------------------------------
 
 
-class _UnionEdge(NamedTuple):
-    """Why two chain-children share a class.
-
-    kind "equal": their subterms are syntactically equal.
-    kind "rewrite": one inner rewriting step of the original derivation
-    turns one subterm into the other (payload records how to replay it).
-    """
-
-    a: tuple[int, int]
-    b: tuple[int, int]
-    kind: str
-    equation: Optional[Identity] = None
-    forward: bool = True
-    rel_position: Position = ()
-    subst: tuple = ()
+# A chain-child slot (i, j): child j of chain term i.
+_Slot = tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -365,9 +354,7 @@ def project_to_component(left: Theory, right: Theory, d: Derivation
                     held[r] = (child, (i, j))
                 elif first[0] != child:
                     raise InconsistencyDetectedError(_conflict_derivation(
-                        joined, chain_terms,
-                        _union_reasons(d, chain, edges, chain_terms),
-                        first[1], (i, j)))
+                        joined, d, chain, edges, chain_terms, first[1], (i, j)))
             else:
                 unnamed.setdefault(r)
     names = {r: v for r, (v, _) in held.items()}
@@ -425,82 +412,82 @@ def project_to_component(left: Theory, right: Theory, d: Derivation
     return ProjectionResult(out, owner_index, owner)
 
 
-def _union_reasons(d: Derivation, chain: list[DerivationOccurrence],
-                   edges: list[SuccessorEdge], chain_terms: list[Application]
-                   ) -> list[_UnionEdge]:
-    """Why chain children share classes, edge by edge along the chain: a
-    non-root edge ties child j of term i to child j of term i+1 (by a
-    "rewrite" reason for the child its step rewrites inside), and a root
-    step ties the slots its equation's variables tie."""
-    reasons: list[_UnionEdge] = []
+def _conflict_derivation(joined: Theory, d: Derivation,
+                         chain: list[DerivationOccurrence], edges: list[SuccessorEdge],
+                         chain_terms: list[Application], a: _Slot, b: _Slot
+                         ) -> Derivation:
+    """A derivation between two chain-child slots whose classes collided.
+
+    Edge by edge along the chain, a root step ties the slots its equation's
+    variables tie, and a non-root edge ties child j of term i to child j of
+    term i+1, through the inner step that rewrites inside that child, if
+    any.  Each tie is stored both ways, with its inner step read in the
+    direction of travel, and a shortest path of ties from a to b gives the
+    derivation's steps.
+    """
+    adjacency: dict[_Slot, list[tuple[_Slot, Optional[DerivationStep]]]] = {}
+
+    def tie(s: _Slot, t: _Slot, step: Optional[DerivationStep] = None,
+            back: Optional[DerivationStep] = None) -> None:
+        adjacency.setdefault(s, []).append((t, step))
+        adjacency.setdefault(t, []).append((s, back))
+
     for i, edge in enumerate(edges):
         step = d.steps[edge.step - 1]
         if edge.case == 4:
-            reasons += [_UnionEdge((i + s, j), (i + t, l), "equal")
-                        for (s, j), (t, l) in _root_pairs(*_sides(step, edge.direction))]
+            for (s, j), (t, l) in _root_pairs(*_sides(step, edge.direction)):
+                tie((i + s, j), (i + t, l))
             continue
-        rewrite: Optional[_UnionEdge] = None
+        inner, along, back = 0, None, None
         if edge.case == 2:
             rel = step.position[len(chain[i].position):]
-            fwd = step.forward if edge.direction > 0 else not step.forward
-            rewrite = _UnionEdge((i, rel[0]), (i + 1, rel[0]), "rewrite", step.equation, fwd,
-                                 rel[1:], step.subst)
+            inner = rel[0]
+            fwd = step.forward == (edge.direction > 0)
+            along = DerivationStep(step.equation, fwd, rel[1:], step.subst)
+            back = DerivationStep(step.equation, not fwd, rel[1:], step.subst)
         for j in range(1, chain_terms[i].symbol.arity + 1):
-            if rewrite is not None and j == rewrite.a[1]:
-                reasons.append(rewrite)
+            if j == inner:
+                tie((i, j), (i + 1, j), along, back)
             else:
-                reasons.append(_UnionEdge((i, j), (i + 1, j), "equal"))
-    return reasons
-
-
-def _conflict_derivation(joined: Theory, chain_terms: list[Application],
-                         reasons: list[_UnionEdge], a: tuple[int, int],
-                         b: tuple[int, int]) -> Derivation:
-    """Stitch recorded union reasons into a derivation between two child
-    subterms whose classes collided."""
-    adjacency: dict[tuple[int, int], list[tuple[tuple[int, int], _UnionEdge, bool]]] = {}
-    for e in reasons:
-        adjacency.setdefault(e.a, []).append((e.b, e, True))
-        adjacency.setdefault(e.b, []).append((e.a, e, False))
-    parents: dict[tuple[int, int], tuple[tuple[int, int], _UnionEdge, bool]] = {}
+                tie((i, j), (i + 1, j))
+    parents: dict[_Slot, tuple[_Slot, Optional[DerivationStep]]] = {}
     seen = {a}
     queue = deque([a])
     while queue:
         cur = queue.popleft()
         if cur == b:
             break
-        for nxt, e, along in adjacency.get(cur, ()):
+        for nxt, via in adjacency.get(cur, ()):
             if nxt not in seen:
                 seen.add(nxt)
-                parents[nxt] = (cur, e, along)
+                parents[nxt] = (cur, via)
                 queue.append(nxt)
     if b not in seen:
         raise ProjectionError("collided slots are not connected by recorded unions")
-    path: list[tuple[tuple[int, int], _UnionEdge, bool]] = []
+    path: list[tuple[_Slot, Optional[DerivationStep]]] = []
     node = b
     while node != a:
-        prev, e, along = parents[node]
-        path.append((node, e, along))
+        prev, via = parents[node]
+        path.append((node, via))
         node = prev
     path.reverse()
 
-    def slot_term(slot: tuple[int, int]) -> Term:
+    def slot_term(slot: _Slot) -> Term:
         return chain_terms[slot[0]].children[slot[1] - 1]
 
     terms: list[Term] = [slot_term(a)]
     steps: list[DerivationStep] = []
-    for nxt, e, along in path:
-        if e.kind == "rewrite":
-            fwd = e.forward if along else not e.forward
-            steps.append(DerivationStep(e.equation, fwd, e.rel_position, e.subst))  # type: ignore[arg-type]
+    for nxt, via in path:
+        if via is not None:
+            steps.append(via)
             terms.append(slot_term(nxt))
         elif slot_term(nxt) != terms[-1]:
             raise ProjectionError(
                 f"slot {nxt} holds {render_term(slot_term(nxt))} but was united "
                 f"as equal to {render_term(terms[-1])}")
-    d = Derivation(joined.name, tuple(terms), tuple(steps))
-    check = verify_derivation(joined, d)
+    out = Derivation(joined.name, tuple(terms), tuple(steps))
+    check = verify_derivation(joined, out)
     if not check:
         raise ProjectionError(
             f"conflict certificate failed verification: {check.reason}")
-    return d
+    return out

@@ -26,7 +26,9 @@ not the identities', so identities with more variables are fine there.
 The same lemma bounds certificate extraction.  A shortest chain between two
 atoms exists among the atoms over their own variables, so the chain search
 assigns free variables only from the endpoints' variables: two of them for
-an inconsistency chain x ~ F(y,...,y), whatever the context size.
+an inconsistency chain x ~ F(y,...,y), whatever the context size.  A
+certificate therefore names only its endpoints' variables: the goal's own,
+x and y for an inconsistency, or two fresh names for a collapse.
 Inconsistency is decided by a class test alone; `is_inconsistent` builds
 the chain, and iteration traces call it only when their certificate is read.
 
@@ -223,8 +225,7 @@ class FlatFactBase(FlatLayout):
     def atom_term(self, i: int) -> Term:
         return self._named_atom(i, self.context)
 
-    def _named_atom(self, i: int,
-                    names: Sequence[Variable] | dict[int, Variable]) -> Term:
+    def _named_atom(self, i: int, names: Sequence[Variable]) -> Term:
         """Atom i with each context index d written as names[d]."""
         name, digits = self.digits(i)
         args = tuple(names[d] for d in digits)
@@ -288,8 +289,9 @@ class FlatFactBase(FlatLayout):
         """The atom ids of the goal's sides, read from its code.
 
         The code numbers the goal's variables by first occurrence, lhs
-        first, and the atoms read variable k as context index k; that is
-        the embedding `_output_renaming` inverts, over `identity_variables`.
+        first, and the atoms read variable k as context index k; a chain's
+        derivation inverts that by naming index k after the k-th of
+        `identity_variables`.
         """
         code = identity_code(goal)
         if code is None:
@@ -321,15 +323,22 @@ class FlatFactBase(FlatLayout):
                        ) -> list[tuple[int, ...]]:
         """The tuples w, in order, whose atom symbol(context[w]) lies in the
         class of v0: all of them once the variables merged.  v0's root is
-        read once, and each atom is encoded and its root found inline.  A
-        tuple naming a value outside the context raises
-        `BudgetTooSmallError`."""
+        read once, and each atom is encoded and its root found inline.  An
+        unknown symbol raises `UnknownSymbolError`, a tuple whose length is
+        not the symbol's arity `ValueError`, and a tuple naming a value
+        outside the context `BudgetTooSmallError`."""
+        symbol = self.theory.symbol_named(symbol_name)
+        if symbol is None:
+            raise UnknownSymbolError(f"{symbol_name} is not in {self.theory.name}")
         merged = self.variables_merged()
         parent = self._parent
         root = self.find(0)
-        n, offset = self.n, self.offsets[symbol_name]
+        n, offset, arity = self.n, self.offsets[symbol_name], symbol.arity
         out = []
         for w in tuples:
+            if len(w) != arity:
+                raise ValueError(f"fact tuple {w} has {len(w)} entries, "
+                                 f"but {symbol_name} has arity {arity}")
             a = 0
             for d in w:
                 if d >= n:
@@ -493,37 +502,21 @@ def saturate(theory: Theory, budget: Optional[int] = None) -> FlatFactBase:
                            lambda: FlatFactBase(theory, budget))
 
 
-def _output_renaming(base: FlatFactBase, variables: Sequence[Variable]
-                     ) -> dict[int, Variable]:
-    """Map context index k back to the k-th goal variable, keeping the rest
-    readable."""
-    rename: dict[int, Variable] = dict(enumerate(variables))
-    taken = {v.name for v in variables}
-    fresh = fresh_variables(taken)
-    for i in range(base.budget):
-        if i in rename:
-            continue
-        name = base.context[i].name
-        if name not in taken:
-            rename[i] = base.context[i]
-            taken.add(name)
-        else:
-            v = next(fresh)
-            rename[i] = v
-            taken.add(v.name)
-    return rename
-
-
-def _chain_derivation(base: FlatFactBase, ids: list[int],
-                      edges: list[tuple[int, bool, dict[Variable, int]]],
-                      rename: dict[int, Variable]) -> Derivation:
-    terms = [base._named_atom(i, rename) for i in ids]
-    steps = []
-    for idx, forward, sigma in edges:
-        eq = base.theory.identities[idx]
-        subst = {v: rename[d] for v, d in sigma.items()}
-        steps.append(make_step(eq, forward, (), subst))
-    d = Derivation(base.theory.name, tuple(terms), tuple(steps))
+def _chain_derivation(base: FlatFactBase, a: int, b: int,
+                      names: Sequence[Variable]) -> Derivation:
+    """The shortest chain from atom a to atom b as a verified derivation,
+    with context index k written as names[k].  The chain stays over the
+    endpoints' variables, so only their indices need names."""
+    chain = base.shortest_chain(a, b)
+    if chain is None:
+        raise CertificateError(
+            f"no chain between {base.atom_term(a)} and {base.atom_term(b)}")
+    ids, edges = chain
+    terms = tuple(base._named_atom(i, names) for i in ids)
+    steps = tuple(make_step(base.theory.identities[idx], forward, (),
+                            {v: names[d] for v, d in sigma.items()})
+                  for idx, forward, sigma in edges)
+    d = Derivation(base.theory.name, terms, steps)
     check = verify_derivation(base.theory, d)
     if not check:
         raise CertificateError(
@@ -531,29 +524,20 @@ def _chain_derivation(base: FlatFactBase, ids: list[int],
     return d
 
 
-def _chain(base: FlatFactBase, a: int, b: int
-           ) -> tuple[list[int], list[tuple[int, bool, dict[Variable, int]]]]:
-    chain = base.shortest_chain(a, b)
-    if chain is None:
-        raise CertificateError(
-            f"no chain between {base.atom_term(a)} and {base.atom_term(b)}")
-    return chain
-
-
 def _collapse_instance_derivation(base: FlatFactBase, goal: Identity) -> Derivation:
     """Certificate for a goal over a theory whose variables collapsed.
 
-    The chain proving two variables equal is instantiated with the goal's
-    sides; the instance verifies, though its inner terms need not be flat.
+    The chain proving two variables equal, written over two fresh names, is
+    instantiated with the goal's sides; the instance verifies, though its
+    inner terms need not be flat.
     """
     goal_names = {v.name for v in
                   term_variables(goal.lhs) + term_variables(goal.rhs)}
     fresh = fresh_variables(goal_names)
-    rename = {i: next(fresh) for i in range(base.budget)}
-    ids, edges = _chain(base, 0, 1)
-    collapse = _chain_derivation(base, ids, edges, rename)
+    names = (next(fresh), next(fresh))
+    collapse = _chain_derivation(base, 0, 1, names)
     instance = substitute_derivation(
-        collapse, {rename[0]: goal.lhs, rename[1]: goal.rhs})
+        collapse, {names[0]: goal.lhs, names[1]: goal.rhs})
     check = verify_derivation(base.theory, instance)
     if not check:
         raise CertificateError(
@@ -579,9 +563,7 @@ def entails_flat(base: FlatFactBase, goal: Identity) -> EntailmentVerdict:
     """
     a, b = base._embed(goal)
     if base.same_class(a, b):
-        ids, edges = _chain(base, a, b)
-        rename = _output_renaming(base, identity_variables(goal))
-        return Entailed(_chain_derivation(base, ids, edges, rename))
+        return Entailed(_chain_derivation(base, a, b, identity_variables(goal)))
     if base.variables_merged():
         return Entailed(_collapse_instance_derivation(base, goal))
     return _refuted(base.theory, goal)
@@ -612,10 +594,7 @@ def is_inconsistent(base: FlatFactBase) -> EntailmentVerdict:
     bare two-variable identities are still caught.  A consistent base gets
     a plain `NotEntailed`: no model search is run.
     """
-    x, y = Variable("x"), Variable("y")
     target = inconsistency_target(base)
     if target is not None:
-        rename = _output_renaming(base, (x, y))
-        ids, edges = _chain(base, 0, target)
-        return Entailed(_chain_derivation(base, ids, edges, rename))
+        return Entailed(_chain_derivation(base, 0, target, (Variable("x"), Variable("y"))))
     return NotEntailed()

@@ -256,6 +256,8 @@ def test_chain_search_over_endpoint_variables_stays_shortest(theory):
         endpoint_vars = {0} | set(base.digits(target)[1])
         for i in ids:
             assert set(base.digits(i)[1]) <= endpoint_vars, base.atom_term(i)
+        for _, _, sigma in edges:
+            assert set(sigma.values()) <= endpoint_vars, sigma
 
 
 def _reference_chain(base, a, b):

@@ -108,6 +108,22 @@ class TestSaturate:
         with pytest.raises(BudgetTooSmallError, match=r"\(2, 2, 2\).* 2 variables"):
             saturate(maltsev, 2).fact_entailed("p", (2, 2, 2))
 
+    @pytest.mark.parametrize("theory, symbol, digits", [
+        (maltsev(), "p", (0,)),
+        (maltsev(), "p", (0, 0, 0, 0)),
+        # a Horner index past the atom space
+        (maltsev(), "p", (1,) * 6),
+        # a Horner index inside the next symbol's block, p2(v0,v0,v0)
+        (presets.jonsson(3), "p1", (1, 0, 0, 0)),
+    ])
+    def test_fact_query_of_the_wrong_length_is_refused(self, theory, symbol, digits):
+        with pytest.raises(ValueError, match=rf"{symbol} has arity 3"):
+            saturate(theory, 2).fact_entailed(symbol, digits)
+
+    def test_fact_query_of_an_unknown_symbol_is_refused(self, maltsev):
+        with pytest.raises(UnknownSymbolError, match="q is not in maltsev"):
+            saturate(maltsev, 2).fact_entailed("q", (0, 0, 0))
+
     def test_order_fact_set_refuses_a_narrow_base(self):
         day = presets.day(2)
         with pytest.raises(BudgetTooSmallError, match="2 variables"):
@@ -122,14 +138,13 @@ class TestSaturate:
     def test_every_class_member_has_a_verifying_chain(self, maltsev):
         # classes are exactly the components of the instance graph
         base = saturate(derivative(maltsev))
-        rename = saturation._output_renaming(base, {})
         for members in base.classes().values():
             for member in members:
                 chain = base.shortest_chain(members[0], member)
                 assert chain is not None, base.atom_term(member)
                 ids, edges = chain
                 assert ids[0] == members[0] and ids[-1] == member
-                saturation._chain_derivation(base, ids, edges, rename)
+                saturation._chain_derivation(base, members[0], member, base.context)
 
     def test_extension_matches_fresh_build(self, maltsev):
         base = saturate(maltsev, 6)

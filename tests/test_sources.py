@@ -63,3 +63,36 @@ def test_function_level_imports_break_a_cycle():
                 if name not in top[module]:
                     misplaced.append(f"{name}.{func.name} imports {module}")
     assert misplaced == []
+
+
+def _names_used(tree):
+    """Every name a module uses: names, attributes, imported names, and the
+    dotted parts of its string constants, which name tracing targets."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.update(node.name.split("."))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.update(node.value.split("."))
+    return out
+
+
+def test_every_function_is_named():
+    """Each function or method the package defines, dunders aside, is named
+    somewhere in the sources, the tests, the scripts or the benchmark."""
+    root = Path(__file__).resolve().parent.parent
+    used = set()
+    for sub in ("src", "tests", "scripts", "perfbench"):
+        for path in sorted((root / sub).rglob("*.py")):
+            used |= _names_used(ast.parse(path.read_text(), filename=str(path)))
+    unnamed = [f"{path.name}:{node.lineno}: {node.name}"
+               for path in SOURCES
+               for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and not (node.name.startswith("__") and node.name.endswith("__"))
+               and node.name not in used]
+    assert unnamed == []
