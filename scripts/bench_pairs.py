@@ -8,8 +8,10 @@ For each seed, runs `perfbench/run.py --workload WORKLOAD --seed SEED
 the other.  The side that runs first flips on every other seed, because on
 a shared host the side that runs second in a pair tends to read slower.
 Then prints, for each end-to-end metric, both sides' median and quartiles
-over the seeds and in how many pairs this checkout's value is lower, and
-whether the two sides' round fingerprints agree on every round both ran.
+over the seeds, in how many pairs this checkout's value is lower, and a
+verdict read against the metric's `better` and `bound` in this checkout's
+`BENCHMARK.json` (see `verdict`), and whether the two sides' round
+fingerprints agree on every round both ran.
 Both sides run with `PYTHONDONTWRITEBYTECODE=1` and without
 `PYTHONPYCACHEPREFIX`: each worker reads the interpreter's own standard
 library bytecode and compiles the checkout's modules from source, so
@@ -32,6 +34,7 @@ from pathlib import Path
 from typing import Optional
 
 ROOT = Path(__file__).resolve().parent.parent
+BENCHMARK = ROOT / "BENCHMARK.json"
 SECONDS = 20
 
 
@@ -98,6 +101,33 @@ def summary(pairs: list[tuple[dict[str, float], dict[str, float]]]) -> list[str]
     return lines
 
 
+def verdict(before: list[float], after: list[float], better: str, bound: float) -> str:
+    """How the change's runs compare with the parent's, pair by pair:
+
+    - `gain`: the change is better in at least 9 of every 10 pairs (ties
+      count for neither) and the medians differ by more than the parent's
+      interquartile range;
+    - `regression`: the change's median is worse than the parent's by more
+      than `bound`, a fraction of the parent's median;
+    - `unresolved`: the parent's interquartile range is wider than that
+      bound, and not every change run is better than every parent run;
+    - `flat`: anything else.
+
+    `better` is "lower" or "higher", as in `BENCHMARK.json`."""
+    sign = 1 if better == "lower" else -1
+    (b1, b2, b3), (_, a2, _) = quartiles(before), quartiles(after)
+    wins = sum((b - a) * sign > 0 for b, a in zip(before, after))
+    if wins * 10 >= 9 * len(before) and (b2 - a2) * sign > b3 - b1:
+        return "gain"
+    if (a2 - b2) * sign > bound * abs(b2):
+        return "regression"
+    every_run_better = (max(after) < min(before) if sign == 1
+                        else min(after) > max(before))
+    if b3 - b1 > bound * abs(b2) and not every_run_better:
+        return "unresolved"
+    return "flat"
+
+
 def main(argv: list[str]) -> int:
     if len(argv) < 3:
         print("usage: bench_pairs.py PARENT_CHECKOUT WORKLOAD SEED...", file=sys.stderr)
@@ -124,8 +154,11 @@ def main(argv: list[str]) -> int:
         print(f"# seed {seed}: {order[0]} first; cpu_s {before['cpu_s']:.4f} -> "
               f"{after['cpu_s']:.4f}", flush=True)
     print(f"# {workload}, {len(pairs)} alternated pairs, {SECONDS} s runs")
-    for line in summary(pairs):
-        print(line)
+    rules = {m["name"]: m for m in json.loads(BENCHMARK.read_text())["end_to_end"]}
+    for name, line in zip(pairs[0][0], summary(pairs)):
+        rule = rules[name]
+        parent_values, change_values = [p[name] for p, _ in pairs], [c[name] for _, c in pairs]
+        print(f"{line}  {verdict(parent_values, change_values, rule['better'], rule['bound'])}")
     if mismatches:
         print("fingerprints differ: " + ", ".join(mismatches))
         return 1

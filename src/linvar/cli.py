@@ -209,7 +209,7 @@ def _cmd_entail(args) -> tuple[int, dict]:
     goal = parse_identity(args.identity, arities)
     # saturation decides linear goals over linear theories; search the rest
     if is_linear_identity(goal) and all(map(is_linear_identity, theory.identities)):
-        base = saturation.saturate(theory, saturation.goal_budget(theory, goal))
+        base = saturation.saturate(theory, saturation.goal_budget(goal))
         verdict = saturation.entails_flat(base, goal)
         if isinstance(verdict, Entailed):
             return _entailed(verdict.derivation)

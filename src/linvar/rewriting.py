@@ -55,7 +55,7 @@ class CertificateError(Exception):
     """A derivation built as a certificate is missing or fails the verifier."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DerivationStep:
     equation: Identity
     forward: bool
@@ -74,7 +74,7 @@ def make_step(equation: Identity, forward: bool, position: Position,
     return DerivationStep(equation, forward, tuple(position), pairs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Derivation:
     theory_name: str
     terms: tuple[Term, ...]

@@ -17,11 +17,12 @@ with the same endpoints and no more steps.  A query over k variables
 therefore gets the same answer, and a shortest chain of the same length, in
 every context of at least k variables.  The order derivative's queries are
 facts x = F(w) over all of F's places, so the default context has
-max_arity + 1 variables (at least two); a larger linear goal gets a context
-of its own variable count.  The derivative's queries (x = y, x = F(y,...,y)
-and weak-independence facts with w over {x, y}) use two variables, so its
-iteration runs in a context of two.  The lemma bounds the query's variables,
-not the identities', so identities with more variables are fine there.
+max_arity + 1 variables (at least two); `linvar entail` saturates over its
+goal's own variables (`goal_budget`).  The derivative's queries (x = y,
+x = F(y,...,y) and weak-independence facts with w over {x, y}) use two
+variables, so its iteration runs in a context of two.  The lemma bounds
+the query's variables, not the identities', so identities with more
+variables are fine there.
 
 The same lemma bounds certificate extraction.  A shortest chain between two
 atoms exists among the atoms over their own variables, so the chain search
@@ -110,9 +111,17 @@ def default_budget(theory: Theory) -> int:
     return max(2, theory.max_arity() + 1)
 
 
-def goal_budget(theory: Theory, goal: Identity) -> int:
-    """The default context, widened to hold every variable of the goal."""
-    return max(default_budget(theory), len(identity_variables(goal)))
+def goal_budget(goal: Identity) -> int:
+    """The goal's own variables, and at least two.
+
+    That is enough: a chain over a wider context maps, by the retraction
+    onto the goal's variables, to a chain with the same endpoints and no
+    more steps, so the verdict is the same in every context that holds the
+    goal.  The chain search assigns free variables only from the
+    endpoints' own, so the certificate is the same chain, and the
+    countermodel comes from model search, which reads no base.  The second
+    variable is for the collapse test, v0 ~ v1."""
+    return max(2, len(identity_variables(goal)))
 
 
 class _ChainRule(NamedTuple):
@@ -325,8 +334,8 @@ class FlatFactBase(FlatLayout):
         class of v0: all of them once the variables merged.  v0's root is
         read once, and each atom is encoded and its root found inline.  An
         unknown symbol raises `UnknownSymbolError`, a tuple whose length is
-        not the symbol's arity `ValueError`, and a tuple naming a value
-        outside the context `BudgetTooSmallError`."""
+        not the symbol's arity or that has a negative entry `ValueError`, and
+        a tuple naming a value past the context `BudgetTooSmallError`."""
         symbol = self.theory.symbol_named(symbol_name)
         if symbol is None:
             raise UnknownSymbolError(f"{symbol_name} is not in {self.theory.name}")
@@ -341,7 +350,9 @@ class FlatFactBase(FlatLayout):
                                  f"but {symbol_name} has arity {arity}")
             a = 0
             for d in w:
-                if d >= n:
+                if not 0 <= d < n:
+                    if d < 0:
+                        raise ValueError(f"fact tuple {w} has a negative entry {d}")
                     raise BudgetTooSmallError(
                         f"fact tuple {w} reaches past a context of {n} variables")
                 a = a * n + d

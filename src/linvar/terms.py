@@ -17,7 +17,7 @@ class InvalidPositionError(Exception):
     """A position walked off the term it was applied to."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Variable:
     name: str
 
@@ -25,7 +25,7 @@ class Variable:
         return self.name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OperationSymbol:
     name: str
     arity: int
@@ -36,6 +36,9 @@ class OperationSymbol:
 
 @dataclass(frozen=True)
 class Application:
+    # `_hash` is a slot but not a dataclass field: set by the first __hash__
+    __slots__ = ("symbol", "children", "_hash")
+
     symbol: OperationSymbol
     children: tuple["Term", ...]
 
@@ -46,14 +49,11 @@ class Application:
                 f"got {len(self.children)} arguments"
             )
 
-    # set on an instance by its first __hash__; not a dataclass field
-    _hash = None
-
     def __hash__(self) -> int:
         """The hash the dataclass would compute, kept in the instance
         after the first call: hashing a term then costs one level, not
         its whole tree.  The fields are immutable, so it never goes stale."""
-        h = self._hash
+        h = getattr(self, "_hash", None)
         if h is None:
             h = hash((self.symbol, self.children))
             object.__setattr__(self, "_hash", h)

@@ -49,7 +49,7 @@ class SignatureMismatchError(Exception):
     """Two theories over different signatures were compared."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Identity:
     lhs: Term
     rhs: Term

@@ -104,3 +104,77 @@ def test_a_checkout_with_bytecode_is_refused_before_any_run(monkeypatch, tmp_pat
     (parent / "perfbench" / "__pycache__").mkdir()
     assert bench_pairs.main([str(parent), "classify", "1"]) == 2
     assert str(parent / "perfbench" / "__pycache__") in capsys.readouterr().err
+
+
+PARENT = [10.0, 10.1, 10.2, 10.3, 10.4, 10.5, 10.6, 10.7, 10.8, 10.9]
+
+
+def test_verdict_gain_needs_nine_pairs_in_ten_and_a_gap_wider_than_the_parent_spread():
+    bench_pairs = _load()
+    # parent quartiles 10.225 and 10.675: an interquartile range of 0.45
+    lower = [b - 1.0 for b in PARENT]
+    assert bench_pairs.verdict(PARENT, lower, "lower", 0.25) == "gain"
+    # one tie and nine wins is still 9 in 10
+    assert bench_pairs.verdict(PARENT, [PARENT[0]] + lower[1:], "lower", 0.25) == "gain"
+    # two pairs lost: 8 in 10
+    assert bench_pairs.verdict(PARENT, [b + 1.0 for b in PARENT[:2]] + lower[2:],
+                               "lower", 0.25) == "flat"
+    # every pair better, but the medians only 0.3 apart
+    assert bench_pairs.verdict(PARENT, [b - 0.3 for b in PARENT], "lower", 0.25) == "flat"
+    higher = [b + 1.0 for b in PARENT]
+    assert bench_pairs.verdict(PARENT, higher, "higher", 0.01) == "gain"
+    assert bench_pairs.verdict(PARENT, higher, "lower", 0.25) == "flat"
+
+
+def test_verdict_regression_is_a_median_worse_by_more_than_the_bound():
+    bench_pairs = _load()
+    # bound 0.1 of the parent's median 10.45 is 1.045
+    assert bench_pairs.verdict(PARENT, [b + 1.1 for b in PARENT], "lower", 0.1) == "regression"
+    assert bench_pairs.verdict(PARENT, [b + 1.0 for b in PARENT], "lower", 0.1) == "flat"
+    assert bench_pairs.verdict(PARENT, [b - 1.1 for b in PARENT], "higher", 0.1) == "regression"
+
+
+def test_verdict_unresolved_is_a_parent_spread_wider_than_the_bound():
+    bench_pairs = _load()
+    wide = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0]
+    # interquartile range 4.5 against a bound of 0.25 * 5.5
+    assert bench_pairs.verdict(wide, wide, "lower", 0.25) == "unresolved"
+    assert bench_pairs.verdict(wide, [b + 1.0 for b in wide], "lower", 0.25) == "unresolved"
+    # better in every pair is not enough
+    each_pair_better = [0.9] + [b - 0.5 for b in wide[1:]]
+    assert bench_pairs.verdict(wide, each_pair_better, "lower", 0.25) == "unresolved"
+    # every change run below every parent run settles it, gain or not
+    split = [10.0] * 5 + [20.0] * 5
+    assert bench_pairs.verdict(split, [9.9] * 10, "lower", 0.25) == "flat"
+    assert bench_pairs.verdict(split, [21.0] * 10, "higher", 0.25) == "flat"
+    assert bench_pairs.verdict(wide, [0.5] * 10, "lower", 0.25) == "gain"
+    # the same spread is narrower than a bound of 1.0 * 5.5
+    assert bench_pairs.verdict(wide, wide, "lower", 1.0) == "flat"
+
+
+def test_verdict_flat_on_equal_runs():
+    bench_pairs = _load()
+    assert bench_pairs.verdict(PARENT, PARENT, "lower", 0.25) == "flat"
+    assert bench_pairs.verdict([1.0] * 10, [1.0] * 10, "higher", 0.01) == "flat"
+
+
+def test_each_metric_line_ends_with_its_verdict(monkeypatch, tmp_path, capsys):
+    """The verdict reads `better` and `bound` from BENCHMARK.json, which
+    stays as it was."""
+    bench_pairs = _load()
+    before = bench_pairs.BENCHMARK.read_text()
+    values = {"parent": iter([0.5, 0.4]), "change": iter([0.3, 0.2])}
+
+    def fake_run(argv, cwd, env, **kwargs):
+        value = next(values[Path(cwd).name])
+        closing = {"metrics": {"cpu_s": {"value": value, "unit": "s"},
+                               "ok_frac": {"value": value, "unit": "ratio"}}}
+        return subprocess.CompletedProcess(argv, 0, stdout=json.dumps(closing) + "\n")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path / "change")
+    assert bench_pairs.main([str(tmp_path / "parent"), "entail", "1", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-3].startswith("cpu_s: ") and lines[-3].endswith("lower in 2/2  gain")
+    assert lines[-2].startswith("ok_frac: ") and lines[-2].endswith("lower in 2/2  regression")
+    assert bench_pairs.BENCHMARK.read_text() == before

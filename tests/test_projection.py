@@ -583,6 +583,27 @@ def test_projections_are_pinned():
     assert digest == PINNED_PROJECTIONS
 
 
+@pytest.mark.xfail(strict=True, raises=ProjectionError,
+                   reason="the chain search treats a bare variable other than the goal "
+                          "as a dead end")
+def test_a_walk_through_a_bare_variable_projects_or_certifies_a_conflict():
+    """Case 368, `projections2` joined with the majority, passes through the
+    bare variable x.  The component is inconsistent, so projection must give
+    a projection that verifies or a conflict certificate over the join."""
+    left, right, d = _walk_corpus()[368]
+    assert (left.name, right.name) == ("projections2", "majority")
+    joined = embedded_components(left, right)[2]
+    assert verify_derivation(joined, d)
+    assert Variable("x") in d.terms[1:-1]
+    try:
+        result = project_to_component(left, right, d)
+    except InconsistencyDetectedError as exc:
+        assert verify_derivation(joined, exc.derivation)
+    else:
+        assert verify_derivation(result.owner_theory, result.derivation,
+                                 allow_reflexivity=True)
+
+
 def _edge_cases(maltsev, semilattice):
     """Hand-built inputs: the spec example, a derivation the right-hand
     component owns, and inputs rejected because they do not verify, have the

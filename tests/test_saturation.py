@@ -6,6 +6,7 @@ import itertools
 import json
 import os
 import pickle
+import re
 import subprocess
 import sys
 import weakref
@@ -13,7 +14,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 import saturation_reference as reference
 from linvar import presets, saturation
@@ -43,6 +44,7 @@ from linvar.saturation import (
     NotEntailedWithModel,
     default_budget,
     entails_flat,
+    goal_budget,
     is_inconsistent,
     saturate,
 )
@@ -54,8 +56,8 @@ from linvar.terms import (
     code_width,
     is_flat,
 )
-from linvar.theories import Identity, UnknownSymbolError, make_theory
-from test_random_theories import small_theories
+from linvar.theories import Identity, UnknownSymbolError, identity_variables, make_theory
+from test_random_theories import identities as flat_identities, small_theories
 
 
 class TestSaturate:
@@ -119,6 +121,13 @@ class TestSaturate:
     def test_fact_query_of_the_wrong_length_is_refused(self, theory, symbol, digits):
         with pytest.raises(ValueError, match=rf"{symbol} has arity 3"):
             saturate(theory, 2).fact_entailed(symbol, digits)
+
+    # (0, 0, -1) once read the atom v1, one id before p's block, and
+    # (-9, 0, 0) an id before the atom space
+    @pytest.mark.parametrize("digits", [(0, 0, -1), (-9, 0, 0)])
+    def test_fact_query_with_a_negative_entry_is_refused(self, maltsev, digits):
+        with pytest.raises(ValueError, match=rf"{re.escape(str(digits))} has a negative entry"):
+            saturate(maltsev, 2).fact_entailed("p", digits)
 
     def test_fact_query_of_an_unknown_symbol_is_refused(self, maltsev):
         with pytest.raises(UnknownSymbolError, match="q is not in maltsev"):
@@ -252,6 +261,49 @@ class TestEntailsFlat:
         assert verify_derivation(derivative(maltsev), verdict.derivation)
         assert verdict.derivation.terms[0] == goal.lhs
         assert verdict.derivation.terms[-1] == goal.rhs
+
+
+def _width_goals(theory):
+    """x = y, and x = F(w) for every symbol F and canonical tuple w."""
+    yield Identity(Variable("x"), Variable("y"))
+    for s in theory.symbols:
+        for w in _canonical_tuples(s.arity):
+            yield _fact_identity(s, w)
+
+
+def _assert_goal_width_decides_like_the_default_context(theory, goals):
+    """`goal_budget` saturates over the goal's own variables; the verdict,
+    its certificate and its countermodel equal those of the context it
+    replaced, the default widened to the goal."""
+    count = 0
+    for goal in goals:
+        width = len(identity_variables(goal))
+        wide = saturate(theory, max(default_budget(theory), width))
+        narrow = saturate(theory, goal_budget(goal))
+        assert narrow.budget == max(2, width)
+        assert entails_flat(narrow, goal) == entails_flat(wide, goal), (theory.name, str(goal))
+        count += 1
+    return count
+
+
+def test_entail_at_the_goal_width_equals_the_default_context(corpus, families):
+    """Every x = y and x = F(w) goal over the presets, the families and
+    every stage of both their iterations."""
+    count = 0
+    for theory in corpus + families:
+        stages = [theory] + [stage for operator in ("derivative", "order_derivative")
+                             for stage in iterate(theory, operator).stages[1:]]
+        for stage in stages:
+            count += _assert_goal_width_decides_like_the_default_context(
+                stage, _width_goals(stage))
+    assert count == 3431
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_theories(), st.lists(flat_identities, min_size=1, max_size=4))
+def test_entail_at_the_goal_width_equals_the_default_context_on_random_theories(
+        theory, goals):
+    _assert_goal_width_decides_like_the_default_context(theory, goals)
 
 
 class TestSubstitutionStability:

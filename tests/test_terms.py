@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from linvar.dsl import parse_term
+from linvar.rewriting import Derivation, DerivationStep, make_step
 from linvar.terms import (
     Application,
     InvalidPositionError,
@@ -27,6 +28,7 @@ from linvar.terms import (
     term_size,
     term_variables,
 )
+from linvar.theories import Identity
 
 F1 = OperationSymbol("f", 1)
 G2 = OperationSymbol("g", 2)
@@ -235,3 +237,47 @@ class TestHashCache:
         assert result.returncode == 0, result.stderr.decode()
         assert result.stdout.decode().split() == ["True"] * len(texts)
         assert [render_term(t) for t in hashed] == texts
+
+
+def _values():
+    """One object of each slotted value class, built afresh on every call,
+    with the names of its dataclass fields."""
+    x, y = Variable("x"), Variable("y")
+    t = Application(G2, (x, Application(F1, (y,))))
+    e = Identity(t, x)
+    step = make_step(e, False, (2,), {x: t, y: x})
+    return [(x, ["name"]), (OperationSymbol("g", 2), ["name", "arity"]),
+            (t, ["symbol", "children"]), (e, ["lhs", "rhs"]),
+            (step, ["equation", "forward", "position", "subst"]),
+            (Derivation("g", (t, x), (step,)), ["theory_name", "terms", "steps"])]
+
+
+@pytest.mark.parametrize("k", range(len(_values())),
+                         ids=[type(v).__name__ for v, _ in _values()])
+def test_slotted_values_behave_as_frozen_dataclasses(k):
+    """No instance dict; the same fields, repr, equality and hash as the
+    dataclass; pickles and copies give equal objects; a field cannot be
+    assigned or deleted, and no other attribute can be added."""
+    (a, names), (b, _) = _values()[k], _values()[k]
+    assert not hasattr(a, "__dict__")
+    assert [f.name for f in dataclasses.fields(a)] == names
+    fields = ", ".join(f"{n}={getattr(a, n)!r}" for n in names)
+    assert repr(a) == f"{type(a).__name__}({fields})"
+    assert a == b and hash(a) == hash(b) and a is not b
+    hash(a)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        twin = pickle.loads(pickle.dumps(a, protocol))
+        assert type(twin) is type(a) and twin == a and hash(twin) == hash(a)
+    for twin in (copy.copy(a), copy.deepcopy(a), dataclasses.replace(a)):
+        assert type(twin) is type(a) and twin == a and repr(twin) == repr(a)
+    for name in names:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(a, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(a, name)
+    # a dataclass made with slots=True refuses an attribute it has no slot
+    # for with a TypeError, Application (slots of its own) with
+    # FrozenInstanceError
+    with pytest.raises((dataclasses.FrozenInstanceError, TypeError)):
+        a.note = None
+    assert a == b and not hasattr(a, "note")
