@@ -25,7 +25,6 @@ from .theories import (
     ValidationReport,
     idempotency_identity,
     join_disjoint,
-    theory_equal,
     validate,
 )
 
@@ -277,7 +276,7 @@ def _added(stage: Theory, start: Theory) -> frozenset[Code]:
 
 def _join_stage_matches(stages: tuple[Theory, Theory, Theory],
                         starts: tuple[Theory, Theory, Theory]) -> bool:
-    """Whether stage n >= 1 of the join's trace has the identity set of
+    """Whether stage n of the join's trace has the identity set of
     join_disjoint(a_n, b_n), for `stages` (join_n, a_n, b_n) and the
     traces' stage 0 `starts` (join, a, b), without building that join.
 
@@ -289,9 +288,9 @@ def _join_stage_matches(stages: tuple[Theory, Theory, Theory],
     code is an identity of the join's stage 0, since each names a symbol
     of one component and is new in that component (the rename being a
     bijection).  So both theories are stage 0 plus a disjoint added part,
-    and they are equal exactly when the added parts are.  Taking the parts
-    since stage 0, not since stage n - 1, keeps this exact after an
-    earlier mismatch too.
+    empty at n = 0, and they are equal exactly when the added parts are.
+    Taking the parts since stage 0, not since stage n - 1, keeps this exact
+    after an earlier mismatch too.
     """
     (join_n, a_n, b_n), (joined, a, b) = stages, starts
     rename = dict(joined.renames)
@@ -307,8 +306,8 @@ def check_join_decomposition(left: Theory, right: Theory
 
     Each theory is iterated once per operator; the same traces feed both
     the stagewise comparison and the three answers, which need no
-    certificate, so none is built.  Stage 0 is compared as identity sets,
-    and later stages by the codes they added (`_join_stage_matches`).
+    certificate, so none is built.  Every stage is compared by the codes
+    it added since stage 0 (`_join_stage_matches`).
     """
     joined = join_disjoint(left, right)
     theories = (joined, left, right)
@@ -319,9 +318,8 @@ def check_join_decomposition(left: Theory, right: Theory
               for operator in ("derivative", "order_derivative")}
     ops = []
     for operator, (join_trace, left_trace, right_trace) in traces.items():
-        # the join's stage 0 is `joined`, the join of the components' stage 0
-        flags = [theory_equal(join_trace.stages[0], joined)]
-        for n in range(1, len(join_trace.stages)):
+        flags = []
+        for n in range(len(join_trace.stages)):
             try:
                 a, b = left_trace.stage(n), right_trace.stage(n)
             except IndexError:

@@ -109,8 +109,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-derivation", help="verify a derivation file")
     p.add_argument("theory")
     p.add_argument("derivation")
-    p.add_argument("--allow-reflexivity", action="store_true",
-                   help="accept v = v steps")
     add_common(p)
     return parser
 
@@ -279,8 +277,7 @@ def _cmd_project(args) -> tuple[int, dict]:
     result = projection.project_to_component(left, right, d)
     out = rewriting.derivation_to_json(result.derivation)
     print(json.dumps(out, indent=2))
-    print(f"verified against {result.owner_theory.name} plus reflexivity; "
-          f"all terms flat")
+    print(f"verified against {result.owner_theory.name}; all terms flat")
     return EXIT_OK, {"owner": result.owner_index,
                      "owner_theory": result.owner_theory.name,
                      "derivation": out, "verified": True}
@@ -289,7 +286,7 @@ def _cmd_project(args) -> tuple[int, dict]:
 def _cmd_check_derivation(args) -> tuple[int, dict]:
     theory = load_theory(args.theory)
     d = rewriting.derivation_from_json(load_json(args.derivation))
-    result = rewriting.verify_derivation(theory, d, args.allow_reflexivity)
+    result = rewriting.verify_derivation(theory, d)
     if result:
         print(f"valid derivation of {d.terms[0]} = {d.terms[-1]} "
               f"({len(d.steps)} steps)")

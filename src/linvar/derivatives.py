@@ -101,7 +101,7 @@ def weak_independence_profile(theory: Theory,
     base of at least two variables decides them.
     """
     if base is None:
-        base = saturation.saturate(theory, 2)
+        base = saturation.saturate(theory, _context_size(theory, "derivative"))
     pairs = []
     witnesses = []
     for s in theory.symbols:
@@ -135,7 +135,7 @@ def order_fact_set(theory: Theory, base: Optional[FlatFactBase] = None
                    ) -> frozenset[tuple[str, tuple[int, ...]]]:
     """All derivable canonical facts x = F(w), as (symbol, tuple) keys."""
     if base is None:
-        base = saturation.saturate(theory)
+        base = saturation.saturate(theory, _context_size(theory, "order_derivative"))
     return frozenset((s.name, w) for s in theory.symbols if s.arity
                      for w in base.entailed_facts(s.name, _canonical_tuples(s.arity)))
 
@@ -149,8 +149,6 @@ def _context_size(theory: Theory, operator: Operator) -> int:
 def _triggers(theory: Theory, operator: Operator,
               base: Optional[FlatFactBase] = None) -> frozenset:
     """The profile's (symbol, place) pairs, or the canonical fact set."""
-    if base is None:
-        base = saturation.saturate(theory, _context_size(theory, operator))
     if operator == "derivative":
         return weak_independence_profile(theory, base).pairs
     return order_fact_set(theory, base)

@@ -400,7 +400,7 @@ def project_to_component(left: Theory, right: Theory, d: Derivation
         out_steps.append(make_step(step_obj.equation, fwd, (), sigma))
 
     out = Derivation(owner.name, tuple(out_terms), tuple(out_steps))
-    check = verify_derivation(owner, out, allow_reflexivity=True)
+    check = verify_derivation(owner, out)
     if not check:
         raise ProjectionError(
             f"projected derivation failed verification at step "

@@ -15,14 +15,14 @@ identity on V.  Each instance step maps to an instance step (compose its
 substitution with tau) or to no step at all, so the image is a chain over V
 with the same endpoints and no more steps.  A query over k variables
 therefore gets the same answer, and a shortest chain of the same length, in
-every context of at least k variables.  The order derivative's queries are
-facts x = F(w) over all of F's places, so the default context has
-max_arity + 1 variables (at least two); `linvar entail` saturates over its
-goal's own variables (`goal_budget`).  The derivative's queries (x = y,
-x = F(y,...,y) and weak-independence facts with w over {x, y}) use two
-variables, so its iteration runs in a context of two.  The lemma bounds
-the query's variables, not the identities', so identities with more
-variables are fine there.
+every context of at least k variables.  So each base is sized by its
+question: a goal by its own variables, at least two (`goal_budget`), in
+`linvar entail` and validation; an iteration by its operator's queries
+(`derivatives._context_size`): max_arity + 1 for the order derivative's
+facts x = F(w) (`default_budget`), two for the derivative's x = y,
+x = F(y,...,y) and weak-independence facts with w over {x, y}.  The lemma
+bounds the query's variables, not the identities', so identities with
+more variables are fine there.
 
 The same lemma bounds certificate extraction.  A shortest chain between two
 atoms exists among the atoms over their own variables, so the chain search
@@ -107,7 +107,8 @@ class AtomSpaceTooLargeError(Exception):
 
 def default_budget(theory: Theory) -> int:
     """Variables of the largest query the engine makes: the order
-    derivative's x = F(w).  The derivative's queries need only two."""
+    derivative's x = F(w).  The derivative's queries need only two.  Also
+    `saturate`'s default, which only callers of the API rely on."""
     return max(2, theory.max_arity() + 1)
 
 
@@ -502,10 +503,11 @@ def saturate(theory: Theory, budget: Optional[int] = None) -> FlatFactBase:
     The memo is `Theory.compiled`, so a base lives exactly as long as its
     theory object, and an equal but distinct object builds its own.  It
     lets separate calls on one theory share a base: `classify` validates its
-    input (which saturates it) and then iterates from that same base, and a
-    caller deciding many goals over one theory builds its base once instead
-    of once per goal.  Later iteration stages are built by
-    `FlatFactBase.extend` and live in their trace, not here.
+    input over two variables and then iterates the derivative from that
+    same base, and a caller deciding many goals over one theory builds its
+    base once instead of once per goal.  Later iteration stages are built by
+    `FlatFactBase.extend` and live in their trace, not here.  The package
+    always passes its question's width; the default is for API callers.
     """
     if budget is None:
         budget = default_budget(theory)

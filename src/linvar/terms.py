@@ -296,15 +296,13 @@ def compose_substitutions(first: Substitution, second: Substitution) -> dict[Var
     return out
 
 
-def match_term(pattern: Term, target: Term,
-               binding: Optional[Mapping[Variable, Term]] = None
-               ) -> Optional[dict[Variable, Term]]:
+def match_term(pattern: Term, target: Term) -> Optional[dict[Variable, Term]]:
     """One-sided syntactic matching: a substitution s with s(pattern) = target.
 
-    Returns None when no such substitution exists.  The result is unique,
-    restricted to the pattern's variables (extended with `binding` if given).
+    Returns None when no such substitution exists.  The result is unique and
+    restricted to the pattern's variables.
     """
-    out: dict[Variable, Term] = dict(binding) if binding else {}
+    out: dict[Variable, Term] = {}
     stack = [(pattern, target)]
     while stack:
         p, t = stack.pop()

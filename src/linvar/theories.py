@@ -303,23 +303,22 @@ def validate(theory: Theory) -> ValidationReport:
     identity is not literally present is checked with the flat saturation
     engine; that check is only available when the theory is linear.  The
     identity is written in canonical form, so "literally present" is a set
-    lookup.
+    lookup.  Each goal is decided over its width (`goal_budget`), two
+    variables, so every symbol reads one memoized base.
     """
+    from . import saturation
+
     nonlinear = tuple(e for e in theory.identities if not is_linear_identity(e))
     linear = not nonlinear
     canon = theory.identity_set()
 
-    base = None
     statuses: list[tuple[str, str]] = []
     for s in theory.symbols:
         goal = idempotency_identity(s)
         if s.arity > 0 and goal in canon:
             status = "explicit"
         elif s.arity > 0 and linear:
-            if base is None:
-                from . import saturation
-
-                base = saturation.saturate(theory)
+            base = saturation.saturate(theory, saturation.goal_budget(goal))
             status = "derivable" if base.entails(goal) else "not-established"
         else:
             status = "not-established"

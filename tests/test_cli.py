@@ -555,6 +555,28 @@ def test_an_atom_space_past_memory_exits_1_without_traceback(tmp_path):
                              "atoms; there is not enough memory for them\n")
 
 
+def test_validate_decides_a_wide_symbol_over_its_goal_width(tmp_path):
+    """Idempotency of a 12-ary near-unanimity symbol is a one-variable goal,
+    decided over two variables: 2 + 2**12 atoms, not the 13 + 13**12 of the
+    order context.  The child caps its address space at 1.5 GiB as above."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    theory = tmp_path / "nu12.thy"
+    theory.write_text("theory nu12\nop f/12\n" + "".join(
+        "axiom f(" + ",".join("y" if j == i else "x" for j in range(12)) + ") = x\n"
+        for i in range(12)))
+    limit = 3 * 2 ** 29
+    result = subprocess.run(
+        [sys.executable, "-c", "import resource, sys; "
+         "hard = resource.getrlimit(resource.RLIMIT_AS)[1]; "
+         f"cap = {limit} if hard == resource.RLIM_INFINITY else min({limit}, hard); "
+         "resource.setrlimit(resource.RLIMIT_AS, (cap, cap)); "
+         "from linvar.cli import main; sys.exit(main())", "validate", str(theory)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(src)))
+    assert (result.returncode, result.stderr) == (0, "")
+    assert "idempotency of f: derivable" in result.stdout
+
+
 class TestJoinCommand:
     def test_join_prints_theory(self, maltsev_file, semilattice_file, capsys):
         assert main(["join", maltsev_file, semilattice_file]) == 0

@@ -103,6 +103,16 @@ class TestVerifyDerivation:
         assert not verify_derivation(maltsev, d)
         assert verify_derivation(maltsev, d, allow_reflexivity=True)
 
+    def test_the_flag_admits_no_other_variable_sided_equation(self, maltsev):
+        """`x = p(y,x,x)` has a variable side but is not v = v, and it is not
+        an identity of maltsev, so the flag does not let it through."""
+        a, b = Variable("a"), Variable("b")
+        foreign = parse_identity("x = p(y,x,x)")
+        d = Derivation(maltsev.name, (parse_term("p(b,a,a)"), a),
+                       (make_step(foreign, False, (), {Variable("x"): a, Variable("y"): b}),))
+        result = verify_derivation(maltsev, d, allow_reflexivity=True)
+        assert not result and result.step_index == 0 and "not in" in result.reason
+
     def test_equation_checked_up_to_renaming_and_sides(self, maltsev):
         # a renamed, side-swapped copy of an axiom is not literally in the
         # canonical set but still verifies; a non-axiom of the same shape fails

@@ -12,6 +12,7 @@ import sys
 import weakref
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -56,7 +57,14 @@ from linvar.terms import (
     code_width,
     is_flat,
 )
-from linvar.theories import Identity, UnknownSymbolError, identity_variables, make_theory
+from linvar.theories import (
+    Identity,
+    UnknownSymbolError,
+    idempotency_identity,
+    identity_variables,
+    make_theory,
+    validate,
+)
 from test_random_theories import identities as flat_identities, small_theories
 
 
@@ -492,8 +500,9 @@ def test_a_base_dies_with_its_theory():
 
 
 def test_classify_builds_each_base_once(monkeypatch):
-    """Validation's default-context base is the one the order iteration
-    starts from; later stages are extensions, not new bases."""
+    """Validation's two-variable base is the one the derivative iteration
+    starts from, and the order iteration builds the default-context one;
+    later stages are extensions, not new bases."""
     from linvar.classification import classify
 
     built = []
@@ -509,6 +518,51 @@ def test_classify_builds_each_base_once(monkeypatch):
         classify(theory)
         assert all(t is theory for t, _ in built)
         assert sorted(b for _, b in built) == sorted({2, default_budget(theory)})
+
+
+def _assert_validates_over_two_variables(theory):
+    """`validate` builds only two-variable bases, at most one, and each
+    idempotency status is the one the default context decides."""
+    built = []
+    init = FlatFactBase.__init__
+
+    def spy(self, t, budget):
+        built.append(budget)
+        init(self, t, budget)
+
+    with mock.patch.object(FlatFactBase, "__init__", spy):
+        report = validate(theory)
+    canon = theory.identity_set()
+    wide = saturate(theory, default_budget(theory))
+    asked = False
+    for symbol, (name, status) in zip(theory.symbols, report.idempotency):
+        goal = idempotency_identity(symbol)
+        assert name == symbol.name
+        if goal in canon:
+            assert status == "explicit"
+        else:
+            asked = True
+            assert status == ("derivable" if wide.entails(goal) else "not-established")
+    assert built == ([2] if asked else [])
+    return asked
+
+
+def test_validation_decides_idempotency_over_two_variables(corpus, families):
+    asked = [_assert_validates_over_two_variables(_fresh(t)) for t in corpus + families]
+    assert any(asked)
+
+
+def _without_idempotency(theory):
+    """The theory less its literal idempotency identities."""
+    goals = {idempotency_identity(s) for s in theory.symbols}
+    return make_theory(theory.name, theory.symbols,
+                       [e for e in theory.identities if e not in goals])
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_theories(), st.booleans())
+def test_validation_decides_idempotency_over_two_variables_on_random_theories(theory, strip):
+    _assert_validates_over_two_variables(_without_idempotency(theory) if strip else theory)
 
 
 def test_copies_of_a_saturated_theory_carry_no_bases():

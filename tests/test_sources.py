@@ -96,3 +96,20 @@ def test_every_function_is_named():
                and not (node.name.startswith("__") and node.name.endswith("__"))
                and node.name not in used]
     assert unnamed == []
+
+
+def test_every_saturation_is_sized_by_its_question():
+    """Each call to `saturate` in the package passes the width of its
+    question, positionally or as `budget=`; the default context is only for
+    callers of the API."""
+    unsized = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "saturate" and len(node.args) < 2 \
+                    and not any(k.arg == "budget" for k in node.keywords):
+                unsized.append(f"{path.name}:{node.lineno}")
+    assert unsized == []
