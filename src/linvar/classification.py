@@ -201,7 +201,7 @@ def _classify_sufficient_only(theory: Theory, report: ValidationReport
     pairs = set()
     for s in theory.symbols:
         for i in range(1, s.arity + 1):
-            for w in derivatives._canonical_tuples(s.arity):
+            for w in derivatives._canonical_tuples(s.arity, s.arity + 1):
                 if w[i - 1] == 0:
                     continue
                 fact = derivatives._fact_identity(s, w)

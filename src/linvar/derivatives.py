@@ -8,16 +8,13 @@ every derivable fact x = F(w) under replacing entries by x.  Both operators
 only grow the theory, and their trigger data live in finite sets, so
 iteration always stabilizes or turns inconsistent.
 
-Both operators take one step, `_next_stage`, from their trigger data.  It
-writes each new identity as a code (`terms.Code`), the form the engine
-reads, and never as terms: an independence pair (F, i) is the code of
-F(v0,...,v(a-1)) = F(the same with v(a) at place i), and a mixture m of a
-fact x = F(w) is the code of v0 = F(m renumbered by first occurrence).
-Both are codes of canonical identities, so a stage is its parent plus the
-new codes, a set lookup drops the ones the parent has, and nothing is
-canonicalized again.  Saturation extends the parent's base by the new
-codes; a stage builds its `Identity` terms only when a reader asks for
-them.
+Both operators take one step, `_next_stage`, writing each new identity as
+the code (`terms.Code`) of a canonical identity, never as terms: a pair
+(F, i) is F(v0,...,v(a-1)) = F(the same with v(a) at place i), and a
+mixture m of a fact x = F(w) is v0 = F(m renumbered by first occurrence).
+So a stage is its parent plus the new codes, nothing is canonicalized
+again, saturation extends the parent's base by them, and a stage builds
+its `Identity` terms only when read.
 """
 from __future__ import annotations
 
@@ -27,7 +24,7 @@ from functools import cached_property, lru_cache
 from typing import Literal, Optional
 
 from . import saturation
-from .saturation import EntailmentVerdict, FlatFactBase
+from .saturation import MIN_BUDGET, EntailmentVerdict, FlatFactBase
 from .terms import Application, Code, OperationSymbol, Variable
 from .theories import Identity, Theory, UnknownSymbolError
 
@@ -41,25 +38,21 @@ class StabilizationError(Exception):
 
 
 @lru_cache(maxsize=None)
-def _canonical_tuples(arity: int) -> tuple[tuple[int, ...], ...]:
+def _canonical_tuples(arity: int, width: int) -> tuple[tuple[int, ...], ...]:
     """Argument tuples over {x, y1..yn} up to renaming of the y's, in
-    lexicographic order.
+    lexicographic order, with every entry below `width` (all of them from
+    arity + 1 on).
 
     Entry 0 stands for x; nonzero entries are renamed to 1, 2, ... by first
     occurrence, which picks one representative per renaming class: the
     restricted-growth strings, where each entry is at most one more than
-    the largest entry before it.
+    the largest entry before it.  The fact x = F(w) of such a tuple has
+    max(w) + 1 variables; at width 2 the tuples are {0,1}^arity in
+    `itertools.product` order.
     """
-    out: list[tuple[int, ...]] = []
-
-    def grow(prefix: tuple[int, ...], top: int) -> None:
-        if len(prefix) == arity:
-            out.append(prefix)
-            return
-        for d in range(top + 2):
-            grow(prefix + (d,), max(top, d))
-
-    grow((), 0)
+    out: list[tuple[int, ...]] = [()]
+    for _ in range(arity):
+        out = [w + (d,) for w in out for d in range(min(max(w, default=0) + 2, width))]
     return tuple(out)
 
 
@@ -97,17 +90,17 @@ def weak_independence_profile(theory: Theory,
     Sending every y_j to one y is a substitution instance, so a place has
     such a fact exactly when it has one with w over {x, y}; and that
     substitution lowers or keeps every entry, so the lexicographically first
-    witness is already such a tuple.  The queries use two variables, so any
-    base of at least two variables decides them.
+    witness is already such a tuple.  The queries are the canonical tuples
+    of width two, so any base decides them, by default the two-variable one.
     """
     if base is None:
-        base = saturation.saturate(theory, _context_size(theory, "derivative"))
+        base = saturation.saturate(theory, MIN_BUDGET)
     pairs = []
     witnesses = []
     for s in theory.symbols:
         if s.arity == 0:
             continue
-        entailed = base.entailed_facts(s.name, itertools.product((0, 1), repeat=s.arity))
+        entailed = base.entailed_facts(s.name, _canonical_tuples(s.arity, MIN_BUDGET))
         for i in range(1, s.arity + 1):
             for w in entailed:
                 if w[i - 1] != 0:
@@ -131,27 +124,34 @@ def _independence_code(name: str, arity: int, place: int) -> Code:
     return name, left, name, left[:place - 1] + (arity,) + left[place:]
 
 
+def _order_facts(base: FlatFactBase) -> tuple[frozenset, FlatFactBase]:
+    """The canonical facts x = F(w) of the base's theory, and the base, as
+    wide as they need, that decided them.
+
+    The fact of w has max(w) + 1 variables, and the widths that occur are
+    downward-closed: identifying two y's of a fact, or its only y with x,
+    is a substitution instance one variable narrower.  So once no fact
+    fills the context none is wider, and the context lemma decides every
+    narrower fact exactly; until then the context grows by one, at most to
+    max_arity + 1, the width of an n-ary symbol's widest fact."""
+    theory = base.theory
+    while True:
+        width = base.budget
+        facts = frozenset((s.name, w) for s in theory.symbols if s.arity for w in
+                          base.entailed_facts(s.name, _canonical_tuples(s.arity, width)))
+        if width > theory.max_arity() or all(max(w) + 1 < width for _, w in facts):
+            return facts, base
+        base = saturation.saturate(theory, width + 1)
+
+
 def order_fact_set(theory: Theory, base: Optional[FlatFactBase] = None
                    ) -> frozenset[tuple[str, tuple[int, ...]]]:
-    """All derivable canonical facts x = F(w), as (symbol, tuple) keys."""
+    """All derivable canonical facts x = F(w), as (symbol, tuple) keys,
+    read from the base (by default the two-variable one), widened as far as
+    the facts need."""
     if base is None:
-        base = saturation.saturate(theory, _context_size(theory, "order_derivative"))
-    return frozenset((s.name, w) for s in theory.symbols if s.arity
-                     for w in base.entailed_facts(s.name, _canonical_tuples(s.arity)))
-
-
-def _context_size(theory: Theory, operator: Operator) -> int:
-    """Two variables for the derivative, whose queries use only x and y; the
-    default max_arity + 1 for the order derivative's facts x = F(w)."""
-    return 2 if operator == "derivative" else saturation.default_budget(theory)
-
-
-def _triggers(theory: Theory, operator: Operator,
-              base: Optional[FlatFactBase] = None) -> frozenset:
-    """The profile's (symbol, place) pairs, or the canonical fact set."""
-    if operator == "derivative":
-        return weak_independence_profile(theory, base).pairs
-    return order_fact_set(theory, base)
+        base = saturation.saturate(theory, MIN_BUDGET)
+    return _order_facts(base)[0]
 
 
 def _next_stage(theory: Theory, operator: Operator, triggers: frozenset) -> Theory:
@@ -174,12 +174,12 @@ def _next_stage(theory: Theory, operator: Operator, triggers: frozenset) -> Theo
 
 def derivative(theory: Theory) -> Theory:
     """The theory plus an independence identity for every weak independence."""
-    return _next_stage(theory, "derivative", _triggers(theory, "derivative"))
+    return _next_stage(theory, "derivative", weak_independence_profile(theory).pairs)
 
 
 def order_derivative(theory: Theory) -> Theory:
     """The theory plus all x-mixtures of every derivable fact x = F(w)."""
-    return _next_stage(theory, "order_derivative", _triggers(theory, "order_derivative"))
+    return _next_stage(theory, "order_derivative", order_fact_set(theory))
 
 
 @dataclass(frozen=True)
@@ -198,6 +198,7 @@ class IterationTrace:
 
     @property
     def budget(self) -> int:
+        """The final base's context: 2, or as wide as the order derivative's facts need."""
         return self.final_base.budget
 
     @cached_property
@@ -226,11 +227,11 @@ def iterate(theory: Theory, operator: Operator) -> IterationTrace:
     """Apply the operator until the stage is inconsistent or triggers stabilize.
 
     Stage n+1 is a function of stage n's trigger data (profile pairs or fact
-    set), so equal consecutive data means every later stage repeats.  Every
-    stage keeps the signature, so one context size (`_context_size`) serves
-    the whole iteration, and each stage's base extends the previous one.
-    The stop test is a class lookup; the certificate is built only when the
-    trace's `certificate` is read.
+    set), so equal consecutive data means every later stage repeats.  Both
+    operators start from validation's two-variable base, each stage's base
+    extends the previous one, and the order derivative widens it only when
+    a stage's facts fill it (`_order_facts`).  The stop test is a class
+    lookup; the certificate is built when the trace's `certificate` is read.
 
     Termination needs no stage cap: the operators only add identities, so
     each stage's trigger data contain the previous stage's, and a strictly
@@ -240,13 +241,16 @@ def iterate(theory: Theory, operator: Operator) -> IterationTrace:
     """
     stages = [theory]
     data: list[frozenset] = []
-    base = saturation.saturate(theory, _context_size(theory, operator))
+    base = saturation.saturate(theory, MIN_BUDGET)
     while True:
         cur = stages[-1]
         if saturation.inconsistency_target(base) is not None:
             return IterationTrace(operator, tuple(stages), tuple(data),
                                   "inconsistent", base)
-        triggers = _triggers(cur, operator, base)
+        if operator == "derivative":
+            triggers = weak_independence_profile(cur, base).pairs
+        else:
+            triggers, base = _order_facts(base)
         if data and triggers == data[-1]:
             data.append(triggers)
             return IterationTrace(operator, tuple(stages), tuple(data),

@@ -85,8 +85,32 @@ class FiniteAlgebra:
 
 
 def algebra_from_json(data: dict, symbols: tuple[OperationSymbol, ...]) -> FiniteAlgebra:
-    tables = {name: tuple(values) for name, values in data["tables"].items()}
-    return FiniteAlgebra(int(data["size"]), symbols, tables)
+    """The algebra of a `FiniteAlgebra.to_json` dict over the given symbols.
+
+    A forged one raises `ValueError`: a size that is not an int of at least
+    1 (an empty algebra satisfies every theory), a missing or an extra
+    symbol, a table whose length is not size ** arity, or a value outside
+    range(size)."""
+    size = data["size"]
+    if isinstance(size, bool) or not isinstance(size, int) or size < 1:
+        raise ValueError(f"model size must be an int of at least 1, not {size!r}")
+    names = {s.name for s in symbols}
+    if set(data["tables"]) != names:
+        raise ValueError(f"model tables name {sorted(data['tables'])}, "
+                         f"but the symbols are {sorted(names)}")
+    tables = {}
+    for s in symbols:
+        table = tuple(data["tables"][s.name])
+        if len(table) != size ** s.arity:
+            raise ValueError(f"table of {s.name} has {len(table)} entries, "
+                             f"not {size}**{s.arity}")
+        bad = [v for v in table
+               if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v < size]
+        if bad:
+            raise ValueError(f"table of {s.name} holds {bad[0]!r}, "
+                             f"not an element of range({size})")
+        tables[s.name] = table
+    return FiniteAlgebra(size, symbols, tables)
 
 
 def eval_term(algebra: FiniteAlgebra, t: Term, assignment: Mapping[Variable, int]) -> int:
@@ -258,35 +282,55 @@ class _TableSearch:
                         watch[~v].append(j)
         return True
 
-    def _first_undecided(self) -> Optional[int]:
-        return self.cells.index(None) if None in self.cells else None
+    def _first_undecided(self, start: int) -> Optional[int]:
+        """The first undecided cell from `start` on; every cell before the
+        last branching cell is decided, so the scan resumes there."""
+        try:
+            return self.cells.index(None, start)
+        except ValueError:
+            return None
 
     def run(self) -> Optional[int]:
         """Search for the first model that separates the goal, and leave it
         in `cells`; return the first goal instance it separates (0 without
-        a goal), or None when there is no such model."""
-        return self._search() if self._propagate() else None
+        a goal), or None when there is no such model.
 
-    def _search(self) -> Optional[int]:
-        witness: Optional[int] = 0
-        if self.goal is not None:
-            witness, undecided = _goal_status(self.goal, self.value)
-            if witness is None and not undecided:
-                return None  # every goal instance is decided equal below here
-        cell = self._first_undecided()
-        if cell is None:
-            return witness
-        mark = len(self.trail)
-        for value in range(self.size):
-            self._set(cell, value)
-            if self._propagate():
-                found = self._search()
-                if found is not None:
-                    return found
-            for c in self.trail[mark:]:
-                self.cells[c] = None
-            del self.trail[mark:]
-        return None
+        A depth-first search on an explicit stack of open branches, one
+        (cell, trail mark, value tried) per branching cell, so its depth is
+        not bounded by Python's recursion limit.  Values are tried in
+        ascending order, so the first leaf reached is the first model.
+        """
+        if not self._propagate():
+            return None
+        branches: list[list[int]] = []
+        start = 0
+        while True:
+            witness: Optional[int] = 0
+            undecided = True
+            if self.goal is not None:
+                witness, undecided = _goal_status(self.goal, self.value)
+            # a node whose goal instances are all decided equal is pruned
+            if witness is not None or undecided:
+                cell = self._first_undecided(start)
+                if cell is None:
+                    return witness
+                branches.append([cell, len(self.trail), -1])
+            while True:
+                if not branches:
+                    return None
+                branch = branches[-1]
+                cell, mark, value = branch
+                for c in self.trail[mark:]:
+                    self.cells[c] = None
+                del self.trail[mark:]
+                if value + 1 == self.size:
+                    branches.pop()
+                    continue
+                branch[2] = value + 1
+                self._set(cell, value + 1)
+                if self._propagate():
+                    break
+            start = cell + 1
 
 
 def _assignment(variables: Sequence[Variable], j: int, size: int) -> Assignment:

@@ -97,6 +97,16 @@ def hagemann_mitschke(k: int = 2) -> Theory:
     return make_theory(f"hagemann_mitschke{k}", syms, ids)
 
 
+def near_unanimity(n: int = 3) -> Theory:
+    """n-ary near-unanimity: f(x,...,y,...,x) = x with y at each place."""
+    if n < 2:
+        raise ValueError("arity must be at least 2")
+    f = OperationSymbol("f", n)
+    return make_theory(f"nu{n}", [f], [
+        Identity(Application(f, tuple(_y if j == i else _x for j in range(n))), _x)
+        for i in range(n)])
+
+
 def presets() -> list[Theory]:
     return [
         maltsev(),

@@ -17,12 +17,13 @@ with the same endpoints and no more steps.  A query over k variables
 therefore gets the same answer, and a shortest chain of the same length, in
 every context of at least k variables.  So each base is sized by its
 question: a goal by its own variables, at least two (`goal_budget`), in
-`linvar entail` and validation; an iteration by its operator's queries
-(`derivatives._context_size`): max_arity + 1 for the order derivative's
-facts x = F(w) (`default_budget`), two for the derivative's x = y,
-x = F(y,...,y) and weak-independence facts with w over {x, y}.  The lemma
-bounds the query's variables, not the identities', so identities with
-more variables are fine there.
+`linvar entail` and validation.  Both derivative iterations start from the
+same two-variable base (`MIN_BUDGET`): the derivative's x = y,
+x = F(y,...,y) and weak-independence facts with w over {x, y} need no
+more, and the order derivative widens by one only while its widest fact
+x = F(w) fills the context, never past max_arity + 1.  The lemma bounds
+the query's variables, not the identities', so identities with more
+variables are fine there.
 
 The same lemma bounds certificate extraction.  A shortest chain between two
 atoms exists among the atoms over their own variables, so the chain search
@@ -42,22 +43,13 @@ saturated by extending the parent's base with the new codes' instances,
 without building an identity.  A non-linear identity has no code and is
 refused.
 
-The saturation kernel spreads each code once, into both sides' id lists
-with variable 0 at value 0 (`FlatLayout.code_spread`), and walks the
-values of variable 0 by shifting those ids; each pair is united in one loop
-over the parent array, with both roots found by path halving in place.  No
-list outgrows b**(width - 1) ids.  The order of the unions decides which
-atom represents a class, and nothing reads that: roots are only compared,
-and chains come from the identities' rules, not from the union-find.  The
-fact queries of the derivatives (`entailed_facts`) likewise read v0's root
-once and compare each fact atom's root to it.  An atom space too large for
-memory is refused with its size (`AtomSpaceTooLargeError`).
-
-A chain search is breadth-first with first-discovery parents and a fixed
-neighbour order, so its tree from one atom over one set of variables does
-not depend on the target.  Each base keeps that tree per (source,
-variables) and resumes it for the next target, so the many queries from
-v0 that entailment and certificates make expand each atom once.
+The kernel (`FlatFactBase._apply_codes`) unites each code's instance
+pairs in place; the order of the unions decides which atom represents a
+class, and nothing reads that: roots are only compared, and chains come
+from the identities' rules.  An atom space too large for memory is
+refused with its size (`AtomSpaceTooLargeError`).  A chain search's tree
+does not depend on its target, so each base keeps and resumes it
+(`FlatFactBase.shortest_chain`).
 """
 from __future__ import annotations
 
@@ -105,11 +97,15 @@ class AtomSpaceTooLargeError(Exception):
     allocated."""
 
 
+# The fewest context variables: x and y, for the collapse test x ~ y.  It is
+# every iteration's first context and the width of idempotency goals.
+MIN_BUDGET = 2
+
+
 def default_budget(theory: Theory) -> int:
-    """Variables of the largest query the engine makes: the order
-    derivative's x = F(w).  The derivative's queries need only two.  Also
-    `saturate`'s default, which only callers of the API rely on."""
-    return max(2, theory.max_arity() + 1)
+    """`saturate`'s default for callers of the API: max_arity + 1, enough
+    for every fact x = F(w).  The package passes each question's width."""
+    return max(MIN_BUDGET, theory.max_arity() + 1)
 
 
 def goal_budget(goal: Identity) -> int:
@@ -122,7 +118,7 @@ def goal_budget(goal: Identity) -> int:
     endpoints' own, so the certificate is the same chain, and the
     countermodel comes from model search, which reads no base.  The second
     variable is for the collapse test, v0 ~ v1."""
-    return max(2, len(identity_variables(goal)))
+    return max(MIN_BUDGET, len(identity_variables(goal)))
 
 
 class _ChainRule(NamedTuple):
@@ -171,7 +167,7 @@ class FlatFactBase(FlatLayout):
     """
 
     def __init__(self, theory: Theory, budget: int):
-        if budget < 2:
+        if budget < MIN_BUDGET:
             raise BudgetTooSmallError("the context needs at least two variables")
         super().__init__(theory.symbols, budget)
         self.theory = theory
@@ -501,12 +497,11 @@ def saturate(theory: Theory, budget: Optional[int] = None) -> FlatFactBase:
     """Saturated fact base for the theory, memoized on the theory per budget.
 
     The memo is `Theory.compiled`, so a base lives exactly as long as its
-    theory object, and an equal but distinct object builds its own.  It
-    lets separate calls on one theory share a base: `classify` validates its
-    input over two variables and then iterates the derivative from that
-    same base, and a caller deciding many goals over one theory builds its
-    base once instead of once per goal.  Later iteration stages are built by
-    `FlatFactBase.extend` and live in their trace, not here.  The package
+    theory object, and an equal but distinct object builds its own.  Calls
+    on one theory share it: `classify` validates over two variables and
+    iterates both operators from that base, and a caller deciding many
+    goals builds it once.  Later stages extend it (`FlatFactBase.extend`),
+    or come here when the order derivative widens a stage.  The package
     always passes its question's width; the default is for API callers.
     """
     if budget is None:

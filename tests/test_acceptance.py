@@ -255,7 +255,7 @@ def _goal_corpus(theory):
 
     goals = [Identity(Variable("x"), Variable("y"))]
     for s in theory.symbols:
-        for w in _canonical_tuples(s.arity):
+        for w in _canonical_tuples(s.arity, s.arity + 1):
             goals.append(_fact_identity(s, w))
     return goals
 

@@ -194,7 +194,7 @@ def test_fixpoint_at_stage_one_searches_its_model_once(semilattice, monkeypatch)
         "traces": [
             {"operator": "derivative", "budget": 2, "stop": "fixpoint",
              "stages": ["semilattice", "semilattice'"], "stage_sizes": [2, 2]},
-            {"operator": "order_derivative", "budget": 3, "stop": "fixpoint",
+            {"operator": "order_derivative", "budget": 2, "stop": "fixpoint",
              "stages": ["semilattice", "semilattice+"], "stage_sizes": [2, 2]},
         ],
     }

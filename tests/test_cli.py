@@ -211,7 +211,7 @@ class TestModelsCommand:
         from linvar import models
 
         # a search that stops before deciding every cell must not print a model
-        monkeypatch.setattr(models._TableSearch, "_first_undecided", lambda self: None)
+        monkeypatch.setattr(models._TableSearch, "_first_undecided", lambda self, start: None)
         assert main(["models", semilattice_file, "--min", "2", "--max", "2"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -532,49 +532,82 @@ def test_closed_stdout_exits_1_without_traceback(tmp_path):
     assert result.returncode == 1
 
 
-def test_an_atom_space_past_memory_exits_1_without_traceback(tmp_path):
-    """One 12-ary symbol puts the order context at 13 variables, so the
-    union-find array needs 13 + 13**12 atoms.  The child caps its own
-    address space at 1.5 GiB, so the failed allocation cannot press on the
-    host; the message gives the atom count and the context size."""
-    src = Path(__file__).resolve().parents[1] / "src"
-    theory = tmp_path / "f12.thy"
-    theory.write_text("theory f12\nop f/12\naxiom v0 = f(" + ",".join(["v0"] * 12) + ")\n")
+def _run_capped(src, *argv):
+    """`linvar` in a child that caps its own address space at 1.5 GiB, so
+    a failed allocation cannot press on the host."""
     limit = 3 * 2 ** 29
-    result = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", "import resource, sys; "
          "hard = resource.getrlimit(resource.RLIMIT_AS)[1]; "
          f"cap = {limit} if hard == resource.RLIM_INFINITY else min({limit}, hard); "
          "resource.setrlimit(resource.RLIMIT_AS, (cap, cap)); "
-         "from linvar.cli import main; sys.exit(main())", "classify", str(theory)],
+         "from linvar.cli import main; sys.exit(main())", *argv],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, timeout=120,
         env=dict(os.environ, PYTHONPATH=str(src)))
+
+
+def _near_unanimity_file(tmp_path, n):
+    theory = tmp_path / f"nu{n}.thy"
+    theory.write_text(f"theory nu{n}\nop f/{n}\n" + "".join(
+        "axiom f(" + ",".join("y" if j == i else "x" for j in range(n)) + ") = x\n"
+        for i in range(n)))
+    return theory
+
+
+def test_an_atom_space_past_memory_exits_1_without_traceback(tmp_path):
+    """A goal over 13 variables and one 12-ary symbol puts the context at
+    13 variables, so the union-find array needs 13 + 13**12 atoms; the
+    message gives the atom count and the context size."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    theory = tmp_path / "f12.thy"
+    theory.write_text("theory f12\nop f/12\naxiom v0 = f(" + ",".join(["v0"] * 12) + ")\n")
+    goal = "v0 = f(" + ",".join(f"v{k}" for k in range(1, 13)) + ")"
+    result = _run_capped(src, "entail", str(theory), goal)
     assert "Traceback" not in result.stderr, result.stderr
     assert result.returncode == 1
     assert result.stderr == (f"error: saturation over 13 variables needs {13 + 13 ** 12} "
                              "atoms; there is not enough memory for them\n")
 
 
+def test_classify_decides_a_wide_near_unanimity_symbol(tmp_path):
+    """A 12-ary near-unanimity theory classifies under the same cap: both
+    iterations start over two variables, and the order derivative's facts
+    need three, not the 13 of max_arity + 1."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = tmp_path / "report.json"
+    result = _run_capped(src, "classify", str(_near_unanimity_file(tmp_path, 12)),
+                         "--json", str(out))
+    assert "Traceback" not in result.stderr, result.stderr
+    assert result.returncode == 0, result.stderr
+    report = json.loads(out.read_text())["result"]
+    assert [report["verdicts"][p]["answer"] for p in ("cm", "nci", "nperm")] == \
+        ["yes", "yes", "no"]
+    assert [t["budget"] for t in report["traces"]] == [2, 3]
+
+
 def test_validate_decides_a_wide_symbol_over_its_goal_width(tmp_path):
     """Idempotency of a 12-ary near-unanimity symbol is a one-variable goal,
     decided over two variables: 2 + 2**12 atoms, not the 13 + 13**12 of the
-    order context.  The child caps its address space at 1.5 GiB as above."""
+    fixed context.  The child caps its address space at 1.5 GiB as above."""
     src = Path(__file__).resolve().parents[1] / "src"
-    theory = tmp_path / "nu12.thy"
-    theory.write_text("theory nu12\nop f/12\n" + "".join(
-        "axiom f(" + ",".join("y" if j == i else "x" for j in range(12)) + ") = x\n"
-        for i in range(12)))
-    limit = 3 * 2 ** 29
-    result = subprocess.run(
-        [sys.executable, "-c", "import resource, sys; "
-         "hard = resource.getrlimit(resource.RLIMIT_AS)[1]; "
-         f"cap = {limit} if hard == resource.RLIM_INFINITY else min({limit}, hard); "
-         "resource.setrlimit(resource.RLIMIT_AS, (cap, cap)); "
-         "from linvar.cli import main; sys.exit(main())", "validate", str(theory)],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, timeout=120,
-        env=dict(os.environ, PYTHONPATH=str(src)))
+    result = _run_capped(src, "validate", str(_near_unanimity_file(tmp_path, 12)))
     assert (result.returncode, result.stderr) == (0, "")
     assert "idempotency of f: derivable" in result.stdout
+
+
+def test_models_searches_a_wide_symbol_without_recursion(tmp_path):
+    """The first 2-element model of one 12-ary idempotent symbol branches
+    on 4094 cells, one search level each, past Python's recursion limit;
+    the search keeps its branches on a stack of its own."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    theory = tmp_path / "f12.thy"
+    theory.write_text("theory f12\nop f/12\naxiom v0 = f(" + ",".join(["v0"] * 12) + ")\n")
+    result = _run_capped(src, "models", str(theory), "--min", "2", "--max", "2")
+    assert "Traceback" not in result.stderr, result.stderr
+    assert result.returncode == 0, result.stderr
+    tables = json.loads(result.stdout)["tables"]["f"]
+    # the lexicographically first model: f is 0 off the diagonal
+    assert tables == [0] * (2 ** 12 - 1) + [1]
 
 
 class TestJoinCommand:

@@ -9,7 +9,7 @@ import pickle
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from linvar import cli, derivatives, saturation
 from linvar.derivatives import (
@@ -29,9 +29,10 @@ from linvar.dsl import parse_identity
 from linvar.models import refute_entailment
 from linvar.rewriting import verify_derivation
 from linvar.presets import hagemann_mitschke, maltsev, semilattice
-from linvar.saturation import Entailed
-from linvar.terms import OperationSymbol
+from linvar.saturation import MIN_BUDGET, Entailed, default_budget
+from linvar.terms import Application, OperationSymbol, Variable
 from linvar.theories import (
+    Identity,
     Theory,
     UnknownSymbolError,
     canonicalize_identity,
@@ -167,51 +168,88 @@ class TestIterate:
         # each stage's data must contain the previous stage's; after the
         # first stage this fact set drops every fact
         calls = []
+        order_facts = derivatives._order_facts
 
-        def shrinking(theory, base=None):
-            calls.append(theory)
-            return order_fact_set(theory, base=base) if len(calls) == 1 else frozenset()
+        def shrinking(base):
+            calls.append(base.theory)
+            facts, base = order_facts(base)
+            return (facts if len(calls) == 1 else frozenset()), base
 
-        monkeypatch.setattr(derivatives, "order_fact_set", shrinking)
+        monkeypatch.setattr(derivatives, "_order_facts", shrinking)
         with pytest.raises(StabilizationError, match="shrank at stage 1"):
             iterate(semilattice, "order_derivative")
         assert len(calls) == 2
 
 
 def _iterate_over_all_triggers(theory, operator):
-    """`iterate` with every stage built by `_next_stage` from all of its
-    trigger data: (stages, stage data, stop reason)."""
+    """`iterate` over the fixed context of `default_budget` (max_arity + 1
+    variables, wide enough for every fact), every fact queried there and
+    every stage built by `_next_stage` from all of its trigger data:
+    (stages, stage data, stop reason, certificate)."""
     stages, data = [theory], []
-    base = saturation.saturate(theory, derivatives._context_size(theory, operator))
+    base = saturation.saturate(theory, default_budget(theory))
     while saturation.inconsistency_target(base) is None:
-        data.append(derivatives._triggers(stages[-1], operator, base))
+        cur = stages[-1]
+        if operator == "derivative":
+            data.append(weak_independence_profile(cur, base).pairs)
+        else:
+            data.append(frozenset(
+                (s.name, w) for s in cur.symbols if s.arity
+                for w in base.entailed_facts(s.name, _canonical_tuples(s.arity, s.arity + 1))))
         if len(data) > 1 and data[-1] == data[-2]:
-            return stages, data, "fixpoint"
-        stages.append(_next_stage(stages[-1], operator, data[-1]))
+            return stages, data, "fixpoint", None
+        stages.append(_next_stage(cur, operator, data[-1]))
         base = base.extend(stages[-1])
-    return stages, data, "inconsistent"
+    return stages, data, "inconsistent", saturation.is_inconsistent(base)
 
 
 def _assert_iterates_as_over_all_triggers(theory):
     for operator in ("derivative", "order_derivative"):
         trace = iterate(theory, operator)
-        stages, data, stop = _iterate_over_all_triggers(theory, operator)
+        stages, data, stop, certificate = _iterate_over_all_triggers(theory, operator)
         assert [(s.name, s.codes) for s in trace.stages] == \
             [(s.name, s.codes) for s in stages], (theory.name, operator)
         assert (trace.stage_data, trace.stop_reason) == (tuple(data), stop)
+        assert trace.certificate == certificate, (theory.name, operator)
+        # the context ends one past the widest fact, within 2..max_arity + 1
+        facts = data[-1] if operator == "order_derivative" and data else ()
+        widest = max((max(w) + 1 for _, w in facts), default=1)
+        assert trace.budget == max(MIN_BUDGET, min(widest + 1, default_budget(theory)))
 
 
 def test_stages_from_new_triggers_equal_stages_from_all(corpus, families):
-    """A stage built from only the trigger data its parent lacked has the
-    same codes, in the same order, as one built from all of them, on the
-    presets, the families and every ordered preset join."""
+    """A stage built from only the trigger data its parent lacked, over the
+    context its facts need, has the same codes, in the same order, as one
+    built from all of them over the fixed context, with the same data,
+    stop and certificate, on the presets, the families and every ordered
+    preset join."""
     joins = [join_disjoint(a, b) for a, b in itertools.product(corpus, repeat=2)]
     for theory in corpus + families + joins:
         _assert_iterates_as_over_all_triggers(theory)
 
 
+_WIDE_VARIABLES = [Variable(n) for n in "xyzuvw"]
+
+
+@st.composite
+def wide_theories(draw):
+    """One to three idempotent symbols of arities 2-5 and up to three flat
+    identities over six variables, so a fact can need any context up to
+    max_arity + 1."""
+    arities = draw(st.lists(st.integers(2, 5), min_size=1, max_size=3))
+    symbols = [OperationSymbol(f"f{k}", a) for k, a in enumerate(arities)]
+    variables = st.sampled_from(_WIDE_VARIABLES)
+    terms = st.one_of(variables, *(
+        st.builds(lambda *args, s=s: Application(s, args), *[variables] * s.arity)
+        for s in symbols))
+    x = _WIDE_VARIABLES[0]
+    extra = draw(st.lists(st.builds(Identity, terms, terms), max_size=3))
+    return make_theory("wide", symbols,
+                       [Identity(Application(s, (x,) * s.arity), x) for s in symbols] + extra)
+
+
 @settings(max_examples=40, deadline=None)
-@given(small_theories())
+@given(st.one_of(small_theories(), wide_theories()))
 def test_stages_from_new_triggers_equal_stages_from_all_on_random_theories(theory):
     _assert_iterates_as_over_all_triggers(theory)
 
@@ -249,7 +287,14 @@ def _canonical_tuples_by_brute_force(arity):
 class TestStageBuilders:
     @pytest.mark.parametrize("arity", range(1, 8))
     def test_canonical_tuples_match_brute_force(self, arity):
-        assert _canonical_tuples(arity) == _canonical_tuples_by_brute_force(arity)
+        every = _canonical_tuples_by_brute_force(arity)
+        assert _canonical_tuples(arity, arity + 1) == every
+        for width in range(1, arity + 2):
+            # the facts of at most `width` variables, in the same order
+            assert _canonical_tuples(arity, width) == \
+                tuple(w for w in every if max(w) < width)
+        assert _canonical_tuples(arity, MIN_BUDGET) == \
+            tuple(itertools.product((0, 1), repeat=arity))
 
     @pytest.mark.parametrize("arity", range(1, 5))
     def test_new_identities_are_written_in_canonical_form(self, arity):

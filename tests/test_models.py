@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 
 from linvar.dsl import parse_identity, parse_term
@@ -156,6 +157,40 @@ class TestRefuteEntailment:
         assert again == XOR
 
 
+class TestAlgebraFromJsonRefusesForgedTables:
+    """A forged model must not reach `satisfies`: a size-0 algebra has no
+    assignment to check, so it would satisfy every theory."""
+
+    TABLE = [0, 1, 1, 0, 1, 0, 0, 1]
+
+    def _refused(self, data, match, symbols=(P3,)):
+        from linvar.models import algebra_from_json
+
+        with pytest.raises(ValueError, match=match):
+            algebra_from_json(data, symbols)
+
+    @pytest.mark.parametrize("size", [0, -1, 2.0, "2", True, None])
+    def test_a_size_that_is_not_an_int_of_at_least_1(self, size):
+        self._refused({"size": size, "tables": {"p": self.TABLE}}, "model size")
+
+    @pytest.mark.parametrize("length", [0, 4, 7, 9])
+    def test_a_table_of_the_wrong_length(self, length):
+        table = (self.TABLE * 2)[:length]
+        self._refused({"size": 2, "tables": {"p": table}}, r"has %d entries, not 2\*\*3" % length)
+
+    @pytest.mark.parametrize("value", [2, -1, 1.0, "1", True, None])
+    def test_a_value_outside_the_elements(self, value):
+        self._refused({"size": 2, "tables": {"p": [value] + self.TABLE[1:]}},
+                      r"not an element of range\(2\)")
+
+    def test_a_missing_or_an_extra_symbol(self):
+        self._refused({"size": 2, "tables": {}}, "model tables name")
+        self._refused({"size": 2, "tables": {"p": self.TABLE, "q": [0, 1]}},
+                      "model tables name")
+        self._refused({"size": 2, "tables": {"p": self.TABLE}}, "model tables name",
+                      symbols=(P3, OperationSymbol("q", 1)))
+
+
 def test_model_completeness_does_not_rely_on_assert():
     # python -O strips asserts; a search that leaves a table cell undecided
     # must still raise instead of returning that table as a model
@@ -163,7 +198,7 @@ def test_model_completeness_does_not_rely_on_assert():
         "import sys",
         "from linvar import models",
         "from linvar.presets import semilattice",
-        "models._TableSearch._first_undecided = lambda self: None",
+        "models._TableSearch._first_undecided = lambda self, start: None",
         "try:",
         "    models.find_model(semilattice(), 2, 2)",
         "except models.IncompleteModelError:",
@@ -515,7 +550,7 @@ def test_model_searches_per_stage_and_size_are_pinned(monkeypatch):
                 goals = [parse_identity("x = y")]
                 goals += [Identity(Variable("x"), Application(s, tuple(
                               Variable(f"y{d}" if d else "x") for d in w)))
-                          for s in stage.symbols for w in _canonical_tuples(s.arity)]
+                          for s in stage.symbols for w in _canonical_tuples(s.arity, s.arity + 1)]
                 for goal in goals:
                     entails_flat(saturate(stage), goal)
     reached = sum(key[0] == "models" for stage in stages.values() for key in stage._memo)

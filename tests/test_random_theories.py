@@ -120,7 +120,7 @@ def test_iteration_terminates_within_bounds(theory):
         assert isinstance(trace.certificate, Entailed)
         assert verify_derivation(trace.final, trace.certificate.derivation)
     trace = iterate(theory, "order_derivative")
-    facts = sum(len(_canonical_tuples(s.arity)) for s in theory.symbols)
+    facts = sum(len(_canonical_tuples(s.arity, s.arity + 1)) for s in theory.symbols)
     assert len(trace.stages) - 1 <= facts + 1
 
 
@@ -130,7 +130,7 @@ def test_cross_oracle_on_random_theories(theory):
     base = saturate(theory)
     bounds = SearchBounds(max_terms=300, max_depth=3, max_term_size=12)
     for s in theory.symbols:
-        for w in _canonical_tuples(s.arity):
+        for w in _canonical_tuples(s.arity, s.arity + 1):
             goal = _fact_identity(s, w)
             if base.fact_entailed(s.name, w):
                 assert refute_entailment(theory, goal, 2, 2) is None, str(goal)
@@ -152,7 +152,7 @@ def test_budget_enlargement_is_monotone(theory):
     small = saturate(theory, 6)
     large = saturate(theory, 8)
     for s in theory.symbols:
-        for w in _canonical_tuples(s.arity):
+        for w in _canonical_tuples(s.arity, s.arity + 1):
             if small.fact_entailed(s.name, w):
                 assert large.fact_entailed(s.name, w)
 
@@ -178,7 +178,7 @@ def test_default_budget_answers_like_a_larger_one(theory):
             large.same_class(large.atom_id(s_), large.atom_id(t)), (s_, t)
 
     for s in theory.symbols:
-        for w in _canonical_tuples(s.arity):
+        for w in _canonical_tuples(s.arity, s.arity + 1):
             a, c = _fact_atom(small, s, w), _fact_atom(large, s, w)
             if small.same_class(0, a):
                 assert _chain_length(small, 0, a) == _chain_length(large, 0, c)
@@ -243,7 +243,7 @@ def test_chain_search_over_endpoint_variables_stays_shortest(theory):
     # endpoint variables are not always the ones a search would try first
     top = base.budget
     targets = []
-    for w in _canonical_tuples(3):
+    for w in _canonical_tuples(3, 4):
         targets.append(_fact_atom(base, T3, w))
         targets.append(_fact_atom(base, T3, tuple(0 if d == 0 else top - d for d in w)))
     if base.variables_merged():
@@ -326,7 +326,7 @@ def _fact_pairs(base):
     the atom pairs `entails_flat` and `is_inconsistent` search."""
     pairs = [(0, 1)]
     for s in base.theory.symbols:
-        pairs += [(0, _fact_atom(base, s, w)) for w in _canonical_tuples(s.arity)
+        pairs += [(0, _fact_atom(base, s, w)) for w in _canonical_tuples(s.arity, s.arity + 1)
                   if max(w, default=0) < base.budget]
     return pairs
 
@@ -585,7 +585,7 @@ def _profile_over_all_tuples(theory, base):
     lexicographically first entailed canonical tuple over all of {x, y1..yn}."""
     pairs, witnesses = set(), []
     for s in theory.symbols:
-        entailed = [w for w in _canonical_tuples(s.arity) if base.fact_entailed(s.name, w)]
+        entailed = [w for w in _canonical_tuples(s.arity, s.arity + 1) if base.fact_entailed(s.name, w)]
         for i in range(1, s.arity + 1):
             w = next((w for w in entailed if w[i - 1] != 0), None)
             if w is not None:

@@ -141,10 +141,16 @@ class TestSaturate:
         with pytest.raises(UnknownSymbolError, match="q is not in maltsev"):
             saturate(maltsev, 2).fact_entailed("q", (0, 0, 0))
 
-    def test_order_fact_set_refuses_a_narrow_base(self):
+    def test_order_fact_set_widens_a_narrow_base(self):
+        # day(2) derives x = m1(x,y,y,z), a fact of three variables, so two
+        # variables are filled and the query widens until no fact fills it
         day = presets.day(2)
-        with pytest.raises(BudgetTooSmallError, match="2 variables"):
-            order_fact_set(day, saturate(day, 2))
+        wide = saturate(day, default_budget(day))
+        every = frozenset((s.name, w) for s in day.symbols
+                          for w in wide.entailed_facts(s.name, _canonical_tuples(s.arity, s.arity + 1)))
+        assert max(max(w) + 1 for _, w in every) == 3
+        assert order_fact_set(day, saturate(day, 2)) == every
+        assert order_fact_set(day) == every
 
     def test_default_budget(self, maltsev, semilattice):
         # max_arity + 1 variables: the widest query is a fact x = F(w)
@@ -275,7 +281,7 @@ def _width_goals(theory):
     """x = y, and x = F(w) for every symbol F and canonical tuple w."""
     yield Identity(Variable("x"), Variable("y"))
     for s in theory.symbols:
-        for w in _canonical_tuples(s.arity):
+        for w in _canonical_tuples(s.arity, s.arity + 1):
             yield _fact_identity(s, w)
 
 
@@ -415,7 +421,7 @@ def test_stage_certificates_are_pinned():
                 base = saturate(stage)
                 goals = [Identity(Variable("x"), Variable("y"))]
                 goals += [_fact_identity(s, w) for s in stage.symbols
-                          for w in _canonical_tuples(s.arity)]
+                          for w in _canonical_tuples(s.arity, s.arity + 1)]
                 for goal in goals:
                     if base.entails(goal):
                         verdict = entails_flat(base, goal)
@@ -445,7 +451,7 @@ def test_stage_refutations_are_pinned():
                 base = saturate(stage)
                 goals = [Identity(Variable("x"), Variable("y"))]
                 goals += [_fact_identity(s, w) for s in stage.symbols
-                          for w in _canonical_tuples(s.arity)]
+                          for w in _canonical_tuples(s.arity, s.arity + 1)]
                 for goal in goals:
                     if base.entails(goal):
                         continue
@@ -500,9 +506,10 @@ def test_a_base_dies_with_its_theory():
 
 
 def test_classify_builds_each_base_once(monkeypatch):
-    """Validation's two-variable base is the one the derivative iteration
-    starts from, and the order iteration builds the default-context one;
-    later stages are extensions, not new bases."""
+    """Validation's two-variable base is the one both iterations start
+    from; later stages are extensions, and a new base is built only where
+    the order iteration widens a stage, one variable at a time, up to the
+    width its trace reports."""
     from linvar.classification import classify
 
     built = []
@@ -515,9 +522,11 @@ def test_classify_builds_each_base_once(monkeypatch):
     monkeypatch.setattr(FlatFactBase, "__init__", spy)
     for theory in map(_fresh, presets.presets()):
         built.clear()
-        classify(theory)
-        assert all(t is theory for t, _ in built)
-        assert sorted(b for _, b in built) == sorted({2, default_budget(theory)})
+        report = classify(theory)
+        assert built[0] == (theory, 2)
+        assert len({(id(t), b) for t, b in built}) == len(built)
+        assert [b for _, b in built] == list(range(2, len(built) + 2))
+        assert report.traces[1].budget == len(built) + 1 <= default_budget(theory)
 
 
 def _assert_validates_over_two_variables(theory):
@@ -613,7 +622,7 @@ def _check_against_reference(theory):
             assert reference.partition(fresh.find, fresh.size) == expected, stage.name
             merged = oracle.find(0) == oracle.find(1)
             for s in stage.symbols:
-                tuples = [w for w in _canonical_tuples(s.arity) if max(w, default=0) < budget]
+                tuples = _canonical_tuples(s.arity, budget)
                 assert base.entailed_facts(s.name, tuples) == [
                     w for w in tuples
                     if merged or oracle.find(0) == oracle.find(oracle.encode(s.name, w))]
