@@ -47,7 +47,6 @@ from .rewriting import (
     verify_derivation,
 )
 from .saturation import (
-    AtomSpaceTooLargeError,
     BudgetTooSmallError,
     Entailed,
     FlatFactBase,
@@ -61,7 +60,9 @@ from .saturation import (
 )
 from .terms import (
     Application,
+    AtomSpaceTooLargeError,
     InvalidPositionError,
+    LinvarError,
     OperationSymbol,
     Term,
     Variable,

@@ -18,7 +18,7 @@ from typing import Literal, Optional
 from . import derivatives, models, rewriting
 from .derivatives import IterationTrace
 from .rewriting import Derivation, SearchBounds, bfs_prove
-from .terms import Code, Variable
+from .terms import Code, LinvarError, Variable
 from .theories import (
     Identity,
     Theory,
@@ -31,7 +31,7 @@ from .theories import (
 PropertyName = Literal["cm", "nci", "nperm"]
 
 
-class NotLinearIdempotentError(Exception):
+class NotLinearIdempotentError(LinvarError):
     def __init__(self, report: ValidationReport):
         self.report = report
         super().__init__(f"{report.theory_name}: {'; '.join(report.problems)}")
@@ -157,7 +157,7 @@ def _report(theory: Theory, d_trace: IterationTrace, o_trace: IterationTrace,
                                 traces=(d_trace, o_trace))
 
 
-def classify(theory: Theory, model_range: tuple[int, int] = (2, 3),
+def classify(theory: Theory, model_range: tuple[int, int] = models.DEFAULT_SIZES,
              sufficient_only: bool = False) -> ClassificationReport:
     """Decide all three properties; certificates attached per verdict.
 

@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 for a definitive answer, 1 for usage/validation/parse errors,
-2 for an Unknown outcome (search bounds exhausted).
+Exit codes: 0 for a definitive answer, 1 for a usage error, a refused
+theory, a file that cannot be read or parsed, or any other package error
+(`LinvarError`), 2 for an Unknown outcome (search bounds exhausted).
 """
 from __future__ import annotations
 
@@ -13,29 +14,11 @@ import time
 from typing import Optional
 
 from . import classification, derivatives, models, projection, rewriting, saturation
-from .dsl import (
-    ParseError,
-    load_json,
-    load_theory,
-    parse_identity,
-    render_identity,
-    render_theory,
-    theory_to_json,
-)
+from .dsl import load_json, load_theory, parse_identity, render_theory, theory_to_json
 from .rewriting import SearchBounds
-from .saturation import (
-    AtomSpaceTooLargeError,
-    BudgetTooSmallError,
-    Entailed,
-    NotEntailedWithModel,
-)
-from .theories import (
-    SignatureMismatchError,
-    UnknownSymbolError,
-    is_linear_identity,
-    join_disjoint,
-    validate,
-)
+from .saturation import Entailed, NotEntailedWithModel
+from .terms import LinvarError
+from .theories import is_linear_identity, join_disjoint, validate
 
 VERSION = "0.1.0"
 
@@ -68,8 +51,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="decide CM, congruence identities, "
                                         "and n-permutability")
     p.add_argument("theory")
-    p.add_argument("--min", type=int, default=2, help="smallest model size to try")
-    p.add_argument("--max", type=int, default=3, help="largest model size to try")
+    p.add_argument("--min", type=int, default=models.DEFAULT_SIZES[0],
+                   help="smallest model size to try")
+    p.add_argument("--max", type=int, default=models.DEFAULT_SIZES[1],
+                   help="largest model size to try")
     p.add_argument("--sufficient-only", action="store_true",
                    help="accept idempotent non-linear input; report only the "
                         "sound direction")
@@ -85,8 +70,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("models", help="search for finite models")
     p.add_argument("theory")
-    p.add_argument("--min", type=int, default=2)
-    p.add_argument("--max", type=int, default=3)
+    p.add_argument("--min", type=int, default=models.DEFAULT_SIZES[0])
+    p.add_argument("--max", type=int, default=models.DEFAULT_SIZES[1])
     p.add_argument("--refute", metavar="EXPR",
                    help='find a model separating the sides of "lhs = rhs"')
     add_common(p)
@@ -128,13 +113,13 @@ def _cmd_validate(args) -> tuple[int, dict]:
     payload = {
         "theory": theory.name,
         "is_linear": report.is_linear,
-        "nonlinear_axioms": [render_identity(e) for e in report.nonlinear_identities],
+        "nonlinear_axioms": [str(e) for e in report.nonlinear_identities],
         "idempotency": dict(report.idempotency),
         "ok": report.ok,
     }
     print(f"theory {theory.name}: linear={'yes' if report.is_linear else 'no'}")
     for e in report.nonlinear_identities:
-        print(f"  non-linear axiom: {render_identity(e)}")
+        print(f"  non-linear axiom: {e}")
     for name, status in report.idempotency:
         print(f"  idempotency of {name}: {status}")
     for problem in report.problems:
@@ -343,13 +328,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_ERROR
-    except (ParseError, UnknownSymbolError, SignatureMismatchError,
-            BudgetTooSmallError, AtomSpaceTooLargeError,
-            rewriting.CertificateError,
-            derivatives.StabilizationError,
-            classification.NotLinearIdempotentError,
-            models.IncompleteModelError, projection.ProjectionError,
-            OSError, ValueError) as exc:
+    except (LinvarError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     return code

@@ -25,7 +25,7 @@ from typing import Literal, Optional
 
 from . import saturation
 from .saturation import MIN_BUDGET, EntailmentVerdict, FlatFactBase
-from .terms import Application, Code, OperationSymbol, Variable
+from .terms import Application, Code, LinvarError, OperationSymbol, Variable
 from .theories import Identity, Theory, UnknownSymbolError
 
 Operator = Literal["derivative", "order_derivative"]
@@ -33,7 +33,7 @@ Operator = Literal["derivative", "order_derivative"]
 _X = Variable("x")
 
 
-class StabilizationError(Exception):
+class StabilizationError(LinvarError):
     """A stage's trigger data lost part of the previous stage's."""
 
 

@@ -15,7 +15,7 @@ import json
 import re
 from typing import Mapping, Optional
 
-from .terms import Application, OperationSymbol, Term, Variable, render_term
+from .terms import Application, LinvarError, OperationSymbol, Term, Variable
 from .theories import Identity, Theory, make_theory
 
 _IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
@@ -32,7 +32,7 @@ _OP_DECL = re.compile(r"([A-Za-z][A-Za-z0-9_]*)\s*/\s*(\d+)\Z")
 MAX_TERM_DEPTH = 200
 
 
-class ParseError(Exception):
+class ParseError(LinvarError):
     def __init__(self, message: str, line: Optional[int] = None, col: Optional[int] = None):
         self.message = message
         self.line = line
@@ -171,14 +171,10 @@ def parse_theory(text: str) -> Theory:
     return make_theory(name, symbols, identities)
 
 
-def render_identity(e: Identity) -> str:
-    return f"{render_term(e.lhs)} = {render_term(e.rhs)}"
-
-
 def render_theory(t: Theory) -> str:
     lines = [f"theory {t.name}"]
     lines += [f"op {s.name}/{s.arity}" for s in t.symbols]
-    lines += [f"axiom {render_identity(e)}" for e in t.identities]
+    lines += [f"axiom {e}" for e in t.identities]
     return "\n".join(lines) + "\n"
 
 
@@ -186,7 +182,7 @@ def theory_to_json(t: Theory) -> dict:
     return {
         "name": t.name,
         "ops": [{"name": s.name, "arity": s.arity} for s in t.symbols],
-        "axioms": [render_identity(e) for e in t.identities],
+        "axioms": [str(e) for e in t.identities],
         "renames": [list(pair) for pair in t.renames],
     }
 

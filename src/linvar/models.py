@@ -9,10 +9,13 @@ undecided cell is the lexicographically first.  A ground instance's flat
 side is the id of its cell, taken from the layout's instance spreading as
 saturation takes its atom ids; a nested side grounds to a tree (symbol
 name, children).  An instance is evaluated until it reads an undecided
-cell and waits on that cell's watch list; deciding the cell puts it back on
-the stack.  Forcing is monotone, so the closure and any conflict do not depend
-on that order, and the search, branching on the first undecided cell with
-values ascending, returns the lexicographically first model in range.
+cell and waits on that cell: `watch` maps a cell to the instances waiting
+on it, each once, in arrival order, and deciding the cell puts them back
+on the stack.  Forcing is monotone, so the closure and any conflict do
+not depend on that order, and the search, branching on the first
+undecided cell with values ascending, returns the lexicographically first
+model in range.  A size whose cells do not fit in memory is refused with
+the cell count (`AtomSpaceTooLargeError`).
 
 The layout, the identities' instances and the first model depend only on
 the theory and the size, so the first model is searched once per theory
@@ -37,10 +40,11 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
-from .terms import Code, FlatLayout, OperationSymbol, Term, Variable
+from .terms import Code, FlatLayout, LinvarError, OperationSymbol, Term, Variable
 from .theories import (
     Identity,
     Theory,
@@ -50,16 +54,19 @@ from .theories import (
 
 Assignment = dict[Variable, int]
 
+# The model sizes searched unless a caller names others: smallest, largest.
+DEFAULT_SIZES = (2, 3)
 
-class MissingTableError(Exception):
+
+class MissingTableError(LinvarError):
     pass
 
 
-class MissingAssignmentError(Exception):
+class MissingAssignmentError(LinvarError):
     pass
 
 
-class IncompleteModelError(Exception):
+class IncompleteModelError(LinvarError):
     """A model search returned an algebra with an undecided table cell."""
 
 
@@ -237,16 +244,19 @@ class _TableSearch:
     """Backtracking over `cells` with forcing propagation (module docstring).
 
     The layout and the identities' instances are shared and only read; the
-    cells, watch lists and trail are the search's own.
+    cells, the waiting instances and the trail are the search's own.
     """
 
     def __init__(self, layout: FlatLayout, instances: Sequence[tuple[object, object]],
                  goal: Optional[Sequence[tuple[object, object]]]):
         self.size = size = layout.n
         self.layout = layout
-        self.cells: list[Optional[int]] = list(range(size)) + [None] * (layout.size - size)
-        self.watch: list[list[int]] = [[] for _ in self.cells]
-        self.watched: set[tuple[int, int]] = set()  # lists only grow: no pair twice
+        self.cells: list[Optional[int]] = layout.allocate(
+            lambda: list(range(size)) + [None] * (layout.size - size),
+            "model search", "elements", "cells")
+        # cell -> its waiting instances as keys: each once, in arrival order;
+        # read with .get, so reading a cell adds no entry
+        self.watch: defaultdict[int, dict[int, None]] = defaultdict(dict)
         self.trail: list[int] = []
         self.instances = instances
         self.stack = list(range(len(instances)))
@@ -256,7 +266,7 @@ class _TableSearch:
     def _set(self, cell: int, value: int) -> None:
         self.cells[cell] = value
         self.trail.append(cell)
-        self.stack.extend(self.watch[cell])
+        self.stack.extend(self.watch.get(cell, ()))
 
     def _propagate(self) -> bool:
         """Evaluate the stacked instances to a fixpoint; False on a conflict."""
@@ -277,9 +287,8 @@ class _TableSearch:
                 self._set(~lv, rv)
             else:
                 for v in (lv, rv):
-                    if v < 0 and (~v, j) not in self.watched:
-                        self.watched.add((~v, j))
-                        watch[~v].append(j)
+                    if v < 0:
+                        watch[~v][j] = None
         return True
 
     def _first_undecided(self, start: int) -> Optional[int]:
@@ -344,7 +353,7 @@ def _assignment(variables: Sequence[Variable], j: int, size: int) -> Assignment:
     return dict(zip(variables, reversed(values)))
 
 
-def find_model(theory: Theory, lo: int = 2, hi: int = 3,
+def find_model(theory: Theory, lo: int = DEFAULT_SIZES[0], hi: int = DEFAULT_SIZES[1],
                constraint: Optional[Identity] = None
                ) -> Optional[tuple[FiniteAlgebra, Assignment]]:
     """First model of the theory in the size range, in deterministic order,
@@ -381,7 +390,8 @@ def find_model(theory: Theory, lo: int = 2, hi: int = 3,
     return None
 
 
-def refute_entailment(theory: Theory, goal: Identity, lo: int = 2, hi: int = 3
+def refute_entailment(theory: Theory, goal: Identity, lo: int = DEFAULT_SIZES[0],
+                      hi: int = DEFAULT_SIZES[1]
                       ) -> Optional[tuple[FiniteAlgebra, Assignment]]:
     """A model of the theory separating the goal's sides, if one exists in range."""
     return find_model(theory, lo, hi, goal)

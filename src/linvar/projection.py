@@ -31,6 +31,7 @@ from typing import Iterator, NamedTuple, Optional
 from .rewriting import Derivation, DerivationStep, make_step, verify_derivation
 from .terms import (
     Application,
+    LinvarError,
     Position,
     Term,
     Variable,
@@ -43,7 +44,7 @@ from .terms import (
 from .theories import Theory, embedded_components
 
 
-class ProjectionError(Exception):
+class ProjectionError(LinvarError):
     pass
 
 

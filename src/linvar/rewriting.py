@@ -20,9 +20,11 @@ object, kept in `Theory.compiled`.
 Matching, instantiation and replacement then build tuples, and equality and
 hashing run in C.  The encoding is injective, and candidates are tried in
 the same order as on `Term`s, so the search meets at the same term and
-returns the same derivation and statistics.  Only the terms on the returned
-path are decoded, and the derivation is checked on `Term`s by
-`verify_derivation`, which knows nothing of the encoding.
+returns the same derivation and statistics.  A step on the returned path
+is read off its encoded predecessor with the same pattern match, and only
+the matched slots and the path's terms are decoded; the derivation is
+checked on `Term`s by `verify_derivation`, which knows nothing of the
+encoding.
 """
 from __future__ import annotations
 
@@ -30,9 +32,10 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
-from .dsl import json_list, parse_identity, parse_term, render_identity
+from .dsl import json_list, parse_identity, parse_term
 from .terms import (
     Application,
+    LinvarError,
     OperationSymbol,
     Position,
     Term,
@@ -40,18 +43,21 @@ from .terms import (
     apply_substitution,
     compose_substitutions,
     fresh_variables,
-    match_term,
     render_term,
-    subterm_at,
     term_size,
     term_symbols,
-    term_variables,
     variable_occurrences,
 )
-from .theories import Identity, Theory, UnknownSymbolError, canonicalize_identity
+from .theories import (
+    Identity,
+    Theory,
+    UnknownSymbolError,
+    canonicalize_identity,
+    identity_variables,
+)
 
 
-class CertificateError(Exception):
+class CertificateError(LinvarError):
     """A derivation built as a certificate is missing or fails the verifier."""
 
 
@@ -229,18 +235,18 @@ class _SearchRule(NamedTuple):
 
     equation: Identity
     forward: bool
-    source: Term
-    # produced-side variables absent from the source, in first-occurrence order
-    free: tuple[Variable, ...]
+    # the variables by slot: the source's `slots` variables first, then the
+    # produced side's others, each in first-occurrence order
+    variables: tuple[Variable, ...]
+    slots: int
     # the produced side's instance has `size` nodes, plus n times the size
     # of the matched subterm at each (source path, n) in `weights`
     size: int
     weights: tuple[tuple[Position, int], ...]
     # source and produced side over the theory's symbol ids, each variable
-    # encoded as its slot: the source's `slots` variables first, then `free`
+    # encoded as its slot
     pattern: _Code
     template: _Code
-    slots: int
 
 
 def _search_rules(theory: Theory) -> tuple[_SearchRule, ...]:
@@ -257,12 +263,12 @@ def _search_rules(theory: Theory) -> tuple[_SearchRule, ...]:
             for _, v in variable_occurrences(dst):
                 uses[v] = uses.get(v, 0) + 1
             weights = tuple((paths[v], n) for v, n in uses.items() if v in paths)
-            free = tuple(v for v in uses if v not in paths)
-            by_slot = _Encoding(theory.symbols, tuple(paths) + free)
+            by_slot = _Encoding(theory.symbols,
+                                tuple(paths) + tuple(v for v in uses if v not in paths))
             rules.append(_SearchRule(
-                eq, forward, src, free,
+                eq, forward, by_slot.variables, len(paths),
                 term_size(dst) - sum(n for _, n in weights), weights,
-                by_slot.encode(src), by_slot.encode(dst), len(paths)))
+                by_slot.encode(src), by_slot.encode(dst)))
     return tuple(rules)
 
 
@@ -335,7 +341,7 @@ def _expansions(rules: Sequence[_SearchRule], t: _Code, pool: int, max_size: int
     size_at = {pos: size for pos, _, size in nodes}
     total = nodes[0][2]
     for rule in rules:
-        n_free = len(rule.free)
+        n_free = len(rule.variables) - rule.slots
         for pos, sub, size in nodes:
             sigma = [None] * rule.slots
             if not _match(rule.pattern, sub, sigma):
@@ -351,13 +357,17 @@ def _expansions(rules: Sequence[_SearchRule], t: _Code, pool: int, max_size: int
                        (rule, pos, values))
 
 
-def _expansion_step(t: Term, how: _Expansion,
-                    candidates: Sequence[Variable]) -> DerivationStep:
-    """The step of `_expansions` that rewrote t, decoded, as `how` says."""
+def _expansion_step(t: _Code, how: _Expansion, encoding: _Encoding) -> DerivationStep:
+    """The step of `_expansions` that rewrote the encoded t, as `how` says:
+    the rule's pattern matched again at the position, then every slot
+    decoded, the free ones' candidate indices being encoded variables."""
     rule, pos, values = how
-    sigma = dict(match_term(rule.source, subterm_at(t, pos)))  # type: ignore[arg-type]
-    sigma.update(zip(rule.free, (candidates[i] for i in values)))
-    return make_step(rule.equation, rule.forward, pos, sigma)
+    for i in pos:
+        t = t[i]  # type: ignore[index]
+    sigma: list = [None] * rule.slots
+    _match(rule.pattern, t, sigma)
+    images = map(encoding.decode, [*sigma, *values])
+    return make_step(rule.equation, rule.forward, pos, dict(zip(rule.variables, images)))
 
 
 def _flip(step: DerivationStep) -> DerivationStep:
@@ -396,11 +406,9 @@ def bfs_prove(theory: Theory, goal: Identity,
         if s not in sig:
             raise UnknownSymbolError(f"goal symbol {s} is not in {theory.name}")
 
-    goal_vars = [v for v in
-                 dict.fromkeys(term_variables(goal.lhs) + term_variables(goal.rhs))]
-    pool = itertools.islice(fresh_variables([v.name for v in goal_vars]),
-                            FRESH_VARIABLES)
-    candidates = tuple(goal_vars) + tuple(pool)
+    goal_vars = identity_variables(goal)
+    pool = itertools.islice(fresh_variables(v.name for v in goal_vars), FRESH_VARIABLES)
+    candidates = goal_vars + tuple(pool)
 
     if goal.lhs == goal.rhs:
         return Proved(Derivation(theory.name, (goal.lhs,), ()))
@@ -426,7 +434,7 @@ def bfs_prove(theory: Theory, goal: Identity,
         while entry is not None:
             prev, how = entry
             terms.append(encoding.decode(prev))
-            steps.append(_expansion_step(terms[-1], how, candidates))
+            steps.append(_expansion_step(prev, how, encoding))
             entry = sides[side][prev]
         return terms, steps
 
@@ -472,7 +480,7 @@ def derivation_to_json(d: Derivation) -> dict:
         "terms": [render_term(t) for t in d.terms],
         "steps": [
             {
-                "eq": render_identity(s.equation),
+                "eq": str(s.equation),
                 "dir": "fwd" if s.forward else "rev",
                 "pos": list(s.position),
                 "subst": {v.name: render_term(t) for v, t in s.subst},

@@ -70,6 +70,7 @@ from .rewriting import (
 from .terms import (
     Application,
     FlatLayout,
+    LinvarError,
     Term,
     Variable,
     canonical_variable,
@@ -77,7 +78,6 @@ from .terms import (
     flat_parts,
     fresh_variables,
     is_flat,
-    term_variables,
 )
 from .theories import (
     Identity,
@@ -88,13 +88,8 @@ from .theories import (
 )
 
 
-class BudgetTooSmallError(Exception):
+class BudgetTooSmallError(LinvarError):
     """A query needs more distinct variables than the saturation context has."""
-
-
-class AtomSpaceTooLargeError(Exception):
-    """The union-find array over a context's flat atoms could not be
-    allocated."""
 
 
 # The fewest context variables: x and y, for the collapse test x ~ y.  It is
@@ -184,13 +179,8 @@ class FlatFactBase(FlatLayout):
 
     def _atom_array(self, values: Iterable[int]) -> list[int]:
         """A union-find array over every atom, or a refusal naming its size
-        when memory runs out."""
-        try:
-            return list(values)
-        except MemoryError:
-            raise AtomSpaceTooLargeError(
-                f"saturation over {self.n} variables needs {self.size} atoms; "
-                "there is not enough memory for them") from None
+        (`FlatLayout.allocate`)."""
+        return self.allocate(lambda: list(values), "saturation", "variables", "atoms")
 
     # -- union-find ---------------------------------------------------------
 
@@ -539,9 +529,7 @@ def _collapse_instance_derivation(base: FlatFactBase, goal: Identity) -> Derivat
     instantiated with the goal's sides; the instance verifies, though its
     inner terms need not be flat.
     """
-    goal_names = {v.name for v in
-                  term_variables(goal.lhs) + term_variables(goal.rhs)}
-    fresh = fresh_variables(goal_names)
+    fresh = fresh_variables(v.name for v in identity_variables(goal))
     names = (next(fresh), next(fresh))
     collapse = _chain_derivation(base, 0, 1, names)
     instance = substitute_derivation(
@@ -554,8 +542,8 @@ def _collapse_instance_derivation(base: FlatFactBase, goal: Identity) -> Derivat
 
 
 def _refuted(theory: Theory, goal: Identity) -> EntailmentVerdict:
-    """A model of 2 or 3 elements separating the goal's sides, if any."""
-    found = models.refute_entailment(theory, goal, 2, 3)
+    """A model of `models.DEFAULT_SIZES` separating the goal's sides, if any."""
+    found = models.refute_entailment(theory, goal, *models.DEFAULT_SIZES)
     if found is None:
         return NotEntailed()
     algebra, rho = found
@@ -567,7 +555,7 @@ def entails_flat(base: FlatFactBase, goal: Identity) -> EntailmentVerdict:
 
     Entailed verdicts carry a verifying derivation, flat throughout whenever
     the theory is consistent; a negative verdict is upgraded with a
-    separating finite model when one of 2 or 3 elements exists.
+    separating finite model when one of `models.DEFAULT_SIZES` exists.
     """
     a, b = base._embed(goal)
     if base.same_class(a, b):

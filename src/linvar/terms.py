@@ -10,11 +10,20 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 
-class InvalidPositionError(Exception):
+class LinvarError(Exception):
+    """The base of every error the package raises, so a caller, the CLI
+    among them, catches them all in one clause."""
+
+
+class InvalidPositionError(LinvarError):
     """A position walked off the term it was applied to."""
+
+
+class AtomSpaceTooLargeError(LinvarError):
+    """A list with one entry per id of a `FlatLayout` does not fit."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -153,6 +162,17 @@ class FlatLayout:
             self.offsets[s.name] = total
             total += n ** s.arity
         self.size = total
+
+    def allocate(self, build: Callable[[], list], task: str, values: str, ids: str) -> list:
+        """What `build` returns, a list with one entry per id; running out of
+        memory, or past the platform's index range, raises
+        `AtomSpaceTooLargeError` naming the task, n and the id count."""
+        try:
+            return build()
+        except (MemoryError, OverflowError):
+            raise AtomSpaceTooLargeError(
+                f"{task} over {self.n} {values} needs {self.size} {ids}; "
+                "there is not enough memory for them") from None
 
     def encode(self, name: Optional[str], digits: Sequence[int]) -> int:
         """Id of the value digits[0] (name None) or of the atom name(digits)."""

@@ -29,6 +29,7 @@ from typing import Any, Callable, Iterable, Optional
 from .terms import (
     Application,
     Code,
+    LinvarError,
     OperationSymbol,
     Term,
     Variable,
@@ -41,11 +42,11 @@ from .terms import (
 )
 
 
-class UnknownSymbolError(Exception):
+class UnknownSymbolError(LinvarError):
     """An identity uses an operation symbol outside the theory's signature."""
 
 
-class SignatureMismatchError(Exception):
+class SignatureMismatchError(LinvarError):
     """Two theories over different signatures were compared."""
 
 

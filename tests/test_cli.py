@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from linvar.cli import main
+from linvar.derivatives import _canonical_tuples
 from linvar.dsl import parse_theory, render_theory
 from linvar.presets import maltsev, semilattice
 from linvar.theories import theory_equal
@@ -554,18 +556,51 @@ def _near_unanimity_file(tmp_path, n):
     return theory
 
 
+def _idempotent_symbol_file(tmp_path, n):
+    theory = tmp_path / f"f{n}.thy"
+    theory.write_text(f"theory f{n}\nop f/{n}\naxiom v0 = f(" + ",".join(["v0"] * n) + ")\n")
+    return str(theory)
+
+
 def test_an_atom_space_past_memory_exits_1_without_traceback(tmp_path):
     """A goal over 13 variables and one 12-ary symbol puts the context at
     13 variables, so the union-find array needs 13 + 13**12 atoms; the
     message gives the atom count and the context size."""
     src = Path(__file__).resolve().parents[1] / "src"
-    theory = tmp_path / "f12.thy"
-    theory.write_text("theory f12\nop f/12\naxiom v0 = f(" + ",".join(["v0"] * 12) + ")\n")
     goal = "v0 = f(" + ",".join(f"v{k}" for k in range(1, 13)) + ")"
-    result = _run_capped(src, "entail", str(theory), goal)
+    result = _run_capped(src, "entail", _idempotent_symbol_file(tmp_path, 12), goal)
     assert "Traceback" not in result.stderr, result.stderr
     assert result.returncode == 1
     assert result.stderr == (f"error: saturation over 13 variables needs {13 + 13 ** 12} "
+                             "atoms; there is not enough memory for them\n")
+
+
+@pytest.mark.parametrize("size", [6, 40], ids=["memory", "index-range"])
+def test_a_model_size_past_memory_exits_1_without_traceback(tmp_path, size):
+    """Model search keeps one cell per layout id, so a size whose tables do
+    not fit is refused with the size and the cell count: 6 + 6**12 cells
+    exceed the cap (a MemoryError), 40 + 40**12 the platform's index range
+    (an OverflowError)."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = _run_capped(src, "models", _idempotent_symbol_file(tmp_path, 12),
+                         "--min", str(size), "--max", str(size))
+    assert "Traceback" not in result.stderr, result.stderr
+    assert result.returncode == 1
+    assert result.stderr == (f"error: model search over {size} elements needs "
+                             f"{size + size ** 12} cells; there is not enough memory "
+                             "for them\n")
+
+
+def test_an_atom_space_past_the_index_range_exits_1_without_traceback(tmp_path):
+    """A 40-variable goal over one 20-ary symbol needs 40 + 40**20 atoms,
+    past the platform's index range: the same refusal as for memory."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    goal = ("f(" + ",".join(f"v{k}" for k in range(20)) + ") = f("
+            + ",".join(f"v{k}" for k in range(20, 40)) + ")")
+    result = _run_capped(src, "entail", _idempotent_symbol_file(tmp_path, 20), goal)
+    assert "Traceback" not in result.stderr, result.stderr
+    assert result.returncode == 1
+    assert result.stderr == (f"error: saturation over 40 variables needs {40 + 40 ** 20} "
                              "atoms; there is not enough memory for them\n")
 
 
@@ -600,9 +635,8 @@ def test_models_searches_a_wide_symbol_without_recursion(tmp_path):
     on 4094 cells, one search level each, past Python's recursion limit;
     the search keeps its branches on a stack of its own."""
     src = Path(__file__).resolve().parents[1] / "src"
-    theory = tmp_path / "f12.thy"
-    theory.write_text("theory f12\nop f/12\naxiom v0 = f(" + ",".join(["v0"] * 12) + ")\n")
-    result = _run_capped(src, "models", str(theory), "--min", "2", "--max", "2")
+    result = _run_capped(src, "models", _idempotent_symbol_file(tmp_path, 12),
+                         "--min", "2", "--max", "2")
     assert "Traceback" not in result.stderr, result.stderr
     assert result.returncode == 0, result.stderr
     tables = json.loads(result.stdout)["tables"]["f"]
@@ -732,3 +766,103 @@ class TestDeriveCommand:
         assert data["result"]["stop"] == "inconsistent"
         assert len(data["result"]["stages"]) == 2
         assert "certificate" in data["result"]
+
+
+# -- every report of the preset files, pinned --------------------------------
+
+THEORY_FILES = sorted((Path(__file__).resolve().parents[1] / "theories").glob("*.thy"))
+# the bounds of the non-linear goals below
+SEARCH_FLAGS = ["--max-terms", "1000", "--max-depth", "4", "--max-term-size", "16"]
+
+
+def _linear_goals(theory):
+    """x = y, and x = F(w) for every symbol F and every w over x, y, z up
+    to renaming of y and z, each as text."""
+    names = "xyz"
+    goals = ["x = y"]
+    for s in theory.symbols:
+        for w in _canonical_tuples(s.arity, 3):
+            goals.append(f"x = {s.name}({','.join(names[d] for d in w)})")
+    return goals
+
+
+def _nested_goals(theory):
+    """Per symbol F of positive arity, with A = F(x,y,...,y): F(A,y,...,y)
+    = x, F(y,...,y,A) = F(y,...,y,x) and A = F(A,...,A), each as text."""
+    goals = []
+    for s in theory.symbols:
+        if not s.arity:
+            continue
+        ys = ["y"] * (s.arity - 1)
+        inner = f"{s.name}({','.join(['x'] + ys)})"
+        goals += [f"{s.name}({','.join([inner] + ys)}) = x",
+                  f"{s.name}({','.join(ys + [inner])}) = {s.name}({','.join(ys + ['x'])})",
+                  f"{inner} = {s.name}({','.join([inner] * s.arity)})"]
+    return goals
+
+
+def _pinned_run(argv, tmp_path):
+    """`linvar argv --json` in process, as one JSON line: the exit code,
+    stdout, stderr and the report without its run time and command line."""
+    report_path = tmp_path / "report.json"
+    if report_path.exists():
+        report_path.unlink()
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([*argv, "--json", str(report_path)])
+    report = None
+    if report_path.exists():
+        report = json.loads(report_path.read_text())
+        del report["elapsed_s"], report["argv"]
+    return code, out.getvalue(), err.getvalue(), report
+
+
+# sha256 over one JSON line per run below (the command line with file names
+# only, then what `_pinned_run` returns), taken before the package errors
+# shared a base class; any change to a verdict, certificate, model,
+# message or exit code of these runs changes it.
+PINNED_CLI_REPORTS = (583, "b99afafe8d93306a0044b809c592032956026aa43776ebeafddc7059fe2fae52")
+
+
+def test_cli_reports_are_pinned(tmp_path):
+    """validate, classify, models, entail and check-derivation on every
+    preset file, and join --check-decomposition on every ordered pair."""
+    assert len(THEORY_FILES) == 7
+    runs = []
+    for path in THEORY_FILES:
+        theory = parse_theory(path.read_text())
+        p = str(path)
+        runs += [["validate", p], ["classify", p], ["models", p],
+                 ["models", p, "--min", "1", "--max", "4"],
+                 ["models", p, "--min", "0"], ["entail", p, "x ="],
+                 ["entail", p, "x = zz(x)"]]
+        linear = _linear_goals(theory)
+        runs += [["models", p, "--refute", goal] for goal in linear]
+        runs += [["entail", p, goal] for goal in linear]
+        runs += [["entail", p, goal, *SEARCH_FLAGS] for goal in _nested_goals(theory)]
+        runs += [["join", p, str(other), "--check-decomposition"]
+                 for other in THEORY_FILES]
+    digest = hashlib.sha256()
+    count = 0
+    derivations = []
+    for argv in runs:
+        code, out, err, report = _pinned_run(argv, tmp_path)
+        if report and report["result"].get("verdict") == "entailed":
+            derivations.append((argv[1], report["result"]["derivation"]))
+        names = [Path(a).name if a.endswith(".thy") else a for a in argv]
+        digest.update(json.dumps([names, code, out, err, report]).encode() + b"\n")
+        count += 1
+    # each certificate checks out, and so does no copy with a step dropped
+    for k, (path, derivation) in enumerate(derivations):
+        cert = tmp_path / f"cert{k}.json"
+        cert.write_text(json.dumps(derivation))
+        broken = tmp_path / f"broken{k}.json"
+        broken.write_text(json.dumps(dict(derivation, steps=derivation["steps"][1:])))
+        for argv in (["check-derivation", path, str(cert)],
+                     ["check-derivation", path, str(broken)]):
+            code, out, err, report = _pinned_run(argv, tmp_path)
+            names = [Path(a).name for a in argv[1:]]
+            digest.update(json.dumps([argv[0], names[0], code, out, err, report]
+                                     ).encode() + b"\n")
+            count += 1
+    assert (count, digest.hexdigest()) == PINNED_CLI_REPORTS

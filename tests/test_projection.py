@@ -252,7 +252,7 @@ class TestProjectToComponent:
                 if not options:
                     break
                 produced, how = rng.choice(options)
-                steps.append(_expansion_step(cur, how, pool))
+                steps.append(_expansion_step(encoding.encode(cur), how, encoding))
                 cur = encoding.decode(produced)
                 terms.append(cur)
             outcome = bfs_prove(joined, Identity(cur, goal_var), bounds)

@@ -739,7 +739,8 @@ def _assert_expansions_match_reference(theory, starts, max_size, levels=2, width
     for _ in range(levels):
         reached = []
         for t in frontier:
-            got = [(encoding.decode(produced), _expansion_step(t, how, candidates))
+            got = [(encoding.decode(produced),
+                    _expansion_step(encoding.encode(t), how, encoding))
                    for produced, how in _expansions(rules, encoding.encode(t),
                                                     len(candidates), max_size)]
             assert got == list(_reference_expansions(theory, t, candidates, max_size)), t

@@ -1,5 +1,7 @@
 import dataclasses
+import hashlib
 import itertools
+import json
 import random
 from typing import NamedTuple
 
@@ -8,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 import verify_reference as reference
 from linvar import rewriting
-from linvar.derivatives import derivative, order_derivative
-from linvar.dsl import parse_identity, parse_term
+from linvar.derivatives import _fact_identity, derivative, order_derivative, order_fact_set
+from linvar.dsl import parse_identity, parse_term, parse_theory
 from linvar.presets import maltsev, semilattice
 from linvar.rewriting import (
     FRESH_VARIABLES,
@@ -44,7 +46,8 @@ from linvar.terms import (
     term_variables,
     variable_occurrences,
 )
-from linvar.theories import Identity, UnknownSymbolError, embedded_components
+from linvar.theories import (Identity, UnknownSymbolError, embedded_components,
+                             idempotency_identity)
 from test_random_theories import _nested_starts, small_theories, ternary_theories
 
 
@@ -215,8 +218,6 @@ class TestDerivationJson:
 
     def test_round_trip_with_a_constant(self):
         """`render_term` writes a constant c as c(), which parses back."""
-        from linvar.dsl import parse_theory
-
         theory = parse_theory("theory k\nop c/0\nop p/2\naxiom p(x,c()) = x\n")
         outcome = bfs_prove(theory, parse_identity("p(p(x,c()),c()) = x",
                                                    {"c": 0, "p": 2}))
@@ -442,26 +443,72 @@ def test_search_equals_the_reference(theory, rng, bounds_list):
                                         bounds_list)
 
 
-def test_search_equals_the_reference_on_non_linear_theories():
-    """Axioms with nested sides: patterns and templates deeper than one
-    level, over one symbol and over two."""
-    from linvar.dsl import parse_theory
+# Axioms with nested sides: patterns and templates deeper than one level,
+# over one symbol and over two; each theory's text and goals
+NON_LINEAR_CASES = [
+    ("theory n1\nop m/2\naxiom m(x,x) = x\naxiom m(x,y) = m(y,x)\n"
+     "axiom m(m(x,y),z) = m(x,m(y,z))\naxiom m(x,m(x,y)) = m(x,y)\n",
+     ["m(m(x,y),m(y,x)) = m(x,y)", "m(x,m(y,m(x,z))) = m(m(z,y),x)",
+      "m(m(x,x),y) = m(y,x)", "x = m(y,x)"]),
+    ("theory n2\nop m/2\nop g/1\naxiom m(x,x) = x\naxiom g(x) = x\n"
+     "axiom m(g(x),y) = g(m(y,x))\naxiom g(g(x)) = m(x,g(x))\n",
+     ["m(g(x),g(y)) = g(m(y,x))", "g(m(g(x),y)) = m(y,x)",
+      "m(x,g(g(y))) = g(m(x,y))", "g(x) = m(g(y),x)"]),
+]
 
-    cases = [
-        ("theory n1\nop m/2\naxiom m(x,x) = x\naxiom m(x,y) = m(y,x)\n"
-         "axiom m(m(x,y),z) = m(x,m(y,z))\naxiom m(x,m(x,y)) = m(x,y)\n",
-         ["m(m(x,y),m(y,x)) = m(x,y)", "m(x,m(y,m(x,z))) = m(m(z,y),x)",
-          "m(m(x,x),y) = m(y,x)", "x = m(y,x)"]),
-        ("theory n2\nop m/2\nop g/1\naxiom m(x,x) = x\naxiom g(x) = x\n"
-         "axiom m(g(x),y) = g(m(y,x))\naxiom g(g(x)) = m(x,g(x))\n",
-         ["m(g(x),g(y)) = g(m(y,x))", "g(m(g(x),y)) = m(y,x)",
-          "m(x,g(g(y))) = g(m(x,y))", "g(x) = m(g(y),x)"]),
-    ]
-    for text, goal_texts in cases:
+
+def _non_linear_goals():
+    """(theory, goal) pairs of `NON_LINEAR_CASES`."""
+    for text, goal_texts in NON_LINEAR_CASES:
         theory = parse_theory(text)
         arities = {s.name: s.arity for s in theory.symbols}
-        goals = [parse_identity(goal, arities) for goal in goal_texts]
-        _assert_search_equals_the_reference(theory, goals, DIFFERENTIAL_BOUNDS)
+        for goal in goal_texts:
+            yield theory, parse_identity(goal, arities)
+
+
+def test_search_equals_the_reference_on_non_linear_theories():
+    for theory, goal in _non_linear_goals():
+        _assert_search_equals_the_reference(theory, [goal], DIFFERENTIAL_BOUNDS)
+
+
+def _pinned_search_goals(corpus):
+    """Each preset's idempotency goals, its derivable facts x = F(w), x = y
+    over it and over its derivative, and its `_differential_goals`; then
+    the goals of `NON_LINEAR_CASES`."""
+    x, y = Variable("x"), Variable("y")
+    for index, theory in enumerate(corpus):
+        symbols = {s.name: s for s in theory.symbols}
+        for s in theory.symbols:
+            yield theory, idempotency_identity(s)
+        for name, w in sorted(order_fact_set(theory)):
+            yield theory, _fact_identity(symbols[name], w)
+        for t in (theory, derivative(theory)):
+            yield t, Identity(x, y)
+        for goal in _differential_goals(theory, random.Random(index)):
+            yield theory, goal
+    yield from _non_linear_goals()
+
+
+# sha256 over one JSON line per goal of `_pinned_search_goals`: the
+# derivation's JSON, or the statistics of an Unknown outcome, under
+# `PINNED_SEARCH_BOUNDS`; taken before the search read its steps off the
+# encoded terms.
+PINNED_SEARCH_BOUNDS = SearchBounds(max_terms=5000, max_depth=4, max_term_size=20)
+PINNED_SEARCH = (107, "1f13b71c78be8187411714e8e69e644d3fa4e8566d24f2d67253b57956fd5a56")
+
+
+def test_proof_search_outcomes_are_pinned(corpus):
+    digest = hashlib.sha256()
+    count = 0
+    for theory, goal in _pinned_search_goals(corpus):
+        outcome = bfs_prove(theory, goal, PINNED_SEARCH_BOUNDS)
+        if isinstance(outcome, Proved):
+            record = derivation_to_json(outcome.derivation)
+        else:
+            record = dataclasses.asdict(outcome.stats)
+        digest.update(json.dumps(record, sort_keys=True).encode() + b"\n")
+        count += 1
+    assert (count, digest.hexdigest()) == PINNED_SEARCH
 
 
 # -- the in-place verifier against the replaying one ------------------------

@@ -113,3 +113,30 @@ def test_every_saturation_is_sized_by_its_question():
                     and not any(k.arg == "budget" for k in node.keywords):
                 unsized.append(f"{path.name}:{node.lineno}")
     assert unsized == []
+
+
+
+def test_every_package_error_is_a_linvar_error():
+    """Each class the package defines that derives from `Exception` derives
+    from `LinvarError`, so the CLI, which catches that one class, turns
+    every package error into exit 1 with a message, not a traceback."""
+    bases = {}
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ClassDef):
+                bases[node.name] = [getattr(b, "id", getattr(b, "attr", None))
+                                    for b in node.bases]
+
+    def ancestors(name):
+        out, stack = set(), [name]
+        while stack:
+            for base in bases.get(stack.pop(), ()):
+                if base not in out:
+                    out.add(base)
+                    stack.append(base)
+        return out
+
+    errors = sorted(name for name in bases if "Exception" in ancestors(name))
+    assert [name for name in errors
+            if name != "LinvarError" and "LinvarError" not in ancestors(name)] == []
+    assert len(errors) >= 16
