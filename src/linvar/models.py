@@ -15,7 +15,8 @@ on the stack.  Forcing is monotone, so the closure and any conflict do
 not depend on that order, and the search, branching on the first
 undecided cell with values ascending, returns the lexicographically first
 model in range.  A size whose cells do not fit in memory is refused with
-the cell count (`AtomSpaceTooLargeError`).
+the cell count, and a goal whose instances do not fit with their count
+(`AtomSpaceTooLargeError`).
 
 The layout, the identities' instances and the first model depend only on
 the theory and the size, so the first model is searched once per theory
@@ -369,6 +370,7 @@ def find_model(theory: Theory, lo: int = DEFAULT_SIZES[0], hi: int = DEFAULT_SIZ
     if lo < 1:
         raise ValueError("model size must be at least 1")
     goal_source = None if constraint is None else identity_code(constraint) or constraint
+    goal_variables = () if constraint is None else identity_variables(constraint)
     for size in range(lo, hi + 1):
         layout, instances, cells = theory.compiled(("models", size),
                                                    lambda: _compile(theory, size))
@@ -376,17 +378,23 @@ def find_model(theory: Theory, lo: int = DEFAULT_SIZES[0], hi: int = DEFAULT_SIZ
             continue  # no model of this size, so none separating the goal
         if goal_source is None:
             return _freeze(layout, cells), {}
-        witness, _ = _goal_status(_instance_pairs(layout, goal_source),
-                                  functools.partial(_value, layout, cells))
+        # the goal's instances, spread lazily here and whole for a
+        # constrained search, are refused as a layout's ids are
+        refusal = ("refutation", "elements", "goal instances",
+                   size ** len(goal_variables))
+        witness, _ = layout.allocate(
+            lambda: _goal_status(_instance_pairs(layout, goal_source),
+                                 functools.partial(_value, layout, cells)), *refusal)
         if witness is None:
-            search = _TableSearch(layout, instances,
-                                  tuple(_instance_pairs(layout, goal_source)))
+            goal = layout.allocate(lambda: tuple(_instance_pairs(layout, goal_source)),
+                                   *refusal)
+            search = _TableSearch(layout, instances, goal)
             witness = search.run()
             if witness is None:
                 continue
             cells = search.cells
         return (_freeze(layout, cells),
-                _assignment(identity_variables(constraint), witness, size))
+                _assignment(goal_variables, witness, size))
     return None
 
 

@@ -15,22 +15,30 @@ produced side put in at the position, equals the next term.
 Proof search (`bfs_prove`) runs on an encoded copy of the terms: a variable
 is its index in the search's candidate variables, an application the plain
 tuple (symbol index, child 1, ..., child n), and each rule's sides are
-compiled to a pattern and a template over slot numbers once per theory
-object, kept in `Theory.compiled`.
-Matching, instantiation and replacement then build tuples, and equality and
-hashing run in C.  The encoding is injective, and candidates are tried in
-the same order as on `Term`s, so the search meets at the same term and
-returns the same derivation and statistics.  A step on the returned path
-is read off its encoded predecessor with the same pattern match, and only
-the matched slots and the path's terms are decoded; the derivation is
-checked on `Term`s by `verify_derivation`, which knows nothing of the
-encoding.
+compiled over slot numbers once per theory object, kept in
+`Theory.compiled`: the source to its root symbol and a matcher, the
+produced side to a builder.  Equality and hashing then run in C, and
+so do matching a variable or a flat source over distinct variables and
+building a variable or a flat produced side of two or more children.
+`_expand` expands a term in place: a rule is tried only at the nodes with
+its source's root symbol (at every node for a variable source), each
+successor is sized before it is built and rebuilt from the node's
+ancestors without recursion, and only a successor new to its side's
+parent map gets an entry there.  The encoding is injective, and
+candidates are tried in the same order as on `Term`s, so the search meets
+at the same term and returns the same derivation and statistics.  A step
+on the returned path is read off its encoded predecessor with the rule's
+matcher, and only the matched slots and the path's terms are
+decoded; the derivation is checked on `Term`s by `verify_derivation`,
+which knows nothing of the encoding.
 """
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass
-from typing import Iterator, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .dsl import json_list, parse_identity, parse_term
 from .terms import (
@@ -172,9 +180,17 @@ def verify_derivation(theory: Theory, d: Derivation,
 
 @dataclass(frozen=True)
 class SearchBounds:
+    """Bounds of a proof search; 0 is a bound like any other, a negative
+    one a ValueError."""
+
     max_terms: int = 200_000
     max_depth: int = 10
     max_term_size: int = 24
+
+    def __post_init__(self) -> None:
+        for name in ("max_terms", "max_depth", "max_term_size"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must not be negative, got {getattr(self, name)}")
 
 
 # variables besides the goal's that a search term may hold
@@ -243,10 +259,14 @@ class _SearchRule(NamedTuple):
     # of the matched subterm at each (source path, n) in `weights`
     size: int
     weights: tuple[tuple[Position, int], ...]
-    # source and produced side over the theory's symbol ids, each variable
-    # encoded as its slot
-    pattern: _Code
-    template: _Code
+    # the source's root symbol id (None for a variable, which matches
+    # anywhere), and its slots' values at a node with that symbol (None
+    # for no match); both sides are encoded over the theory's symbol ids
+    # with each variable as its slot
+    root: Optional[int]
+    match: Callable[[_Code], Optional[tuple]]
+    # the produced side's instance from every slot's value
+    build: Callable[[tuple], _Code]
 
 
 def _search_rules(theory: Theory) -> tuple[_SearchRule, ...]:
@@ -265,28 +285,80 @@ def _search_rules(theory: Theory) -> tuple[_SearchRule, ...]:
             weights = tuple((paths[v], n) for v, n in uses.items() if v in paths)
             by_slot = _Encoding(theory.symbols,
                                 tuple(paths) + tuple(v for v in uses if v not in paths))
+            pattern = by_slot.encode(src)
             rules.append(_SearchRule(
                 eq, forward, by_slot.variables, len(paths),
                 term_size(dst) - sum(n for _, n in weights), weights,
-                by_slot.encode(src), by_slot.encode(dst)))
+                None if type(pattern) is int else pattern[0],
+                _matcher(pattern, len(paths)), _builder(by_slot.encode(dst))))
     return tuple(rules)
 
 
-def _subterms(t: _Code) -> list[tuple[Position, _Code, int]]:
-    """(position, subterm, size) of every node of t, in preorder."""
+def _matcher(pattern: _Code, slots: int) -> Callable[[_Code], Optional[tuple]]:
+    """Matching at a node whose root symbol is the pattern's.  A variable
+    binds the node, and a flat pattern over distinct slots its children,
+    without a Python frame; a flat pattern with a repeated slot compares
+    the repeats and picks the first occurrences; deeper patterns go
+    through `_match`."""
+    if type(pattern) is int:
+        return lambda sub: (sub,)
+    children = pattern[1:]
+    if list(children) == list(range(len(children))):
+        return operator.itemgetter(slice(1, None))
+    if all(type(c) is int for c in children):
+        first: dict[int, int] = {}
+        for i, c in enumerate(children, start=1):
+            first.setdefault(c, i)
+        picks = tuple(first.values())
+        repeats = [(i, first[c]) for i, c in enumerate(children, start=1) if first[c] != i]
+
+        def match_flat(sub: _Code) -> Optional[tuple]:
+            for i, j in repeats:
+                if sub[i] != sub[j]:
+                    return None
+            return tuple(map(sub.__getitem__, picks))
+        return match_flat
+
+    def match(sub: _Code) -> Optional[tuple]:
+        sigma: list = [None] * slots
+        return tuple(sigma) if _match(pattern, sub, sigma) else None
+    return match
+
+
+def _builder(template: _Code) -> Callable[[tuple], _Code]:
+    """Instantiation of the template from a tuple of every slot's value; a
+    variable or a flat template over two or more children without a Python
+    loop."""
+    if type(template) is int:
+        return operator.itemgetter(template)
+    if len(template) > 2 and all(type(c) is int for c in template[1:]):
+        head, get = template[:1], operator.itemgetter(*template[1:])
+        return lambda sigma: head + get(sigma)
+    return functools.partial(_instantiate, template)
+
+
+# A node of an encoded term: its position, the subterm there, the
+# subterm's size, and per ancestor, innermost first, the ancestor's
+# children before and after the path (with its symbol id in front), so
+# that `before + (u,) + after` at each level in turn puts u at the node.
+_Node = tuple[Position, _Code, int, tuple[tuple[tuple, tuple], ...]]
+
+
+def _nodes(t: _Code) -> list[_Node]:
+    """The nodes of t, in preorder."""
     out: list = []
 
-    def walk(s: _Code, pos: Position) -> int:
+    def walk(s: _Code, pos: Position, around: tuple) -> int:
         slot = len(out)
         out.append(None)
         size = 1
         if type(s) is tuple:
             for i in range(1, len(s)):
-                size += walk(s[i], pos + (i,))
-        out[slot] = (pos, s, size)
+                size += walk(s[i], pos + (i,), ((s[:i], s[i + 1:]),) + around)
+        out[slot] = (pos, s, size, around)
         return size
 
-    walk(t, ())
+    walk(t, (), ())
     return out
 
 
@@ -315,58 +387,71 @@ def _instantiate(template: _Code, sigma: tuple) -> _Code:
     return tuple(out)
 
 
-def _replace(t: _Code, pos: Position, u: _Code, depth: int = 0) -> _Code:
-    if depth == len(pos):
-        return u
-    i = pos[depth]
-    return t[:i] + (_replace(t[i], pos, u, depth + 1),) + t[i + 1:]  # type: ignore[index]
+# A parent entry of the search: the term a successor was first reached
+# from, the rule, the rewrite position and the candidate indices of the
+# rule's free variables' values; None for a goal side.
+_Entry = Optional[tuple[_Code, _SearchRule, Position, tuple[int, ...]]]
 
 
-# How `_expansions` produced a successor: the rule, the rewrite position
-# and the candidate indices of the rule's free variables' values.
-_Expansion = tuple[_SearchRule, Position, tuple[int, ...]]
+def _expand(t: _Code, rules: Sequence[_SearchRule], values: Mapping[int, list],
+            max_size: int, seen: dict[_Code, _Entry], limit: int,
+            other: Mapping[_Code, _Entry]) -> Optional[_Code]:
+    """Put every successor of the encoded t not in `seen` into it, with its
+    entry, in the search's order: rule by rule, at preorder positions, the
+    free variables' values in the order of `values[number of them]`.
 
-
-def _expansions(rules: Sequence[_SearchRule], t: _Code, pool: int, max_size: int
-                ) -> Iterator[tuple[_Code, _Expansion]]:
-    """Successors of the encoded term t: every rule, every position.
-
-    Variables appearing only on the produced side range over the
-    candidates, the variables 0, ..., pool - 1, which keeps branching
-    finite.  The candidates are variables, so a successor's size depends
-    only on the match and is checked before the successor is built.  The
-    step is built only on request, by `_expansion_step`.
+    A rule is tried only at nodes with its source's root symbol, at every
+    node for a variable source.  The values are candidates, encoded
+    variables, so a successor's size depends only on the match and is
+    checked before the successor is built.  Returns None once t is
+    expanded.  It stops early at a successor found in `other`, which it
+    has entered into `seen`, or at the first new one past `limit` entries
+    of `seen`, which it has not; either is returned.
     """
-    nodes = _subterms(t)
-    size_at = {pos: size for pos, _, size in nodes}
+    nodes = _nodes(t)
+    size_at = {}
+    at_root: dict[int, list[_Node]] = {}
+    for node in nodes:
+        size_at[node[0]] = node[2]
+        if type(node[1]) is tuple:
+            at_root.setdefault(node[1][0], []).append(node)
     total = nodes[0][2]
     for rule in rules:
-        n_free = len(rule.variables) - rule.slots
-        for pos, sub, size in nodes:
-            sigma = [None] * rule.slots
-            if not _match(rule.pattern, sub, sigma):
+        match, build = rule.match, rule.build
+        choices = values[len(rule.variables) - rule.slots]
+        for pos, sub, size, around in (nodes if rule.root is None
+                                       else at_root.get(rule.root, ())):
+            base = match(sub)
+            if base is None:
                 continue
             image = rule.size
             for path, n in rule.weights:
                 image += n * size_at[pos + path]
             if total - size + image > max_size:
                 continue
-            base = tuple(sigma)
-            for values in itertools.product(range(pool), repeat=n_free):
-                yield (_replace(t, pos, _instantiate(rule.template, base + values)),
-                       (rule, pos, values))
+            for vals in choices:
+                produced = build(base + vals)
+                for before, after in around:
+                    produced = before + (produced,) + after
+                if produced in seen:
+                    continue
+                if len(seen) > limit:
+                    return produced
+                seen[produced] = (t, rule, pos, vals)
+                if produced in other:
+                    return produced
+    return None
 
 
-def _expansion_step(t: _Code, how: _Expansion, encoding: _Encoding) -> DerivationStep:
-    """The step of `_expansions` that rewrote the encoded t, as `how` says:
-    the rule's pattern matched again at the position, then every slot
-    decoded, the free ones' candidate indices being encoded variables."""
-    rule, pos, values = how
+def _step(entry: tuple[_Code, _SearchRule, Position, tuple[int, ...]],
+          encoding: _Encoding) -> DerivationStep:
+    """The step a parent entry of `_expand` records, from its term: the
+    rule matched again at the position, then every slot decoded, the free
+    ones' candidate indices being encoded variables."""
+    t, rule, pos, values = entry
     for i in pos:
         t = t[i]  # type: ignore[index]
-    sigma: list = [None] * rule.slots
-    _match(rule.pattern, t, sigma)
-    images = map(encoding.decode, [*sigma, *values])
+    images = map(encoding.decode, rule.match(t) + values)
     return make_step(rule.equation, rule.forward, pos, dict(zip(rule.variables, images)))
 
 
@@ -395,11 +480,13 @@ def bfs_prove(theory: Theory, goal: Identity,
 
     Every variable a search term can hold is a goal variable or one of the
     `FRESH_VARIABLES` pool variables, so the search encodes terms
-    over those candidates (see the module docstring).  Successors are tried
-    rule by rule, at preorder positions, with the free variables' values in
-    `itertools.product` order, and each is sized before it is built.  The
-    path to the meeting term is decoded, built into steps and checked by
-    `verify_derivation` before it is returned.
+    over those candidates (see the module docstring).  Each side keeps one
+    parent map, in discovery order, and the keys a level adds are the next
+    level's frontier.  `_expand` tries successors rule by rule, at
+    preorder positions, with the free variables' values in
+    `itertools.product` order, sizes each before building it, and enters
+    only a new one.  The path to the meeting term is decoded, built into
+    steps and checked by `verify_derivation` before it is returned.
     """
     sig = set(theory.symbols)
     for s in term_symbols(goal.lhs) | term_symbols(goal.rhs):
@@ -415,12 +502,12 @@ def bfs_prove(theory: Theory, goal: Identity,
 
     encoding = _Encoding(theory.symbols, candidates)
     lhs, rhs = encoding.encode(goal.lhs), encoding.encode(goal.rhs)
-    # parents: term -> (previous term, how `_expansions` rewrote it)
-    sides: list[dict[_Code, Optional[tuple[_Code, _Expansion]]]] = [
-        {lhs: None}, {rhs: None}]
+    sides: list[dict[_Code, _Entry]] = [{lhs: None}, {rhs: None}]
     frontiers: list[list[_Code]] = [[lhs], [rhs]]
     expanded = 0
     rules = theory.compiled(("rewriting",), lambda: _search_rules(theory))
+    values = {n: list(itertools.product(range(len(candidates)), repeat=n))
+              for n in {len(r.variables) - r.slots for r in rules}}
 
     def stats(reason: str) -> SearchStats:
         return SearchStats(expanded, len(sides[0]), len(sides[1]), reason)
@@ -432,10 +519,9 @@ def bfs_prove(theory: Theory, goal: Identity,
         steps = []
         entry = sides[side][meet]
         while entry is not None:
-            prev, how = entry
-            terms.append(encoding.decode(prev))
-            steps.append(_expansion_step(prev, how, encoding))
-            entry = sides[side][prev]
+            terms.append(encoding.decode(entry[0]))
+            steps.append(_step(entry, encoding))
+            entry = sides[side][entry[0]]
         return terms, steps
 
     def assemble(meet: _Code) -> Derivation:
@@ -450,27 +536,21 @@ def bfs_prove(theory: Theory, goal: Identity,
                 f"search produced an invalid derivation: {check.reason}")
         return d
 
-    pool = len(candidates)
     for _ in range(bounds.max_depth):
         if not frontiers[0] and not frontiers[1]:
             return Unknown(stats("frontier exhausted"))
         for side in (0, 1):
-            other = 1 - side
-            new: dict[_Code, tuple[_Code, _Expansion]] = {}
+            seen, other = sides[side], sides[1 - side]
+            known = len(seen)
+            limit = bounds.max_terms - len(other)
             for t in frontiers[side]:
                 expanded += 1
-                for produced, how in _expansions(rules, t, pool, bounds.max_term_size):
-                    if produced in sides[side] or produced in new:
-                        continue
-                    if len(sides[0]) + len(sides[1]) + len(new) > bounds.max_terms:
-                        sides[side].update(new)
-                        return Unknown(stats("max_terms reached"))
-                    new[produced] = (t, how)
-                    if produced in sides[other]:
-                        sides[side].update(new)
-                        return Proved(assemble(produced))
-            sides[side].update(new)
-            frontiers[side] = list(new)
+                stop = _expand(t, rules, values, bounds.max_term_size, seen, limit, other)
+                if stop is not None:
+                    if stop in seen:
+                        return Proved(assemble(stop))
+                    return Unknown(stats("max_terms reached"))
+            frontiers[side] = list(itertools.islice(seen, known, None))
     return Unknown(stats("max_depth reached"))
 
 

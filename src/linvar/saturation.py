@@ -54,10 +54,9 @@ does not depend on its target, so each base keeps and resumes it
 from __future__ import annotations
 
 import copy
-import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import models
 from .rewriting import (
@@ -139,9 +138,21 @@ class _ChainRule(NamedTuple):
         return sigma
 
 
-# How a chain search reached an atom: (previous atom, rule, the previous
-# atom's digits, values of the rule's free variables), as `_neighbors` yields.
+# How a chain search first reached an atom: (previous atom, rule, the
+# previous atom's digits, values of the rule's free variables), built only
+# for an atom new to the tree; `_ChainRule.substitution` turns the last
+# three into the instance's substitution.
 _Edge = tuple[int, _ChainRule, tuple[int, ...], tuple[int, ...]]
+
+
+def _product_values(index: int, order: Sequence[int], n: int) -> tuple[int, ...]:
+    """Entry `index` of `itertools.product(order, repeat=n)`, whose last
+    place varies fastest."""
+    values = []
+    for _ in range(n):
+        index, k = divmod(index, len(order))
+        values.append(order[k])
+    return tuple(reversed(values))
 
 
 class _ChainTree(NamedTuple):
@@ -385,51 +396,28 @@ class FlatFactBase(FlatLayout):
             self._rule_table = table
         return self._rule_table
 
-    def _neighbors(self, aid: int, allowed: Sequence[int],
-                   rules: dict[Optional[str], list[_ChainRule]]
-                   ) -> Iterator[tuple[int, _ChainRule, tuple[int, ...], tuple[int, ...]]]:
-        """Atoms one instance of a rule from `_rules` away, in a fixed
-        deterministic order, as (atom, rule, this atom's digits, values of
-        the rule's free variables); `_ChainRule.substitution` turns the last
-        three into the instance's substitution.
-
-        Free variables of the produced side range over the context indices
-        `allowed` (a chain search passes its endpoints' variables, so every
-        atom it reaches stays over them).  Those absent from the source atom
-        come first, so extracted chains introduce fresh variables the way a
-        written-out proof would.  Ids are affine in the digits, so each
-        neighbour's id is the rule's id at zero plus its variables' strides.
-        """
-        kind, digits = self.digits(aid)
-        order = [i for i in allowed if i not in digits] + sorted(set(digits))
-        for rule in rules.get(kind, ()):
-            # a repeated source variable must meet equal digits
-            if rule.repeats and any(digits[i] != digits[j] for i, j in rule.repeats):
-                continue
-            base = rule.zero
-            for i, stride in rule.bound:
-                base += stride * digits[i]
-            ids = [base]
-            # the last free variable varies fastest, as in itertools.product
-            for stride in rule.free_strides:
-                ids = [i + k * stride for i in ids for k in order]
-            for tid, values in zip(ids, itertools.product(order, repeat=len(rule.free))):
-                if tid != aid:
-                    yield tid, rule, digits, values
-
     def shortest_chain(self, a: int, b: int
                        ) -> Optional[tuple[list[int], list[tuple[int, bool, dict[Variable, int]]]]]:
         """Shortest path between two atoms through identity-instance edges.
 
         The search stays among the atoms over the endpoints' variables; by
         the retraction lemma a shortest chain of the whole context has an
-        image there that is no longer.  It is a breadth-first search from a
-        with first-discovery parents and `_neighbors`' fixed order, so which
-        atoms it reaches, and from where, does not depend on b: the base
-        keeps one tree per (a, allowed) and resumes it, a whole atom's
-        expansion at a time, only until b has a parent.  The chain read off
-        the tree is the one a fresh search stopping at b would return, and
-        substitutions are built only for its edges.
+        image there that is no longer.  Free variables of a produced side
+        range over those indices, the ones absent from the atom expanded
+        first, so chains introduce fresh variables the way a written-out
+        proof would.  Ids are affine in the digits, so each rule's
+        neighbour ids are computed in place, the rule's id at zero plus its
+        variables' strides, in `itertools.product` order of the free
+        values; an edge is built only for an atom new to the tree, its
+        values decoded from the id's index in that order.
+
+        It is a breadth-first search from a with first-discovery parents
+        and that fixed order, so which atoms it reaches, and from where,
+        does not depend on b: the base keeps one tree per (a, allowed) and
+        resumes it, a whole atom's expansion at a time, only until b has a
+        parent.  The chain read off the tree is the one a fresh search
+        stopping at b would return, and substitutions are built only for
+        its edges.
         """
         if not self.same_class(a, b):
             return None
@@ -447,10 +435,25 @@ class FlatFactBase(FlatLayout):
                 # variables (the retraction lemma), so this is unreachable.
                 raise CertificateError("atoms share a class but no chain was found")
             cur = queue.popleft()
-            for tid, rule, digits, values in self._neighbors(cur, allowed, rules):
-                if tid not in parents:
-                    parents[tid] = (cur, rule, digits, values)
-                    queue.append(tid)
+            kind, digits = self.digits(cur)
+            # free variables take the endpoints' indices absent from cur first
+            order = [i for i in allowed if i not in digits] + sorted(set(digits))
+            for rule in rules.get(kind, ()):
+                # a repeated source variable must meet equal digits
+                if rule.repeats and any(digits[i] != digits[j] for i, j in rule.repeats):
+                    continue
+                base = rule.zero
+                for i, stride in rule.bound:
+                    base += stride * digits[i]
+                reached = [base]
+                # the last free variable varies fastest, as in itertools.product
+                for stride in rule.free_strides:
+                    reached = [i + k * stride for i in reached for k in order]
+                for index, tid in enumerate(reached):
+                    if tid not in parents:
+                        parents[tid] = (cur, rule, digits,
+                                        _product_values(index, order, len(rule.free)))
+                        queue.append(tid)
         ids = [b]
         edges = []
         entry = parents[b]

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, TypeVar, Union
+
+_T = TypeVar("_T")
 
 
 class LinvarError(Exception):
@@ -163,15 +165,18 @@ class FlatLayout:
             total += n ** s.arity
         self.size = total
 
-    def allocate(self, build: Callable[[], list], task: str, values: str, ids: str) -> list:
-        """What `build` returns, a list with one entry per id; running out of
-        memory, or past the platform's index range, raises
-        `AtomSpaceTooLargeError` naming the task, n and the id count."""
+    def allocate(self, build: Callable[[], _T], task: str, values: str, ids: str,
+                 count: Optional[int] = None) -> _T:
+        """What `build` returns, by default a list with one entry per id;
+        running out of memory, or past the platform's index range, raises
+        `AtomSpaceTooLargeError` naming the task, n and `count` (the id
+        count unless given)."""
         try:
             return build()
         except (MemoryError, OverflowError):
             raise AtomSpaceTooLargeError(
-                f"{task} over {self.n} {values} needs {self.size} {ids}; "
+                f"{task} over {self.n} {values} needs "
+                f"{self.size if count is None else count} {ids}; "
                 "there is not enough memory for them") from None
 
     def encode(self, name: Optional[str], digits: Sequence[int]) -> int:

@@ -180,6 +180,14 @@ class TestEntailCommand:
         assert main(["entail", maltsev_file, goal] + flags) == 2
         assert capsys.readouterr().out == f"unknown: {reason}\n"
 
+    @pytest.mark.parametrize("flag", ["--max-terms", "--max-depth", "--max-term-size"])
+    def test_negative_bound_exits_1(self, maltsev_file, capsys, flag):
+        assert main(["entail", maltsev_file, "p(x,p(y,y,z),z) = p(z,y,x)", flag, "-3"]) == 1
+        captured = capsys.readouterr()
+        name = flag[2:].replace("-", "_")
+        assert (captured.out, captured.err) == (
+            "", f"error: {name} must not be negative, got -3\n")
+
     def test_linear_goal_over_non_linear_theory_is_searched(self, tmp_path, capsys):
         # saturation needs a linear theory as well as a linear goal
         path = tmp_path / "nl.thy"
@@ -602,6 +610,21 @@ def test_an_atom_space_past_the_index_range_exits_1_without_traceback(tmp_path):
     assert result.returncode == 1
     assert result.stderr == (f"error: saturation over 40 variables needs {40 + 40 ** 20} "
                              "atoms; there is not enough memory for them\n")
+
+
+def test_a_refutation_goal_past_memory_exits_1_without_traceback(tmp_path):
+    """A goal f(v0,...,v13) = f(v14,...,v27) over one 14-ary symbol has
+    2**28 instances in a 2-element model; spreading them exceeds the cap,
+    and the refusal gives their count."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    goal = ("f(" + ",".join(f"v{k}" for k in range(14)) + ") = f("
+            + ",".join(f"v{k}" for k in range(14, 28)) + ")")
+    result = _run_capped(src, "models", _idempotent_symbol_file(tmp_path, 14),
+                         "--refute", goal)
+    assert "Traceback" not in result.stderr, result.stderr
+    assert result.returncode == 1
+    assert result.stderr == (f"error: refutation over 2 elements needs {2 ** 28} goal "
+                             "instances; there is not enough memory for them\n")
 
 
 def test_classify_decides_a_wide_near_unanimity_symbol(tmp_path):

@@ -222,9 +222,9 @@ class TestProjectToComponent:
 
         from linvar import presets
         from linvar.derivatives import _fact_identity, order_fact_set
-        from linvar.rewriting import (Proved, SearchBounds, _Encoding,
-                                      _expansion_step, _expansions, _search_rules,
-                                      bfs_prove)
+        from linvar.rewriting import (Proved, SearchBounds, _Encoding, _search_rules,
+                                      _step, bfs_prove)
+        from test_random_theories import _successors
         from linvar.theories import Identity, embedded_components
 
         rng = random.Random(987)
@@ -246,13 +246,13 @@ class TestProjectToComponent:
             cur, terms, steps = start, [start], []
             for _ in range(rng.randint(0, 4)):
                 # encoded variables are ints, applications tuples
-                options = [o for o in _expansions(rules, encoding.encode(cur),
-                                                  len(pool), 12)
+                options = [o for o in _successors(rules, encoding.encode(cur),
+                                                  len(pool), 12).items()
                            if isinstance(o[0], tuple)]
                 if not options:
                     break
-                produced, how = rng.choice(options)
-                steps.append(_expansion_step(encoding.encode(cur), how, encoding))
+                produced, entry = rng.choice(options)
+                steps.append(_step(entry, encoding))
                 cur = encoding.decode(produced)
                 terms.append(cur)
             outcome = bfs_prove(joined, Identity(cur, goal_var), bounds)

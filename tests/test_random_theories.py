@@ -7,6 +7,7 @@ saturation, search, and model engines to each other.
 
 import itertools
 import random
+import sys
 from collections import deque
 
 import pytest
@@ -29,9 +30,9 @@ from linvar.rewriting import (
     Proved,
     SearchBounds,
     _Encoding,
-    _expansion_step,
-    _expansions,
+    _expand,
     _search_rules,
+    _step,
     bfs_prove,
     make_step,
     verify_derivation,
@@ -710,8 +711,9 @@ def test_join_disjoint_equals_make_theory(left, right, clash, collapse):
 
 
 def _reference_expansions(theory, t, candidates, max_size):
-    """`rewriting._expansions` as it was before candidates were sized
-    ahead of building: build every one-step rewrite, then filter by size."""
+    """The one-step rewrites of t, each with its step, as proof search
+    enumerated them before candidates were sized ahead of building: build
+    every one-step rewrite, then filter by size."""
     for eq in theory.identities:
         for forward in (True, False):
             src, dst = (eq.lhs, eq.rhs) if forward else (eq.rhs, eq.lhs)
@@ -728,9 +730,20 @@ def _reference_expansions(theory, t, candidates, max_size):
                         yield produced, make_step(eq, forward, pos, sigma)
 
 
+def _successors(rules, t, pool, max_size):
+    """Every successor of the encoded t, each with the parent entry of its
+    first occurrence, in the order `_expand` enters them into an empty map."""
+    values = {n: list(itertools.product(range(pool), repeat=n))
+              for n in {len(r.variables) - r.slots for r in rules}}
+    seen = {}
+    assert _expand(t, rules, values, max_size, seen, sys.maxsize, {}) is None
+    return seen
+
+
 def _assert_expansions_match_reference(theory, starts, max_size, levels=2, width=12):
     """Walk `levels` rewrite steps out from the starts, comparing each
-    term's successors with the reference, in order, at the size bound."""
+    term's successors with the reference's first occurrences, in order, at
+    the size bound."""
     x, y = VARS[0], VARS[1]
     candidates = (x, y, Variable("v0"), Variable("v1"))
     encoding = _Encoding(theory.symbols, candidates)
@@ -739,11 +752,13 @@ def _assert_expansions_match_reference(theory, starts, max_size, levels=2, width
     for _ in range(levels):
         reached = []
         for t in frontier:
-            got = [(encoding.decode(produced),
-                    _expansion_step(encoding.encode(t), how, encoding))
-                   for produced, how in _expansions(rules, encoding.encode(t),
-                                                    len(candidates), max_size)]
-            assert got == list(_reference_expansions(theory, t, candidates, max_size)), t
+            got = [(encoding.decode(produced), _step(entry, encoding))
+                   for produced, entry in _successors(rules, encoding.encode(t),
+                                                      len(candidates), max_size).items()]
+            expected = {}
+            for produced, step in _reference_expansions(theory, t, candidates, max_size):
+                expected.setdefault(produced, step)
+            assert got == list(expected.items()), t
             for produced, _ in got:
                 if produced not in seen:
                     seen.add(produced)

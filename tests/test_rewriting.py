@@ -471,6 +471,52 @@ def test_search_equals_the_reference_on_non_linear_theories():
         _assert_search_equals_the_reference(theory, [goal], DIFFERENTIAL_BOUNDS)
 
 
+# The bounds the entail benchmark searches with: terms up to size 16, past
+# the 12 of `DIFFERENTIAL_BOUNDS`
+ENTAIL_BOUNDS = SearchBounds(max_terms=1000, max_depth=4, max_term_size=16)
+
+
+def _flat_term(theory, rng):
+    """H(...) over seeded variables of x, y, z."""
+    s = rng.choice(theory.symbols)
+    return Application(s, tuple(Variable(rng.choice("xyz")) for _ in range(s.arity)))
+
+
+def _nested_term(theory, rng):
+    """F(..., G(...), ...): one seeded argument nested, the rest variables,
+    as the entail benchmark draws its search goals."""
+    top = _flat_term(theory, rng)
+    k = rng.randrange(top.symbol.arity)
+    return Application(top.symbol, top.children[:k] + (_flat_term(theory, rng),)
+                       + top.children[k + 1:])
+
+
+def _entail_shaped_goals(theory, rng):
+    """A nested goal F(..., G(...), ...) = H(...) the search gives up on at
+    its term bound, and a provable one: a nested term against the end of a
+    seeded two-step rewrite walk from it that revisits no term."""
+    while True:
+        open_goal = Identity(_nested_term(theory, rng), _flat_term(theory, rng))
+        outcome = bfs_prove(theory, open_goal, ENTAIL_BOUNDS)
+        if isinstance(outcome, Unknown) and outcome.stats.reason == "max_terms reached":
+            break
+    rules = _reference_rules(theory)
+    start = t = _nested_term(theory, rng)
+    for _ in range(2):
+        t = rng.choice([u for u, _ in _reference_sized_expansions(
+            rules, t, term_variables(t), ENTAIL_BOUNDS.max_term_size) if u not in (start, t)])
+    proved = Identity(start, t)
+    assert isinstance(bfs_prove(theory, proved, ENTAIL_BOUNDS), Proved)
+    return [open_goal, proved]
+
+
+@pytest.mark.parametrize("index", range(7))
+def test_search_equals_the_reference_at_the_entail_bounds(corpus, index):
+    theory = corpus[index]
+    _assert_search_equals_the_reference(
+        theory, _entail_shaped_goals(theory, random.Random(index)), [ENTAIL_BOUNDS])
+
+
 def _pinned_search_goals(corpus):
     """Each preset's idempotency goals, its derivable facts x = F(w), x = y
     over it and over its derivative, and its `_differential_goals`; then

@@ -81,6 +81,28 @@ def _names_used(tree):
     return out
 
 
+def _imported_modules(tree):
+    """Every module and name an import statement of the tree names, split
+    at the dots: relative or absolute, at top level or in a function."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            out.update((node.module or "").split("."))
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                out.update(alias.name.split("."))
+    return out
+
+
+def test_the_verifier_imports_no_engine():
+    """`rewriting`, which holds the verifier every certificate replays in,
+    imports nothing from the engines whose answers it checks."""
+    tree = ast.parse((Path(linvar.__file__).resolve().parent / "rewriting.py").read_text())
+    engines = {"saturation", "derivatives", "projection", "classification"}
+    assert _imported_modules(tree) & engines == set()
+    assert {"terms", "theories"} <= _imported_modules(tree)
+
+
 def test_every_function_is_named():
     """Each function or method the package defines, dunders aside, is named
     somewhere in the sources, the tests, the scripts or the benchmark."""
