@@ -11,16 +11,24 @@ the derivation verifier rather than assumed.
 The successor relation is never built whole: the out-edges of one
 occurrence come from the two steps beside its term, and the chain search
 computes them only for the occurrences it expands, reading each step's
-equation sides where the step lies.  `successors` gives the same edges for
-one occurrence on its own, from the same function the search expands.
+equation sides where the step lies.  One edge rule, `_targets`, gives an
+edge's case and its targets as plain (index, position) tuples; the search
+looks each target up as such a tuple and builds an occurrence and an edge
+record only for a target it has not reached.  `successors` builds every
+record for one occurrence on its own from the same rule.  The up-front
+flatness check reads each equation object once, at its first step.
 
 A chain edge that is not a root step maps child j of one chain term to
 child j of the next, so the next term keeps the same list of class ids; only
 inner root steps and the final collapsing hop unite ids, in a union-find
-over ints.  When two variables collide, `_conflict_derivation` walks the
-chain's edges again, tying each child slot to the slot it is equal to or
-rewritten into, and stitches the inconsistency certificate from a shortest
-path of ties between the two slots.
+over ints.  Resolving classes to variables, a term that shares its row
+with the previous one re-reads only the children that are not the objects
+the previous term had there, and the replay builds the flat image only of
+term 0 and the two ends of each root step.  When two variables collide,
+`_conflict_derivation` walks the chain's edges again, tying each child slot
+to the slot it is equal to or rewritten into, and stitches the
+inconsistency certificate from a shortest path of ties between the two
+slots.
 """
 from __future__ import annotations
 
@@ -101,23 +109,23 @@ def _variable_children(side: Term) -> tuple[Variable, ...]:
     return side.children  # type: ignore[return-value]
 
 
-def _edges_for(d: Derivation, m: int, direction: int,
-               u: DerivationOccurrence) -> list[SuccessorEdge]:
-    """Successor edges leaving occurrence u across step m read in the given
-    direction, ordered by target: a fan-out lists the from-term's copies
-    and the to-term's copies in index order, each by position."""
+def _targets(d: Derivation, m: int, direction: int, index: int, pos: Position
+             ) -> tuple[int, list[tuple[int, Position]]]:
+    """The edge rule: the case and the (index, position) targets of the
+    successor edges leaving the occurrence at `pos` of term `index` across
+    step m read in the given direction, ordered by target: a fan-out lists
+    the from-term's copies and the to-term's copies in index order, each by
+    position."""
     step = d.steps[m - 1]
-    pos = u.position
     s_pos = step.position
     to_index = m if direction > 0 else m - 1
     if pos[:len(s_pos)] != s_pos:
         # the step is not at or above this occurrence: it leaves it untouched
         # (1), or the rewrite happened strictly inside it (2)
-        case = 2 if s_pos[:len(pos)] == pos else 1
-        return [SuccessorEdge(u, DerivationOccurrence(to_index, pos), case, m, direction)]
+        return (2 if s_pos[:len(pos)] == pos else 1), [(to_index, pos)]
     src, dst = _sides(step, direction)
     if pos == s_pos and isinstance(src, Application):
-        return [SuccessorEdge(u, DerivationOccurrence(to_index, s_pos), 4, m, direction)]
+        return 4, [(to_index, s_pos)]
     # this occurrence sits at or under the matched image of a variable
     if isinstance(src, Variable):
         w = src
@@ -127,18 +135,19 @@ def _edges_for(d: Derivation, m: int, direction: int,
         w = _variable_children(src)[child_index - 1]
         p_pos = s_pos + (child_index,)
     rel = pos[len(p_pos):]
-    sides = ((u.index, src), (to_index, dst))
-    return [SuccessorEdge(u, DerivationOccurrence(index, s_pos + q + rel), 3, m, direction)
-            for index, side in (sides if direction > 0 else sides[::-1])
-            for q in _variable_positions(side, w)]
+    sides = ((index, src), (to_index, dst))
+    return 3, [(i, s_pos + q + rel)
+               for i, side in (sides if direction > 0 else sides[::-1])
+               for q in _variable_positions(side, w)]
 
 
-def _successors(d: Derivation, occ: DerivationOccurrence) -> list[SuccessorEdge]:
-    i = occ.index
-    edges = _edges_for(d, i + 1, 1, occ) if i < len(d.steps) else []
-    if i > 0:
-        edges += _edges_for(d, i, -1, occ)
-    return edges
+def _edges_for(d: Derivation, m: int, direction: int,
+               u: DerivationOccurrence) -> list[SuccessorEdge]:
+    """Successor edges leaving occurrence u across step m read in the given
+    direction, in the order of `_targets`."""
+    case, targets = _targets(d, m, direction, u.index, u.position)
+    return [SuccessorEdge(u, DerivationOccurrence(i, pos), case, m, direction)
+            for i, pos in targets]
 
 
 def successors(d: Derivation, occ: DerivationOccurrence) -> tuple[SuccessorEdge, ...]:
@@ -147,7 +156,9 @@ def successors(d: Derivation, occ: DerivationOccurrence) -> tuple[SuccessorEdge,
     They come from the step after its term read forward and the step before
     it read backward, ordered forward edges first, then by case and target.
     """
-    return tuple(_successors(d, occ))
+    i = occ.index
+    return tuple(edge for m, direction in ((i + 1, 1), (i, -1)) if 0 < m <= len(d.steps)
+                 for edge in _edges_for(d, m, direction, occ))
 
 
 def _derivation_variable_names(d: Derivation) -> set[str]:
@@ -211,24 +222,33 @@ def _chain_search(d: Derivation, owner_sig: frozenset, goal: Variable
 
     while queue:
         cur = queue.popleft()
-        for e in _successors(d, cur):
-            occ = e.target
-            if occ in parents:
+        i, pos = cur
+        # the step after the term read forward, then the one before it backward
+        for m, direction in ((i + 1, 1), (i, -1)):
+            if not 0 < m <= len(steps):
                 continue
-            collapsing = (e.case == 4 and
-                          isinstance(_sides(steps[e.step - 1], e.direction)[1], Variable))
-            term = subterm_at(terms[occ.index], occ.position)
-            if isinstance(term, Variable):
-                if term == goal and collapsing:
-                    return assemble(e)
-                continue  # other variables are dead ends
-            if collapsing or term.symbol not in owner_sig:
-                # do not walk through a collapsed image; remember the first hop
-                if collapsing and collapse is None:
-                    collapse = e
-                continue
-            parents[occ] = e
-            queue.append(occ)
+            case, targets = _targets(d, m, direction, i, pos)
+            collapsing = (case == 4 and
+                          isinstance(_sides(steps[m - 1], direction)[1], Variable))
+            for target in targets:
+                # a plain tuple hashes and compares as the occurrence it names
+                if target in parents:
+                    continue
+                term = subterm_at(terms[target[0]], target[1])
+                if isinstance(term, Variable):
+                    if term == goal and collapsing:
+                        return assemble(SuccessorEdge(
+                            cur, DerivationOccurrence(*target), case, m, direction))
+                    continue  # other variables are dead ends
+                if collapsing or term.symbol not in owner_sig:
+                    # do not walk through a collapsed image; remember the first hop
+                    if collapsing and collapse is None:
+                        collapse = SuccessorEdge(
+                            cur, DerivationOccurrence(*target), case, m, direction)
+                    continue
+                occ = DerivationOccurrence(*target)
+                parents[occ] = SuccessorEdge(cur, occ, case, m, direction)
+                queue.append(occ)
     if collapse is not None:
         return assemble(collapse)
     return None
@@ -274,8 +294,13 @@ def project_to_component(left: Theory, right: Theory, d: Derivation
         raise NotAProjectionInstanceError(f"{t0.symbol} belongs to neither component")
     # The edge rule needs flat equation sides.  Check every step up front,
     # not only those the chain search reaches, so that a derivation is
-    # accepted or rejected as a whole.
+    # accepted or rejected as a whole; an equation object is checked at the
+    # first step that uses it, which is where it would fail.
+    checked: set[int] = set()
     for step in d.steps:
+        if id(step.equation) in checked:
+            continue
+        checked.add(id(step.equation))
         for side in _sides(step, 1):
             if not is_flat(side):
                 raise ProjectionError(f"equation side {render_term(side)} is not flat")
@@ -343,19 +368,26 @@ def project_to_component(left: Theory, right: Theory, d: Derivation
     unnamed: dict[int, None] = {}
     roots: list[list[int]] = []
     for i, t in enumerate(chain_terms):
+        children = t.children
         if i and rows[i] is rows[i - 1]:
+            # a child the previous term had there, under the same root, is
+            # already resolved
             row_roots = roots[-1]
+            before = chain_terms[i - 1].children
+            slots = [j for j, child in enumerate(children) if child is not before[j]]
         else:
             row_roots = [find(c) for c in rows[i]]
+            slots = range(len(children))
         roots.append(row_roots)
-        for j, (child, r) in enumerate(zip(t.children, row_roots), start=1):
+        for j in slots:
+            child, r = children[j], row_roots[j]
             if isinstance(child, Variable):
                 first = held.get(r)
                 if first is None:
-                    held[r] = (child, (i, j))
+                    held[r] = (child, (i, j + 1))
                 elif first[0] != child:
                     raise InconsistencyDetectedError(_conflict_derivation(
-                        joined, d, chain, edges, chain_terms, first[1], (i, j)))
+                        joined, d, chain, edges, chain_terms, first[1], (i, j + 1)))
             else:
                 unnamed.setdefault(r)
     names = {r: v for r, (v, _) in held.items()}
@@ -378,8 +410,14 @@ def project_to_component(left: Theory, right: Theory, d: Derivation
             f"the chain collapses to {render_term(landing)}, "
             f"not the goal variable {tn.name}")
 
-    # replay the root steps on the flat terms
-    image = [tuple(names[r] for r in row_roots) for row_roots in roots]
+    # replay the root steps on the flat terms, which read only term 0 and
+    # the two ends of each root step but the collapsing hop's variable
+    read = {0}
+    for i, edge in enumerate(edges):
+        if edge.case == 4:
+            read.update((i, i + 1))
+    read.discard(len(chain_terms))
+    image = {i: tuple(names[r] for r in roots[i]) for i in read}
     out_terms: list[Term] = [Application(t0.symbol, image[0])]
     out_steps: list[DerivationStep] = []
     for i, edge in enumerate(edges):

@@ -10,7 +10,9 @@ the step's position down the term and the next term together, comparing
 the children beside the path, and matches the two sides of the equation
 under the stored substitution against the subterms at the position.  That
 accepts exactly the steps whose replay, the term with the instance of the
-produced side put in at the position, equals the next term.
+produced side put in at the position, equals the next term.  It looks an
+equation up in the theory once per equation object and call, and still
+walks and matches every step that uses it.
 
 Proof search (`bfs_prove`) runs on an encoded copy of the terms: a variable
 is its index in the search's candidate variables, an application the plain
@@ -120,7 +122,8 @@ def _is_instance(pattern: Term, target: Term, images: Mapping[str, Term]) -> boo
     if isinstance(pattern, Variable):
         image = images.get(pattern.name, pattern)
         return image is target or image == target
-    if not isinstance(target, Application) or target.symbol != pattern.symbol:
+    if not isinstance(target, Application) or (
+            target.symbol is not pattern.symbol and target.symbol != pattern.symbol):
         return False
     for p, t in zip(pattern.children, target.children):
         if not _is_instance(p, t, images):
@@ -142,17 +145,23 @@ def verify_derivation(theory: Theory, d: Derivation,
     `terms[i]`, that is exactly `replace_at(terms[i], p, dst·σ) ==
     terms[i+1]`, the replay the checks stand for, and the checks run and
     fail in the replay's order: equation, position, source instance,
-    produced term.
+    produced term.  An equation object found in the theory at one step is
+    not looked up again at a later one.
     """
     if not d.terms or len(d.terms) != len(d.steps) + 1:
         return VerifyResult(False, None, "terms and steps do not line up")
     canon = theory.identity_set()
+    # ids of the equation objects found in the theory: `d` holds each one
+    # for the whole call, and an Identity is frozen
+    members: set[int] = set()
     for i, step in enumerate(d.steps):
         eq = step.equation
-        if not (allow_reflexivity and _is_reflexivity(eq)):
-            # an identity in the canonical set is its own canonical form
-            if eq not in canon and canonicalize_identity(eq) not in canon:
-                return VerifyResult(False, i, f"equation {eq} is not in {theory.name}")
+        if id(eq) not in members:
+            if not (allow_reflexivity and _is_reflexivity(eq)):
+                # an identity in the canonical set is its own canonical form
+                if eq not in canon and canonicalize_identity(eq) not in canon:
+                    return VerifyResult(False, i, f"equation {eq} is not in {theory.name}")
+            members.add(id(eq))
         src, dst = (eq.lhs, eq.rhs) if step.forward else (eq.rhs, eq.lhs)
         # variables are equal exactly when their names are, and a name
         # hashes without a call into Python
@@ -162,7 +171,8 @@ def verify_derivation(theory: Theory, d: Derivation,
         for k in step.position:
             if isinstance(here, Variable) or not 1 <= k <= len(here.children):
                 return VerifyResult(False, i, f"position {list(step.position)} invalid")
-            if (isinstance(there, Application) and there.symbol == here.symbol
+            if (isinstance(there, Application)
+                    and (there.symbol is here.symbol or there.symbol == here.symbol)
                     and there.children[:k - 1] == here.children[:k - 1]
                     and there.children[k:] == here.children[k:]):
                 there = there.children[k - 1]

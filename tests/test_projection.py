@@ -389,6 +389,28 @@ def _nested_root_step_example(semilattice):
     return nested, semilattice, d
 
 
+def _inner_rename_example(semilattice):
+    """A join derivation f(x) -> p(x,m(y,y),m(y,y)) -> p(x,y,m(y,y)) ->
+    p(x,m(y,y),m(y,y)) -> x over `spread`: the class of p's last two
+    children holds no variable until the rewrite inside the second child
+    turns it into y, which names the class."""
+    spread = _spread_theory()
+    ids = {str(e): e for e in spread.identities}
+    idem = semilattice.identities[0]  # v0 = m(v0,v0)
+    x, y, v0, v1 = Variable("x"), Variable("y"), Variable("v0"), Variable("v1")
+    myy = parse_term("m(y,y)")
+    out = parse_term("p(x,m(y,y),m(y,y))")
+    inner = replace_at(out, (2,), y)
+    back = replace_at(inner, (2,), myy)
+    d = Derivation(join_disjoint(spread, semilattice).name,
+                   (parse_term("f(x)"), out, inner, back, x),
+                   (make_step(ids["f(v0) = p(v0,v1,v1)"], True, (), {v0: x, v1: myy}),
+                    make_step(idem, False, (2,), {v0: y}),
+                    make_step(idem, True, (2,), {v0: y}),
+                    make_step(ids["v0 = p(v0,v1,v1)"], False, (), {v0: x, v1: myy})))
+    return spread, semilattice, d
+
+
 # -- a seeded corpus that reaches the rare paths of the projection ----------
 
 
@@ -606,8 +628,9 @@ def test_a_walk_through_a_bare_variable_projects_or_certifies_a_conflict():
 
 def _edge_cases(maltsev, semilattice):
     """Hand-built inputs: the spec example, a derivation the right-hand
-    component owns, and inputs rejected because they do not verify, have the
-    wrong shape or use a non-flat identity."""
+    component owns, inputs rejected because they do not verify, have the
+    wrong shape or use a non-flat identity, and a class named only by a
+    child rewritten inside a chain term."""
     joined = join_disjoint(maltsev, semilattice)
     x, v0 = Variable("x"), Variable("v0")
     ax_m = semilattice.identities[0]
@@ -623,6 +646,7 @@ def _edge_cases(maltsev, semilattice):
             (make_step(maltsev.identities[0], False, (),
                        {v0: parse_term("m(x,x)"), Variable("v1"): Variable("y")}),))),
         _nested_root_step_example(semilattice),
+        _inner_rename_example(semilattice),
     ]
 
 

@@ -132,6 +132,37 @@ class TestVerifyDerivation:
         result = verify_derivation(maltsev, bad)
         assert not result and result.step_index == 0 and "not in" in result.reason
 
+    def test_a_repeated_equation_is_matched_at_every_step(self, maltsev):
+        """One equation object used at several steps is looked up in the
+        theory once, but every step is still walked and matched: a repeat
+        at a wrong position, with a wrong instance or producing a wrong
+        term is rejected at its own index, and so is a later step whose
+        equation is not in the theory."""
+        ax = maltsev.identities[0]  # v0 = p(v0,v1,v1), read right to left
+        v0, v1 = Variable("v0"), Variable("v1")
+        a, b, c = Variable("a"), Variable("b"), Variable("c")
+        inner = parse_term("p(a,b,b)")
+        terms = (parse_term("p(p(a,b,b),c,c)"), inner, a)
+        first = make_step(ax, False, (), {v0: inner, v1: c})
+        again = make_step(ax, False, (), {v0: a, v1: b})
+        assert first.equation is again.equation
+        assert verify_derivation(maltsev, Derivation(maltsev.name, terms, (first, again)))
+        cases = [
+            (terms, make_step(ax, False, (1,), {v0: a, v1: b}),
+             "instance of p(v0,v1,v1) does not match at [1]"),
+            (terms, make_step(ax, False, (), {v0: b, v1: b}),
+             "instance of p(v0,v1,v1) does not match at []"),
+            (terms[:2] + (b,), again, "step does not produce the next term"),
+        ]
+        for these, bad, reason in cases:
+            d = Derivation(maltsev.name, these, (first, bad))
+            assert verify_derivation(maltsev, d) == VerifyResult(False, 1, reason)
+        foreign = parse_identity("a = p(a,b,a)")
+        later = make_step(foreign, True, (), {a: a, b: b})
+        d = Derivation(maltsev.name, terms + (parse_term("p(a,b,a)"),), (first, again, later))
+        assert verify_derivation(maltsev, d) == VerifyResult(
+            False, 2, f"equation {foreign} is not in {maltsev.name}")
+
     def test_shape_mismatch(self, maltsev):
         d = Derivation(maltsev.name, (), ())
         assert not verify_derivation(maltsev, d)
@@ -389,16 +420,19 @@ def _reference_bfs_prove(theory, goal, bounds=SearchBounds()):
 
 
 def _walk(theory, t, steps, rng):
-    """t after `steps` seeded rewrites (at most size 12), values for new
-    variables drawn from t's own: the other side of a provable goal."""
+    """t after `steps` seeded rewrites (at most size 12) that never return
+    to a term the walk has visited, values for new variables drawn from t's
+    own: the other side of a provable goal."""
     candidates = term_variables(t)
     rules = _reference_rules(theory)
+    visited = {t}
     for _ in range(steps):
         options = [u for u, _ in _reference_sized_expansions(rules, t, candidates, 12)
-                   if u != t]
+                   if u not in visited]
         if not options:
             break
         t = rng.choice(options)
+        visited.add(t)
     return t
 
 
@@ -538,9 +572,10 @@ def _pinned_search_goals(corpus):
 # sha256 over one JSON line per goal of `_pinned_search_goals`: the
 # derivation's JSON, or the statistics of an Unknown outcome, under
 # `PINNED_SEARCH_BOUNDS`; taken before the search read its steps off the
-# encoded terms.
+# encoded terms, and taken again on the search as it then stood when
+# `_walk` stopped returning to terms it had visited.
 PINNED_SEARCH_BOUNDS = SearchBounds(max_terms=5000, max_depth=4, max_term_size=20)
-PINNED_SEARCH = (107, "1f13b71c78be8187411714e8e69e644d3fa4e8566d24f2d67253b57956fd5a56")
+PINNED_SEARCH = (107, "de3a940c4f527abd22142d4174f73027f8becbb9d52716b55d955eff72a6cf78")
 
 
 def test_proof_search_outcomes_are_pinned(corpus):

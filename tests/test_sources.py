@@ -103,6 +103,23 @@ def test_the_verifier_imports_no_engine():
     assert {"terms", "theories"} <= _imported_modules(tree)
 
 
+def test_the_verifier_builds_no_term():
+    """`verify_derivation` and `_is_instance` check a step in place: they
+    call no term constructor and no function that builds a term."""
+    tree = ast.parse((Path(linvar.__file__).resolve().parent / "rewriting.py").read_text())
+    builders = {"Application", "apply_substitution", "replace_at", "substitute_derivation"}
+    calls = {}
+    for func in ast.walk(tree):
+        if isinstance(func, ast.FunctionDef) and func.name in ("verify_derivation",
+                                                               "_is_instance"):
+            calls[func.name] = {getattr(node.func, "id", getattr(node.func, "attr", None))
+                                for node in ast.walk(func) if isinstance(node, ast.Call)}
+    assert set(calls) == {"verify_derivation", "_is_instance"}
+    assert {name: names & builders for name, names in calls.items()} == {
+        "verify_derivation": set(), "_is_instance": set()}
+    assert "_is_instance" in calls["verify_derivation"]
+
+
 def test_every_function_is_named():
     """Each function or method the package defines, dunders aside, is named
     somewhere in the sources, the tests, the scripts or the benchmark."""
