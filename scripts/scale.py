@@ -4,7 +4,7 @@ interpreter, and print one JSON line per input.
 
     python3 scripts/scale.py [INPUT...]
 
-An input is `family(n)` for a family in `FAMILIES`; by default nu(6..10),
+An input is `family(n)` for a family in `FAMILIES`; by default nu(6..12),
 day(3..5) and jonsson(6..8).  Each line gives the input, the three
 verdicts, the context width each iteration trace ended at, the CPU seconds
 of `classify` alone and the child's peak resident set size in MiB.  A
@@ -33,7 +33,7 @@ FAMILIES = {
     "jonsson": presets.jonsson,
     "hagemann_mitschke": presets.hagemann_mitschke,
 }
-DEFAULT_INPUTS = ([f"nu({n})" for n in range(6, 11)] + [f"day({n})" for n in range(3, 6)]
+DEFAULT_INPUTS = ([f"nu({n})" for n in range(6, 13)] + [f"day({n})" for n in range(3, 6)]
                   + [f"jonsson({n})" for n in range(6, 9)])
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Literal, Optional
 
 from . import saturation
@@ -37,19 +37,12 @@ class StabilizationError(LinvarError):
     """A stage's trigger data lost part of the previous stage's."""
 
 
-@lru_cache(maxsize=None)
 def _canonical_tuples(arity: int, width: int) -> tuple[tuple[int, ...], ...]:
-    """Argument tuples over {x, y1..yn} up to renaming of the y's, in
-    lexicographic order, with every entry below `width` (all of them from
-    arity + 1 on).
-
-    Entry 0 stands for x; nonzero entries are renamed to 1, 2, ... by first
-    occurrence, which picks one representative per renaming class: the
-    restricted-growth strings, where each entry is at most one more than
-    the largest entry before it.  The fact x = F(w) of such a tuple has
-    max(w) + 1 variables; at width 2 the tuples are {0,1}^arity in
-    `itertools.product` order.
-    """
+    """One argument tuple over {x, y1..yn} per renaming of the y's, x being
+    0, with every entry below `width`, in lexicographic order: the
+    restricted-growth strings, each entry at most one more than the largest
+    before it.  The fact x = F(w) of such a tuple has max(w) + 1 variables;
+    `--sufficient-only` tries the facts one by one."""
     out: list[tuple[int, ...]] = [()]
     for _ in range(arity):
         out = [w + (d,) for w in out for d in range(min(max(w, default=0) + 2, width))]
@@ -59,6 +52,17 @@ def _canonical_tuples(arity: int, width: int) -> tuple[tuple[int, ...], ...]:
 def _fact_identity(symbol: OperationSymbol, digits: tuple[int, ...]) -> Identity:
     args = tuple(_X if d == 0 else Variable(f"y{d}") for d in digits)
     return Identity(_X, Application(symbol, args))
+
+
+def _is_canonical(w: tuple[int, ...]) -> bool:
+    """Is w a restricted-growth string, one that `_canonical_tuples` lists?"""
+    top = 0
+    for d in w:
+        if d > top:
+            if d != top + 1:
+                return False
+            top = d
+    return True
 
 
 def _mixture_code(name: str, digits: tuple[int, ...]) -> Code:
@@ -82,6 +86,17 @@ class WeakIndependenceProfile:
         return tuple((s.name, i, _fact_identity(s, w)) for s, i, w in self.witness_digits)
 
 
+def _base_for(theory: Theory, base: Optional[FlatFactBase]) -> FlatFactBase:
+    """The caller's base, refused if it lacks one of the theory's symbols,
+    or by default the theory's two-variable base."""
+    if base is None:
+        return saturation.saturate(theory, MIN_BUDGET)
+    for s in theory.symbols:
+        if s not in base.symbols:
+            raise UnknownSymbolError(f"{s.name} is not in {base.theory.name}")
+    return base
+
+
 def weak_independence_profile(theory: Theory,
                               base: Optional[FlatFactBase] = None
                               ) -> WeakIndependenceProfile:
@@ -90,20 +105,20 @@ def weak_independence_profile(theory: Theory,
     Sending every y_j to one y is a substitution instance, so a place has
     such a fact exactly when it has one with w over {x, y}; and that
     substitution lowers or keeps every entry, so the lexicographically first
-    witness is already such a tuple.  The queries are the canonical tuples
-    of width two, so any base decides them, by default the two-variable one.
+    witness is already such a tuple.  So the witness of a place is the
+    first fact of v0's class (`FlatFactBase.v0_facts`, in lexicographic
+    order) with w_i != x, in a base of any width (by default the
+    two-variable one).
     """
-    if base is None:
-        base = saturation.saturate(theory, MIN_BUDGET)
-    pairs = []
-    witnesses = []
+    base = _base_for(theory, base)
+    facts: dict[str, list[tuple[int, ...]]] = {}
+    for s, w in base.v0_facts():
+        facts.setdefault(s.name, []).append(w)
+    pairs, witnesses = [], []
     for s in theory.symbols:
-        if s.arity == 0:
-            continue
-        entailed = base.entailed_facts(s.name, _canonical_tuples(s.arity, MIN_BUDGET))
         for i in range(1, s.arity + 1):
-            for w in entailed:
-                if w[i - 1] != 0:
+            for w in facts.get(s.name, ()):
+                if w[i - 1]:
                     pairs.append((s.name, i))
                     witnesses.append((s, i, w))
                     break
@@ -128,6 +143,9 @@ def _order_facts(base: FlatFactBase) -> tuple[frozenset, FlatFactBase]:
     """The canonical facts x = F(w) of the base's theory, and the base, as
     wide as they need, that decided them.
 
+    They are the facts of v0's class whose w is a restricted-growth string:
+    the partition is invariant under renamings of the context that fix v0,
+    so that representative of each renaming class stands for all of them.
     The fact of w has max(w) + 1 variables, and the widths that occur are
     downward-closed: identifying two y's of a fact, or its only y with x,
     is a substitution instance one variable narrower.  So once no fact
@@ -137,8 +155,7 @@ def _order_facts(base: FlatFactBase) -> tuple[frozenset, FlatFactBase]:
     theory = base.theory
     while True:
         width = base.budget
-        facts = frozenset((s.name, w) for s in theory.symbols if s.arity for w in
-                          base.entailed_facts(s.name, _canonical_tuples(s.arity, width)))
+        facts = frozenset((s.name, w) for s, w in base.v0_facts() if _is_canonical(w))
         if width > theory.max_arity() or all(max(w) + 1 < width for _, w in facts):
             return facts, base
         base = saturation.saturate(theory, width + 1)
@@ -149,9 +166,7 @@ def order_fact_set(theory: Theory, base: Optional[FlatFactBase] = None
     """All derivable canonical facts x = F(w), as (symbol, tuple) keys,
     read from the base (by default the two-variable one), widened as far as
     the facts need."""
-    if base is None:
-        base = saturation.saturate(theory, MIN_BUDGET)
-    return _order_facts(base)[0]
+    return _order_facts(_base_for(theory, base))[0]
 
 
 def _next_stage(theory: Theory, operator: Operator, triggers: frozenset) -> Theory:

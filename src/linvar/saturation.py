@@ -18,10 +18,11 @@ therefore gets the same answer, and a shortest chain of the same length, in
 every context of at least k variables.  So each base is sized by its
 question: a goal by its own variables, at least two (`goal_budget`), in
 `linvar entail` and validation.  Both derivative iterations start from the
-same two-variable base (`MIN_BUDGET`): the derivative's x = y,
+same two-variable base (`MIN_BUDGET`) and read their facts x = F(w) as the
+atoms of v0's class (`FlatFactBase.v0_facts`): the derivative's x = y,
 x = F(y,...,y) and weak-independence facts with w over {x, y} need no
 more, and the order derivative widens by one only while its widest fact
-x = F(w) fills the context, never past max_arity + 1.  The lemma bounds
+fills the context, never past max_arity + 1.  The lemma bounds
 the query's variables, not the identities', so identities with more
 variables are fine there.
 
@@ -54,9 +55,10 @@ does not depend on its target, so each base keeps and resumes it
 from __future__ import annotations
 
 import copy
+import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import models
 from .rewriting import (
@@ -70,6 +72,7 @@ from .terms import (
     Application,
     FlatLayout,
     LinvarError,
+    OperationSymbol,
     Term,
     Variable,
     canonical_variable,
@@ -322,44 +325,23 @@ class FlatFactBase(FlatLayout):
         a, b = self._embed(goal)
         return self.same_class(a, b) or self.variables_merged()
 
-    def fact_entailed(self, symbol_name: str, digits: tuple[int, ...]) -> bool:
-        """Does the class of v0 contain symbol(context[digits])?"""
-        return bool(self.entailed_facts(symbol_name, (digits,)))
-
-    def entailed_facts(self, symbol_name: str, tuples: Iterable[tuple[int, ...]]
-                       ) -> list[tuple[int, ...]]:
-        """The tuples w, in order, whose atom symbol(context[w]) lies in the
-        class of v0: all of them once the variables merged.  v0's root is
-        read once, and each atom is encoded and its root found inline.  An
-        unknown symbol raises `UnknownSymbolError`, a tuple whose length is
-        not the symbol's arity or that has a negative entry `ValueError`, and
-        a tuple naming a value past the context `BudgetTooSmallError`."""
-        symbol = self.theory.symbol_named(symbol_name)
-        if symbol is None:
-            raise UnknownSymbolError(f"{symbol_name} is not in {self.theory.name}")
+    def v0_facts(self) -> Iterator[tuple[OperationSymbol, tuple[int, ...]]]:
+        """Every fact x = F(w) of the context, F of positive arity, whose
+        atom lies in the class of v0 (every one once the variables merged),
+        as (F, w).  Each symbol's block is walked in id order, which is the
+        `itertools.product` order of w, so no tuple is encoded."""
         merged = self.variables_merged()
-        parent = self._parent
         root = self.find(0)
-        n, offset, arity = self.n, self.offsets[symbol_name], symbol.arity
-        out = []
-        for w in tuples:
-            if len(w) != arity:
-                raise ValueError(f"fact tuple {w} has {len(w)} entries, "
-                                 f"but {symbol_name} has arity {arity}")
-            a = 0
-            for d in w:
-                if not 0 <= d < n:
-                    if d < 0:
-                        raise ValueError(f"fact tuple {w} has a negative entry {d}")
-                    raise BudgetTooSmallError(
-                        f"fact tuple {w} reaches past a context of {n} variables")
-                a = a * n + d
-            a += offset
-            while a != (p := parent[a]):
-                parent[a] = a = parent[p]
-            if merged or a == root:
-                out.append(w)
-        return out
+        parent = self._parent
+        for s in self.symbols:
+            if not s.arity:
+                continue
+            offset = self.offsets[s.name]
+            for a, w in enumerate(itertools.product(range(self.n), repeat=s.arity), offset):
+                while a != (p := parent[a]):
+                    parent[a] = a = parent[p]
+                if merged or a == root:
+                    yield s, w
 
     def variables_merged(self) -> bool:
         return self.same_class(0, 1)

@@ -3,12 +3,14 @@ each side's instances come from a generator of their own, and each pair is
 united through a method call that finds both roots.  Kept as the oracle of
 the differential test in `test_saturation.py`, the way `verify_reference`
 keeps the replaying verifier; it reads the package's own `FlatLayout` and
-codes, so the two partitions compare atom by atom."""
+codes, so the two partitions compare atom by atom.  `fact_entailed` reads
+one fact at a time through a base's term interface, the oracle of what
+`FlatFactBase.v0_facts` lists."""
 from __future__ import annotations
 
 from typing import Callable, Iterator
 
-from linvar.terms import FlatLayout, FlatSide, code_width
+from linvar.terms import Application, FlatLayout, FlatSide, canonical_variable, code_width
 from linvar.theories import Theory
 
 
@@ -62,3 +64,10 @@ def partition(find: Callable[[int], int], size: int) -> tuple[int, ...]:
     partitions, whichever atoms the two union-finds keep as roots."""
     first: dict[int, int] = {}
     return tuple(first.setdefault(find(i), i) for i in range(size))
+
+
+def fact_entailed(base, symbol, w: tuple[int, ...]) -> bool:
+    """Does the base put the atom symbol(v<w>) in the class of v0, or merge
+    v0 and v1?  The atom is built as a term and found by `atom_id`."""
+    atom = Application(symbol, tuple(canonical_variable(d) for d in w))
+    return base.variables_merged() or base.same_class(0, base.atom_id(atom))

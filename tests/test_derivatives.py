@@ -17,6 +17,7 @@ from linvar.derivatives import (
     _canonical_tuples,
     _fact_identity,
     _independence_code,
+    _is_canonical,
     _mixture_code,
     _next_stage,
     derivative,
@@ -25,11 +26,11 @@ from linvar.derivatives import (
     order_fact_set,
     weak_independence_profile,
 )
-from linvar.dsl import parse_identity
+from linvar.dsl import parse_identity, parse_theory
 from linvar.models import refute_entailment
 from linvar.rewriting import verify_derivation
 from linvar.presets import hagemann_mitschke, maltsev, semilattice
-from linvar.saturation import MIN_BUDGET, Entailed, default_budget
+from linvar.saturation import MIN_BUDGET, Entailed, default_budget, saturate
 from linvar.terms import Application, OperationSymbol, Variable
 from linvar.theories import (
     Identity,
@@ -65,8 +66,6 @@ class TestWeakIndependenceProfile:
         assert weak_independence_profile(t).pairs == frozenset()
 
     def test_witnesses_are_entailed_facts(self, corpus):
-        from linvar.saturation import saturate
-
         for theory in corpus:
             profile = weak_independence_profile(theory)
             base = saturate(theory)
@@ -181,21 +180,50 @@ class TestIterate:
         assert len(calls) == 2
 
 
+def test_a_base_lacking_a_symbol_of_the_theory_is_refused(maltsev, semilattice):
+    """Both fact readers refuse a caller's base whose theory lacks one of
+    the theory's symbols, whether by name or by arity."""
+    p2 = make_theory("p2", [OperationSymbol("p", 2)], [parse_identity("p(x,x) = x")])
+    for theory, base, message in ((maltsev, saturate(semilattice, 2), "p is not in semilattice"),
+                                  (maltsev, saturate(p2, 2), "p is not in p2"),
+                                  (semilattice, saturate(maltsev, 3), "m is not in maltsev")):
+        for read in (weak_independence_profile, order_fact_set):
+            with pytest.raises(UnknownSymbolError, match=message):
+                read(theory, base)
+
+
+def test_a_merged_base_gives_every_fact():
+    """Once x = y is derivable every fact is: the order fact set is every
+    canonical tuple, as wide as max_arity + 1, and the profile every
+    (symbol, place) pair."""
+    inc = parse_theory("theory inc\nop f/2\nop g/3\naxiom x = y\n")
+    every = frozenset((s.name, w) for s in inc.symbols
+                      for w in _canonical_tuples(s.arity, s.arity + 1))
+    assert len(every) == 20
+    assert order_fact_set(inc) == every
+    profile = weak_independence_profile(inc)
+    assert profile.pairs == {("f", 1), ("f", 2), ("g", 1), ("g", 2), ("g", 3)}
+    assert [(s.name, i, w) for s, i, w in profile.witness_digits] == [
+        ("f", 1, (1, 0)), ("f", 2, (0, 1)),
+        ("g", 1, (1, 0, 0)), ("g", 2, (0, 1, 0)), ("g", 3, (0, 0, 1))]
+
+
 def _iterate_over_all_triggers(theory, operator):
     """`iterate` over the fixed context of `default_budget` (max_arity + 1
-    variables, wide enough for every fact), every fact queried there and
-    every stage built by `_next_stage` from all of its trigger data:
-    (stages, stage data, stop reason, certificate)."""
+    variables, wide enough for every fact), every fact read there, kept
+    when `_canonical_tuples` lists it, and every stage built by
+    `_next_stage` from all of its trigger data: (stages, stage data, stop
+    reason, certificate)."""
     stages, data = [theory], []
     base = saturation.saturate(theory, default_budget(theory))
+    canonical = {s: set(_canonical_tuples(s.arity, s.arity + 1)) for s in theory.symbols}
     while saturation.inconsistency_target(base) is None:
         cur = stages[-1]
         if operator == "derivative":
             data.append(weak_independence_profile(cur, base).pairs)
         else:
-            data.append(frozenset(
-                (s.name, w) for s in cur.symbols if s.arity
-                for w in base.entailed_facts(s.name, _canonical_tuples(s.arity, s.arity + 1))))
+            data.append(frozenset((s.name, w) for s, w in base.v0_facts()
+                                  if w in canonical[s]))
         if len(data) > 1 and data[-1] == data[-2]:
             return stages, data, "fixpoint", None
         stages.append(_next_stage(cur, operator, data[-1]))
@@ -295,6 +323,12 @@ class TestStageBuilders:
                 tuple(w for w in every if max(w) < width)
         assert _canonical_tuples(arity, MIN_BUDGET) == \
             tuple(itertools.product((0, 1), repeat=arity))
+        if arity <= 6:
+            # the filter the order derivative reads v0's class through
+            for width in range(1, arity + 2):
+                assert _canonical_tuples(arity, width) == tuple(
+                    w for w in itertools.product(range(width), repeat=arity)
+                    if _is_canonical(w))
 
     @pytest.mark.parametrize("arity", range(1, 5))
     def test_new_identities_are_written_in_canonical_form(self, arity):

@@ -13,6 +13,7 @@ from collections import deque
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import saturation_reference as reference
 from linvar import presets, saturation
 from linvar.classification import _join_stage_matches, check_join_decomposition
 from linvar.derivatives import (
@@ -129,11 +130,14 @@ def test_iteration_terminates_within_bounds(theory):
 @given(small_theories())
 def test_cross_oracle_on_random_theories(theory):
     base = saturate(theory)
+    facts = set(base.v0_facts())
     bounds = SearchBounds(max_terms=300, max_depth=3, max_term_size=12)
     for s in theory.symbols:
         for w in _canonical_tuples(s.arity, s.arity + 1):
             goal = _fact_identity(s, w)
-            if base.fact_entailed(s.name, w):
+            entailed = (s, w) in facts
+            assert entailed == reference.fact_entailed(base, s, w), str(goal)
+            if entailed:
                 assert refute_entailment(theory, goal, 2, 2) is None, str(goal)
             else:
                 assert not isinstance(bfs_prove(theory, goal, bounds), Proved), str(goal)
@@ -152,10 +156,11 @@ def _chain_length(base, a, b):
 def test_budget_enlargement_is_monotone(theory):
     small = saturate(theory, 6)
     large = saturate(theory, 8)
-    for s in theory.symbols:
-        for w in _canonical_tuples(s.arity, s.arity + 1):
-            if small.fact_entailed(s.name, w):
-                assert large.fact_entailed(s.name, w)
+    facts = list(small.v0_facts())
+    assert facts == [(s, w) for s in theory.symbols if s.arity
+                     for w in itertools.product(range(6), repeat=s.arity)
+                     if reference.fact_entailed(small, s, w)]
+    assert set(facts) <= set(large.v0_facts())
 
 
 @settings(max_examples=30, deadline=None)
@@ -583,10 +588,12 @@ def test_a_join_stage_off_by_one_code_does_not_match(majority):
 
 def _profile_over_all_tuples(theory, base):
     """The weak-independence profile as first defined: witnesses are the
-    lexicographically first entailed canonical tuple over all of {x, y1..yn}."""
+    lexicographically first entailed canonical tuple over all of {x, y1..yn},
+    each fact decided on its own (`saturation_reference.fact_entailed`)."""
     pairs, witnesses = set(), []
     for s in theory.symbols:
-        entailed = [w for w in _canonical_tuples(s.arity, s.arity + 1) if base.fact_entailed(s.name, w)]
+        entailed = [w for w in _canonical_tuples(s.arity, s.arity + 1)
+                    if reference.fact_entailed(base, s, w)]
         for i in range(1, s.arity + 1):
             w = next((w for w in entailed if w[i - 1] != 0), None)
             if w is not None:

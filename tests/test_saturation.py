@@ -6,7 +6,6 @@ import itertools
 import json
 import os
 import pickle
-import re
 import subprocess
 import sys
 import weakref
@@ -106,48 +105,14 @@ class TestSaturate:
             with pytest.raises(KeyError, match="not a context variable"):
                 base.atom_id(parse_term(term))
 
-    def test_fact_query_past_the_context_is_refused(self, maltsev):
-        # p(v0,v1,v2) needs a third variable, which a 2-variable context
-        # lacks; the digit 2 must not be read as carrying into the next one
-        for base in (saturate(maltsev, 2), saturate(derivative(maltsev), 2)):
-            with pytest.raises(BudgetTooSmallError, match=r"\(0, 1, 2\).* 2 variables"):
-                base.fact_entailed("p", (0, 1, 2))
-        assert saturate(maltsev, 3).fact_entailed("p", (0, 1, 1))
-
-    def test_fact_query_past_the_atom_space_is_refused(self, maltsev):
-        with pytest.raises(BudgetTooSmallError, match=r"\(2, 2, 2\).* 2 variables"):
-            saturate(maltsev, 2).fact_entailed("p", (2, 2, 2))
-
-    @pytest.mark.parametrize("theory, symbol, digits", [
-        (maltsev(), "p", (0,)),
-        (maltsev(), "p", (0, 0, 0, 0)),
-        # a Horner index past the atom space
-        (maltsev(), "p", (1,) * 6),
-        # a Horner index inside the next symbol's block, p2(v0,v0,v0)
-        (presets.jonsson(3), "p1", (1, 0, 0, 0)),
-    ])
-    def test_fact_query_of_the_wrong_length_is_refused(self, theory, symbol, digits):
-        with pytest.raises(ValueError, match=rf"{symbol} has arity 3"):
-            saturate(theory, 2).fact_entailed(symbol, digits)
-
-    # (0, 0, -1) once read the atom v1, one id before p's block, and
-    # (-9, 0, 0) an id before the atom space
-    @pytest.mark.parametrize("digits", [(0, 0, -1), (-9, 0, 0)])
-    def test_fact_query_with_a_negative_entry_is_refused(self, maltsev, digits):
-        with pytest.raises(ValueError, match=rf"{re.escape(str(digits))} has a negative entry"):
-            saturate(maltsev, 2).fact_entailed("p", digits)
-
-    def test_fact_query_of_an_unknown_symbol_is_refused(self, maltsev):
-        with pytest.raises(UnknownSymbolError, match="q is not in maltsev"):
-            saturate(maltsev, 2).fact_entailed("q", (0, 0, 0))
-
     def test_order_fact_set_widens_a_narrow_base(self):
         # day(2) derives x = m1(x,y,y,z), a fact of three variables, so two
         # variables are filled and the query widens until no fact fills it
         day = presets.day(2)
         wide = saturate(day, default_budget(day))
         every = frozenset((s.name, w) for s in day.symbols
-                          for w in wide.entailed_facts(s.name, _canonical_tuples(s.arity, s.arity + 1)))
+                          for w in _canonical_tuples(s.arity, s.arity + 1)
+                          if reference.fact_entailed(wide, s, w))
         assert max(max(w) + 1 for _, w in every) == 3
         assert order_fact_set(day, saturate(day, 2)) == every
         assert order_fact_set(day) == every
@@ -607,8 +572,8 @@ def test_an_extension_starts_with_no_chain_trees(maltsev):
 def _check_against_reference(theory):
     """At every stage of both iterations, the kernel's partition equals the
     reference loop's, whether the stage's base was extended from its
-    parent's or built afresh, and the batched fact query reads that
-    partition the way per-atom class tests do."""
+    parent's or built afresh, and `v0_facts` lists the reference's class of
+    v0 (every fact once v0 ~ v1), in `itertools.product` order."""
     for operator in ("derivative", "order_derivative"):
         trace = iterate(theory, operator)
         budget = trace.budget
@@ -621,11 +586,10 @@ def _check_against_reference(theory):
             fresh = FlatFactBase(stage, budget)
             assert reference.partition(fresh.find, fresh.size) == expected, stage.name
             merged = oracle.find(0) == oracle.find(1)
-            for s in stage.symbols:
-                tuples = _canonical_tuples(s.arity, budget)
-                assert base.entailed_facts(s.name, tuples) == [
-                    w for w in tuples
-                    if merged or oracle.find(0) == oracle.find(oracle.encode(s.name, w))]
+            assert list(base.v0_facts()) == [
+                (s, w) for s in stage.symbols if s.arity
+                for w in itertools.product(range(budget), repeat=s.arity)
+                if merged or oracle.find(0) == oracle.find(oracle.encode(s.name, w))], stage.name
 
 
 def test_kernel_matches_the_reference_on_presets_and_families(families):

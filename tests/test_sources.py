@@ -154,6 +154,23 @@ def test_every_saturation_is_sized_by_its_question():
     assert unsized == []
 
 
+def test_no_function_caches_its_results():
+    """No function of the package is decorated with `functools.lru_cache` or
+    `functools.cache`: such a cache is global, lives as long as the process
+    and grows with every new argument.  What a computation keeps belongs to
+    the object it is about, such as a theory's `compiled` memo."""
+    cached = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for decorator in node.decorator_list:
+                target = decorator.func if isinstance(decorator, ast.Call) else decorator
+                name = target.id if isinstance(target, ast.Name) else getattr(target, "attr", None)
+                if name in ("lru_cache", "cache"):
+                    cached.append(f"{path.name}:{node.lineno}: {node.name}")
+    assert cached == []
+
 
 def test_every_package_error_is_a_linvar_error():
     """Each class the package defines that derives from `Exception` derives
