@@ -47,10 +47,11 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, 
 
 from .terms import Code, FlatLayout, LinvarError, OperationSymbol, Term, Variable
 from .theories import (
+    GoalReading,
     Identity,
     Theory,
-    identity_code,
     identity_variables,
+    read_goal,
 )
 
 Assignment = dict[Variable, int]
@@ -152,19 +153,20 @@ def satisfies(algebra: FiniteAlgebra, theory: Theory) -> SatisfactionResult:
     return SatisfactionResult(True)
 
 
-def _instance_pairs(layout: FlatLayout, source: Code | Identity
+def _instance_pairs(layout: FlatLayout, source: Code | GoalReading
                     ) -> Iterator[tuple[object, object]]:
     """Both sides of every instance, the variables over every element in
     `itertools.product` order: cell ids spread from a linear identity's
-    code, trees grounded from a nested identity, which has no code."""
-    if not isinstance(source, Identity):
+    code, trees grounded from a nested identity's reading, which has no
+    code."""
+    if not isinstance(source, GoalReading):
         for ls, rs in layout.code_instances(source):
             yield from zip(ls, rs)
         return
-    vs = identity_variables(source)
+    e, vs = source.identity, source.variables
     for values in itertools.product(range(layout.n), repeat=len(vs)):
         rho = dict(zip(vs, values))
-        yield _ground(source.lhs, rho), _ground(source.rhs, rho)
+        yield _ground(e.lhs, rho), _ground(e.rhs, rho)
 
 
 def _ground(t: Term, rho: Mapping[Variable, int]) -> object:
@@ -179,7 +181,8 @@ class _Compiled(NamedTuple):
 
     layout: FlatLayout
     instances: tuple[tuple[object, object], ...]  # every identity's, in order
-    first: Optional[tuple[int, ...]]  # the first model's cells; None: no model
+    cells: Optional[tuple[int, ...]]  # the first model's cells; None: no model
+    first: Optional[FiniteAlgebra]  # the first model, frozen once
 
 
 def _compile(theory: Theory, size: int) -> _Compiled:
@@ -188,11 +191,18 @@ def _compile(theory: Theory, size: int) -> _Compiled:
     layout = FlatLayout(theory.symbols, size)
     pairs: list[tuple[object, object]] = []
     for k, code in enumerate(theory.codes):
-        pairs += _instance_pairs(layout, theory.identities[k] if code is None else code)
+        pairs += _instance_pairs(layout, read_goal(theory.identities[k])
+                                 if code is None else code)
     instances = tuple(pairs)
     search = _TableSearch(layout, instances, None)
-    first = None if search.run() is None else tuple(search.cells)
-    return _Compiled(layout, instances, first)
+    if search.run() is None:
+        return _Compiled(layout, instances, None, None)
+    return _Compiled(layout, instances, tuple(search.cells), _freeze(layout, search.cells))
+
+
+def _own(algebra: FiniteAlgebra) -> FiniteAlgebra:
+    """The algebra with a table map of its own, so no two callers share one."""
+    return FiniteAlgebra(algebra.size, algebra.symbols, dict(algebra.tables))
 
 
 def _value(layout: FlatLayout, cells: Sequence[Optional[int]], side: object) -> int:
@@ -210,6 +220,25 @@ def _value(layout: FlatLayout, cells: Sequence[Optional[int]], side: object) -> 
         cell = layout.encode(name, values)
     v = cells[cell]
     return ~cell if v is None else v
+
+
+def _first_separated(layout: FlatLayout, cells: Sequence[int], goal: GoalReading
+                     ) -> Optional[int]:
+    """The first instance of the goal whose sides differ in complete cells,
+    or None.  A linear goal's sides are spread from its code as saturation
+    spreads an identity's (`FlatLayout.code_spread`), and each instance
+    reads its two cells directly; a nested goal's ground instances are
+    evaluated one by one (`_goal_status`)."""
+    if goal.code is None:
+        return _goal_status(_instance_pairs(layout, goal),
+                            functools.partial(_value, layout, cells))[0]
+    lhs, rhs, lhs_lead, rhs_lead, count = layout.code_spread(goal.code)
+    for k in range(count):
+        dl, dr = k * lhs_lead, k * rhs_lead
+        for i, (a, c) in enumerate(zip(lhs, rhs)):
+            if cells[a + dl] != cells[c + dr]:
+                return k * len(lhs) + i
+    return None
 
 
 def _goal_status(goal: Iterable[tuple[object, object]], value: Callable[[object], int]
@@ -355,50 +384,54 @@ def _assignment(variables: Sequence[Variable], j: int, size: int) -> Assignment:
 
 
 def find_model(theory: Theory, lo: int = DEFAULT_SIZES[0], hi: int = DEFAULT_SIZES[1],
-               constraint: Optional[Identity] = None
+               constraint: Optional[Identity | GoalReading] = None
                ) -> Optional[tuple[FiniteAlgebra, Assignment]]:
     """First model of the theory in the size range, in deterministic order,
     and an assignment separating the constraint's sides (empty without one).
 
     An idempotency axiom needs no special case: its instances fix the
     diagonal cells in the first propagation.  The first model of each size
-    is searched once and kept on the theory; a constraint it does not
-    separate gets a search of its own (module docstring).  Returns None
-    when the range is exhausted, which is a bound, never a proof of
-    entailment.
+    is searched once and kept on the theory, frozen once, and each caller
+    gets a table map of its own (`_own`).  The constraint is read once
+    (`theories.read_goal`), or comes read.  A linear one is decided on the
+    first model's cells (`_first_separated`), a nested one by evaluating
+    its ground instances there; one the first model does not separate gets
+    a search of its own (module docstring).  Returns None when the range is
+    exhausted, which is a bound, never a proof of entailment.
     """
     if lo < 1:
         raise ValueError("model size must be at least 1")
-    goal_source = None if constraint is None else identity_code(constraint) or constraint
-    goal_variables = () if constraint is None else identity_variables(constraint)
+    goal = read_goal(constraint) if isinstance(constraint, Identity) else constraint
     for size in range(lo, hi + 1):
-        layout, instances, cells = theory.compiled(("models", size),
-                                                   lambda: _compile(theory, size))
-        if cells is None:
+        layout, instances, cells, first = theory.compiled(
+            ("models", size), lambda: _compile(theory, size))
+        if first is None:
             continue  # no model of this size, so none separating the goal
-        if goal_source is None:
-            return _freeze(layout, cells), {}
-        # the goal's instances, spread lazily here and whole for a
-        # constrained search, are refused as a layout's ids are
+        if goal is None:
+            return _own(first), {}
+        # the goal's instances, spread here and whole for a constrained
+        # search, are refused as a layout's ids are
         refusal = ("refutation", "elements", "goal instances",
-                   size ** len(goal_variables))
-        witness, _ = layout.allocate(
-            lambda: _goal_status(_instance_pairs(layout, goal_source),
-                                 functools.partial(_value, layout, cells)), *refusal)
-        if witness is None:
-            goal = layout.allocate(lambda: tuple(_instance_pairs(layout, goal_source)),
-                                   *refusal)
-            search = _TableSearch(layout, instances, goal)
+                   size ** len(goal.variables))
+        witness = layout.allocate(lambda: _first_separated(layout, cells, goal),
+                                  *refusal)
+        if witness is not None:
+            algebra = _own(first)
+        else:
+            source = goal if goal.code is None else goal.code
+            pairs = layout.allocate(lambda: tuple(_instance_pairs(layout, source)),
+                                    *refusal)
+            search = _TableSearch(layout, instances, pairs)
             witness = search.run()
             if witness is None:
                 continue
-            cells = search.cells
-        return (_freeze(layout, cells),
-                _assignment(goal_variables, witness, size))
+            algebra = _freeze(layout, search.cells)
+        return algebra, _assignment(goal.variables, witness, size)
     return None
 
 
-def refute_entailment(theory: Theory, goal: Identity, lo: int = DEFAULT_SIZES[0],
+def refute_entailment(theory: Theory, goal: Identity | GoalReading,
+                      lo: int = DEFAULT_SIZES[0],
                       hi: int = DEFAULT_SIZES[1]
                       ) -> Optional[tuple[FiniteAlgebra, Assignment]]:
     """A model of the theory separating the goal's sides, if one exists in range."""

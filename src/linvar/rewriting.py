@@ -110,6 +110,9 @@ class VerifyResult:
         return self.ok
 
 
+_VERIFIED = VerifyResult(True)  # frozen, so every accepted derivation shares it
+
+
 def _is_reflexivity(e: Identity) -> bool:
     return isinstance(e.lhs, Variable) and e.lhs == e.rhs
 
@@ -117,8 +120,9 @@ def _is_reflexivity(e: Identity) -> bool:
 def _is_instance(pattern: Term, target: Term, images: Mapping[str, Term]) -> bool:
     """Whether `pattern` under the substitution `images`, keyed by variable
     name, equals `target`, building and binding nothing; a variable outside
-    it stands for itself.  Recurses over the pattern, an equation side, and
-    compares each image whole."""
+    it stands for itself.  Walks the pattern, an equation side, and
+    compares each image whole: a variable child inside its parent's loop,
+    so a flat side takes one call, and a nested child by recursion."""
     if isinstance(pattern, Variable):
         image = images.get(pattern.name, pattern)
         return image is target or image == target
@@ -126,7 +130,11 @@ def _is_instance(pattern: Term, target: Term, images: Mapping[str, Term]) -> boo
             target.symbol is not pattern.symbol and target.symbol != pattern.symbol):
         return False
     for p, t in zip(pattern.children, target.children):
-        if not _is_instance(p, t, images):
+        if isinstance(p, Variable):
+            image = images.get(p.name, p)
+            if image is not t and image != t:
+                return False
+        elif not _is_instance(p, t, images):
             return False
     return True
 
@@ -185,7 +193,7 @@ def verify_derivation(theory: Theory, d: Derivation,
                 f"instance of {render_term(src)} does not match at {list(step.position)}")
         if there is None or not _is_instance(dst, there, images):
             return VerifyResult(False, i, "step does not produce the next term")
-    return VerifyResult(True)
+    return _VERIFIED
 
 
 @dataclass(frozen=True)

@@ -36,13 +36,19 @@ Inconsistency is decided by a class test alone; `is_inconsistent` builds
 the chain, and iteration traces call it only when their certificate is read.
 
 The engine reads a theory through its identities' codes (`terms.Code`:
-symbol names and variable indices), never through their terms, and a goal
-through its own code.  A code's two sides give a layout id and one stride
-per variable, and the instances are spread from those, so an iteration
-stage, which `derivatives` writes as its parent plus new codes, is
-saturated by extending the parent's base with the new codes' instances,
-without building an identity.  A non-linear identity has no code and is
-refused.
+symbol names and variable indices), never through their terms.  A code's
+two sides give a layout id and one stride per variable, and the instances
+are spread from those, so an iteration stage, which `derivatives` writes
+as its parent plus new codes, is saturated by extending the parent's base
+with the new codes' instances, without building an identity.  A
+non-linear identity has no code and is refused.
+
+`entails_flat` reads its goal once (`theories.read_goal`), and that
+reading travels in place of the goal: its code gives the sides' atom ids,
+its variables name the context indices of the certificate, whose chain
+starts and ends at the goal's own sides, and a goal the base does not
+entail goes, read, to the model search.  `goal_budget` counts the same
+reading's variables.
 
 The kernel (`FlatFactBase._apply_codes`) unites each code's instance
 pairs in place; the order of the unions decides which atom represents a
@@ -64,7 +70,7 @@ from . import models
 from .rewriting import (
     CertificateError,
     Derivation,
-    make_step,
+    DerivationStep,
     substitute_derivation,
     verify_derivation,
 )
@@ -82,11 +88,11 @@ from .terms import (
     is_flat,
 )
 from .theories import (
+    GoalReading,
     Identity,
     Theory,
     UnknownSymbolError,
-    identity_code,
-    identity_variables,
+    read_goal,
 )
 
 
@@ -106,7 +112,7 @@ def default_budget(theory: Theory) -> int:
 
 
 def goal_budget(goal: Identity) -> int:
-    """The goal's own variables, and at least two.
+    """The goal's own variables (`theories.read_goal`), and at least two.
 
     That is enough: a chain over a wider context maps, by the retraction
     onto the goal's variables, to a chain with the same endpoints and no
@@ -115,7 +121,7 @@ def goal_budget(goal: Identity) -> int:
     endpoints' own, so the certificate is the same chain, and the
     countermodel comes from model search, which reads no base.  The second
     variable is for the collapse test, v0 ~ v1."""
-    return max(MIN_BUDGET, len(identity_variables(goal)))
+    return max(MIN_BUDGET, len(read_goal(goal).variables))
 
 
 class _ChainRule(NamedTuple):
@@ -223,9 +229,10 @@ class FlatFactBase(FlatLayout):
             raise KeyError(f"{v} is not a context variable") from None
 
     def _check_symbol(self, side: Term) -> None:
-        if isinstance(side, Application) and \
-                self.theory.symbol_named(side.symbol.name) != side.symbol:
-            raise UnknownSymbolError(f"{side.symbol} is not in {self.theory.name}")
+        if isinstance(side, Application):
+            symbol = self.named.get(side.symbol.name)
+            if symbol is not side.symbol and symbol != side.symbol:
+                raise UnknownSymbolError(f"{side.symbol} is not in {self.theory.name}")
 
     def atom_id(self, t: Term) -> int:
         self._check_symbol(t)
@@ -238,10 +245,10 @@ class FlatFactBase(FlatLayout):
     def _named_atom(self, i: int, names: Sequence[Variable]) -> Term:
         """Atom i with each context index d written as names[d]."""
         name, digits = self.digits(i)
-        args = tuple(names[d] for d in digits)
+        args = tuple(map(names.__getitem__, digits))
         if name is None:
             return args[0]
-        return Application(self.theory.symbol_named(name), args)
+        return Application(self.named[name], args)
 
     # -- saturation ---------------------------------------------------------
 
@@ -295,24 +302,25 @@ class FlatFactBase(FlatLayout):
 
     # -- queries ------------------------------------------------------------
 
-    def _embed(self, goal: Identity) -> tuple[int, int]:
+    def _embed(self, goal: GoalReading) -> tuple[int, int]:
         """The atom ids of the goal's sides, read from its code.
 
         The code numbers the goal's variables by first occurrence, lhs
         first, and the atoms read variable k as context index k; a chain's
-        derivation inverts that by naming index k after the k-th of
-        `identity_variables`.
+        derivation inverts that by naming index k after the goal's k-th
+        variable.
         """
-        code = identity_code(goal)
+        code = goal.code
+        lhs, rhs = goal.identity.lhs, goal.identity.rhs
         if code is None:
-            side = goal.rhs if is_flat(goal.lhs) else goal.lhs
+            side = rhs if is_flat(lhs) else lhs
             raise ValueError(f"{side} is not linear; only flat queries are decidable")
-        width = code_width(code)
+        width = len(goal.variables)
         if width > self.budget:
             raise BudgetTooSmallError(
                 f"goal uses {width} variables, context has {self.budget}")
-        self._check_symbol(goal.lhs)
-        self._check_symbol(goal.rhs)
+        self._check_symbol(lhs)
+        self._check_symbol(rhs)
         return self.encode(*code[:2]), self.encode(*code[2:])
 
     def entails(self, goal: Identity) -> bool:
@@ -322,7 +330,7 @@ class FlatFactBase(FlatLayout):
         identity, including ones with no flat derivation of their own (the
         flattening argument needs consistency), so that case short-circuits.
         """
-        a, b = self._embed(goal)
+        a, b = self._embed(read_goal(goal))
         return self.same_class(a, b) or self.variables_merged()
 
     def v0_facts(self) -> Iterator[tuple[OperationSymbol, tuple[int, ...]]]:
@@ -485,19 +493,30 @@ def saturate(theory: Theory, budget: Optional[int] = None) -> FlatFactBase:
                            lambda: FlatFactBase(theory, budget))
 
 
+def _variable_name(pair: tuple[Variable, Term]) -> str:
+    return pair[0].name
+
+
 def _chain_derivation(base: FlatFactBase, a: int, b: int,
-                      names: Sequence[Variable]) -> Derivation:
-    """The shortest chain from atom a to atom b as a verified derivation,
-    with context index k written as names[k].  The chain stays over the
-    endpoints' variables, so only their indices need names."""
+                      goal: GoalReading) -> Derivation:
+    """The shortest chain from atom a to atom b, the atoms of the goal's
+    sides, as a verified derivation of the goal, with context index k
+    written as the goal's k-th variable.  The chain starts and ends at the
+    goal's own sides, and stays over their variables, so only their
+    indices need names."""
     chain = base.shortest_chain(a, b)
     if chain is None:
         raise CertificateError(
             f"no chain between {base.atom_term(a)} and {base.atom_term(b)}")
     ids, edges = chain
-    terms = tuple(base._named_atom(i, names) for i in ids)
-    steps = tuple(make_step(base.theory.identities[idx], forward, (),
-                            {v: names[d] for v, d in sigma.items()})
+    names = goal.variables
+    lhs, rhs = goal.identity.lhs, goal.identity.rhs
+    inner = [base._named_atom(i, names) for i in ids[1:-1]]
+    terms = (lhs, *inner, rhs) if edges else (lhs,)
+    identities = base.theory.identities
+    # each step's pairs sorted by variable name, as `make_step` sorts them
+    steps = tuple(DerivationStep(identities[idx], forward, (), tuple(sorted(
+        zip(sigma, map(names.__getitem__, sigma.values())), key=_variable_name)))
                   for idx, forward, sigma in edges)
     d = Derivation(base.theory.name, terms, steps)
     check = verify_derivation(base.theory, d)
@@ -507,18 +526,18 @@ def _chain_derivation(base: FlatFactBase, a: int, b: int,
     return d
 
 
-def _collapse_instance_derivation(base: FlatFactBase, goal: Identity) -> Derivation:
+def _collapse_instance_derivation(base: FlatFactBase, goal: GoalReading) -> Derivation:
     """Certificate for a goal over a theory whose variables collapsed.
 
     The chain proving two variables equal, written over two fresh names, is
     instantiated with the goal's sides; the instance verifies, though its
     inner terms need not be flat.
     """
-    fresh = fresh_variables(v.name for v in identity_variables(goal))
+    fresh = fresh_variables(v.name for v in goal.variables)
     names = (next(fresh), next(fresh))
-    collapse = _chain_derivation(base, 0, 1, names)
+    collapse = _chain_derivation(base, 0, 1, read_goal(Identity(*names)))
     instance = substitute_derivation(
-        collapse, {names[0]: goal.lhs, names[1]: goal.rhs})
+        collapse, {names[0]: goal.identity.lhs, names[1]: goal.identity.rhs})
     check = verify_derivation(base.theory, instance)
     if not check:
         raise CertificateError(
@@ -526,7 +545,7 @@ def _collapse_instance_derivation(base: FlatFactBase, goal: Identity) -> Derivat
     return instance
 
 
-def _refuted(theory: Theory, goal: Identity) -> EntailmentVerdict:
+def _refuted(theory: Theory, goal: GoalReading) -> EntailmentVerdict:
     """A model of `models.DEFAULT_SIZES` separating the goal's sides, if any."""
     found = models.refute_entailment(theory, goal, *models.DEFAULT_SIZES)
     if found is None:
@@ -541,13 +560,19 @@ def entails_flat(base: FlatFactBase, goal: Identity) -> EntailmentVerdict:
     Entailed verdicts carry a verifying derivation, flat throughout whenever
     the theory is consistent; a negative verdict is upgraded with a
     separating finite model when one of `models.DEFAULT_SIZES` exists.
+
+    The goal is read once (`theories.read_goal`): its code places it in
+    the base, its variables name the chain's context indices and the
+    collapse certificate's fresh names, and the reading itself goes to the
+    model search, which reads the goal off it.
     """
-    a, b = base._embed(goal)
+    reading = read_goal(goal)
+    a, b = base._embed(reading)
     if base.same_class(a, b):
-        return Entailed(_chain_derivation(base, a, b, identity_variables(goal)))
+        return Entailed(_chain_derivation(base, a, b, reading))
     if base.variables_merged():
-        return Entailed(_collapse_instance_derivation(base, goal))
-    return _refuted(base.theory, goal)
+        return Entailed(_collapse_instance_derivation(base, reading))
+    return _refuted(base.theory, reading)
 
 
 def inconsistency_target(base: FlatFactBase) -> Optional[int]:
@@ -577,5 +602,7 @@ def is_inconsistent(base: FlatFactBase) -> EntailmentVerdict:
     """
     target = inconsistency_target(base)
     if target is not None:
-        return Entailed(_chain_derivation(base, 0, target, (Variable("x"), Variable("y"))))
+        names = (Variable("x"), Variable("y"))
+        goal = read_goal(Identity(names[0], base._named_atom(target, names)))
+        return Entailed(_chain_derivation(base, 0, target, goal))
     return NotEntailed()

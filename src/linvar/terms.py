@@ -150,14 +150,17 @@ class FlatLayout:
     Ids 0..n-1 are the values.  After them each symbol, in signature order,
     owns a block of n**arity ids, one per argument tuple in row-major order.
     Saturation reads the values as context variables; model search reads
-    them as elements, and an atom's id as its table cell.  An id is affine
-    in its digits, so the instances of a flat side are spread by one stride
-    per variable instead of being encoded one at a time.
+    them as elements, and an atom's id as its table cell.  `named` maps a
+    symbol's name to the symbol, `offsets` to the first id of its block.
+    An id is affine in its digits, so the instances of a flat side are
+    spread by one stride per variable instead of being encoded one at a
+    time.
     """
 
     def __init__(self, symbols: Sequence[OperationSymbol], n: int):
         self.symbols = tuple(symbols)
         self.n = n
+        self.named = {s.name: s for s in self.symbols}
         self.offsets: dict[str, int] = {}
         total = n
         for s in self.symbols:

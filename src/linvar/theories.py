@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Iterable, NamedTuple, Optional
 
 from .terms import (
     Application,
@@ -91,6 +91,46 @@ def identity_code(e: Identity) -> Optional[Code]:
             args.append(index.setdefault(v, len(index)))
         code += (side.symbol.name, tuple(args))
     return tuple(code)  # type: ignore[return-value]
+
+
+class GoalReading(NamedTuple):
+    """A goal as `read_goal` reads it, once, for every engine that decides it."""
+
+    identity: Identity
+    code: Optional[Code]  # `identity_code`'s, None for a non-linear goal
+    variables: tuple[Variable, ...]  # `identity_variables`'
+
+
+def read_goal(goal: Identity) -> GoalReading:
+    """The goal's code and variables from one walk of its sides.
+
+    Variables are numbered by first occurrence, lhs first and in preorder,
+    as in `identity_code` and `identity_variables`, and keyed by name, which
+    hashes without a call into Python; a variable is its name."""
+    index: dict[str, int] = {}
+    variables: list[Variable] = []
+    parts: Optional[list] = []
+    for side in (goal.lhs, goal.rhs):
+        if isinstance(side, Variable):
+            name, args = None, (side,)
+        else:
+            name, args = side.symbol.name, side.children
+        digits = []
+        for v in args:
+            if isinstance(v, Variable):
+                k = index.setdefault(v.name, len(variables))
+                if k == len(variables):
+                    variables.append(v)
+                digits.append(k)
+                continue
+            parts = None  # a nested child: the goal has no code
+            for u in term_variables(v):
+                if index.setdefault(u.name, len(variables)) == len(variables):
+                    variables.append(u)
+        if parts is not None:
+            parts += (name, tuple(digits))
+    code = None if parts is None else tuple(parts)
+    return GoalReading(goal, code, tuple(variables))  # type: ignore[arg-type]
 
 
 def code_identity(code: Code, symbols: dict[str, OperationSymbol]) -> Identity:

@@ -163,6 +163,36 @@ class TestVerifyDerivation:
         assert verify_derivation(maltsev, d) == VerifyResult(
             False, 2, f"equation {foreign} is not in {maltsev.name}")
 
+    @pytest.mark.parametrize("equation, term, images", [
+        # a flat source, p(v0,v1,v1), at a term with another symbol
+        ("v0 = p(v0,v1,v1)", "q(x,y,y)", {"v0": "x", "v1": "y"}),
+        # a flat child whose image differs: v1 is y, the child z
+        ("v0 = p(v0,v1,v1)", "p(x,z,z)", {"v0": "x", "v1": "y"}),
+        # a repeated variable bound to two different children, y then z
+        ("v0 = p(v0,v1,v1)", "p(x,y,z)", {"v0": "x", "v1": "y"}),
+        # a nested child, g(v1), that does not match g(y)
+        ("v0 = p(g(v1),v0,v0)", "p(g(y),x,x)", {"v0": "x", "v1": "x"}),
+    ], ids=["symbol", "image", "repeat", "nested"])
+    def test_each_branch_of_the_flat_loop_rejects(self, equation, term, images):
+        """`_is_instance` compares a flat side's variable children in its
+        loop and recurses only into a nested child; a step whose source
+        side fails at any of these places is rejected there."""
+        theory = parse_theory("theory pq\nop g/1\nop p/3\nop q/3\n"
+                              "axiom v0 = p(v0,v1,v1)\naxiom v0 = p(g(v1),v0,v0)\n")
+        eq = parse_identity(equation)
+        assert eq in theory.identity_set()
+        subst = {Variable(v): parse_term(t) for v, t in images.items()}
+        produced = apply_substitution(eq.lhs, subst)
+        d = Derivation(theory.name, (parse_term(term), produced),
+                       (make_step(eq, False, (), subst),))
+        assert verify_derivation(theory, d) == VerifyResult(
+            False, 0, f"instance of {eq.rhs} does not match at []")
+        # the same step at its source's own instance, parsed afresh so that
+        # its children equal the images without being them, verifies
+        instance = parse_term(str(apply_substitution(eq.rhs, subst)))
+        good = Derivation(theory.name, (instance, produced), d.steps)
+        assert verify_derivation(theory, good)
+
     def test_shape_mismatch(self, maltsev):
         d = Derivation(maltsev.name, (), ())
         assert not verify_derivation(maltsev, d)

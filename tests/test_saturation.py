@@ -57,6 +57,7 @@ from linvar.terms import (
     is_flat,
 )
 from linvar.theories import (
+    GoalReading,
     Identity,
     UnknownSymbolError,
     idempotency_identity,
@@ -132,7 +133,10 @@ class TestSaturate:
                 assert chain is not None, base.atom_term(member)
                 ids, edges = chain
                 assert ids[0] == members[0] and ids[-1] == member
-                saturation._chain_derivation(base, members[0], member, base.context)
+                # a reading whose k-th variable names context index k
+                ends = Identity(base.atom_term(members[0]), base.atom_term(member))
+                saturation._chain_derivation(base, members[0], member,
+                                             GoalReading(ends, None, base.context))
 
     def test_extension_matches_fresh_build(self, maltsev):
         base = saturate(maltsev, 6)
@@ -434,6 +438,40 @@ def test_stage_refutations_are_pinned():
     assert (count, digest.hexdigest()) == STAGE_REFUTATIONS
 
 
+# sha256 over every outcome of `entails_flat` below, one JSON line each: the
+# verdict's class with its derivation's JSON, its model's JSON and
+# assignment, or its note.  Taken before `entails_flat` read its goal once;
+# equal under PYTHONHASHSEED 0, 1 and 12345.
+ENTAIL_OUTCOMES = (4215, "ffe1fed52f8097fcc34b21bef3c1b74c21bada9485289efccd84c62ca5d1c526")
+
+
+def test_entail_outcomes_are_pinned(corpus, families):
+    """Every outcome of x = y and of each canonical x = F(w) over every
+    stage of both iterations of the presets and the families, entailed,
+    collapsed or refuted, keeps its certificate byte for byte."""
+    digest = hashlib.sha256()
+    count = 0
+    for theory in corpus + families:
+        for operator in ("derivative", "order_derivative"):
+            for stage in iterate(theory, operator).stages:
+                base = saturate(stage)
+                goals = [Identity(Variable("x"), Variable("y"))]
+                goals += [_fact_identity(s, w) for s in stage.symbols
+                          for w in _canonical_tuples(s.arity, s.arity + 1)]
+                for goal in goals:
+                    verdict = entails_flat(base, goal)
+                    if isinstance(verdict, Entailed):
+                        body = derivation_to_json(verdict.derivation)
+                    elif isinstance(verdict, NotEntailedWithModel):
+                        body = [verdict.algebra.to_json(), verdict.assignment]
+                    else:
+                        body = verdict.note
+                    count += 1
+                    digest.update(json.dumps([type(verdict).__name__, body],
+                                             sort_keys=True).encode() + b"\n")
+    assert (count, digest.hexdigest()) == ENTAIL_OUTCOMES
+
+
 def _fresh(theory):
     """An equal-but-renamed copy, so no base built earlier in the session
     is keyed by it."""
@@ -492,6 +530,41 @@ def test_classify_builds_each_base_once(monkeypatch):
         assert len({(id(t), b) for t, b in built}) == len(built)
         assert [b for _, b in built] == list(range(2, len(built) + 2))
         assert report.traces[1].budget == len(built) + 1 <= default_budget(theory)
+
+
+def test_entails_flat_reads_its_goal_once(monkeypatch, maltsev):
+    """`entails_flat` walks its goal once, whatever the verdict: one the
+    base entails, one entailed because the theory collapsed, and one a
+    model refutes.  A walk is a call, on the goal, of any goal reader a
+    module of the engine holds: `read_goal`, `identity_code` or
+    `identity_variables`."""
+    from linvar import models, theories
+
+    walks = []
+    for module in (theories, saturation, models):
+        for name in ("read_goal", "identity_code", "identity_variables"):
+            reader = getattr(module, name, None)
+            if reader is None:
+                continue
+
+            def spy(goal, reader=reader):
+                walks.append(goal)
+                return reader(goal)
+
+            monkeypatch.setattr(module, name, spy)
+    collapsed = next(stage for stage in iterate(maltsev, "order_derivative").stages
+                     if saturate(stage).variables_merged())
+    cases = [(maltsev, "v0 = p(v0,v1,v1)", Entailed),
+             (collapsed, "v0 = p(v0,v1,v2)", Entailed),
+             (maltsev, "v0 = p(v1,v0,v0)", NotEntailedWithModel)]
+    for theory, text, verdict in cases:
+        goal = parse_identity(text)
+        base = saturate(theory)
+        a, b = base.atom_id(goal.lhs), base.atom_id(goal.rhs)
+        assert base.same_class(a, b) == (theory is maltsev and verdict is Entailed)
+        walks.clear()
+        assert isinstance(entails_flat(base, goal), verdict)
+        assert [g for g in walks if g is goal] == [goal], text
 
 
 def _assert_validates_over_two_variables(theory):

@@ -103,6 +103,15 @@ def test_the_verifier_imports_no_engine():
     assert {"terms", "theories"} <= _imported_modules(tree)
 
 
+def test_model_search_imports_no_saturation():
+    """A goal's reading flows one way, from `saturation` to `models`, and
+    `models` reads it through `theories`: it imports nothing from
+    `saturation`, so the two cannot form an import cycle."""
+    tree = ast.parse((Path(linvar.__file__).resolve().parent / "models.py").read_text())
+    assert "saturation" not in _imported_modules(tree)
+    assert {"terms", "theories"} <= _imported_modules(tree)
+
+
 def test_the_verifier_builds_no_term():
     """`verify_derivation` and `_is_instance` check a step in place: they
     call no term constructor and no function that builds a term."""
